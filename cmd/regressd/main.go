@@ -41,6 +41,11 @@ import (
 	"crve/internal/web"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so idle or trickling connections cannot pin the daemon's
+// goroutines and file descriptors.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr         = flag.String("addr", ":8041", "listen address")
@@ -77,7 +82,7 @@ func run(addr, cacheDir string, workers, slots, queueDepth int, drainTimeout tim
 	mux.Handle("/api/", apiHandler)
 	mux.Handle("/healthz", apiHandler)
 	mux.Handle("/", web.New(mgr).Handler())
-	srv := &http.Server{Addr: addr, Handler: mux}
+	srv := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -27,6 +27,7 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -76,10 +77,16 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// maxSpecBytes bounds a submitted spec's body. Inline configurations are
+// the bulk of a spec, and the whole 36-configuration matrix as .cfg text is
+// about 10 KB, so the cap leaves ample room.
+const maxSpecBytes = 1 << 20
+
 // jsonDecoder decodes a request body strictly: an unknown field in a spec is
-// a client typo, not something to silently ignore.
-func jsonDecoder(r *http.Request) *json.Decoder {
-	dec := json.NewDecoder(r.Body)
+// a client typo, not something to silently ignore. Reading past
+// maxSpecBytes fails the decode with an *http.MaxBytesError.
+func jsonDecoder(w http.ResponseWriter, r *http.Request) *json.Decoder {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	return dec
 }
@@ -109,9 +116,12 @@ func (s *Server) tests(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec jobs.Spec
-	dec := jsonDecoder(r)
-	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad spec: %v", err)
+	if err := jsonDecoder(w, r).Decode(&spec); err != nil {
+		code := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, "bad spec: %v", err)
 		return
 	}
 	job, err := s.mgr.Submit(spec)

@@ -408,6 +408,38 @@ func TestServiceErrors(t *testing.T) {
 	}
 }
 
+// TestServiceRejectsOversizedSpec drives a submission past the spec body
+// limit: it must be refused with a 4xx before the body is read whole, and the
+// server must keep answering afterwards.
+func TestServiceRejectsOversizedSpec(t *testing.T) {
+	srv, mgr := newTestServer(t)
+	body := `{"configs": ["` + strings.Repeat("x", 1<<20) + `"]}`
+	resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized spec: POST /jobs returned %d, want 413", resp.StatusCode)
+	}
+	if n := len(mgr.List()); n != 0 {
+		t.Errorf("oversized spec created %d job(s)", n)
+	}
+
+	var ver struct {
+		CodeVersion string `json:"code_version"`
+	}
+	getJSON(t, srv, "/api/v1/version", &ver)
+	resp, err = http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("submit after an oversized spec: %d, want 400", resp.StatusCode)
+	}
+}
+
 // TestServiceCancelOverHTTP: POST .../cancel moves a running job to
 // cancelled.
 func TestServiceCancelOverHTTP(t *testing.T) {

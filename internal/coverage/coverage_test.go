@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -40,6 +41,51 @@ func TestItemHitOK(t *testing.T) {
 	it := g.Item("x", "a")
 	if !it.HitOK("a") || it.HitOK("b") {
 		t.Error("HitOK wrong")
+	}
+}
+
+// TestItemLookupScanAndIndex exercises both bin lookups: small items scan
+// their bins, larger ones go through the name index. Each must find every
+// declared bin, miss undeclared ones and refuse duplicate declarations.
+func TestItemLookupScanAndIndex(t *testing.T) {
+	for _, n := range []int{1, scanLimit, scanLimit + 1, 40} {
+		bins := make([]string, n)
+		for i := range bins {
+			bins[i] = fmt.Sprintf("b%d", i)
+		}
+		it := NewGroup("g").Item("x", bins...)
+		for i, b := range bins {
+			for k := 0; k <= i; k++ {
+				it.Hit(b)
+			}
+		}
+		for i, b := range bins {
+			if got := it.Hits(b); got != uint64(i+1) {
+				t.Errorf("%d bins: %s hit %d times, want %d", n, b, got, i+1)
+			}
+		}
+		if it.Counter(bins[n-1]) != it.Counter(bins[n-1]) || it.Counter("nope") != nil || it.HitOK("nope") {
+			t.Errorf("%d bins: counter lookup wrong", n)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d bins: duplicate declaration must panic", n)
+				}
+			}()
+			NewGroup("g").Item("x", append(bins, bins[n-1])...)
+		}()
+
+		// The same two regimes for items within a group.
+		g := NewGroup("g")
+		for _, b := range bins {
+			g.Item(b, "hit")
+		}
+		for i, it := range g.Items() {
+			if it.Name != bins[i] || g.MustItem(bins[i]) != it || g.Item(bins[i], "other") != it {
+				t.Errorf("%d items: item %d lookup wrong", n, i)
+			}
+		}
 	}
 }
 

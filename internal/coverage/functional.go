@@ -26,30 +26,76 @@ type Bin struct {
 // Item is a named coverage point with a declared set of bins.
 type Item struct {
 	Name string
-	bins map[string]*Bin
-	// order preserves declaration order for reports.
-	order []string
+	// bins holds the declared bins in declaration order. It is never grown
+	// after declaration, so *Bin handles into it stay valid.
+	bins []Bin
+	// index maps bin names to positions in items too large to scan; small
+	// items — most of them — carry no map at all.
+	index map[string]int
 }
+
+// scanLimit is the largest item (in bins) or group (in items) whose members
+// are looked up by a linear scan instead of through a name index.
+const scanLimit = 16
 
 // newItem builds an item with the given declared bins.
 func newItem(name string, bins []string) *Item {
-	it := &Item{Name: name, bins: make(map[string]*Bin, len(bins))}
-	for _, b := range bins {
-		if _, dup := it.bins[b]; dup {
-			panic(fmt.Sprintf("coverage: duplicate bin %q in item %q", b, name))
-		}
-		it.bins[b] = &Bin{Name: b}
-		it.order = append(it.order, b)
+	it := &Item{Name: name, bins: make([]Bin, len(bins))}
+	for i, b := range bins {
+		it.bins[i].Name = b
+	}
+	if dup, ok := it.seal(); !ok {
+		panic(fmt.Sprintf("coverage: duplicate bin %q in item %q", dup, name))
 	}
 	return it
+}
+
+// seal builds the name index of an item whose bins are in place and reports
+// the first duplicate bin name, if any.
+func (it *Item) seal() (dup string, ok bool) {
+	if len(it.bins) <= scanLimit {
+		for i := range it.bins {
+			for j := 0; j < i; j++ {
+				if it.bins[j].Name == it.bins[i].Name {
+					return it.bins[i].Name, false
+				}
+			}
+		}
+		return "", true
+	}
+	it.index = make(map[string]int, len(it.bins))
+	for i := range it.bins {
+		name := it.bins[i].Name
+		if _, seen := it.index[name]; seen {
+			return name, false
+		}
+		it.index[name] = i
+	}
+	return "", true
+}
+
+// bin returns the declared bin name, or nil.
+func (it *Item) bin(name string) *Bin {
+	if it.index != nil {
+		if i, ok := it.index[name]; ok {
+			return &it.bins[i]
+		}
+		return nil
+	}
+	for i := range it.bins {
+		if it.bins[i].Name == name {
+			return &it.bins[i]
+		}
+	}
+	return nil
 }
 
 // Hit samples bin name. Hitting an undeclared bin panics: the coverage model
 // is the specification of legal behaviour, so an unexpected value is a
 // verification-environment bug the paper says must be caught early.
 func (it *Item) Hit(name string) {
-	b, ok := it.bins[name]
-	if !ok {
+	b := it.bin(name)
+	if b == nil {
 		panic(fmt.Sprintf("coverage: item %q has no bin %q", it.Name, name))
 	}
 	b.Hits++
@@ -57,19 +103,17 @@ func (it *Item) Hit(name string) {
 
 // HitOK samples bin name if declared and reports whether it was.
 func (it *Item) HitOK(name string) bool {
-	b, ok := it.bins[name]
-	if ok {
-		b.Hits++
-	}
-	return ok
+	b := it.bin(name)
+	b.Inc()
+	return b != nil
 }
 
 // Counter returns the declared bin's counter, or nil when the bin is
 // undeclared — the preresolved form of HitOK for samplers hot enough that
-// per-event name formatting and map lookups matter. The pointer stays valid
+// per-event name formatting and lookups matter. The pointer stays valid
 // for the item's lifetime: Merge, ResetHits-style loops and reports all
 // mutate counts in place, never replace the Bin.
-func (it *Item) Counter(name string) *Bin { return it.bins[name] }
+func (it *Item) Counter(name string) *Bin { return it.bin(name) }
 
 // Inc samples the bin. Inc on a nil receiver is a no-op, mirroring HitOK's
 // tolerance of undeclared bins so callers can hold nil handles for bins a
@@ -82,7 +126,7 @@ func (b *Bin) Inc() {
 
 // Hits returns the hit count of bin name (0 if undeclared).
 func (it *Item) Hits(name string) uint64 {
-	if b, ok := it.bins[name]; ok {
+	if b := it.bin(name); b != nil {
 		return b.Hits
 	}
 	return 0
@@ -101,9 +145,9 @@ func (it *Item) Covered() (hit, total int) {
 // Holes returns the names of unhit bins in declaration order.
 func (it *Item) Holes() []string {
 	var h []string
-	for _, n := range it.order {
-		if it.bins[n].Hits == 0 {
-			h = append(h, n)
+	for _, b := range it.bins {
+		if b.Hits == 0 {
+			h = append(h, b.Name)
 		}
 	}
 	return h
@@ -122,24 +166,53 @@ func (h Hole) String() string { return h.Item + "/" + h.Bin }
 
 // Group is a set of coverage items, the unit reported per DUT configuration.
 type Group struct {
-	Name  string
-	items map[string]*Item
-	order []string
+	Name string
+	// items holds the declared items in declaration order.
+	items []*Item
+	// index maps item names to items once the group is too large to scan.
+	index map[string]*Item
 }
 
 // NewGroup returns an empty coverage group.
 func NewGroup(name string) *Group {
-	return &Group{Name: name, items: make(map[string]*Item)}
+	return &Group{Name: name}
+}
+
+// item returns the declared item name, or nil.
+func (g *Group) item(name string) *Item {
+	if g.index != nil {
+		return g.index[name]
+	}
+	for _, it := range g.items {
+		if it.Name == name {
+			return it
+		}
+	}
+	return nil
+}
+
+// add appends a newly declared item, indexing the group once it outgrows a
+// linear scan.
+func (g *Group) add(it *Item) {
+	g.items = append(g.items, it)
+	switch {
+	case g.index != nil:
+		g.index[it.Name] = it
+	case len(g.items) > scanLimit:
+		g.index = make(map[string]*Item, len(g.items))
+		for _, x := range g.items {
+			g.index[x.Name] = x
+		}
+	}
 }
 
 // Item declares (or returns the existing) item with the given bins.
 func (g *Group) Item(name string, bins ...string) *Item {
-	if it, ok := g.items[name]; ok {
+	if it := g.item(name); it != nil {
 		return it
 	}
 	it := newItem(name, bins)
-	g.items[name] = it
-	g.order = append(g.order, name)
+	g.add(it)
 	return it
 }
 
@@ -147,9 +220,9 @@ func (g *Group) Item(name string, bins ...string) *Item {
 // a and b, named "abin×bbin". Sample it with HitCross.
 func (g *Group) Cross(name string, a, b *Item) *Item {
 	var bins []string
-	for _, an := range a.order {
-		for _, bn := range b.order {
-			bins = append(bins, an+"×"+bn)
+	for _, ab := range a.bins {
+		for _, bb := range b.bins {
+			bins = append(bins, ab.Name+"×"+bb.Name)
 		}
 	}
 	return g.Item(name, bins...)
@@ -162,8 +235,8 @@ func (g *Group) HitCross(name, abin, bbin string) {
 
 // MustItem returns a declared item, panicking if absent.
 func (g *Group) MustItem(name string) *Item {
-	it, ok := g.items[name]
-	if !ok {
+	it := g.item(name)
+	if it == nil {
 		panic(fmt.Sprintf("coverage: group %q has no item %q", g.Name, name))
 	}
 	return it
@@ -171,11 +244,7 @@ func (g *Group) MustItem(name string) *Item {
 
 // Items returns the items in declaration order.
 func (g *Group) Items() []*Item {
-	out := make([]*Item, 0, len(g.order))
-	for _, n := range g.order {
-		out = append(out, g.items[n])
-	}
-	return out
+	return append([]*Item(nil), g.items...)
 }
 
 // Holes returns every unhit bin of the group in declaration order: items in
@@ -186,11 +255,10 @@ func (g *Group) Items() []*Item {
 // a Go map.
 func (g *Group) Holes() []Hole {
 	var holes []Hole
-	for _, name := range g.order {
-		it := g.items[name]
-		for _, bn := range it.order {
-			if it.bins[bn].Hits == 0 {
-				holes = append(holes, Hole{Item: name, Bin: bn})
+	for _, it := range g.items {
+		for _, b := range it.bins {
+			if b.Hits == 0 {
+				holes = append(holes, Hole{Item: it.Name, Bin: b.Name})
 			}
 		}
 	}
@@ -226,18 +294,17 @@ func (g *Group) Full() bool {
 // Merge accumulates the hit counts of o (which must declare the same items
 // and bins) into g.
 func (g *Group) Merge(o *Group) error {
-	for _, name := range o.order {
-		oit := o.items[name]
-		it, ok := g.items[name]
-		if !ok {
-			return fmt.Errorf("coverage: merge: item %q missing from %q", name, g.Name)
+	for _, oit := range o.items {
+		it := g.item(oit.Name)
+		if it == nil {
+			return fmt.Errorf("coverage: merge: item %q missing from %q", oit.Name, g.Name)
 		}
-		for _, bn := range oit.order {
-			b, ok := it.bins[bn]
-			if !ok {
-				return fmt.Errorf("coverage: merge: bin %q missing from item %q", bn, name)
+		for _, ob := range oit.bins {
+			b := it.bin(ob.Name)
+			if b == nil {
+				return fmt.Errorf("coverage: merge: bin %q missing from item %q", ob.Name, oit.Name)
 			}
-			b.Hits += oit.bins[bn].Hits
+			b.Hits += ob.Hits
 		}
 	}
 	return nil
@@ -251,10 +318,10 @@ func (g *Group) EqualHits(o *Group) (bool, string) {
 	if len(g.items) != len(o.items) {
 		return false, fmt.Sprintf("item count %d vs %d", len(g.items), len(o.items))
 	}
-	for _, name := range g.order {
-		it := g.items[name]
-		oit, ok := o.items[name]
-		if !ok {
+	for _, it := range g.items {
+		name := it.Name
+		oit := o.item(name)
+		if oit == nil {
 			return false, fmt.Sprintf("item %q missing", name)
 		}
 		if len(it.bins) != len(oit.bins) {
@@ -262,14 +329,13 @@ func (g *Group) EqualHits(o *Group) (bool, string) {
 		}
 		// Walk bins in declaration order so the reported first difference
 		// is deterministic even when several bins disagree.
-		for _, bn := range it.order {
-			b := it.bins[bn]
-			ob, ok := oit.bins[bn]
-			if !ok {
-				return false, fmt.Sprintf("item %q bin %q missing", name, bn)
+		for _, b := range it.bins {
+			ob := oit.bin(b.Name)
+			if ob == nil {
+				return false, fmt.Sprintf("item %q bin %q missing", name, b.Name)
 			}
 			if b.Hits != ob.Hits {
-				return false, fmt.Sprintf("item %q bin %q hits %d vs %d", name, bn, b.Hits, ob.Hits)
+				return false, fmt.Sprintf("item %q bin %q hits %d vs %d", name, b.Name, b.Hits, ob.Hits)
 			}
 		}
 	}
@@ -304,8 +370,8 @@ func (g *Group) Report() string {
 func (g *Group) SortedBinDump() string {
 	var lines []string
 	for _, it := range g.Items() {
-		for _, bn := range it.order {
-			lines = append(lines, fmt.Sprintf("%s/%s=%d", it.Name, bn, it.bins[bn].Hits))
+		for _, b := range it.bins {
+			lines = append(lines, fmt.Sprintf("%s/%s=%d", it.Name, b.Name, b.Hits))
 		}
 	}
 	sort.Strings(lines)

@@ -1,29 +1,38 @@
 package coverage
 
 import (
-	"encoding/json"
 	"testing"
+
+	"crve/internal/wire"
 )
 
-func TestGroupJSONRoundTrip(t *testing.T) {
+// roundTrip encodes with enc and decodes the bytes with dec, failing on any
+// decoder error or trailing byte.
+func roundTrip[T any](t *testing.T, enc func(*wire.Encoder), dec func(*wire.Decoder) T) T {
+	t.Helper()
+	var e wire.Encoder
+	enc(&e)
+	d := wire.NewDecoder(e.Bytes())
+	back := dec(d)
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
+func TestGroupBinaryRoundTrip(t *testing.T) {
 	g := NewGroup("node")
 	kind := g.Item("kind", "load", "store", "rmw")
 	size := g.Item("size", "1", "4")
 	g.Cross("kind×size", kind, size)
+	g.Item("empty")
 	kind.Hit("load")
 	kind.Hit("load")
 	kind.Hit("store")
 	size.Hit("4")
 	g.HitCross("kind×size", "load", "4")
 
-	data, err := json.Marshal(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := &Group{}
-	if err := json.Unmarshal(data, back); err != nil {
-		t.Fatal(err)
-	}
+	back := roundTrip(t, g.Encode, DecodeGroup)
 	if eq, diff := g.EqualHits(back); !eq {
 		t.Fatalf("round trip changed hits: %s", diff)
 	}
@@ -34,13 +43,18 @@ func TestGroupJSONRoundTrip(t *testing.T) {
 	if back.Report() != g.Report() {
 		t.Errorf("report changed:\n%s\nvs\n%s", g.Report(), back.Report())
 	}
-	// The restored group must accept merges from the original's items.
+	// The restored group must accept merges from the original's items, and
+	// its preresolved counters must be the bins the reports read.
 	if err := back.Merge(g); err != nil {
 		t.Errorf("merge into restored group: %v", err)
 	}
+	back.MustItem("size").Counter("1").Inc()
+	if got := back.MustItem("size").Hits("1"); got != 1 {
+		t.Errorf("restored counter hit %d, want 1", got)
+	}
 }
 
-func TestCodeMapJSONRoundTrip(t *testing.T) {
+func TestCodeMapBinaryRoundTrip(t *testing.T) {
 	m := NewCodeMap()
 	m.Line("arb.go:10")
 	m.Line("arb.go:11")
@@ -53,14 +67,7 @@ func TestCodeMapJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := NewCodeMap()
-	if err := json.Unmarshal(data, back); err != nil {
-		t.Fatal(err)
-	}
+	back := roundTrip(t, m.Encode, DecodeCodeMap)
 	if back.Report() != m.Report() {
 		t.Errorf("report changed:\n%s\nvs\n%s", m.Report(), back.Report())
 	}
@@ -75,9 +82,60 @@ func TestCodeMapJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCodeMapJSONRejectsUnknownKind(t *testing.T) {
-	back := NewCodeMap()
-	if err := json.Unmarshal([]byte(`[{"name":"x","kind":9}]`), back); err == nil {
-		t.Error("unknown point kind must fail to unmarshal")
+func TestCodeMapBinaryRejectsUnknownKind(t *testing.T) {
+	var e wire.Encoder
+	e.Uint(1)
+	e.Str("x")
+	e.Uint(9) // no such PointKind
+	e.Uint(0)
+	e.Uint(0)
+	e.Bool(false)
+	d := wire.NewDecoder(e.Bytes())
+	DecodeCodeMap(d)
+	if d.Finish() == nil {
+		t.Error("unknown point kind must fail to decode")
+	}
+}
+
+// TestBinaryRejectsDuplicateNames: a crafted record that declares a name
+// twice must fail the decoder — never panic (newItem does on a duplicate
+// bin) and never silently merge, which would re-encode to other bytes.
+func TestBinaryRejectsDuplicateNames(t *testing.T) {
+	group := func(items ...[]string) []byte {
+		var e wire.Encoder
+		e.Str("g")
+		e.Uint(uint64(len(items)))
+		for _, it := range items {
+			e.Str(it[0])
+			e.Uint(uint64(len(it) - 1))
+			for _, bn := range it[1:] {
+				e.Str(bn)
+				e.Uint(1)
+			}
+		}
+		return e.Bytes()
+	}
+	var points wire.Encoder
+	points.Uint(2)
+	for i := 0; i < 2; i++ {
+		points.Str("p")
+		points.Uint(uint64(LinePoint))
+		points.Uint(1)
+		points.Uint(0)
+		points.Bool(false)
+	}
+	for name, c := range map[string]struct {
+		data []byte
+		dec  func(*wire.Decoder)
+	}{
+		"bin":   {group([]string{"a", "x", "x"}), func(d *wire.Decoder) { DecodeGroup(d) }},
+		"item":  {group([]string{"a", "x"}, []string{"a", "y"}), func(d *wire.Decoder) { DecodeGroup(d) }},
+		"point": {points.Bytes(), func(d *wire.Decoder) { DecodeCodeMap(d) }},
+	} {
+		d := wire.NewDecoder(c.data)
+		c.dec(d)
+		if d.Finish() == nil {
+			t.Errorf("duplicate %s must fail to decode", name)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -15,11 +14,19 @@ import (
 	"crve/internal/bca"
 	"crve/internal/core"
 	"crve/internal/nodespec"
+	"crve/internal/wire"
 )
 
 // cacheSchema names the on-disk entry layout. Bump it whenever the record
 // format or the key derivation changes; stale entries then miss cleanly.
-const cacheSchema = "crve-regress-cache-v3"
+const cacheSchema = "crve-regress-cache-v4"
+
+// entryMagic opens every cache entry and entrySuffix names its file, so a
+// leftover entry of an older layout (a JSON file) is never even opened.
+const (
+	entryMagic  = "CRR1"
+	entrySuffix = ".crr"
+)
 
 // CodeVersion identifies the simulation semantics baked into cached results:
 // the cache schema plus, when the binary carries build metadata, the VCS
@@ -55,10 +62,12 @@ func CodeVersion() string {
 // after editing one configuration re-simulates only that configuration's
 // units and serves everything else from disk.
 //
-// Entries are independent JSON files, written atomically, so concurrent
-// workers — or concurrent regress processes sharing a directory — never
-// observe torn entries. Any unreadable, unparsable or version-mismatched
-// entry degrades to a miss.
+// Entries are independent .crr files holding one compact binary record each
+// (internal/wire: magic, code version, test, seed, then the core.PairRecord),
+// written atomically, so concurrent workers — or concurrent regress processes
+// sharing a directory — never observe torn entries. An entry that is
+// unreadable, of another layout or code version, truncated, or followed by
+// trailing bytes degrades to a miss.
 //
 // Within one process the cache is also a flight group: when several engine
 // runs share a Cache (the served, multi-tenant tier), the first goroutine to
@@ -116,34 +125,29 @@ func (c *Cache) Key(cfg nodespec.Config, testName string, seed int64, bugs bca.B
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// cacheEntry is the on-disk envelope: the version gate plus enough plain
-// text (config, test, seed) to make entries greppable when debugging.
-type cacheEntry struct {
-	Version string           `json:"version"`
-	Config  string           `json:"config"`
-	Test    string           `json:"test"`
-	Seed    int64            `json:"seed"`
-	Pair    *core.PairRecord `json:"pair"`
-}
-
 func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
+	return filepath.Join(c.dir, key+entrySuffix)
 }
 
-// Load fetches the entry for key, reporting whether a valid one exists.
+// Load fetches the entry for key, reporting whether a valid one exists. A
+// missing file, a foreign magic, another code version, a truncated record,
+// trailing bytes or a record without both views all read as a miss.
 func (c *Cache) Load(key string) (*core.PairRecord, bool) {
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
 		return nil, false
 	}
-	var ent cacheEntry
-	if err := json.Unmarshal(data, &ent); err != nil {
+	d := wire.NewDecoder(data)
+	if !d.Raw(entryMagic) || d.Str() != c.version {
 		return nil, false
 	}
-	if ent.Version != c.version || ent.Pair == nil || ent.Pair.RTL == nil || ent.Pair.BCA == nil {
+	_ = d.Str() // test
+	_ = d.Int() // seed
+	rec := core.DecodePairRecord(d)
+	if d.Finish() != nil || rec.RTL == nil || rec.BCA == nil {
 		return nil, false
 	}
-	return ent.Pair, true
+	return rec, true
 }
 
 // acquire resolves a work unit against the cache and the in-process flight
@@ -195,23 +199,23 @@ func (c *Cache) release(key string) {
 	c.mu.Unlock()
 }
 
-// Store persists the entry for key atomically (temp file + rename).
-func (c *Cache) Store(key string, cfg nodespec.Config, testName string, seed int64, rec *core.PairRecord) error {
-	data, err := json.Marshal(cacheEntry{
-		Version: c.version,
-		Config:  FormatConfig(cfg),
-		Test:    testName,
-		Seed:    seed,
-		Pair:    rec,
-	})
-	if err != nil {
-		return fmt.Errorf("regress: cache store: %w", err)
-	}
+// Store persists the entry for key atomically (temp file + rename): the
+// magic, the code version, then test and seed — which only make an entry
+// identifiable when debugging — and the record. The configuration is not
+// stored: the key already pins it, and Load's caller re-attaches the one it
+// looked up with.
+func (c *Cache) Store(key string, _ nodespec.Config, testName string, seed int64, rec *core.PairRecord) error {
+	var e wire.Encoder
+	e.Raw(entryMagic)
+	e.Str(c.version)
+	e.Str(testName)
+	e.Int(seed)
+	rec.Encode(&e)
 	tmp, err := os.CreateTemp(c.dir, "entry-*.tmp")
 	if err != nil {
 		return fmt.Errorf("regress: cache store: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	if _, err := tmp.Write(e.Bytes()); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("regress: cache store: %w", err)

@@ -3,6 +3,7 @@ package regress
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -65,17 +66,53 @@ func TestCacheCorruptAndVersionMismatchAreMisses(t *testing.T) {
 	if _, ok := c.Load(key); ok {
 		t.Fatal("empty cache must miss")
 	}
-	if err := os.WriteFile(c.path(key), []byte("not json"), 0o644); err != nil {
+	if err := c.Store(key, cfg, "t", 1, fakeRecord("t", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Load(key); ok {
-		t.Error("corrupt entry must load as a miss")
-	}
-	if err := os.WriteFile(c.path(key), []byte(`{"version":"other","pair":{"rtl":{},"bca":{}}}`), 0o644); err != nil {
+	valid, err := os.ReadFile(c.path(key))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Load(key); ok {
-		t.Error("version-mismatched entry must load as a miss")
+	if filepath.Ext(c.path(key)) != entrySuffix {
+		t.Errorf("entry path %s", c.path(key))
+	}
+	if rec, ok := c.Load(key); !ok || rec.RTL.Test != "t" {
+		t.Fatal("a valid entry must hit")
+	}
+	loadAs := func(data []byte) bool {
+		t.Helper()
+		if err := os.WriteFile(c.path(key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, ok := c.Load(key)
+		return ok
+	}
+
+	for n := 0; n < len(valid); n++ {
+		if loadAs(valid[:n]) {
+			t.Fatalf("entry truncated to %d of %d bytes must load as a miss", n, len(valid))
+		}
+	}
+	if loadAs(append(append([]byte(nil), valid...), 0)) {
+		t.Error("entry with a trailing byte must load as a miss")
+	}
+	other := testCache(t, "v2")
+	if err := other.Store(key, cfg, "t", 1, fakeRecord("t", 1)); err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := os.ReadFile(other.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loadAs(foreign) {
+		t.Error("entry written under another version must load as a miss")
+	}
+	v3 := `{"version":"v1","config":"","test":"t","seed":1,"pair":{"rtl":{"drained":true},"bca":{"drained":true}}}`
+	if loadAs([]byte(v3)) {
+		t.Error("a leftover JSON entry must load as a miss")
+	}
+	if !loadAs(valid) {
+		t.Error("restoring the valid bytes must hit again")
 	}
 }
 

@@ -77,6 +77,9 @@ func BuildReport(results []*ConfigResult, stats Stats) *Report {
 		Total:  len(results),
 		Units:  UnitTotals{Ran: stats.Ran, Cached: stats.Cached, Cycles: stats.Cycles},
 	}
+	if len(results) > 0 {
+		rep.Configs = make([]ConfigReport, 0, len(results))
+	}
 	for _, cr := range results {
 		crep := ConfigReport{
 			Name:           cr.Cfg.Name,
@@ -88,6 +91,9 @@ func BuildReport(results []*ConfigResult, stats Stats) *Report {
 			LineCovPercent: cr.CodeCov.Percent(coverage.LinePoint),
 			MinAlignment:   cr.MinAlignment,
 			SignedOff:      cr.SignedOff(),
+		}
+		if len(cr.Runs) > 0 {
+			crep.Runs = make([]RunReport, 0, len(cr.Runs))
 		}
 		for _, h := range cr.SuiteCoverage.Holes() {
 			crep.Holes = append(crep.Holes, h.String())

@@ -8,6 +8,7 @@ import (
 	"crve/internal/bca"
 	"crve/internal/core"
 	"crve/internal/testcases"
+	"crve/internal/wire"
 )
 
 // TestStreamingAlignmentEquivalence is the safety net under the streaming
@@ -73,18 +74,13 @@ func TestStreamingAlignmentEquivalence(t *testing.T) {
 					t.Errorf("sign-off verdicts differ: stream %v, legacy %v", str.SignedOff(), leg.SignedOff())
 				}
 
-				// The cache unit is the serialized PairRecord; it must be
+				// The cache unit is the encoded PairRecord; it must be
 				// byte-identical so existing caches and the new path agree.
-				sr, err := json.Marshal(str.Record())
-				if err != nil {
-					t.Fatal(err)
-				}
-				lr, err := json.Marshal(leg.Record())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(sr, lr) {
-					t.Errorf("pair records differ:\nstream: %s\nlegacy: %s", sr, lr)
+				var se, le wire.Encoder
+				str.Record().Encode(&se)
+				leg.Record().Encode(&le)
+				if !bytes.Equal(se.Bytes(), le.Bytes()) {
+					t.Errorf("pair records differ:\nstream: %x\nlegacy: %x", se.Bytes(), le.Bytes())
 				}
 			})
 		}

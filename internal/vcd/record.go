@@ -1,10 +1,10 @@
 package vcd
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"crve/internal/sim"
+	"crve/internal/wire"
 )
 
 // This file is the compact binary waveform sidecar: the artifact tier that
@@ -201,25 +201,15 @@ func valWords(w int) int { return (w + 63) / 64 }
 // signals' (index, value-words) pairs. Values of small magnitude — the
 // common case for control wires and addresses — shrink to a few bytes.
 func (rec *Recording) Encode() []byte {
-	var buf []byte
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf = append(buf, tmp[:n]...)
-	}
-	putString := func(s string) {
-		putUvarint(uint64(len(s)))
-		buf = append(buf, s...)
-	}
-
-	buf = append(buf, recordingMagic...)
-	putString(rec.module)
-	putUvarint(uint64(len(rec.names)))
+	var e wire.Encoder
+	e.Raw(recordingMagic)
+	e.Str(rec.module)
+	e.Uint(uint64(len(rec.names)))
 	for i, name := range rec.names {
-		putString(name)
-		putUvarint(uint64(rec.widths[i]))
+		e.Str(name)
+		e.Uint(uint64(rec.widths[i]))
 	}
-	putUvarint(rec.samples)
+	e.Uint(rec.samples)
 
 	// Count frames (runs of equal cycle in the ordered stream).
 	frames := 0
@@ -231,7 +221,7 @@ func (rec *Recording) Encode() []byte {
 		frames++
 		k = j
 	}
-	putUvarint(uint64(frames))
+	e.Uint(uint64(frames))
 	prev := uint64(0)
 	for k := 0; k < len(rec.stream); {
 		j := k
@@ -239,18 +229,18 @@ func (rec *Recording) Encode() []byte {
 			j++
 		}
 		cyc := rec.stream[k].cycle
-		putUvarint(cyc - prev)
+		e.Uint(cyc - prev)
 		prev = cyc
-		putUvarint(uint64(j - k))
+		e.Uint(uint64(j - k))
 		for _, ch := range rec.stream[k:j] {
-			putUvarint(uint64(ch.sig))
+			e.Uint(uint64(ch.sig))
 			for w := 0; w < valWords(rec.widths[ch.sig]); w++ {
-				putUvarint(ch.val.Word(w))
+				e.Uint(ch.val.Word(w))
 			}
 		}
 		k = j
 	}
-	return buf
+	return e.Bytes()
 }
 
 // IsRecording reports whether data begins with the binary recording magic —
@@ -259,50 +249,23 @@ func IsRecording(data []byte) bool {
 	return len(data) >= len(recordingMagic) && string(data[:len(recordingMagic)]) == recordingMagic
 }
 
-// DecodeRecording parses a recording produced by Encode.
+// DecodeRecording parses a recording produced by Encode. Truncation,
+// trailing bytes and non-canonical varints are errors.
 func DecodeRecording(data []byte) (*Recording, error) {
-	if len(data) < len(recordingMagic) || string(data[:len(recordingMagic)]) != recordingMagic {
+	if !IsRecording(data) {
 		return nil, fmt.Errorf("vcd: not a %s waveform recording", recordingMagic)
 	}
-	data = data[len(recordingMagic):]
-	getUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(data)
-		if n <= 0 {
-			return 0, fmt.Errorf("vcd: truncated waveform recording")
-		}
-		data = data[n:]
-		return v, nil
-	}
-	getString := func() (string, error) {
-		n, err := getUvarint()
-		if err != nil {
-			return "", err
-		}
-		if n > uint64(len(data)) {
-			return "", fmt.Errorf("vcd: truncated waveform recording")
-		}
-		s := string(data[:n])
-		data = data[n:]
-		return s, nil
+	d := wire.NewDecoder(data[len(recordingMagic):])
+	fail := func() (*Recording, error) {
+		return nil, fmt.Errorf("vcd: waveform recording: %w", d.Err())
 	}
 
-	rec := &Recording{byName: map[string]int{}}
-	var err error
-	if rec.module, err = getString(); err != nil {
-		return nil, err
-	}
-	nsig, err := getUvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nsig; i++ {
-		name, err := getString()
-		if err != nil {
-			return nil, err
-		}
-		w, err := getUvarint()
-		if err != nil {
-			return nil, err
+	rec := &Recording{module: d.Str(), byName: map[string]int{}}
+	nsig := d.Count(2) // name length + width
+	for i := 0; i < nsig; i++ {
+		name, w := d.Str(), d.Uint()
+		if d.Err() != nil {
+			return fail()
 		}
 		if w == 0 || w > sim.MaxBitsWidth {
 			return nil, fmt.Errorf("vcd: recording signal %q width %d out of range", name, w)
@@ -311,40 +274,29 @@ func DecodeRecording(data []byte) (*Recording, error) {
 		rec.names = append(rec.names, name)
 		rec.widths = append(rec.widths, int(w))
 	}
-	if rec.samples, err = getUvarint(); err != nil {
-		return nil, err
-	}
-	frames, err := getUvarint()
-	if err != nil {
-		return nil, err
-	}
+	rec.samples = d.Uint()
+	frames := d.Count(2) // cycle delta + change count
 	cyc := uint64(0)
-	for f := uint64(0); f < frames; f++ {
-		delta, err := getUvarint()
-		if err != nil {
-			return nil, err
+	for f := 0; f < frames; f++ {
+		delta, n := d.Uint(), d.Uint()
+		if d.Err() != nil {
+			return fail()
 		}
 		if f > 0 && delta == 0 {
 			return nil, fmt.Errorf("vcd: recording frames not strictly increasing")
 		}
 		cyc += delta
-		n, err := getUvarint()
-		if err != nil {
-			return nil, err
-		}
 		for i := uint64(0); i < n; i++ {
-			sig, err := getUvarint()
-			if err != nil {
-				return nil, err
+			sig := d.Uint()
+			if d.Err() != nil {
+				return fail()
 			}
-			if sig >= nsig {
+			if sig >= uint64(nsig) {
 				return nil, fmt.Errorf("vcd: recording change for unknown signal %d", sig)
 			}
 			var words [sim.BitsWords]uint64
 			for w := 0; w < valWords(rec.widths[sig]); w++ {
-				if words[w], err = getUvarint(); err != nil {
-					return nil, err
-				}
+				words[w] = d.Uint()
 			}
 			rec.stream = append(rec.stream, streamChange{
 				cycle: cyc, sig: int32(sig),
@@ -352,6 +304,9 @@ func DecodeRecording(data []byte) (*Recording, error) {
 			})
 		}
 		rec.endCycle = cyc
+	}
+	if d.Finish() != nil {
+		return fail()
 	}
 	return rec, nil
 }

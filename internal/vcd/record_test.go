@@ -107,6 +107,9 @@ func TestDecodeRecordingRejectsCorrupt(t *testing.T) {
 	if _, err := DecodeRecording(enc[:len(enc)/2]); err == nil {
 		t.Error("truncated recording accepted")
 	}
+	if _, err := DecodeRecording(append(enc[:len(enc):len(enc)], 0)); err == nil {
+		t.Error("recording with a trailing byte accepted")
+	}
 }
 
 func TestCursorStreamsValues(t *testing.T) {
