@@ -6,22 +6,13 @@
 // cycle, and the size of the fused program (processes absorbed, bytecode
 // instructions emitted).
 //
-// With -lanes it instead measures bit-parallel multi-seed execution: the
-// same 64-seed workload run scalar and in lane batches of increasing width,
-// reported as aggregate seed-cycles per second alongside the divergence rate
-// (the share of per-lane work the fused transposed bytecode could not absorb
-// and the closure fallback executed lane by lane). CI archives that report
-// as BENCH_lanes.json.
-//
 // Usage:
 //
 //	benchkernel                              # JSON on stdout
 //	benchkernel -out BENCH_kernel.json -repeat 7
-//	benchkernel -lanes -out BENCH_lanes.json # lane-batching sweep
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -93,14 +84,9 @@ func main() {
 		out    = flag.String("out", "", "write JSON here instead of stdout")
 		repeat = flag.Int("repeat", 7, "timing repetitions (median of N)")
 		seed   = flag.Int64("seed", 7, "test seed")
-		lanes  = flag.Bool("lanes", false, "measure lane-batched multi-seed throughput instead of the backend comparison")
 	)
 	flag.Parse()
-	runner := run
-	if *lanes {
-		runner = runLanes
-	}
-	if err := runner(*out, *repeat, *seed); err != nil {
+	if err := run(*out, *repeat, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "benchkernel:", err)
 		os.Exit(1)
 	}
@@ -163,227 +149,6 @@ func measure(cfg nodespec.Config, tc core.Test, seed int64, k sim.Kernel, repeat
 	be.CyclesPerSec = rate * float64(prof.Cycles)
 	be.SpeedupVsPR5 = be.CyclesPerSec / baselinePR5
 	return be, prof.Cycles, nil
-}
-
-// laneWidth is one measured batching width over the fixed 64-seed workload.
-type laneWidth struct {
-	// Lanes is the batch width: seeds packed into one lane-parallel
-	// simulator per core.RunTestLanes call (1 = scalar core.RunTest).
-	Lanes int `json:"lanes"`
-	// SeedCyclesPerSec is aggregate throughput: total simulated seed-cycles
-	// of the whole workload divided by wall time, median of -repeat samples.
-	SeedCyclesPerSec float64 `json:"seed_cycles_per_s"`
-	// SpeedupVsScalar is SeedCyclesPerSec over the scalar (lanes=1) row.
-	SpeedupVsScalar float64 `json:"speedup_vs_scalar"`
-	// FusedLaneEvals and ClosureEvals split one profiled batch's per-lane
-	// work between the transposed bytecode and the closure fallback;
-	// DivergencePct is the closure share — the Amdahl ceiling on lane gain.
-	FusedLaneEvals uint64  `json:"fused_lane_evals,omitempty"`
-	ClosureEvals   uint64  `json:"closure_evals,omitempty"`
-	DivergencePct  float64 `json:"divergence_pct,omitempty"`
-}
-
-type laneReport struct {
-	Config string `json:"config"`
-	Test   string `json:"test"`
-	// Seeds is the workload: this many consecutive seeds starting at Seed,
-	// identical for every row so the rows differ only in batching.
-	Seed  int64 `json:"seed"`
-	Seeds int   `json:"seeds"`
-	// TotalCycles is the summed per-seed simulated cycle count of the
-	// workload (lane runs reproduce scalar cycle counts exactly).
-	TotalCycles uint64      `json:"total_cycles"`
-	Kernel      string      `json:"kernel"`
-	Widths      []laneWidth `json:"widths"`
-	// IRKernel is the kernel-only microbenchmark: the same comparison on a
-	// design the transposed bytecode absorbs completely, isolating the
-	// vectorizable share that the end-to-end rows dilute with per-lane
-	// testbench closures.
-	IRKernel irKernel `json:"ir_kernel"`
-}
-
-// irKernel is the kernel-only lane block: an IR-only synthetic datapath
-// (a depth-deep combinational mixing chain folding into a seeded register)
-// run scalar and 64-lane, in seed-cycles per second.
-type irKernel struct {
-	Depth                  int     `json:"depth"`
-	CyclesPerRun           int     `json:"cycles_per_run"`
-	ScalarSeedCyclesPerSec float64 `json:"scalar_seed_cycles_per_s"`
-	Lane64SeedCyclesPerSec float64 `json:"lane64_seed_cycles_per_s"`
-	Speedup                float64 `json:"speedup"`
-}
-
-// buildIRPipe elaborates the IR-only datapath: every process is an
-// Expr-declared comb or seq unit, so the compiled backend fuses all of it
-// and a lane run diverges nowhere.
-func buildIRPipe(sm *sim.Simulator, depth int) *sim.Signal {
-	st := sm.Signal("state", 64)
-	prev := sim.Read(st)
-	for i := 0; i < depth; i++ {
-		s := sm.Signal(fmt.Sprintf("mix%d", i), 64)
-		e := prev.Xor(sim.ConstU64(0x9e3779b97f4a7c15*(uint64(i)+1), 64))
-		switch i % 3 {
-		case 1:
-			e = e.Add(sim.Read(st)).Field(0, 64)
-		case 2:
-			e = e.Not()
-		}
-		sm.CombExpr(fmt.Sprintf("m%d", i), sim.Assign{Dst: s, Src: e})
-		prev = sim.Read(s)
-	}
-	sm.SeqExpr("fold", sim.Assign{Dst: st, Src: prev})
-	return st
-}
-
-// measureIRLane times the IR-only datapath scalar (64 independent
-// simulators) and 64-lane (one simulator, one seed per lane), identical
-// seeding, construction outside the timed loop — steady-state kernel
-// throughput, nothing else.
-func measureIRLane(depth, cycles, repeat int) (irKernel, error) {
-	ik := irKernel{Depth: depth, CyclesPerRun: cycles}
-	seedVal := func(i int) sim.Bits { return sim.B64(uint64(i)*0x9e3779b97f4a7c15 + 1) }
-
-	scalars := make([]*sim.Simulator, core.MaxLanes)
-	for i := range scalars {
-		sm := sim.New()
-		sm.Kernel = sim.KernelCompiled
-		buildIRPipe(sm, depth).Set(seedVal(i))
-		scalars[i] = sm
-	}
-	rate, err := medianRate(repeat, func() error {
-		for _, sm := range scalars {
-			if err := sm.Run(cycles); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return ik, err
-	}
-	ik.ScalarSeedCyclesPerSec = rate * float64(core.MaxLanes*cycles)
-
-	lsm := sim.New()
-	lsm.Kernel = sim.KernelCompiled
-	lsm.SetLanes(core.MaxLanes)
-	var st *sim.Signal
-	for l := 0; l < core.MaxLanes; l++ {
-		lsm.BeginLane(l)
-		s := buildIRPipe(lsm, depth)
-		if l == 0 {
-			st = s
-		}
-	}
-	lsm.EndBuild()
-	for l := 0; l < core.MaxLanes; l++ {
-		st.SetLane(l, seedVal(l))
-	}
-	// Warm one cycle so the elaboration settle (which legitimately runs
-	// closures once) is behind us, then require the timed region to be pure
-	// transposed bytecode.
-	if err := lsm.Run(1); err != nil {
-		return ik, err
-	}
-	warm := lsm.Stats()
-	rate, err = medianRate(repeat, func() error { return lsm.Run(cycles) })
-	if err != nil {
-		return ik, err
-	}
-	if ks := lsm.Stats(); ks.FusedLaneEvals == warm.FusedLaneEvals || ks.ClosureEvals != warm.ClosureEvals {
-		return ik, fmt.Errorf("IR-only lane run not fully fused: %d fused, %d closure evals in the timed region",
-			ks.FusedLaneEvals-warm.FusedLaneEvals, ks.ClosureEvals-warm.ClosureEvals)
-	}
-	ik.Lane64SeedCyclesPerSec = rate * float64(core.MaxLanes*cycles)
-	ik.Speedup = ik.Lane64SeedCyclesPerSec / ik.ScalarSeedCyclesPerSec
-	return ik, nil
-}
-
-// runLanes measures the lane-batching sweep: the same 64-seed compiled-RTL
-// workload executed scalar and in batches of 4, 16 and 64 lanes.
-func runLanes(out string, repeat int, seed int64) error {
-	cfg := refCfg()
-	tc, err := testcases.ByName("back_to_back")
-	if err != nil {
-		return err
-	}
-	const nSeeds = core.MaxLanes
-	seeds := make([]int64, nSeeds)
-	for i := range seeds {
-		seeds[i] = seed + int64(i)
-	}
-	opt := core.RunOptions{Kernel: sim.KernelCompiled}
-
-	rep := laneReport{
-		Config: cfg.Name, Test: tc.Name, Seed: seed, Seeds: nSeeds,
-		Kernel: "compiled",
-	}
-	for _, s := range seeds {
-		res, err := core.RunTest(cfg, core.RTLView, tc, s, opt)
-		if err != nil {
-			return err
-		}
-		rep.TotalCycles += res.Cycles
-	}
-
-	ctx := context.Background()
-	for _, w := range []int{1, 4, 16, 64} {
-		lw := laneWidth{Lanes: w}
-		if w > 1 {
-			// One profiled batch for the divergence split; timing runs below
-			// skip the stats to keep the hot loop clean.
-			popt := opt
-			popt.KernelStats = true
-			prof, err := core.RunTestLanes(ctx, cfg, core.RTLView, tc, seeds[:w], popt)
-			if err != nil {
-				return err
-			}
-			ks := prof[0].Kernel
-			if ks.FusedLaneEvals == 0 {
-				return fmt.Errorf("lane batch of %d fused no lane evals", w)
-			}
-			lw.FusedLaneEvals = ks.FusedLaneEvals
-			lw.ClosureEvals = ks.ClosureEvals
-			lw.DivergencePct = ks.DivergenceRate() * 100
-		}
-		rate, err := medianRate(repeat, func() error {
-			for lo := 0; lo < nSeeds; lo += w {
-				batch := seeds[lo : lo+w]
-				if w == 1 {
-					if _, err := core.RunTest(cfg, core.RTLView, tc, batch[0], opt); err != nil {
-						return err
-					}
-				} else if _, err := core.RunTestLanes(ctx, cfg, core.RTLView, tc, batch, opt); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		lw.SeedCyclesPerSec = rate * float64(rep.TotalCycles)
-		if len(rep.Widths) > 0 {
-			lw.SpeedupVsScalar = lw.SeedCyclesPerSec / rep.Widths[0].SeedCyclesPerSec
-		} else {
-			lw.SpeedupVsScalar = 1
-		}
-		rep.Widths = append(rep.Widths, lw)
-	}
-
-	if rep.IRKernel, err = measureIRLane(200, 1000, repeat); err != nil {
-		return err
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(out, data, 0o644)
 }
 
 func run(out string, repeat int, seed int64) error {

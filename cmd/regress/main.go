@@ -19,7 +19,6 @@
 //	regress -config ./configs -close   # close coverage holes with synthesized tests
 //	regress -matrix -quick -kernelstats # also print the kernel profile per config/view
 //	regress -matrix -quick -kernel=compiled -kernelstats  # compiled bytecode backend + its profile
-//	regress -matrix -kernel=compiled -seeds 1,2,3,4 -lanes 64  # bit-parallel seed lanes per (config, test)
 //	regress -config ./configs -fabric topo.fab  # also gate on a whole-fabric check
 //	regress -matrix -quick -legacy-align  # alignment via the legacy VCD round trip
 //
@@ -78,7 +77,6 @@ type options struct {
 	wave        bool
 	legacyAlign bool
 	jsonOut     bool
-	lanes       int
 }
 
 func main() {
@@ -102,7 +100,6 @@ func main() {
 	flag.StringVar(&o.fabricArg, "fabric", "", "comma-separated topology files (*.fab) the matrix must compose into; checked by the lint gate")
 	flag.BoolVar(&o.wave, "wave", false, "keep compact binary waveform recordings per run (written as .crw with -out)")
 	flag.BoolVar(&o.legacyAlign, "legacy-align", false, "compute alignment via the legacy VCD write/parse/Compare round trip (ablation baseline)")
-	flag.IntVar(&o.lanes, "lanes", 0, "batch up to N seeds of one (config, test) pair into a lane-parallel simulator (max 64; 0 = scalar); per-seed reports stay byte-identical")
 	flag.BoolVar(&o.jsonOut, "json", false, "emit the canonical JSON report on stdout (human summary moves to stderr) — byte-identical to the regressd report endpoint")
 	flag.Parse()
 	if err := run(o); err != nil {
@@ -210,7 +207,7 @@ func run(o options) error {
 
 	opt := regress.Options{
 		Tests: tests, Seeds: seeds, NoLint: true, Workers: o.jobs, // linted above
-		KernelStats: o.kernelstats, Kernel: o.kernel, Lanes: o.lanes,
+		KernelStats: o.kernelstats, Kernel: o.kernel,
 		RecordWave: o.wave, LegacyAlignment: o.legacyAlign,
 	}
 	if o.verbose {

@@ -361,6 +361,7 @@ func TestServiceErrors(t *testing.T) {
 
 	for name, body := range map[string]string{
 		"unknown field":     `{"matrx": true}`,
+		"retired lanes":     `{"matrix": true, "quick": true, "lanes": 4}`,
 		"quick sans matrix": `{"quick": true}`,
 		"empty spec":        `{}`,
 		"unknown test":      fmt.Sprintf(`{"configs": [%q], "tests": ["nope"]}`, regress.FormatConfig(testCfg(t, "er0"))),

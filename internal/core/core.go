@@ -207,8 +207,8 @@ func RunTest(cfg nodespec.Config, view View, test Test, seed int64, opt RunOptio
 }
 
 // benchInst is one fully wired bench+DUT instance: the per-run state of
-// RunTestCtx, factored out so the lane-parallel runner (lanes.go) can
-// elaborate one instance per lane on a shared simulator.
+// RunTestCtx, split into elaboration (buildBench), the run loop's cycle
+// bound and drain probe (limit, done) and report collection (collect).
 type benchInst struct {
 	dut        DUT
 	res        *RunResult
@@ -450,6 +450,21 @@ func RunPairCtx(ctx context.Context, cfg nodespec.Config, test Test, seed int64,
 	}
 	pr.CoverageEqual, pr.CoverageDiff = rres.Coverage.EqualHits(bres.Coverage)
 	return pr, nil
+}
+
+// RunPairLanes runs RunPairCtx for each seed in turn and returns one
+// PairResult per seed, index-matched to seeds. It keeps the multi-seed entry
+// point perfledger's seed-group probe calls.
+func RunPairLanes(ctx context.Context, cfg nodespec.Config, test Test, seeds []int64, opt RunOptions) ([]*PairResult, error) {
+	prs := make([]*PairResult, len(seeds))
+	for i, seed := range seeds {
+		pr, err := RunPairCtx(ctx, cfg, test, seed, opt)
+		if err != nil {
+			return nil, err
+		}
+		prs[i] = pr
+	}
+	return prs, nil
 }
 
 // runPairLegacy is the pre-streaming pipeline: dump both runs as text VCD,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -165,5 +167,41 @@ func TestRunTestDetectsStall(t *testing.T) {
 	}
 	if res.Drained || res.Passed() {
 		t.Error("3-cycle budget should not drain")
+	}
+}
+
+// TestLanePairEquivalence pins RunPairLanes' contract: one PairResult per
+// seed, index-matched and equal to RunPairCtx for that seed, clean and
+// bugged.
+func TestLanePairEquivalence(t *testing.T) {
+	seeds := []int64{11, 12, 13}
+	for _, tc := range []struct {
+		name string
+		bugs bca.Bugs
+	}{
+		{"clean", bca.Bugs{}},
+		{"bugged", bca.Bugs{LRUInit: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cfg(3, 1)
+			opt := RunOptions{Bugs: tc.bugs}
+			prs, err := RunPairLanes(context.Background(), c, smokeTest(), seeds, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(prs) != len(seeds) {
+				t.Fatalf("%d results for %d seeds", len(prs), len(seeds))
+			}
+			for i, seed := range seeds {
+				ref, err := RunPairCtx(context.Background(), c, smokeTest(), seed, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if prs[i].RTL.Seed != seed || !reflect.DeepEqual(prs[i], ref) {
+					t.Errorf("result %d (seed %d) differs from RunPairCtx:\n%s\n%s\nvs\n%s\n%s",
+						i, seed, prs[i].RTL.Summary(), prs[i].BCA.Summary(), ref.RTL.Summary(), ref.BCA.Summary())
+				}
+			}
+		})
 	}
 }

@@ -65,10 +65,6 @@ type Spec struct {
 	// Kernel selects the simulation backend: "levelized" (default, also the
 	// empty string) or "compiled".
 	Kernel string `json:"kernel,omitempty"`
-	// Lanes batches up to N seeds of one (config, test) pair into a
-	// lane-parallel simulator (max 64; 0 = scalar). Per-seed results and
-	// reports stay byte-identical to a scalar run.
-	Lanes int `json:"lanes,omitempty"`
 	// RecordWave keeps compact binary waveform recordings (.crw) per run,
 	// served back via GET .../wave/{config}/{test}/{seed}/{view}.
 	RecordWave bool `json:"record_wave,omitempty"`
@@ -125,9 +121,6 @@ func (s Spec) resolve() (resolved, error) {
 	}
 	if _, err := sim.ParseKernel(s.Kernel); err != nil {
 		return r, fmt.Errorf("jobs: %w", err)
-	}
-	if s.Lanes < 0 || s.Lanes > core.MaxLanes {
-		return r, fmt.Errorf("jobs: lanes %d out of range [0, %d]", s.Lanes, core.MaxLanes)
 	}
 	return r, nil
 }

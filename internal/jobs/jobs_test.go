@@ -62,8 +62,6 @@ func TestSpecValidation(t *testing.T) {
 		"quick needs matrix": {Quick: true},
 		"unknown test":       {Configs: []string{cfgText(t, "v0", 2)}, Tests: []string{"no_such_test"}},
 		"unparsable config":  {Configs: []string{"pipe_size = what"}},
-		"negative lanes":     {Configs: []string{cfgText(t, "v1", 2)}, Lanes: -1},
-		"too many lanes":     {Configs: []string{cfgText(t, "v2", 2)}, Lanes: 65},
 	} {
 		if _, err := m.Submit(spec); err == nil {
 			t.Errorf("%s: Submit accepted an invalid spec", name)
@@ -136,37 +134,6 @@ func TestJobLifecycle(t *testing.T) {
 	regress.WriteJSON(&b2, rep2)
 	if b1.String() != b2.String() {
 		t.Errorf("cache-served report diverged:\n%s\nvs\n%s", b1.String(), b2.String())
-	}
-}
-
-// TestLaneJobReportMatchesScalar submits the same matrix slice through a
-// lane-batched job and a scalar job (separate cold caches, so nothing
-// dedupes) and requires byte-identical canonical reports: lane width is a
-// service-side performance knob, invisible in every result surface.
-func TestLaneJobReportMatchesScalar(t *testing.T) {
-	reports := make([]string, 2)
-	for i, lanes := range []int{0, 64} {
-		m := testManager(t, 1)
-		job, err := m.Submit(Spec{
-			Configs: []string{cfgText(t, "lj0", 4)},
-			Tests:   []string{"basic_write_read", "error_paths"},
-			Seeds:   []int64{1, 2, 3},
-			Kernel:  "compiled",
-			Lanes:   lanes,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := waitTerminal(t, job)
-		if st.State != Done {
-			t.Fatalf("lanes=%d: job ended %s (%s), want done", lanes, st.State, st.Error)
-		}
-		var b bytes.Buffer
-		regress.WriteJSON(&b, job.Report())
-		reports[i] = b.String()
-	}
-	if reports[0] != reports[1] {
-		t.Errorf("lane job report diverged from scalar:\n%s\nvs\n%s", reports[0], reports[1])
 	}
 }
 

@@ -234,7 +234,6 @@ func (m *Manager) execute(job *Job) {
 		Tests: job.res.tests, Seeds: job.res.seeds,
 		NoLint: job.Spec.NoLint, Workers: m.opt.Workers, Cache: m.opt.Cache,
 		KernelStats: job.Spec.KernelStats, Kernel: job.Spec.Kernel,
-		Lanes:      job.Spec.Lanes,
 		RecordWave: job.Spec.RecordWave,
 		Log:        jobLog{job}, Progress: job.onProgress,
 	})

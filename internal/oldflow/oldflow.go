@@ -146,7 +146,7 @@ func (d *directedDriver) tick() {
 		if p.RespFire() {
 			cell := p.SampleResp()
 			if d.state == 3 {
-				d.got = append(d.got, stbus.UnpackLanes(d.cfg.Port.Endian,
+				d.got = append(d.got, stbus.UnpackByteLanes(d.cfg.Port.Endian,
 					d.addr+uint64(len(d.got)), cell.Data, minInt(4-len(d.got), d.cfg.Port.BusBytes()),
 					d.cfg.Port.BusBytes())...)
 			}

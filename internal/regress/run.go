@@ -59,16 +59,6 @@ type Options struct {
 	// sim.ParseKernel; the kernel is part of the cache key, so switching
 	// backends never serves a stale profile.
 	Kernel string
-	// Lanes batches up to that many seeds of one (config, test) pair into a
-	// single lane-parallel simulation (core.RunPairLanes), capped at
-	// core.MaxLanes (64). 0 or 1 runs every unit scalar. Per-seed results,
-	// cache entries and the merged report are byte-identical to a scalar
-	// run; only the engine's work-unit shape changes. Lane batches probe the
-	// cache per seed but skip the in-process flight dedupe (a batch holds
-	// many keys at once), so two concurrent jobs may redundantly simulate
-	// overlapping units — correct, just not deduped. Ignored under
-	// LegacyAlignment, which has no lane path.
-	Lanes int
 	// RecordWave keeps the compact binary waveform recording of every
 	// simulated unit (WriteReports stores them as .crw files). Off by
 	// default: the streaming alignment path needs no retained waveforms.

@@ -124,49 +124,27 @@ func runEngine(ctx context.Context, cfgs []nodespec.Config, opt Options, logHead
 		}
 	}
 
-	// A work batch is a run of canonically consecutive units sharing one
-	// (config, test) pair — the unit of dispatch. Scalar runs use batches of
-	// one; lane mode packs up to Options.Lanes seeds per batch and simulates
-	// the whole batch in one lane-parallel simulator.
-	laneW := opt.Lanes
-	if laneW > core.MaxLanes {
-		laneW = core.MaxLanes
-	}
-	if laneW < 1 || opt.LegacyAlignment {
-		laneW = 1 // no lane path under the legacy VCD round trip
-	}
-	var batches [][]workUnit
-	for start := 0; start < len(units); {
-		end := start + 1
-		for end-start < laneW && end < len(units) &&
-			units[end].cfgIdx == units[start].cfgIdx && units[end].test.Name == units[start].test.Name {
-			end++
-		}
-		batches = append(batches, units[start:end])
-		start = end
-	}
-
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(batches) {
-		workers = len(batches)
+	if workers > len(units) {
+		workers = len(units)
 	}
 
-	work := make(chan []workUnit)
+	work := make(chan workUnit)
 	outcomes := make(chan unitOutcome)
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	abort := func() { stopOnce.Do(func() { close(stop) }) }
 
-	// Producer: feeds batches in canonical order, quits early on abort or
+	// Producer: feeds units in canonical order, quits early on abort or
 	// cancellation.
 	go func() {
 		defer close(work)
-		for _, b := range batches {
+		for _, u := range units {
 			select {
-			case work <- b:
+			case work <- u:
 			case <-stop:
 				return
 			case <-ctx.Done():
@@ -175,20 +153,14 @@ func runEngine(ctx context.Context, cfgs []nodespec.Config, opt Options, logHead
 		}
 	}()
 
-	// Workers: simulate (or fetch) batches, touching nothing shared.
+	// Workers: simulate (or fetch) units, touching nothing shared.
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for b := range work {
-				if len(b) == 1 {
-					outcomes <- runUnit(ctx, b[0], opt)
-					continue
-				}
-				for _, o := range runLaneBatch(ctx, b, opt) {
-					outcomes <- o
-				}
+			for u := range work {
+				outcomes <- runUnit(ctx, u, opt)
 			}
 		}()
 	}
@@ -308,68 +280,4 @@ func runUnit(ctx context.Context, u workUnit, opt Options) unitOutcome {
 		}
 	}
 	return unitOutcome{idx: u.idx, pair: pair}
-}
-
-// runLaneBatch executes one lane batch — up to core.MaxLanes seeds of the
-// same (config, test) pair — and returns one outcome per unit. Each seed
-// keeps its own scalar cache key: cached seeds are served from disk and only
-// the misses enter the lane-parallel simulator, so a batch's entries are
-// interchangeable with a scalar run's. The in-process flight group is not
-// taken (a batch would have to hold many keys at once); concurrent engines
-// may duplicate work on overlapping keys but the atomic Store keeps every
-// entry consistent.
-func runLaneBatch(ctx context.Context, batch []workUnit, opt Options) []unitOutcome {
-	out := make([]unitOutcome, 0, len(batch))
-	unitErr := func(u workUnit, err error) unitOutcome {
-		return unitOutcome{idx: u.idx, err: fmt.Errorf("regress: %s/%s seed %d: %w", u.cfg.Name, u.test.Name, u.seed, err)}
-	}
-	missing := batch
-	var keys []string
-	if opt.Cache != nil {
-		missing = nil
-		for _, u := range batch {
-			key := opt.Cache.Key(u.cfg, u.test.Name, u.seed, opt.Bugs, opt.Kernel)
-			if rec, ok := opt.Cache.Load(key); ok {
-				out = append(out, unitOutcome{idx: u.idx, pair: rec.Result(u.cfg), cached: true})
-				continue
-			}
-			missing = append(missing, u)
-			keys = append(keys, key)
-		}
-	}
-	if len(missing) == 0 {
-		return out
-	}
-	if err := ctx.Err(); err != nil {
-		for _, u := range missing {
-			out = append(out, unitErr(u, err))
-		}
-		return out
-	}
-	kernel, _ := sim.ParseKernel(opt.Kernel) // validated at engine start
-	seeds := make([]int64, len(missing))
-	for i, u := range missing {
-		seeds[i] = u.seed
-	}
-	prs, err := core.RunPairLanes(ctx, missing[0].cfg, missing[0].test, seeds, core.RunOptions{
-		Bugs: opt.Bugs, KernelStats: opt.KernelStats, Kernel: kernel,
-		RecordWave: opt.RecordWave,
-	})
-	if err != nil {
-		for _, u := range missing {
-			out = append(out, unitErr(u, err))
-		}
-		return out
-	}
-	for i, pr := range prs {
-		u := missing[i]
-		if opt.Cache != nil {
-			if err := opt.Cache.Store(keys[i], u.cfg, u.test.Name, u.seed, pr.Record()); err != nil {
-				out = append(out, unitErr(u, err))
-				continue
-			}
-		}
-		out = append(out, unitOutcome{idx: u.idx, pair: pr})
-	}
-	return out
 }

@@ -106,12 +106,6 @@ type progSeg struct {
 	// evaluation count. sampleNS accumulates 1-in-8 sampled wall time.
 	runs     uint64
 	sampleNS int64
-
-	// lcode is the transposed bytecode of a lane-mode segment (nil under
-	// scalar execution); procs then holds every lane's members while lprocs0
-	// counts the lane-0 members, the per-pass machine-eval unit.
-	lcode   []linstr
-	lprocs0 int
 }
 
 // schedEnt is one entry of the compiled settle schedule: either a fused
@@ -130,11 +124,6 @@ type program struct {
 	regs   []Bits
 	segs   []*progSeg
 	sched  []schedEnt
-
-	// laneArena/laneConsts back the transposed interpreter in lane mode: the
-	// shared plane scratch arena and the broadcast constant-plane pool.
-	laneArena  []uint64
-	laneConsts []uint64
 
 	fusedProcs int
 	fusedOps   int
@@ -306,10 +295,6 @@ func (c *compiler) proc(p *process, seq bool) ([]kinstr, bool) {
 // rank order. Queued wakes of fused processes fold into their segment's
 // dirty bit (segments start dirty, covering the time-zero evaluation).
 func (sm *Simulator) buildProgram() {
-	if sm.lanes > 0 {
-		sm.buildLaneProgram()
-		return
-	}
 	pr := &program{}
 	c := newCompiler(pr)
 	var cur *progSeg
@@ -381,16 +366,6 @@ func (sm *Simulator) dropProgram() {
 		}
 	}
 	for _, p := range sm.seqs {
-		if p.lseqCode != nil {
-			// Lane duplicates ran through the lane-0 slot; reconcile their
-			// per-process counts before returning everyone to closures.
-			for _, q := range p.laneSibs {
-				q.evals = p.evals
-				q.laneDup = false
-			}
-			p.laneSibs = nil
-			p.lseqCode = nil
-		}
 		p.seqCode = nil
 	}
 	sm.prog = nil
@@ -469,10 +444,6 @@ func (sm *Simulator) storeComb(s *Signal, v Bits) {
 
 // runSeg executes one fused segment of the settle sweep.
 func (sm *Simulator) runSeg(seg *progSeg) {
-	if seg.lcode != nil {
-		sm.runLaneSeg(seg)
-		return
-	}
 	if sm.Timing && seg.runs&7 == 0 {
 		t0 := nowNS()
 		sm.exec(seg.code)

@@ -19,11 +19,6 @@ type Signal struct {
 	// without a (non-inlinable) Bits.Mask call.
 	mask *Bits
 
-	// ls is the widened lane-parallel storage (nil in scalar mode). When
-	// set, cur/next are unused and every access resolves against the
-	// simulator's current lane context.
-	ls *laneSig
-
 	// sensitive holds the combinational processes to wake when the
 	// committed value changes.
 	sensitive []*process
@@ -53,14 +48,10 @@ func (s *Signal) strictCheck() {
 		p.name, s.name))
 }
 
-// Get returns the current committed value — of the current lane under
-// lane-parallel execution.
+// Get returns the current committed value.
 func (s *Signal) Get() Bits {
 	if s.sim.Strict {
 		s.strictCheck()
-	}
-	if s.ls != nil {
-		return s.laneGet(s.sim.curLane)
 	}
 	return s.cur
 }
@@ -70,9 +61,6 @@ func (s *Signal) U64() uint64 {
 	if s.sim.Strict {
 		s.strictCheck()
 	}
-	if s.ls != nil {
-		return s.lanePeek(s.sim.curLane).v[0]
-	}
 	return s.cur.Uint64()
 }
 
@@ -80,10 +68,6 @@ func (s *Signal) U64() uint64 {
 func (s *Signal) Bool() bool {
 	if s.sim.Strict {
 		s.strictCheck()
-	}
-	if s.ls != nil {
-		v := s.lanePeek(s.sim.curLane)
-		return v.v[0]|v.v[1]|v.v[2]|v.v[3] != 0
 	}
 	return s.cur.Bool()
 }
@@ -108,10 +92,6 @@ func (s *Signal) Set(v Bits) {
 	v.v[1] &= m.v[1]
 	v.v[2] &= m.v[2]
 	v.v[3] &= m.v[3]
-	if s.ls != nil {
-		s.laneSet(sm.curLane, v)
-		return
-	}
 	if !s.pending {
 		if v.Equal(s.cur) {
 			return
@@ -129,20 +109,8 @@ func (s *Signal) SetU64(v uint64) { s.Set(B64(v)) }
 func (s *Signal) SetBool(v bool) { s.Set(BBool(v)) }
 
 // force installs a value immediately, bypassing delta semantics. It is only
-// used by the kernel for initialisation before time starts; in lane mode it
-// applies to every lane.
-func (s *Signal) force(v Bits) {
-	if ls := s.ls; ls != nil {
-		v = v.Mask(s.width)
-		for l := range ls.lv {
-			ls.lv[l] = v
-		}
-		ls.lvOK = true
-		ls.plOK = false
-		return
-	}
-	s.cur = v.Mask(s.width)
-}
+// used by the kernel for initialisation before time starts.
+func (s *Signal) force(v Bits) { s.cur = v.Mask(s.width) }
 
 func (s *Signal) String() string {
 	return fmt.Sprintf("%s[%d]=%s", s.name, s.width, s.cur)

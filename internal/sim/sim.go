@@ -56,21 +56,6 @@ type process struct {
 	// run in place of fn while a program is active.
 	seqCode []kinstr
 
-	// lane is the lane the process belongs to under lane-parallel execution
-	// (-1: scalar mode or a lane-less global process). ord is its
-	// registration ordinal within its lane's construction sequence — equal
-	// ordinals across lanes identify the per-lane copies of one process, the
-	// grouping key of transposed fusion.
-	lane int
-	ord  int
-	// lseqCode is the transposed program of a sequential lane group,
-	// compiled onto the lane-0 member; laneDup marks the sibling members
-	// Step skips. laneSibs links lane 0 to its duplicates for eval-count
-	// reconciliation at dropProgram.
-	lseqCode []linstr
-	laneDup  bool
-	laneSibs []*process
-
 	// declared reports that outs came from CombOut rather than from the
 	// time-zero write-recording fallback.
 	declared bool
@@ -144,23 +129,7 @@ type Simulator struct {
 	signals []*Signal
 	seqs    []*process
 	combs   []*process
-	hooks   []cycHook
-
-	// Lane-parallel execution state (see lane.go): lanes is the lane count
-	// (0: scalar), laneAll the mask of all lanes, activeMask the live subset.
-	// buildLane is the lane under construction (-1 outside BeginLane) with
-	// laneSigOrd/laneProcOrd its ordinal counters; laneSigs is lane 0's
-	// signal creation sequence, the aliasing table for later lanes. curLane
-	// is the lane context of the running closure or hook, the implicit lane
-	// every Signal read/write resolves against.
-	lanes       int
-	laneAll     uint64
-	activeMask  uint64
-	buildLane   int
-	curLane     int
-	laneSigOrd  int
-	laneProcOrd int
-	laneSigs    []*Signal
+	hooks   []func()
 
 	// pending/runQ and their spares are double-buffered so the settle hot
 	// loop is allocation-free in steady state.
@@ -185,13 +154,9 @@ type Simulator struct {
 	fusedStale bool
 
 	// compiledEvals/closureEvals split process evaluations by dispatch
-	// mechanism for the kernel profiling surface. fusedLaneEvals counts
-	// lane-equivalent evaluations of transposed segments (one segment pass
-	// times the active lane count) — the numerator complement of the lane
-	// divergence rate.
-	compiledEvals  uint64
-	closureEvals   uint64
-	fusedLaneEvals uint64
+	// mechanism for the kernel profiling surface.
+	compiledEvals uint64
+	closureEvals  uint64
 
 	cycle  uint64
 	frozen bool
@@ -238,27 +203,13 @@ func New() *Simulator {
 		ForceDeltaLoop: ForceDeltaLoop,
 		Strict:         StrictSensitivity,
 		sweepPos:       -1,
-		buildLane:      -1,
-		curLane:        -1,
 	}
-}
-
-// cycHook is one registered cycle-end hook and the lane it observes (-1:
-// lane-less, runs regardless of lane liveness).
-type cycHook struct {
-	fn   func()
-	lane int
 }
 
 // Signal creates a new signal with the given hierarchical name and bit width.
-// Under lane construction, lane 0 creates and later lanes alias the
-// ordinal-matched signal, so all lanes share one graph.
 func (sm *Simulator) Signal(name string, width int) *Signal {
 	if width <= 0 || width > MaxBitsWidth {
 		panic(fmt.Sprintf("sim: signal %q width %d out of range 1..%d", name, width, MaxBitsWidth))
-	}
-	if sm.lanes > 0 {
-		return sm.laneAlias(name, width)
 	}
 	s := &Signal{sim: sm, id: len(sm.signals), name: name, width: width, mask: &maskTab[width]}
 	sm.signals = append(sm.signals, s)
@@ -278,12 +229,7 @@ func (sm *Simulator) Cycle() uint64 { return sm.cycle }
 // Seq registers a sequential (clocked) process, run once per cycle in
 // registration order.
 func (sm *Simulator) Seq(name string, fn func()) {
-	p := &process{name: name, fn: fn, seq: true, unit: -1, lane: sm.buildLane}
-	if sm.buildLane >= 0 {
-		p.ord = sm.laneProcOrd
-		sm.laneProcOrd++
-	}
-	sm.seqs = append(sm.seqs, p)
+	sm.seqs = append(sm.seqs, &process{name: name, fn: fn, seq: true, unit: -1})
 }
 
 // Comb registers a combinational process sensitive to the given signals. The
@@ -305,11 +251,7 @@ func (sm *Simulator) CombOut(name string, fn func(), outputs []*Signal, sensitiv
 }
 
 func (sm *Simulator) addComb(name string, fn func(), outs []*Signal, declared bool, sens []*Signal) {
-	p := &process{name: name, fn: fn, declared: declared, unit: -1, lane: sm.buildLane}
-	if sm.buildLane >= 0 {
-		p.ord = sm.laneProcOrd
-		sm.laneProcOrd++
-	}
+	p := &process{name: name, fn: fn, declared: declared, unit: -1}
 	for _, s := range sens {
 		if s.sim != sm {
 			panic(fmt.Sprintf("sim: process %q sensitive to foreign signal %q", name, s.name))
@@ -363,7 +305,7 @@ func (sm *Simulator) unfreeze() {
 // that drives signals — bus functional models included — belongs in a Seq
 // process.
 func (sm *Simulator) AtCycleEnd(fn func()) {
-	sm.hooks = append(sm.hooks, cycHook{fn: fn, lane: sm.buildLane})
+	sm.hooks = append(sm.hooks, fn)
 }
 
 func (sm *Simulator) wake(p *process) {
@@ -399,7 +341,6 @@ func (sm *Simulator) wake(p *process) {
 // eight evaluations per process is wall-clock sampled for the profile.
 func (sm *Simulator) eval(p *process) {
 	sm.cur = p
-	sm.curLane = p.lane
 	p.evals++
 	sm.closureEvals++
 	if sm.Timing && p.evals&7 == 1 {
@@ -421,12 +362,6 @@ func (sm *Simulator) commit() bool {
 	changed := false
 	for _, s := range pend {
 		s.pending = false
-		if s.ls != nil {
-			if sm.commitLane(s) {
-				changed = true
-			}
-			continue
-		}
 		if s.next.Equal(s.cur) {
 			continue
 		}
@@ -514,16 +449,9 @@ func (sm *Simulator) Step() error {
 		}
 	}
 	for _, p := range sm.seqs {
-		switch {
-		case p.laneDup:
-			// Covered by its group's transposed program in the lane-0 slot.
-		case p.seqCode != nil:
+		if p.seqCode != nil {
 			sm.runSeqProg(p)
-		case p.lseqCode != nil:
-			sm.runLaneSeqProg(p)
-		case p.lane >= 0 && sm.activeMask>>uint(p.lane)&1 == 0:
-			// Retired lane: its closures stop running.
-		default:
+		} else {
 			sm.eval(p)
 		}
 	}
@@ -531,15 +459,9 @@ func (sm *Simulator) Step() error {
 		return err
 	}
 	sm.cycle++
-	for i := range sm.hooks {
-		h := &sm.hooks[i]
-		if h.lane >= 0 && sm.activeMask>>uint(h.lane)&1 == 0 {
-			continue
-		}
-		sm.curLane = h.lane
-		h.fn()
+	for _, h := range sm.hooks {
+		h()
 	}
-	sm.curLane = -1
 	if len(sm.pending) > 0 {
 		return fmt.Errorf("sim: cycle-end hook drove signal %q; hooks are read-only observers, use a Seq process", sm.pending[0].name)
 	}

@@ -63,13 +63,6 @@ type KernelStats struct {
 	FusedOps      int    `json:"fused_ops,omitempty"`
 	CompiledEvals uint64 `json:"compiled_evals,omitempty"`
 	ClosureEvals  uint64 `json:"closure_evals,omitempty"`
-	// Lanes is the lane count under lane-parallel execution (0: scalar).
-	// FusedLaneEvals counts lane-equivalent evaluations retired by
-	// transposed segments (one segment pass times the active lane count);
-	// against ClosureEvals it yields the lane divergence rate — the share of
-	// per-lane work that fell back to scalar closures.
-	Lanes          int    `json:"lanes,omitempty"`
-	FusedLaneEvals uint64 `json:"fused_lane_evals,omitempty"`
 	// Ranks is the number of topological ranks (0 when levelization is off).
 	Ranks int `json:"ranks,omitempty"`
 	// Units counts SCC scheduling units; CyclicSCCs inventories the cyclic
@@ -86,15 +79,13 @@ type KernelStats struct {
 // registration order), then sequential ones.
 func (sm *Simulator) Stats() *KernelStats {
 	ks := &KernelStats{
-		Cycles:         sm.cycle,
-		Deltas:         sm.DeltaCount,
-		Settles:        sm.settles,
-		Levelized:      sm.units != nil,
-		Compiled:       sm.prog != nil,
-		CompiledEvals:  sm.compiledEvals,
-		ClosureEvals:   sm.closureEvals,
-		Lanes:          sm.lanes,
-		FusedLaneEvals: sm.fusedLaneEvals,
+		Cycles:        sm.cycle,
+		Deltas:        sm.DeltaCount,
+		Settles:       sm.settles,
+		Levelized:     sm.units != nil,
+		Compiled:      sm.prog != nil,
+		CompiledEvals: sm.compiledEvals,
+		ClosureEvals:  sm.closureEvals,
 	}
 	// Fused processes never evaluate through eval() after the freeze; their
 	// counts and sampled time derive from their segment (time apportioned by
@@ -148,29 +139,13 @@ func (sm *Simulator) Stats() *KernelStats {
 		ks.Procs = append(ks.Procs, st)
 	}
 	for _, p := range sm.seqs {
-		if p.laneDup {
-			// Covered by its group's transposed program in the lane-0 slot.
-			continue
-		}
 		st := ProcStat{Name: p.name, Seq: true, Evals: p.evals, Rank: -1, TimeNS: p.sampleNS * 8}
-		if p.seqCode != nil || p.lseqCode != nil {
+		if p.seqCode != nil {
 			st.Fused = true
 		}
 		ks.Procs = append(ks.Procs, st)
 	}
 	return ks
-}
-
-// DivergenceRate is the share of per-lane process work that fell back to
-// scalar closure execution under lane-parallel execution: closure
-// evaluations over closure plus lane-equivalent fused evaluations. Zero when
-// no lane work was retired.
-func (ks *KernelStats) DivergenceRate() float64 {
-	total := ks.ClosureEvals + ks.FusedLaneEvals
-	if total == 0 {
-		return 0
-	}
-	return float64(ks.ClosureEvals) / float64(total)
 }
 
 // DeltasPerCycle returns the headline convergence metric.
@@ -221,10 +196,6 @@ func (ks *KernelStats) Merge(o *KernelStats) {
 	ks.Settles += o.Settles
 	ks.CompiledEvals += o.CompiledEvals
 	ks.ClosureEvals += o.ClosureEvals
-	ks.FusedLaneEvals += o.FusedLaneEvals
-	if ks.Lanes == 0 {
-		ks.Lanes = o.Lanes
-	}
 	if len(ks.Procs) == 0 {
 		ks.Levelized = o.Levelized
 		ks.Ranks, ks.Units = o.Ranks, o.Units
@@ -267,10 +238,6 @@ func (ks *KernelStats) Text(w io.Writer, topN int) {
 		ks.Cycles, ks.Deltas, ks.DeltasPerCycle(), ks.Settles, mode)
 	if ks.CompiledEvals > 0 {
 		fmt.Fprintf(w, "evals: %d compiled, %d closure\n", ks.CompiledEvals, ks.ClosureEvals)
-	}
-	if ks.Lanes > 0 {
-		fmt.Fprintf(w, "lanes: %d, %d fused lane evals, divergence %.1f%% (closure share of per-lane work)\n",
-			ks.Lanes, ks.FusedLaneEvals, ks.DivergenceRate()*100)
 	}
 	if len(ks.SettleDepth) > 0 {
 		fmt.Fprintf(w, "settle depth:")

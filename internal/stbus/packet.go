@@ -100,9 +100,9 @@ func fullBE(busBytes int) uint64 {
 	return (uint64(1) << uint(busBytes)) - 1
 }
 
-// PackLanes packs payload bytes for memory addresses addr..addr+len-1 onto
+// PackByteLanes packs payload bytes for memory addresses addr..addr+len-1 onto
 // the byte lanes of a busBytes-wide word.
-func PackLanes(e Endianness, addr uint64, payload []byte, busBytes int) sim.Bits {
+func PackByteLanes(e Endianness, addr uint64, payload []byte, busBytes int) sim.Bits {
 	var w sim.Bits
 	for i, b := range payload {
 		w = w.WithByte(e.lane(addr+uint64(i), busBytes), b)
@@ -110,9 +110,9 @@ func PackLanes(e Endianness, addr uint64, payload []byte, busBytes int) sim.Bits
 	return w
 }
 
-// UnpackLanes extracts size payload bytes for addresses addr.. from a bus
+// UnpackByteLanes extracts size payload bytes for addresses addr.. from a bus
 // word.
-func UnpackLanes(e Endianness, addr uint64, w sim.Bits, size, busBytes int) []byte {
+func UnpackByteLanes(e Endianness, addr uint64, w sim.Bits, size, busBytes int) []byte {
 	out := make([]byte, size)
 	for i := range out {
 		out[i] = w.Byte(e.lane(addr+uint64(i), busBytes))
@@ -164,7 +164,7 @@ func BuildRequest(t Type, e Endianness, op Opcode, addr uint64, payload []byte,
 			if hi > size {
 				hi = size
 			}
-			c.Data = PackLanes(e, a, payload[lo:hi], busBytes)
+			c.Data = PackByteLanes(e, a, payload[lo:hi], busBytes)
 			c.BE = beFor(e, a, hi-lo, busBytes)
 		} else {
 			// Read-type requests advertise the lanes they want.
@@ -204,7 +204,7 @@ func BuildResponse(t Type, e Endianness, op Opcode, addr uint64, readData []byte
 					hi = size
 				}
 				if lo < len(readData) {
-					c.Data = PackLanes(e, a, readData[lo:hi], busBytes)
+					c.Data = PackByteLanes(e, a, readData[lo:hi], busBytes)
 				}
 			}
 		}

@@ -212,8 +212,8 @@ func TestPackRoundTripProperty(t *testing.T) {
 		}
 		payload := make([]byte, size)
 		rng.Read(payload)
-		w := PackLanes(e, addr, payload, busBytes)
-		back := UnpackLanes(e, addr, w, size, busBytes)
+		w := PackByteLanes(e, addr, payload, busBytes)
+		back := UnpackByteLanes(e, addr, w, size, busBytes)
 		return bytes.Equal(payload, back)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -89,14 +89,6 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 			spec.Seeds = append(spec.Seeds, n)
 		}
 	}
-	if ln := strings.TrimSpace(r.Form.Get("lanes")); ln != "" {
-		n, err := strconv.Atoi(ln)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad lanes %q", ln), http.StatusBadRequest)
-			return
-		}
-		spec.Lanes = n
-	}
 	if cfg := strings.TrimSpace(r.Form.Get("config")); cfg != "" {
 		spec.Configs = []string{cfg}
 	}
@@ -139,7 +131,7 @@ type trajIter struct {
 }
 
 // kernelRow is one (config, view) merged kernel profile for the dashboard's
-// kernel table; lane columns light up only for lane-parallel runs.
+// kernel table.
 type kernelRow struct {
 	Name          string
 	View          string
@@ -147,9 +139,6 @@ type kernelRow struct {
 	Cycles        uint64
 	CompiledEvals uint64
 	ClosureEvals  uint64
-	Lanes         int
-	FusedEvals    uint64
-	DivergencePct float64
 }
 
 type trajRow struct {
@@ -220,18 +209,12 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) {
 			if n == 0 {
 				continue
 			}
-			kr := kernelRow{
+			data.Kernels = append(data.Kernels, kernelRow{
 				Name: cr.Cfg.Name, View: view, Runs: n,
 				Cycles:        merged.Cycles,
 				CompiledEvals: merged.CompiledEvals,
 				ClosureEvals:  merged.ClosureEvals,
-				Lanes:         merged.Lanes,
-				FusedEvals:    merged.FusedLaneEvals,
-			}
-			if merged.Lanes > 0 {
-				kr.DivergencePct = merged.DivergenceRate() * 100
-			}
-			data.Kernels = append(data.Kernels, kr)
+			})
 		}
 	}
 	for _, traj := range job.Closures() {
