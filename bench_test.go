@@ -156,9 +156,9 @@ func benchPair(b *testing.B, opt core.RunOptions) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "cycles/s")
 }
 
-// BenchmarkStreamingPair measures the default paired flow: the online
-// observer compares per cycle against the RTL run's compact recording — no
-// VCD text is built and nothing is parsed back.
+// BenchmarkStreamingPair measures the default paired flow: the views run in
+// lockstep and the online observer compares them cycle by cycle — nothing is
+// recorded, no VCD text is built and nothing is parsed back.
 func BenchmarkStreamingPair(b *testing.B) { benchPair(b, core.RunOptions{}) }
 
 // BenchmarkLegacyPair measures the retired round trip kept for ablation:

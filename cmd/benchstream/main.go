@@ -147,11 +147,12 @@ func run(out string, repeat int, seed int64) error {
 	rep.Legacy.CyclesPerSec = float64(rep.PairCycles) / tLegacy.Seconds()
 	rep.PairSpeedup = tLegacy.Seconds() / tStream.Seconds()
 
-	// Alignment cost in isolation. Streaming: the observer rides the BCA
-	// run, so its cost is the streaming pair minus the same two runs with
-	// no alignment attached. Legacy: parse both dumps and Compare.
+	// Alignment cost in isolation. Streaming: the pair runs the views in
+	// lockstep with the reference sampled on the RTL view and the observer
+	// on the BCA view, so its cost is the pair minus the same two views run
+	// with no taps on either. Legacy: parse both dumps and Compare.
 	tBare, err := best(repeat, func() error {
-		if _, err := core.RunTest(cfg, core.RTLView, tc, seed, core.RunOptions{RecordWave: true}); err != nil {
+		if _, err := core.RunTest(cfg, core.RTLView, tc, seed, core.RunOptions{}); err != nil {
 			return err
 		}
 		_, err := core.RunTest(cfg, core.BCAView, tc, seed, core.RunOptions{})

@@ -98,8 +98,13 @@ func (s *Scoreboard) Check() []string {
 			errs = append(errs, s.checkProg(tr)...)
 		}
 	}
-	for k, q := range byKey {
-		for range q {
+	// Each key's leftovers are the tail of its queue, so walking the target
+	// stream reports them in observation order: a map range would shuffle
+	// them between identical runs.
+	for _, tr := range s.tgtTxs {
+		k := sbKey{src: tr.Src, tid: tr.TID, opc: tr.Opc, addr: tr.Addr}
+		if q := byKey[k]; len(q) > 0 && q[0] == tr {
+			byKey[k] = q[1:]
 			errs = append(errs, fmt.Sprintf("target-side transaction %+v never requested by an initiator", k))
 		}
 	}

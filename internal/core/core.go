@@ -6,10 +6,10 @@
 //	DUT (RTL or BCA)  ←→  CATG bench  →  reports + VCD
 //
 // RunTest executes one (test file, seed) pair against one view; RunPair
-// executes the same pair against both views, streams the STBus Analyzer
-// comparison across them (full VCD dumps are opt-in artifacts, no longer the
-// comparison medium) and checks functional-coverage equality — the full
-// flow of the paper's Figures 4 and 5.
+// executes the same pair against both views in lockstep, streams the STBus
+// Analyzer comparison across them cycle by cycle (waveforms are opt-in
+// artifacts, no longer the comparison medium) and checks functional-coverage
+// equality — the full flow of the paper's Figures 4 and 5.
 package core
 
 import (
@@ -206,47 +206,74 @@ func RunTest(cfg nodespec.Config, view View, test Test, seed int64, opt RunOptio
 	return RunTestCtx(context.Background(), cfg, view, test, seed, opt)
 }
 
-// benchInst is one fully wired bench+DUT instance: the per-run state of
-// RunTestCtx, split into elaboration (buildBench), the run loop's cycle
-// bound and drain probe (limit, done) and report collection (collect).
+// tailCycles is the short run after a view drains, so registered responses
+// and monitors settle.
+const tailCycles = 5
+
+// benchInst is one fully wired bench+DUT instance and its run in progress:
+// elaboration (startView), the run loop applied one cycle per call (step)
+// and report collection (finish). RunTestCtx steps one instance to the end;
+// RunPairCtx steps two in lockstep.
 type benchInst struct {
-	dut        DUT
-	res        *RunResult
-	bfms       []*catg.InitiatorBFM
-	initMons   []*catg.Monitor
-	tgtMons    []*catg.Monitor
-	checkers   []*catg.Checker
-	sb         *catg.Scoreboard
-	cov        *catg.CoverageModel
-	traceSigs  []*sim.Signal
-	totalCells int
-	buf        bytes.Buffer
-	wr         *vcd.Writer
-	rc         *vcd.Recorder
-	obs        *stba.Observer
+	ctx      context.Context
+	sm       *sim.Simulator
+	dut      DUT
+	res      *RunResult
+	bfms     []*catg.InitiatorBFM
+	initMons []*catg.Monitor
+	tgtMons  []*catg.Monitor
+	checkers []*catg.Checker
+	sb       *catg.Scoreboard
+	cov      *catg.CoverageModel
+	limit    int
+	buf      bytes.Buffer
+	wr       *vcd.Writer
+	rc       *vcd.Recorder
+	obs      *stba.Observer
+	kstats   bool // collect the kernel profile
+
+	// Run state: cycles run before draining, drain checks made (the
+	// context is polled every 64th), tail cycles left (-1 until the view
+	// drains), and whether and how the run ended.
+	ran, polls, tail int
+	stopped          bool
+	err              error
 }
 
-// buildBench elaborates the requested view under sm and wires the common
-// environment around it: BFMs, monitors, checkers, scoreboard, coverage, and
-// whichever waveform/alignment taps the options request. cfg must already
-// have its defaults applied.
-func buildBench(sm *sim.Simulator, cfg nodespec.Config, view View, test Test, seed int64, opt RunOptions) (*benchInst, error) {
-	b := &benchInst{res: &RunResult{Test: test.Name, Seed: seed, View: view, DUTIn: cfg}}
+// trafficOps generates every initiator's operation stream for (test, seed).
+// The BFMs only read them, so one set can drive both views of a pair.
+func trafficOps(cfg nodespec.Config, test Test, seed int64) [][]catg.Op {
+	ops := make([][]catg.Op, cfg.NumInit)
+	for i := range ops {
+		ops[i] = catg.GenerateOps(cfg, test.trafficFor(cfg, i), i, seed)
+	}
+	return ops
+}
+
+// startView builds a fresh simulator for the requested view and wires the
+// common environment around the DUT: BFMs driven by ops, monitors, checkers,
+// scoreboard, coverage, and whichever waveform/alignment taps the options
+// request. cfg must already have its defaults applied.
+func startView(ctx context.Context, cfg nodespec.Config, view View, test Test, seed int64, opt RunOptions, ops [][]catg.Op) (*benchInst, error) {
+	sm := sim.New()
+	sm.Kernel = opt.Kernel
+	sm.Timing = opt.KernelStats
+	b := &benchInst{
+		ctx: ctx, sm: sm, kstats: opt.KernelStats, limit: test.MaxCycles, tail: -1,
+		res: &RunResult{Test: test.Name, Seed: seed, View: view, DUTIn: cfg},
+	}
 	dut, err := BuildDUT(sim.Root(sm), cfg, view, opt.Bugs)
 	if err != nil {
 		return nil, err
 	}
 	b.dut = dut
 
-	// traceSigs collects the DUT port signals, in port order, for whichever
-	// waveform/alignment taps the options request.
-	tracing := opt.DumpVCD || opt.RecordWave || opt.AlignWith != nil
+	totalCells := 0
 	for i, p := range dut.InitPorts() {
-		ops := catg.GenerateOps(cfg, test.trafficFor(cfg, i), i, seed)
-		for _, o := range ops {
-			b.totalCells += len(o.Cells) + o.IdleBefore
+		for _, o := range ops[i] {
+			totalCells += len(o.Cells) + o.IdleBefore
 		}
-		b.bfms = append(b.bfms, catg.NewInitiatorBFM(sm, p, ops))
+		b.bfms = append(b.bfms, catg.NewInitiatorBFM(sm, p, ops[i]))
 		mon := catg.NewMonitor(sm, p, i, true, catg.NodeRouter(cfg, i))
 		res := b.res
 		mon.OnComplete(func(tr *stbus.Transaction) {
@@ -254,37 +281,38 @@ func buildBench(sm *sim.Simulator, cfg nodespec.Config, view View, test Test, se
 		})
 		b.initMons = append(b.initMons, mon)
 		b.checkers = append(b.checkers, catg.NewChecker(sm, p, cfg, true, catg.NodeRouter(cfg, i)))
-		if tracing {
-			b.traceSigs = append(b.traceSigs, p.Signals()...)
-		}
+	}
+	if b.limit == 0 {
+		b.limit = 2000 + totalCells*60
 	}
 	for tg, p := range dut.TgtPorts() {
 		catg.NewTargetBFM(sm, p, test.targetFor(cfg, tg), catg.TargetSeed(seed, tg))
 		b.tgtMons = append(b.tgtMons, catg.NewMonitor(sm, p, tg, false, nil))
 		b.checkers = append(b.checkers, catg.NewChecker(sm, p, cfg, false, nil))
-		if tracing {
-			b.traceSigs = append(b.traceSigs, p.Signals()...)
-		}
 	}
 	b.sb = catg.NewScoreboard(cfg, b.initMons, b.tgtMons)
 	b.cov = catg.NewCoverageModel(cfg, test.trafficFor(cfg, 0))
 	b.cov.SubscribeMonitors(sm, b.initMons)
+	var sigs []*sim.Signal
+	if opt.DumpVCD || opt.RecordWave || opt.AlignWith != nil {
+		sigs = portSignals(dut)
+	}
 	if opt.DumpVCD {
 		b.wr = vcd.NewWriter(&b.buf, "tb")
-		for _, s := range b.traceSigs {
+		for _, s := range sigs {
 			b.wr.Declare(s)
 		}
 		b.wr.Attach(sm)
 	}
 	if opt.RecordWave {
 		b.rc = vcd.NewRecorder("tb")
-		for _, s := range b.traceSigs {
+		for _, s := range sigs {
 			b.rc.Declare(s)
 		}
 		b.rc.Attach(sm)
 	}
 	if opt.AlignWith != nil {
-		b.obs, err = stba.NewObserver(opt.AlignWith, b.traceSigs)
+		b.obs, err = stba.NewObserver(opt.AlignWith, sigs)
 		if err != nil {
 			return nil, err
 		}
@@ -293,13 +321,17 @@ func buildBench(sm *sim.Simulator, cfg nodespec.Config, view View, test Test, se
 	return b, nil
 }
 
-// limit returns the run's cycle bound: the test's own, or one derived from
-// this bench's traffic volume.
-func (b *benchInst) limit(test Test) int {
-	if test.MaxCycles != 0 {
-		return test.MaxCycles
+// portSignals returns the DUT's port signals in port order, initiator ports
+// first: what the waveform and alignment taps trace.
+func portSignals(d DUT) []*sim.Signal {
+	var sigs []*sim.Signal
+	for _, p := range d.InitPorts() {
+		sigs = append(sigs, p.Signals()...)
 	}
-	return 2000 + b.totalCells*60
+	for _, p := range d.TgtPorts() {
+		sigs = append(sigs, p.Signals()...)
+	}
+	return sigs
 }
 
 // done reports whether every initiator BFM has drained its program.
@@ -312,10 +344,56 @@ func (b *benchInst) done() bool {
 	return true
 }
 
-// collect finalises the run report from the bench observers. The caller has
-// already set Drained and Cycles.
-func (b *benchInst) collect() (*RunResult, error) {
+// step runs the view's next cycle and reports true, or reports false once the
+// view has stopped; a failed cycle samples nothing. Before draining it
+// checks done ahead of every cycle and stops at the cycle limit;
+// a Step error there ends the run undrained, not in error. Once drained it
+// runs the tail, where a Step error is the run's error. The context is
+// polled every 64 drain checks; a cancelled run ends with an error wrapping
+// ctx.Err().
+func (b *benchInst) step() bool {
+	if b.stopped {
+		return false
+	}
+	if b.tail < 0 {
+		if b.polls++; b.polls&63 == 0 && b.ctx.Err() != nil {
+			b.stopped = true
+			b.err = fmt.Errorf("core: %s %s seed %d: %w", b.res.View, b.res.Test, b.res.Seed, b.ctx.Err())
+			return false
+		}
+		if !b.done() {
+			if b.ran >= b.limit {
+				b.stopped = true
+				return false
+			}
+			b.ran++
+			if b.sm.Step() != nil {
+				b.stopped = true
+				return false
+			}
+			return true
+		}
+		b.res.Drained, b.tail = true, tailCycles
+	}
+	if b.tail == 0 {
+		b.stopped = true
+		return false
+	}
+	b.tail--
+	if err := b.sm.Step(); err != nil {
+		b.stopped, b.err = true, err
+		return false
+	}
+	return true
+}
+
+// finish finalises the report of a stopped run from the bench observers.
+func (b *benchInst) finish() (*RunResult, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
 	res := b.res
+	res.Cycles = b.sm.Cycle()
 	for _, c := range b.checkers {
 		res.Violations = append(res.Violations, c.Violations...)
 	}
@@ -337,63 +415,31 @@ func (b *benchInst) collect() (*RunResult, error) {
 	if b.obs != nil {
 		res.Alignment = b.obs.Report()
 	}
+	if b.kstats {
+		res.Kernel = b.sm.Stats()
+	}
 	return res, nil
 }
 
 // RunTestCtx is RunTest under a cancellation context: the run loop polls ctx
 // every few cycles and aborts with ctx's error, so a served job can be
-// cancelled mid-simulation, not just between units. A context without a
-// cancel path (context.Background()) costs the hot loop nothing.
+// cancelled mid-simulation, not just between units.
 func RunTestCtx(ctx context.Context, cfg nodespec.Config, view View, test Test, seed int64, opt RunOptions) (*RunResult, error) {
 	cfg = cfg.WithDefaults()
-	sm := sim.New()
-	sm.Kernel = opt.Kernel
-	sm.Timing = opt.KernelStats
-	b, err := buildBench(sm, cfg, view, test, seed, opt)
+	b, err := startView(ctx, cfg, view, test, seed, opt, trafficOps(cfg, test, seed))
 	if err != nil {
 		return nil, err
 	}
-	limit := b.limit(test)
-	done := b.done
-	cancelled := false
-	if ctx.Done() != nil {
-		inner := done
-		tick := 0
-		done = func() bool {
-			if tick++; tick&63 == 0 && ctx.Err() != nil {
-				cancelled = true
-				return true // stop RunUntil; the abort is detected below
-			}
-			return inner()
-		}
+	for b.step() {
 	}
-	err = sm.RunUntil(done, limit)
-	if cancelled {
-		return nil, fmt.Errorf("core: %s %s seed %d: %w", view, test.Name, seed, ctx.Err())
-	}
-	b.res.Drained = err == nil
-	if err == nil {
-		// A short tail so registered responses and monitors settle.
-		if err := sm.Run(5); err != nil {
-			return nil, err
-		}
-	}
-	b.res.Cycles = sm.Cycle()
-	res, err := b.collect()
-	if err != nil {
-		return nil, err
-	}
-	if opt.KernelStats {
-		res.Kernel = sm.Stats()
-	}
-	return res, nil
+	return b.finish()
 }
 
 // PairResult is the outcome of running the same (test, seed) on both views
 // and comparing them — the complete common-flow iteration of Figure 4.
 type PairResult struct {
 	RTL, BCA *RunResult
-	// Alignment is the per-port STBA comparison of the two waveform dumps.
+	// Alignment is the per-port STBA comparison of the two views' ports.
 	Alignment *stba.Report
 	// CoverageEqual reports whether functional coverage matched bin by bin.
 	CoverageEqual bool
@@ -413,41 +459,65 @@ func RunPair(cfg nodespec.Config, test Test, seed int64, bugs bca.Bugs) (*PairRe
 	return RunPairOpt(cfg, test, seed, RunOptions{Bugs: bugs})
 }
 
-// RunPairOpt is RunPair with full run options. By default the bus-accurate
-// comparison streams: the RTL run captures a compact binary recording, the
-// BCA run replays it through an online observer, and no VCD text is ever
-// built — DumpVCD and RecordWave are honoured as given, purely as artifact
-// requests. LegacyAlignment restores the write/parse/Compare round trip.
+// RunPairOpt is RunPair with full run options. By default the two views run
+// in lockstep and the bus-accurate comparison streams: an online observer on
+// the BCA view compares its ports with the RTL view's at every cycle, so no
+// waveform is recorded and no VCD text is built — DumpVCD and RecordWave are
+// honoured as given, purely as artifact requests. LegacyAlignment restores
+// the write/parse/Compare round trip.
 func RunPairOpt(cfg nodespec.Config, test Test, seed int64, opt RunOptions) (*PairResult, error) {
 	return RunPairCtx(context.Background(), cfg, test, seed, opt)
 }
 
 // RunPairCtx is RunPairOpt under a cancellation context, threaded through
-// both view runs.
+// both view runs. Both views' initiators replay the same generated traffic.
+// Errors come back as if the views ran one after the other: an RTL error
+// first, then a BCA one.
 func RunPairCtx(ctx context.Context, cfg nodespec.Config, test Test, seed int64, opt RunOptions) (*PairResult, error) {
 	if opt.LegacyAlignment {
 		return runPairLegacy(ctx, cfg, test, seed, opt)
 	}
-	rtlOpt := RunOptions{DumpVCD: opt.DumpVCD, RecordWave: true, KernelStats: opt.KernelStats, Kernel: opt.Kernel}
-	rres, err := RunTestCtx(ctx, cfg, RTLView, test, seed, rtlOpt)
+	cfg = cfg.WithDefaults()
+	ops := trafficOps(cfg, test, seed)
+	viewOpt := RunOptions{
+		DumpVCD: opt.DumpVCD, RecordWave: opt.RecordWave,
+		KernelStats: opt.KernelStats, Kernel: opt.Kernel, Bugs: opt.Bugs,
+	}
+	r, err := startView(ctx, cfg, RTLView, test, seed, viewOpt, ops)
 	if err != nil {
 		return nil, fmt.Errorf("core: RTL run: %w", err)
 	}
-	bcaOpt := RunOptions{
-		DumpVCD: opt.DumpVCD, RecordWave: opt.RecordWave, AlignWith: rres.Wave,
-		KernelStats: opt.KernelStats, Kernel: opt.Kernel, Bugs: opt.Bugs,
+	ref := stba.NewLive(portSignals(r.dut))
+	ref.Attach(r.sm)
+	b, berr := startView(ctx, cfg, BCAView, test, seed, viewOpt, ops)
+	var obs *stba.Observer
+	if berr == nil {
+		obs, berr = stba.NewLiveObserver(ref, portSignals(b.dut))
 	}
-	bres, err := RunTestCtx(ctx, cfg, BCAView, test, seed, bcaOpt)
+	if berr == nil {
+		obs.Attach(b.sm)
+	}
+
+	// Each round runs one RTL cycle, then one BCA cycle, so the observer
+	// compares the views at the same cycle. A BCA that fails still lets the
+	// RTL view finish, because the RTL error is reported first.
+	bcaOn := berr == nil
+	for rtlOn := true; (rtlOn || bcaOn) && r.err == nil; {
+		rtlOn = r.step()
+		bcaOn = bcaOn && b.step()
+	}
+	rres, err := r.finish()
+	if err != nil {
+		return nil, fmt.Errorf("core: RTL run: %w", err)
+	}
+	if berr != nil {
+		return nil, fmt.Errorf("core: BCA run: %w", berr)
+	}
+	bres, err := b.finish()
 	if err != nil {
 		return nil, fmt.Errorf("core: BCA run: %w", err)
 	}
-	pr := &PairResult{RTL: rres, BCA: bres, Alignment: bres.Alignment}
-	bres.Alignment = nil
-	if !opt.RecordWave {
-		// The RTL recording was only the alignment reference; drop it unless
-		// the caller asked for the artifact.
-		rres.Wave = nil
-	}
+	pr := &PairResult{RTL: rres, BCA: bres, Alignment: obs.Report()}
 	pr.CoverageEqual, pr.CoverageDiff = rres.Coverage.EqualHits(bres.Coverage)
 	return pr, nil
 }

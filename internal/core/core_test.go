@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -203,5 +205,47 @@ func TestLanePairEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunPairRecordsOnlyWhenAsked pins the pair's artifact contract: with
+// zero options neither view keeps a waveform, and the artifacts a caller asks
+// for are exactly what the single-view runs produce.
+func TestRunPairRecordsOnlyWhenAsked(t *testing.T) {
+	c := cfg(3, 1)
+	pr, err := RunPairCtx(context.Background(), c, smokeTest(), 5, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.RTL.Wave != nil || pr.BCA.Wave != nil || pr.RTL.VCD != nil || pr.BCA.VCD != nil {
+		t.Error("default pair kept a waveform")
+	}
+	opt := RunOptions{RecordWave: true, DumpVCD: true, Bugs: bca.Bugs{LRUInit: true}}
+	pr, err = RunPairCtx(context.Background(), c, smokeTest(), 5, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []*RunResult{pr.RTL, pr.BCA} {
+		want, err := RunTest(c, got.View, smokeTest(), 5, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Wave == nil || !bytes.Equal(got.Wave.Encode(), want.Wave.Encode()) {
+			t.Errorf("%s recording differs from the single-view run", got.View)
+		}
+		if !bytes.Equal(got.VCD, want.VCD) {
+			t.Errorf("%s VCD differs from the single-view run", got.View)
+		}
+	}
+}
+
+// TestRunPairCancelled checks a pair stopped by its context returns an
+// error wrapping the context's.
+func TestRunPairCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := RunPairCtx(ctx, cfg(2, 2), smokeTest(), 1, RunOptions{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled pair returned %v, want context.Canceled", err)
 	}
 }

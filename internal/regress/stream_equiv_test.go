@@ -2,23 +2,28 @@ package regress
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
 	"crve/internal/bca"
 	"crve/internal/core"
+	"crve/internal/nodespec"
 	"crve/internal/testcases"
 	"crve/internal/wire"
 )
 
 // TestStreamingAlignmentEquivalence is the safety net under the streaming
-// STBA rework: for every configuration of the standard matrix, with and
-// without an injected BCA bug, the online observer must produce an alignment
+// STBA: for every configuration of the standard matrix, clean, under each of
+// the five BCA bugs, and cut short so the views stop undrained at different
+// cycles, the lockstep pair's online observer must produce an alignment
 // report byte-identical (as JSON and as the rendered table) to the legacy
-// write-two-VCDs/parse/Compare round trip — and the cache record of the pair
-// must be unchanged, so warm caches stay coherent across the switch. The
-// streaming path must also be what it claims: no VCD text buffer may exist
-// on either run.
+// write-two-VCDs/parse/Compare round trip. Its cache record must also equal
+// both the legacy pair's and the sequential composition's — the RTL view run
+// with RecordWave, then the BCA view observing that recording — so warm
+// caches stay coherent and the traced replay that times the views one after
+// the other still reproduces the engine. The default pair must also be what
+// it claims: no VCD text buffer and no recording on either run.
 func TestStreamingAlignmentEquivalence(t *testing.T) {
 	cfgs := StandardMatrix()
 	if testing.Short() {
@@ -29,30 +34,49 @@ func TestStreamingAlignmentEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	const seed = 7
+	// Cut short under the ordering bug, error_paths leaves most views
+	// undrained and stops some pairs' views at different cycles, one of
+	// them drained and the other not.
+	cut, err := testcases.ByName("error_paths")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut.MaxCycles = 120
 
-	for _, bugs := range []bca.Bugs{{}, {LRUInit: true}} {
-		bugs := bugs
-		label := "clean"
-		if bugs != (bca.Bugs{}) {
-			label = "lru_bug"
-		}
+	rows := []struct {
+		label string
+		test  core.Test
+		bugs  bca.Bugs
+	}{
+		{"clean", tc, bca.Bugs{}},
+		{"lru_bug", tc, bca.Bugs{LRUInit: true}},
+		{"chunk_lck_bug", tc, bca.Bugs{ChunkLckIgnored: true}},
+		{"pipe_bug", tc, bca.Bugs{PipeOffByOne: true}},
+		{"err_tid_bug", tc, bca.Bugs{ErrRespTIDZero: true}},
+		{"t2_order_bug", tc, bca.Bugs{T2OrderIgnored: true}},
+		{"cut_short", cut, bca.Bugs{T2OrderIgnored: true}},
+	}
+	for _, row := range rows {
+		row := row
 		for _, cfg := range cfgs {
 			cfg := cfg
-			t.Run(cfg.Name+"/"+label, func(t *testing.T) {
-				str, err := core.RunPairOpt(cfg, tc, seed, core.RunOptions{Bugs: bugs})
+			t.Run(cfg.Name+"/"+row.label, func(t *testing.T) {
+				t.Parallel()
+				str, err := core.RunPairOpt(cfg, row.test, seed, core.RunOptions{Bugs: row.bugs})
 				if err != nil {
 					t.Fatal(err)
 				}
-				leg, err := core.RunPairOpt(cfg, tc, seed, core.RunOptions{Bugs: bugs, LegacyAlignment: true})
+				leg, err := core.RunPairOpt(cfg, row.test, seed, core.RunOptions{Bugs: row.bugs, LegacyAlignment: true})
 				if err != nil {
 					t.Fatal(err)
 				}
+				seq := sequentialPair(t, cfg, row.test, seed, row.bugs)
 
 				if str.RTL.VCD != nil || str.BCA.VCD != nil {
 					t.Error("streaming path must not build VCD text buffers")
 				}
 				if str.RTL.Wave != nil || str.BCA.Wave != nil {
-					t.Error("streaming path must not retain recordings unless asked")
+					t.Error("streaming path must not record waveforms unless asked")
 				}
 
 				sj, err := json.Marshal(str.Alignment)
@@ -75,14 +99,68 @@ func TestStreamingAlignmentEquivalence(t *testing.T) {
 				}
 
 				// The cache unit is the encoded PairRecord; it must be
-				// byte-identical so existing caches and the new path agree.
-				var se, le wire.Encoder
-				str.Record().Encode(&se)
-				leg.Record().Encode(&le)
-				if !bytes.Equal(se.Bytes(), le.Bytes()) {
-					t.Errorf("pair records differ:\nstream: %x\nlegacy: %x", se.Bytes(), le.Bytes())
+				// byte-identical so existing caches and every path agree.
+				se, le, qe := encodeRecord(str), encodeRecord(leg), encodeRecord(seq)
+				if !bytes.Equal(se, le) {
+					t.Errorf("pair records differ:\nstream: %x\nlegacy: %x", se, le)
+				}
+				if !bytes.Equal(se, qe) {
+					t.Errorf("pair records differ:\nlockstep:   %x\nsequential: %x", se, qe)
 				}
 			})
+		}
+	}
+}
+
+// sequentialPair composes a pair from the public single-view calls: the RTL
+// view recording its ports, then the BCA view observing that recording.
+func sequentialPair(t *testing.T, cfg nodespec.Config, test core.Test, seed int64, bugs bca.Bugs) *core.PairResult {
+	t.Helper()
+	ctx := context.Background()
+	rres, err := core.RunTestCtx(ctx, cfg, core.RTLView, test, seed, core.RunOptions{RecordWave: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bres, err := core.RunTestCtx(ctx, cfg, core.BCAView, test, seed, core.RunOptions{AlignWith: rres.Wave, Bugs: bugs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := &core.PairResult{RTL: rres, BCA: bres, Alignment: bres.Alignment}
+	pr.CoverageEqual, pr.CoverageDiff = rres.Coverage.EqualHits(bres.Coverage)
+	return pr
+}
+
+func encodeRecord(pr *core.PairResult) []byte {
+	var e wire.Encoder
+	pr.Record().Encode(&e)
+	return e.Bytes()
+}
+
+// TestCutShortPairRecordDeterministic runs a pair that stops before draining,
+// so transactions are left over on the target side, and requires every run to
+// encode the same PairRecord: the scoreboard must report leftovers in a fixed
+// order, because its errors are part of the cached record and the report.
+func TestCutShortPairRecordDeterministic(t *testing.T) {
+	tc, err := testcases.ByName("back_to_back")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.MaxCycles = 120
+	cfg := StandardMatrix()[17]
+	var first []byte
+	for i := 0; i < 20; i++ {
+		pr, err := core.RunPair(cfg, tc, 5, bca.Bugs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := encodeRecord(pr)
+		if i == 0 {
+			first = enc
+			continue
+		}
+		if !bytes.Equal(enc, first) {
+			t.Fatalf("run %d encodes a different PairRecord than run 0:\nRTL: %q\nBCA: %q",
+				i, pr.RTL.ScoreErrors, pr.BCA.ScoreErrors)
 		}
 	}
 }

@@ -14,70 +14,122 @@ import (
 	"crve/internal/vcd"
 )
 
+// observedView is one DUT view under the shared CATG bench with a text
+// Writer and a compact Recorder attached to the node's port signals.
+type observedView struct {
+	sm   *sim.Simulator
+	sigs []*sim.Signal
+	buf  bytes.Buffer
+	wr   *vcd.Writer
+	rc   *vcd.Recorder
+}
+
+// newObservedView builds the RTL view (bugs nil) or the BCA view under the
+// bench, ready to step.
+func newObservedView(t *testing.T, cfg nodespec.Config, bugs *bca.Bugs, seed int64) *observedView {
+	t.Helper()
+	v := &observedView{sm: sim.New()}
+	var initPorts, tgtPorts []*stbus.Port
+	if bugs == nil {
+		n, err := rtl.NewNode(sim.Root(v.sm), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		initPorts, tgtPorts = n.Init, n.Tgt
+	} else {
+		n, err := bca.NewNode(sim.Root(v.sm), cfg, *bugs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		initPorts, tgtPorts = n.Init, n.Tgt
+	}
+	v.wr = vcd.NewWriter(&v.buf, "tb")
+	v.rc = vcd.NewRecorder("tb")
+	for i, p := range initPorts {
+		ops := catg.GenerateOps(cfg, catg.TrafficConfig{Ops: 25, UnmappedPct: 4, IdlePct: 10}, i, seed)
+		catg.NewInitiatorBFM(v.sm, p, ops)
+		v.sigs = append(v.sigs, p.Signals()...)
+	}
+	for ti, p := range tgtPorts {
+		catg.NewTargetBFM(v.sm, p, catg.TargetConfig{MinLatency: 1, MaxLatency: 5, GntGapPct: 15},
+			seed*17+int64(ti))
+		v.sigs = append(v.sigs, p.Signals()...)
+	}
+	for _, s := range v.sigs {
+		v.wr.Declare(s)
+		v.rc.Declare(s)
+	}
+	v.wr.Attach(v.sm)
+	v.rc.Attach(v.sm)
+	return v
+}
+
+// dump returns the view's text VCD, parsed.
+func (v *observedView) dump(t *testing.T) *vcd.File {
+	t.Helper()
+	if err := v.wr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := vcd.Parse(&v.buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // runViewObserved runs one DUT view under the shared CATG bench with a text
 // Writer, a compact Recorder, and — when ref is non-nil — a streaming
 // Observer all attached to the same sampling points. It returns the parsed
 // dump, the recording, and the observer.
 func runViewObserved(t *testing.T, cfg nodespec.Config, bugs *bca.Bugs, seed int64, cycles int, ref *vcd.Recording) (*vcd.File, *vcd.Recording, *Observer) {
 	t.Helper()
-	sm := sim.New()
-	var initPorts, tgtPorts []*stbus.Port
-	if bugs == nil {
-		n, err := rtl.NewNode(sim.Root(sm), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		initPorts, tgtPorts = n.Init, n.Tgt
-	} else {
-		n, err := bca.NewNode(sim.Root(sm), cfg, *bugs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		initPorts, tgtPorts = n.Init, n.Tgt
-	}
-	var buf bytes.Buffer
-	wr := vcd.NewWriter(&buf, "tb")
-	rc := vcd.NewRecorder("tb")
-	var sigs []*sim.Signal
-	for i, p := range initPorts {
-		ops := catg.GenerateOps(cfg, catg.TrafficConfig{Ops: 25, UnmappedPct: 4, IdlePct: 10}, i, seed)
-		catg.NewInitiatorBFM(sm, p, ops)
-		sigs = append(sigs, p.Signals()...)
-	}
-	for ti, p := range tgtPorts {
-		catg.NewTargetBFM(sm, p, catg.TargetConfig{MinLatency: 1, MaxLatency: 5, GntGapPct: 15},
-			seed*17+int64(ti))
-		sigs = append(sigs, p.Signals()...)
-	}
-	for _, s := range sigs {
-		wr.Declare(s)
-		rc.Declare(s)
-	}
-	wr.Attach(sm)
-	rc.Attach(sm)
+	v := newObservedView(t, cfg, bugs, seed)
 	var obs *Observer
 	if ref != nil {
 		var err error
-		if obs, err = NewObserver(ref, sigs); err != nil {
+		if obs, err = NewObserver(ref, v.sigs); err != nil {
 			t.Fatal(err)
 		}
-		obs.Attach(sm)
+		obs.Attach(v.sm)
 	}
-	if err := sm.Run(cycles); err != nil {
+	if err := v.sm.Run(cycles); err != nil {
 		t.Fatal(err)
 	}
-	if err := wr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := vcd.Parse(&buf)
+	return v.dump(t), v.rc.Recording(), obs
+}
+
+// runLockstepObserved steps the RTL and BCA views side by side, one RTL
+// cycle then one BCA cycle, each for its own cycle count, with a Live
+// reference on the RTL view and an Observer over it on the BCA view.
+func runLockstepObserved(t *testing.T, cfg nodespec.Config, bugs bca.Bugs, seed int64, rtlCycles, bcaCycles int) *Observer {
+	t.Helper()
+	rv := newObservedView(t, cfg, nil, seed)
+	bv := newObservedView(t, cfg, &bugs, seed)
+	ref := NewLive(rv.sigs)
+	ref.Attach(rv.sm)
+	obs, err := NewLiveObserver(ref, bv.sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f, rc.Recording(), obs
+	obs.Attach(bv.sm)
+	for c := 0; c < rtlCycles || c < bcaCycles; c++ {
+		if c < rtlCycles {
+			if err := rv.sm.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c < bcaCycles {
+			if err := bv.sm.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return obs
 }
 
-// checkObserverMatchesCompare asserts the streaming report is JSON-identical
-// to the legacy VCD round-trip report for the given scenario.
+// checkObserverMatchesCompare asserts the streaming reports — against a
+// recording, and against a Live reference stepped in lockstep — are
+// JSON-identical to the legacy VCD round-trip report for the given scenario.
 func checkObserverMatchesCompare(t *testing.T, bugs bca.Bugs, seed int64, rtlCycles, bcaCycles int) {
 	t.Helper()
 	cfg := nodeCfg()
@@ -88,14 +140,21 @@ func checkObserverMatchesCompare(t *testing.T, bugs bca.Bugs, seed int64, rtlCyc
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := obs.Report()
 	wj, _ := json.Marshal(want)
-	gj, _ := json.Marshal(got)
-	if !bytes.Equal(wj, gj) {
-		t.Errorf("observer report differs from legacy Compare:\n legacy: %s\nstream: %s", wj, gj)
-	}
-	if got.String() != want.String() {
-		t.Errorf("rendered reports differ:\n--- legacy ---\n%s--- stream ---\n%s", want.String(), got.String())
+	for _, c := range []struct {
+		name string
+		got  *Report
+	}{
+		{"recorded", obs.Report()},
+		{"live", runLockstepObserved(t, cfg, bugs, seed, rtlCycles, bcaCycles).Report()},
+	} {
+		gj, _ := json.Marshal(c.got)
+		if !bytes.Equal(wj, gj) {
+			t.Errorf("%s observer report differs from legacy Compare:\n legacy: %s\nstream: %s", c.name, wj, gj)
+		}
+		if c.got.String() != want.String() {
+			t.Errorf("%s: rendered reports differ:\n--- legacy ---\n%s--- stream ---\n%s", c.name, want.String(), c.got.String())
+		}
 	}
 }
 
@@ -182,5 +241,45 @@ func TestObserverErrors(t *testing.T) {
 		if len(rep.Ports) != 1 || rep.Ports[0].Cycles != 1 {
 			t.Errorf("unexpected zero-sample report: %+v", rep.Ports)
 		}
+	}
+}
+
+// TestObserverZeroSamplesReadsCycleZero: an observed side that never
+// samples still parses as one all-zero cycle, compared against the
+// reference's cycle 0 — also when the reference is Live and has since moved
+// on to other values.
+func TestObserverZeroSamplesReadsCycleZero(t *testing.T) {
+	sm := sim.New()
+	req := sm.Signal("p.req", 1)
+	gnt := sm.Signal("p.gnt", 1)
+	sm.Seq("drive", func() { req.SetBool(sm.Cycle() == 0) })
+	live := NewLive([]*sim.Signal{req, gnt})
+	live.Attach(sm)
+	rc := vcd.NewRecorder("tb")
+	rc.Declare(req)
+	rc.Declare(gnt)
+	rc.Attach(sm)
+	if err := sm.Run(3); err != nil {
+		t.Fatal(err)
+	}
+
+	other := sim.New()
+	sigs := []*sim.Signal{other.Signal("p.req", 1), other.Signal("p.gnt", 1)}
+	recObs, err := NewObserver(rc.Recording(), sigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveObs, err := NewLiveObserver(live, sigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := recObs.Report(), liveObs.Report()
+	wj, _ := json.Marshal(want)
+	gj, _ := json.Marshal(got)
+	if !bytes.Equal(wj, gj) {
+		t.Errorf("live report differs from recorded:\nrecorded: %s\n    live: %s", wj, gj)
+	}
+	if p := got.Ports[0]; p.FirstDivergence != 0 || len(p.FirstDiverging) != 1 || p.FirstDiverging[0] != "p.req" || p.Aligned != 0 {
+		t.Errorf("zero-sample comparison did not read cycle 0: %+v", p)
 	}
 }

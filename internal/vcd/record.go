@@ -174,6 +174,11 @@ func (c *Cursor) AdvanceTo(cycle uint64) {
 // Value returns signal i's value at the cursor's current cycle.
 func (c *Cursor) Value(i int) sim.Bits { return c.vals[i] }
 
+// Values returns every signal's value at the cursor's current cycle, indexed
+// like the recording. The slice is the cursor's own: the next AdvanceTo
+// updates it in place.
+func (c *Cursor) Values() []sim.Bits { return c.vals }
+
 // ValueAt returns the value of signal i at the end of the given cycle (the
 // last change at or before it; zero if none) — random access for report and
 // window serving; sequential readers should prefer a Cursor.
