@@ -169,7 +169,7 @@ func BenchmarkLegacyPair(b *testing.B) {
 
 // benchViewThroughput runs a saturating test on one view and reports
 // simulated cycles per second — the E5 metric.
-func benchViewThroughput(b *testing.B, view core.View, opt core.RunOptions) {
+func benchViewThroughput(b *testing.B, view core.View) {
 	cfg := refCfg()
 	tc, err := testcases.ByName("back_to_back")
 	if err != nil {
@@ -177,7 +177,7 @@ func benchViewThroughput(b *testing.B, view core.View, opt core.RunOptions) {
 	}
 	total := uint64(0)
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunTest(cfg, view, tc, 7, opt)
+		res, err := core.RunTest(cfg, view, tc, 7, core.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,20 +188,13 @@ func benchViewThroughput(b *testing.B, view core.View, opt core.RunOptions) {
 
 // BenchmarkE5RTL measures RTL-view throughput in the common environment.
 func BenchmarkE5RTL(b *testing.B) {
-	benchViewThroughput(b, core.RTLView, core.RunOptions{})
-}
-
-// BenchmarkE5RTLCompiled measures the same RTL-view run under the compiled
-// bytecode backend — the PR 9 tier that fuses IR-declared processes into one
-// flat program over preresolved signal slots.
-func BenchmarkE5RTLCompiled(b *testing.B) {
-	benchViewThroughput(b, core.RTLView, core.RunOptions{Kernel: sim.KernelCompiled})
+	benchViewThroughput(b, core.RTLView)
 }
 
 // BenchmarkE5BCAWrapped measures the wrapped BCA view — per the paper, the
 // wrapper costs it the standalone speed advantage.
 func BenchmarkE5BCAWrapped(b *testing.B) {
-	benchViewThroughput(b, core.BCAView, core.RunOptions{})
+	benchViewThroughput(b, core.BCAView)
 }
 
 // BenchmarkE5BCAStandalone measures the bare transaction engine with

@@ -18,7 +18,6 @@
 //	regress -emit ./configs            # materialise the matrix as .cfg files
 //	regress -config ./configs -close   # close coverage holes with synthesized tests
 //	regress -matrix -quick -kernelstats # also print the kernel profile per config/view
-//	regress -matrix -quick -kernel=compiled -kernelstats  # compiled bytecode backend + its profile
 //	regress -config ./configs -fabric topo.fab  # also gate on a whole-fabric check
 //	regress -matrix -quick -legacy-align  # alignment via the legacy VCD round trip
 //
@@ -72,7 +71,6 @@ type options struct {
 	maxIters    int
 	budget      uint64
 	kernelstats bool
-	kernel      string
 	fabricArg   string
 	wave        bool
 	legacyAlign bool
@@ -96,7 +94,6 @@ func main() {
 	flag.IntVar(&o.maxIters, "max-iters", 8, "with -close: maximum closure iterations per configuration")
 	flag.Uint64Var(&o.budget, "budget", 0, "with -close: closure cycle budget per configuration, both views (0 = unlimited)")
 	flag.BoolVar(&o.kernelstats, "kernelstats", false, "collect and print the simulation-kernel profile (deltas/cycle, settle depth, hottest processes)")
-	flag.StringVar(&o.kernel, "kernel", "", "simulation backend: levelized (default) or compiled (fuses IR-declared processes into flat bytecode)")
 	flag.StringVar(&o.fabricArg, "fabric", "", "comma-separated topology files (*.fab) the matrix must compose into; checked by the lint gate")
 	flag.BoolVar(&o.wave, "wave", false, "keep compact binary waveform recordings per run (written as .crw with -out)")
 	flag.BoolVar(&o.legacyAlign, "legacy-align", false, "compute alignment via the legacy VCD write/parse/Compare round trip (ablation baseline)")
@@ -207,8 +204,7 @@ func run(o options) error {
 
 	opt := regress.Options{
 		Tests: tests, Seeds: seeds, NoLint: true, Workers: o.jobs, // linted above
-		KernelStats: o.kernelstats, Kernel: o.kernel,
-		RecordWave: o.wave, LegacyAlignment: o.legacyAlign,
+		KernelStats: o.kernelstats, RecordWave: o.wave, LegacyAlignment: o.legacyAlign,
 	}
 	if o.verbose {
 		opt.Log = hout

@@ -15,7 +15,7 @@
 //
 //	curl -s -X POST localhost:8041/api/v1/jobs -d '{"matrix":true,"quick":true}'
 //	curl -s -X POST localhost:8041/api/v1/jobs \
-//	    -d '{"matrix":true,"kernel":"compiled","seeds":[1,2,3,4]}'
+//	    -d '{"matrix":true,"kernelstats":true,"seeds":[1,2,3,4]}'
 //	curl -s localhost:8041/api/v1/jobs/j0001
 //	curl -s localhost:8041/api/v1/jobs/j0001/report
 //

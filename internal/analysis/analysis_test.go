@@ -125,6 +125,7 @@ func (sm *Simulator) Signal(name string, width int) *Signal               { retu
 func (sm *Simulator) Bool(name string) *Signal                            { return &Signal{} }
 func (sm *Simulator) Seq(name string, fn func())                          {}
 func (sm *Simulator) Comb(name string, fn func(), sensitivity ...*Signal) {}
+func (sm *Simulator) CombOut(name string, fn func(), outputs []*Signal, sensitivity ...*Signal) {}
 func (sm *Simulator) AtCycleEnd(fn func())                                {}
 func (sm *Simulator) Run(n int) error                                     { return nil }
 func (sm *Simulator) RunUntil(done func() bool, limit int) error          { return nil }
@@ -135,6 +136,7 @@ func (sc Scope) Signal(name string, width int) *Signal                { return &
 func (sc Scope) Bool(name string) *Signal                             { return &Signal{} }
 func (sc Scope) Seq(name string, fn func())                           {}
 func (sc Scope) Comb(name string, fn func(), sensitivity ...*Signal)  {}
+func (sc Scope) CombOut(name string, fn func(), outputs []*Signal, sensitivity ...*Signal) {}
 `
 
 // mapImporter resolves imports from packages already typechecked in the
@@ -307,6 +309,24 @@ func build(sc sim.Scope) {
 	gnt := sc.Bool("gnt")
 	sc.Comb("grant", func() { gnt.SetBool(req.Bool()) }, req)
 	if gnt.Bool() { // line 7: elaboration read under a Scope registration
+		panic("unsettled")
+	}
+}
+`
+	got := runOn(t, SignalRead, "client.go", src)
+	if len(got) != 1 || !strings.HasPrefix(got[0], "7: ") {
+		t.Fatalf("want exactly one finding on line 7, got %v", got)
+	}
+}
+
+func TestSignalReadFlagsCombOutRegistration(t *testing.T) {
+	src := `package client
+import "crve/internal/sim"
+func build(sc sim.Scope) {
+	req := sc.Bool("req")
+	gnt := sc.Bool("gnt")
+	sc.CombOut("grant", func() { gnt.SetBool(req.Bool()) }, []*sim.Signal{gnt}, req)
+	if gnt.Bool() { // line 7: elaboration read under a CombOut registration
 		panic("unsettled")
 	}
 }

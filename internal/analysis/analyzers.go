@@ -161,17 +161,17 @@ func dataBitsOf(pass *Pass, lit *ast.CompositeLit) (width *int64, found bool) {
 
 // SignalRead flags sim.Signal value reads (Get / U64 / Bool) performed at
 // elaboration time: directly in the body of a function that registers
-// simulation processes (Seq / Comb / AtCycleEnd), before the simulator has
-// run. A signal has no settled value until Run/Step executes the processes,
-// so an elaboration-time read always sees the zero value — the read belongs
-// inside the process callback. Reads that occur lexically after a
+// simulation processes (Seq / Comb / CombOut / AtCycleEnd), before the
+// simulator has run. A signal has no settled value until Run/Step executes
+// the processes, so an elaboration-time read always sees the zero value —
+// the read belongs inside the process callback. Reads that occur lexically after a
 // Run/RunUntil/Step call in the same function are result inspection and are
 // fine; so are reads in helper functions that register nothing (they execute
 // inside somebody else's callback).
 var SignalRead = &Analyzer{
 	Name: "signalread",
 	Doc: "flag sim.Signal reads outside a process callback: a function that registers " +
-		"Seq/Comb/AtCycleEnd processes must not read signal values before the simulator " +
+		"Seq/Comb/CombOut/AtCycleEnd processes must not read signal values before the simulator " +
 		"runs — the value is not settled until the callbacks execute",
 	Run: runSignalRead,
 }
@@ -203,7 +203,7 @@ func checkElaborationScope(pass *Pass, body *ast.BlockStmt) {
 		method string
 	}
 	var reads []read
-	registers := token.NoPos // first Seq/Comb/AtCycleEnd registration
+	registers := token.NoPos // first Seq/Comb/CombOut/AtCycleEnd registration
 	firstRun := token.NoPos  // first Run/RunUntil/Step, if any
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
@@ -225,7 +225,7 @@ func checkElaborationScope(pass *Pass, body *ast.BlockStmt) {
 			recv = p.Elem()
 		}
 		switch sel.Sel.Name {
-		case "Seq", "Comb", "AtCycleEnd":
+		case "Seq", "Comb", "CombOut", "AtCycleEnd":
 			if isNamed(recv, simPath, "Scope") || isNamed(recv, simPath, "Simulator") {
 				if !registers.IsValid() {
 					registers = call.Pos()

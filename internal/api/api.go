@@ -35,7 +35,6 @@ import (
 	"crve/internal/coverage"
 	"crve/internal/jobs"
 	"crve/internal/regress"
-	"crve/internal/sim"
 	"crve/internal/stba"
 	"crve/internal/testcases"
 )
@@ -308,41 +307,12 @@ func (s *Server) alignment(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"configs": out})
 }
 
-// viewKernel is the merged kernel profile of one (config, view).
-type viewKernel struct {
-	Name  string           `json:"name"`
-	View  string           `json:"view"`
-	Runs  int              `json:"runs"`
-	Stats *sim.KernelStats `json:"stats"`
-}
-
 func (s *Server) kernelstats(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.doneJob(w, r)
 	if !ok {
 		return
 	}
-	var out []viewKernel
-	for _, cr := range job.Results() {
-		for _, view := range []string{"RTL", "BCA"} {
-			merged := &sim.KernelStats{}
-			n := 0
-			for _, run := range cr.Runs {
-				res := run.Pair.RTL
-				if view == "BCA" {
-					res = run.Pair.BCA
-				}
-				if res.Kernel == nil {
-					continue
-				}
-				merged.Merge(res.Kernel)
-				n++
-			}
-			if n > 0 {
-				out = append(out, viewKernel{Name: cr.Cfg.Name, View: view, Runs: n, Stats: merged})
-			}
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"configs": out})
+	writeJSON(w, http.StatusOK, map[string]any{"configs": regress.KernelProfiles(job.Results())})
 }
 
 func (s *Server) closure(w http.ResponseWriter, r *http.Request) {

@@ -362,6 +362,7 @@ func TestServiceErrors(t *testing.T) {
 	for name, body := range map[string]string{
 		"unknown field":     `{"matrx": true}`,
 		"retired lanes":     `{"matrix": true, "quick": true, "lanes": 4}`,
+		"retired kernel":    `{"matrix": true, "quick": true, "kernel": "compiled"}`,
 		"quick sans matrix": `{"quick": true}`,
 		"empty spec":        `{}`,
 		"unknown test":      fmt.Sprintf(`{"configs": [%q], "tests": ["nope"]}`, regress.FormatConfig(testCfg(t, "er0"))),

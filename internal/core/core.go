@@ -193,8 +193,9 @@ type RunOptions struct {
 	// counts, settle-depth histogram, SCC inventory) into RunResult.Kernel,
 	// and enables sampled per-process wall-time collection.
 	KernelStats bool
-	// Kernel selects the simulation backend (levelized by default; compiled
-	// fuses IR-declared processes into the flat bytecode program).
+	// Kernel is ignored: every run uses the levelized scheduler.
+	//
+	// Deprecated: kept only for perfledger's kernel probe; nothing reads it.
 	Kernel sim.Kernel
 	// Bugs applies to the BCA view.
 	Bugs bca.Bugs
@@ -256,7 +257,6 @@ func trafficOps(cfg nodespec.Config, test Test, seed int64) [][]catg.Op {
 // request. cfg must already have its defaults applied.
 func startView(ctx context.Context, cfg nodespec.Config, view View, test Test, seed int64, opt RunOptions, ops [][]catg.Op) (*benchInst, error) {
 	sm := sim.New()
-	sm.Kernel = opt.Kernel
 	sm.Timing = opt.KernelStats
 	b := &benchInst{
 		ctx: ctx, sm: sm, kstats: opt.KernelStats, limit: test.MaxCycles, tail: -1,
@@ -481,7 +481,7 @@ func RunPairCtx(ctx context.Context, cfg nodespec.Config, test Test, seed int64,
 	ops := trafficOps(cfg, test, seed)
 	viewOpt := RunOptions{
 		DumpVCD: opt.DumpVCD, RecordWave: opt.RecordWave,
-		KernelStats: opt.KernelStats, Kernel: opt.Kernel, Bugs: opt.Bugs,
+		KernelStats: opt.KernelStats, Bugs: opt.Bugs,
 	}
 	r, err := startView(ctx, cfg, RTLView, test, seed, viewOpt, ops)
 	if err != nil {
@@ -541,12 +541,12 @@ func RunPairLanes(ctx context.Context, cfg nodespec.Config, test Test, seeds []i
 // parse both, Compare. Kept behind RunOptions.LegacyAlignment for ablation
 // and for the streaming-equivalence property test.
 func runPairLegacy(ctx context.Context, cfg nodespec.Config, test Test, seed int64, opt RunOptions) (*PairResult, error) {
-	rtlOpt := RunOptions{DumpVCD: true, RecordWave: opt.RecordWave, KernelStats: opt.KernelStats, Kernel: opt.Kernel}
+	rtlOpt := RunOptions{DumpVCD: true, RecordWave: opt.RecordWave, KernelStats: opt.KernelStats}
 	rres, err := RunTestCtx(ctx, cfg, RTLView, test, seed, rtlOpt)
 	if err != nil {
 		return nil, fmt.Errorf("core: RTL run: %w", err)
 	}
-	bcaOpt := RunOptions{DumpVCD: true, RecordWave: opt.RecordWave, KernelStats: opt.KernelStats, Kernel: opt.Kernel, Bugs: opt.Bugs}
+	bcaOpt := RunOptions{DumpVCD: true, RecordWave: opt.RecordWave, KernelStats: opt.KernelStats, Bugs: opt.Bugs}
 	bres, err := RunTestCtx(ctx, cfg, BCAView, test, seed, bcaOpt)
 	if err != nil {
 		return nil, fmt.Errorf("core: BCA run: %w", err)

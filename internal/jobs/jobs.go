@@ -16,7 +16,6 @@ import (
 	"crve/internal/core"
 	"crve/internal/nodespec"
 	"crve/internal/regress"
-	"crve/internal/sim"
 	"crve/internal/testcases"
 	"crve/internal/vcd"
 )
@@ -62,9 +61,6 @@ type Spec struct {
 	NoLint bool `json:"nolint,omitempty"`
 	// KernelStats collects the simulation-kernel profile per unit.
 	KernelStats bool `json:"kernelstats,omitempty"`
-	// Kernel selects the simulation backend: "levelized" (default, also the
-	// empty string) or "compiled".
-	Kernel string `json:"kernel,omitempty"`
 	// RecordWave keeps compact binary waveform recordings (.crw) per run,
 	// served back via GET .../wave/{config}/{test}/{seed}/{view}.
 	RecordWave bool `json:"record_wave,omitempty"`
@@ -118,9 +114,6 @@ func (s Spec) resolve() (resolved, error) {
 	r.seeds = s.Seeds
 	if len(r.seeds) == 0 {
 		r.seeds = []int64{1}
-	}
-	if _, err := sim.ParseKernel(s.Kernel); err != nil {
-		return r, fmt.Errorf("jobs: %w", err)
 	}
 	return r, nil
 }

@@ -102,14 +102,12 @@ func (c *Cache) Dir() string { return c.dir }
 // the config by value, not by name: renaming a file moves nothing, editing
 // any parameter invalidates exactly that configuration's entries. Tests are
 // keyed by registry name and bug sets by their canonical rendering; the
-// code version covers everything else (test definitions included). The
-// kernel backend is part of the key: a stored record carries that backend's
-// kernel profile, and equivalence runs must never serve one backend's
-// profile as another's.
-func (c *Cache) Key(cfg nodespec.Config, testName string, seed int64, bugs bca.Bugs, kernel string) string {
-	if kernel == "" {
-		kernel = "levelized"
-	}
+// code version covers everything else (test definitions included).
+//
+// The last argument is ignored and not hashed: it named a kernel backend
+// when there was more than one. It is deprecated and kept only because
+// perfledger's unit replay (replayUnit) still passes it; pass "".
+func (c *Cache) Key(cfg nodespec.Config, testName string, seed int64, bugs bca.Bugs, _ string) string {
 	h := sha256.New()
 	for _, part := range []string{
 		c.version,
@@ -117,7 +115,6 @@ func (c *Cache) Key(cfg nodespec.Config, testName string, seed int64, bugs bca.B
 		testName,
 		fmt.Sprintf("%d", seed),
 		fmt.Sprintf("%+v", bugs),
-		kernel,
 	} {
 		io.WriteString(h, part)
 		h.Write([]byte{0})

@@ -30,9 +30,11 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	if base != c.Key(cfg, "basic_write_read", 1, bca.Bugs{}, "") {
 		t.Error("key is not stable")
 	}
-	// The empty kernel means the default backend explicitly.
-	if base != c.Key(cfg, "basic_write_read", 1, bca.Bugs{}, "levelized") {
-		t.Error("empty kernel and levelized must share a key")
+	// The kernel argument is ignored: there is one kernel.
+	for _, kernel := range []string{"levelized", "compiled"} {
+		if base != c.Key(cfg, "basic_write_read", 1, bca.Bugs{}, kernel) {
+			t.Errorf("kernel argument %q must not change the key", kernel)
+		}
 	}
 	edited := cfg
 	edited.PipeSize++
@@ -42,7 +44,6 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 		"test":    c.Key(cfg, "error_paths", 1, bca.Bugs{}, ""),
 		"seed":    c.Key(cfg, "basic_write_read", 2, bca.Bugs{}, ""),
 		"bugs":    c.Key(cfg, "basic_write_read", 1, bca.Bugs{LRUInit: true}, ""),
-		"kernel":  c.Key(cfg, "basic_write_read", 1, bca.Bugs{}, "compiled"),
 		"version": c2.Key(cfg, "basic_write_read", 1, bca.Bugs{}, ""),
 	}
 	for dim, key := range distinct {

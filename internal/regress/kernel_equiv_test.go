@@ -7,17 +7,20 @@ import (
 
 	"crve/internal/bca"
 	"crve/internal/core"
+	"crve/internal/nodespec"
 	"crve/internal/sim"
 	"crve/internal/testcases"
 )
 
-// TestLevelizedKernelEquivalence is the determinism property every kernel
-// backend must uphold across the whole standard matrix: for every
+// TestLevelizedKernelEquivalence is the determinism property the levelized
+// scheduler must uphold across the whole standard matrix: for every
 // configuration, running the same (test, seed) pair with the levelized
-// scheduler, with the legacy delta loop and with the compiled bytecode
-// backend produces byte-identical VCD dumps, functional-coverage groups and
-// alignment reports on both views. The paper's alignment methodology leans
-// entirely on "same tests, same seeds, same waveforms"; a backend that
+// scheduler and with the legacy delta loop produces byte-identical VCD
+// dumps, functional-coverage groups and alignment reports on both views.
+// One more input seeds two BCA bugs, so the kernels must also agree on the
+// misaligned waveforms a bug produces, or the bug-detection experiment would
+// depend on which kernel ran it. The paper's alignment methodology leans
+// entirely on "same tests, same seeds, same waveforms"; a kernel that
 // changed waveforms would silently invalidate every signed-off result.
 func TestLevelizedKernelEquivalence(t *testing.T) {
 	cfgs := StandardMatrix()
@@ -30,14 +33,25 @@ func TestLevelizedKernelEquivalence(t *testing.T) {
 	}
 	const seed = 7
 
+	// Text VCD is now an opt-in artifact; the byte-equality check here still
+	// wants the dumps, so request them explicitly.
+	type input struct {
+		name string
+		cfg  nodespec.Config
+		opt  core.RunOptions
+	}
+	var inputs []input
+	for _, cfg := range cfgs {
+		inputs = append(inputs, input{cfg.Name, cfg, core.RunOptions{DumpVCD: true}})
+	}
+	inputs = append(inputs, input{cfgs[0].Name + "_bugged", cfgs[0],
+		core.RunOptions{DumpVCD: true, Bugs: bca.Bugs{LRUInit: true, PipeOffByOne: true}}})
+
 	// ForceDeltaLoop is a package-level elaboration toggle, so the legacy
 	// runs execute serially with the global set and restored around them.
-	for _, cfg := range cfgs {
-		cfg := cfg
-		t.Run(cfg.Name, func(t *testing.T) {
-			// Text VCD is now an opt-in artifact; the byte-equality check here
-			// still wants the dumps, so request them explicitly.
-			opt := core.RunOptions{DumpVCD: true}
+	for _, in := range inputs {
+		cfg, opt := in.cfg, in.opt
+		t.Run(in.name, func(t *testing.T) {
 			lvl, err := core.RunPairOpt(cfg, tc, seed, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -48,79 +62,33 @@ func TestLevelizedKernelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compOpt := opt
-			compOpt.Kernel = sim.KernelCompiled
-			compOpt.KernelStats = true
-			cmp1, err := core.RunPairOpt(cfg, tc, seed, compOpt)
-			if err != nil {
-				t.Fatal(err)
+			if !bytes.Equal(lvl.RTL.VCD, leg.RTL.VCD) {
+				t.Error("RTL VCD dumps differ between levelized and legacy kernels")
 			}
-			if cmp1.RTL.Kernel == nil || !cmp1.RTL.Kernel.Compiled || cmp1.RTL.Kernel.FusedProcs == 0 {
-				t.Errorf("compiled RTL run fused no processes: %+v", cmp1.RTL.Kernel)
+			if !bytes.Equal(lvl.BCA.VCD, leg.BCA.VCD) {
+				t.Error("BCA VCD dumps differ between levelized and legacy kernels")
 			}
-
-			for _, alt := range []struct {
-				kernel string
-				pair   *core.PairResult
-			}{{"legacy", leg}, {"compiled", cmp1}} {
-				if !bytes.Equal(lvl.RTL.VCD, alt.pair.RTL.VCD) {
-					t.Errorf("RTL VCD dumps differ between levelized and %s kernels", alt.kernel)
+			for _, cmp := range []struct {
+				name string
+				a, b interface{}
+			}{
+				{"RTL coverage", lvl.RTL.Coverage, leg.RTL.Coverage},
+				{"BCA coverage", lvl.BCA.Coverage, leg.BCA.Coverage},
+				{"RTL code coverage", lvl.RTL.CodeCov, leg.RTL.CodeCov},
+				{"alignment report", lvl.Alignment, leg.Alignment},
+			} {
+				aj, err := json.Marshal(cmp.a)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !bytes.Equal(lvl.BCA.VCD, alt.pair.BCA.VCD) {
-					t.Errorf("BCA VCD dumps differ between levelized and %s kernels", alt.kernel)
+				bj, err := json.Marshal(cmp.b)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, cmp := range []struct {
-					name string
-					a, b interface{}
-				}{
-					{"RTL coverage", lvl.RTL.Coverage, alt.pair.RTL.Coverage},
-					{"BCA coverage", lvl.BCA.Coverage, alt.pair.BCA.Coverage},
-					{"RTL code coverage", lvl.RTL.CodeCov, alt.pair.RTL.CodeCov},
-					{"alignment report", lvl.Alignment, alt.pair.Alignment},
-				} {
-					aj, err := json.Marshal(cmp.a)
-					if err != nil {
-						t.Fatal(err)
-					}
-					bj, err := json.Marshal(cmp.b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(aj, bj) {
-						t.Errorf("%s differs between levelized and %s kernels", cmp.name, alt.kernel)
-					}
+				if !bytes.Equal(aj, bj) {
+					t.Errorf("%s differs between levelized and legacy kernels", cmp.name)
 				}
 			}
 		})
-	}
-}
-
-// TestCompiledKernelEquivalenceBugged repeats the compiled-vs-levelized
-// comparison with a seeded BCA bug: the backends must also agree on the
-// misaligned waveforms a bug produces, or the bug-detection experiment would
-// depend on which kernel ran it.
-func TestCompiledKernelEquivalenceBugged(t *testing.T) {
-	cfg := StandardMatrix()[0]
-	tc, err := testcases.ByName("back_to_back")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := core.RunOptions{DumpVCD: true, Bugs: bca.Bugs{LRUInit: true, PipeOffByOne: true}}
-	lvl, err := core.RunPairOpt(cfg, tc, 7, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Kernel = sim.KernelCompiled
-	comp, err := core.RunPairOpt(cfg, tc, 7, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(lvl.RTL.VCD, comp.RTL.VCD) || !bytes.Equal(lvl.BCA.VCD, comp.BCA.VCD) {
-		t.Error("bugged VCD dumps differ between levelized and compiled kernels")
-	}
-	aj, _ := json.Marshal(lvl.Alignment)
-	bj, _ := json.Marshal(comp.Alignment)
-	if !bytes.Equal(aj, bj) {
-		t.Error("bugged alignment reports differ between levelized and compiled kernels")
 	}
 }

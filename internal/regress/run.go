@@ -54,11 +54,6 @@ type Options struct {
 	// unit (cache-served units keep whatever profile their stored record
 	// has, possibly none). Aggregate with KernelReport.
 	KernelStats bool
-	// Kernel names the simulation backend every unit runs on: "levelized"
-	// (default, also the empty string) or "compiled". Parsed with
-	// sim.ParseKernel; the kernel is part of the cache key, so switching
-	// backends never serves a stale profile.
-	Kernel string
 	// RecordWave keeps the compact binary waveform recording of every
 	// simulated unit (WriteReports stores them as .crw files). Off by
 	// default: the streaming alignment path needs no retained waveforms.
@@ -251,43 +246,57 @@ func RunMatrix(cfgs []nodespec.Config, opt Options) ([]*ConfigResult, error) {
 	return results, err
 }
 
-// KernelReport renders the merged simulation-kernel profile of a matrix
-// run, one section per (configuration, view): deltas/cycle, settle-depth
-// histogram, cyclic-SCC inventory and the hottest processes. Runs without a
-// profile (cache-served records stored before kernel stats existed, or runs
-// without Options.KernelStats) are skipped; an empty report says so.
-func KernelReport(results []*ConfigResult) string {
-	var sb strings.Builder
-	any := false
+// KernelProfile is the kernel profile of one (configuration, view), merged
+// over that view's runs. The JSON form is the wire format of the service's
+// kernelstats endpoint.
+type KernelProfile struct {
+	Config string           `json:"name"`
+	View   string           `json:"view"` // "RTL" or "BCA"
+	Runs   int              `json:"runs"`
+	Stats  *sim.KernelStats `json:"stats"`
+}
+
+// KernelProfiles merges the per-run kernel profiles of a matrix run per
+// (configuration, view): configurations in result order, RTL before BCA.
+// Runs without a profile (cache-served records stored without one, or runs
+// without Options.KernelStats) are skipped, and a view with none is left
+// out.
+func KernelProfiles(results []*ConfigResult) []KernelProfile {
+	var out []KernelProfile
 	for _, cr := range results {
-		for view := 0; view < 2; view++ {
-			var merged *sim.KernelStats
-			name := "RTL"
-			n := 0
+		for _, view := range []string{"RTL", "BCA"} {
+			kp := KernelProfile{Config: cr.Cfg.Name, View: view, Stats: &sim.KernelStats{}}
 			for _, run := range cr.Runs {
 				r := run.Pair.RTL
-				if view == 1 {
-					r, name = run.Pair.BCA, "BCA"
+				if view == "BCA" {
+					r = run.Pair.BCA
 				}
-				if r.Kernel == nil {
-					continue
+				if r.Kernel != nil {
+					kp.Stats.Merge(r.Kernel)
+					kp.Runs++
 				}
-				if merged == nil {
-					merged = &sim.KernelStats{}
-				}
-				merged.Merge(r.Kernel)
-				n++
 			}
-			if merged == nil {
-				continue
+			if kp.Runs > 0 {
+				out = append(out, kp)
 			}
-			any = true
-			fmt.Fprintf(&sb, "%s %s (%d runs)\n", cr.Cfg.Name, name, n)
-			merged.Text(&sb, 5)
 		}
 	}
-	if !any {
+	return out
+}
+
+// KernelReport renders the merged simulation-kernel profile of a matrix
+// run, one section per (configuration, view) of KernelProfiles:
+// deltas/cycle, settle-depth histogram, cyclic-SCC inventory and the
+// hottest processes. An empty report says so.
+func KernelReport(results []*ConfigResult) string {
+	profiles := KernelProfiles(results)
+	if len(profiles) == 0 {
 		return "no kernel profiles recorded (enable Options.KernelStats on a cold cache)\n"
+	}
+	var sb strings.Builder
+	for _, kp := range profiles {
+		fmt.Fprintf(&sb, "%s %s (%d runs)\n", kp.Config, kp.View, kp.Runs)
+		kp.Stats.Text(&sb, 5)
 	}
 	return sb.String()
 }

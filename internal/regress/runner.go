@@ -19,7 +19,6 @@ import (
 
 	"crve/internal/core"
 	"crve/internal/nodespec"
-	"crve/internal/sim"
 )
 
 // Stats counts how the engine satisfied a run's work units. The engine is
@@ -103,9 +102,6 @@ func runEngine(ctx context.Context, cfgs []nodespec.Config, opt Options, logHead
 	start := time.Now()
 	if len(opt.Tests) == 0 {
 		return nil, Stats{}, fmt.Errorf("regress: empty test suite: Options.Tests must name at least one test (a zero-run configuration can never sign off)")
-	}
-	if _, err := sim.ParseKernel(opt.Kernel); err != nil {
-		return nil, Stats{}, err
 	}
 	seeds := opt.Seeds
 	if len(seeds) == 0 {
@@ -253,7 +249,7 @@ func runEngine(ctx context.Context, cfgs []nodespec.Config, opt Options, logHead
 func runUnit(ctx context.Context, u workUnit, opt Options) unitOutcome {
 	var key string
 	if opt.Cache != nil {
-		key = opt.Cache.Key(u.cfg, u.test.Name, u.seed, opt.Bugs, opt.Kernel)
+		key = opt.Cache.Key(u.cfg, u.test.Name, u.seed, opt.Bugs, "")
 		rec, release, err := opt.Cache.acquire(ctx, key)
 		if err != nil {
 			return unitOutcome{idx: u.idx, err: fmt.Errorf("regress: %s/%s seed %d: %w", u.cfg.Name, u.test.Name, u.seed, err)}
@@ -266,9 +262,8 @@ func runUnit(ctx context.Context, u workUnit, opt Options) unitOutcome {
 	if err := ctx.Err(); err != nil {
 		return unitOutcome{idx: u.idx, err: fmt.Errorf("regress: %s/%s seed %d: %w", u.cfg.Name, u.test.Name, u.seed, err)}
 	}
-	kernel, _ := sim.ParseKernel(opt.Kernel) // validated at engine start
 	pair, err := core.RunPairCtx(ctx, u.cfg, u.test, u.seed, core.RunOptions{
-		Bugs: opt.Bugs, KernelStats: opt.KernelStats, Kernel: kernel,
+		Bugs: opt.Bugs, KernelStats: opt.KernelStats,
 		RecordWave: opt.RecordWave, LegacyAlignment: opt.LegacyAlignment,
 	})
 	if err != nil {

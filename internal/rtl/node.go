@@ -65,10 +65,9 @@ type Node struct {
 	tick *sim.Signal
 
 	// Internal handshake strobes, one per port: fire = req & gnt and
-	// rfire = r_req & r_gnt, computed by IR-declared combinational processes
-	// so the compiled backend fuses the node's hottest signal-level datapath.
-	// The state process reads the settled strobes instead of re-deriving the
-	// handshakes — the same values, computed once.
+	// rfire = r_req & r_gnt, computed by one combinational process per port
+	// (portStrobes). The state process reads the settled strobes instead of
+	// re-deriving the handshakes — the same values, computed once.
 	ifire, irfire []*sim.Signal
 	tfire, trfire []*sim.Signal
 
@@ -162,26 +161,30 @@ func NewNode(sc sim.Scope, cfg NodeConfig) (*Node, error) {
 	}
 	ns.CombOut("grants", n.comb, outs, sens...)
 	for i, p := range n.Init {
-		fire := ns.Bool(fmt.Sprintf("init%d_fire", i))
-		rfire := ns.Bool(fmt.Sprintf("init%d_rfire", i))
-		ns.CombExpr(fmt.Sprintf("init%d_fire", i),
-			sim.Assign{Dst: fire, Src: sim.Read(p.Req).And(sim.Read(p.Gnt))},
-			sim.Assign{Dst: rfire, Src: sim.Read(p.RReq).And(sim.Read(p.RGnt))})
+		fire, rfire := portStrobes(ns, fmt.Sprintf("init%d", i), p)
 		n.ifire = append(n.ifire, fire)
 		n.irfire = append(n.irfire, rfire)
 	}
 	for t, p := range n.Tgt {
-		fire := ns.Bool(fmt.Sprintf("tgt%d_fire", t))
-		rfire := ns.Bool(fmt.Sprintf("tgt%d_rfire", t))
-		ns.CombExpr(fmt.Sprintf("tgt%d_fire", t),
-			sim.Assign{Dst: fire, Src: sim.Read(p.Req).And(sim.Read(p.Gnt))},
-			sim.Assign{Dst: rfire, Src: sim.Read(p.RReq).And(sim.Read(p.RGnt))})
+		fire, rfire := portStrobes(ns, fmt.Sprintf("tgt%d", t), p)
 		n.tfire = append(n.tfire, fire)
 		n.trfire = append(n.trfire, rfire)
 	}
 	ns.Seq("state", n.seq)
-	ns.SeqExpr("tick", sim.Assign{Dst: n.tick, Src: sim.Read(n.tick).Add(sim.ConstU64(1, 32))})
+	ns.Seq("tick", func() { n.tick.SetU64(n.tick.U64() + 1) })
 	return n, nil
+}
+
+// portStrobes creates the handshake strobes <name>_fire = req & gnt and
+// <name>_rfire = r_req & r_gnt of port p and the process that computes them.
+func portStrobes(ns sim.Scope, name string, p *stbus.Port) (*sim.Signal, *sim.Signal) {
+	fireName := name + "_fire"
+	fire, rfire := ns.Bool(fireName), ns.Bool(name+"_rfire")
+	ns.CombOut(fireName, func() {
+		fire.SetBool(p.Req.Bool() && p.Gnt.Bool())
+		rfire.SetBool(p.RReq.Bool() && p.RGnt.Bool())
+	}, []*sim.Signal{fire, rfire}, p.Req, p.Gnt, p.RReq, p.RGnt)
+	return fire, rfire
 }
 
 // newReqArb instantiates the request-path policy. The programmable policy is
@@ -570,7 +573,7 @@ func (n *Node) seq() {
 			p.IdleResp()
 		}
 	}
-	// The tick re-trigger of the grant process lives in its own SeqExpr.
+	// The tick re-trigger of the grant process lives in its own Seq.
 }
 
 // popOutstanding removes the oldest outstanding entry with the given source.

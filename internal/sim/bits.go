@@ -21,7 +21,6 @@ package sim
 
 import (
 	"fmt"
-	mathbits "math/bits"
 	"strings"
 )
 
@@ -214,27 +213,6 @@ func (b Bits) WithField(lo, w int, val Bits) Bits {
 		b.v[i] = b.v[i]&^m.v[i] | v.v[i]
 	}
 	return b
-}
-
-// Add returns the multi-word sum of two vectors, wrapping at 256 bits.
-// Callers model a w-bit hardware adder by masking the result to w.
-func (b Bits) Add(o Bits) Bits {
-	var r Bits
-	var c uint64
-	for i := range r.v {
-		r.v[i], c = mathbits.Add64(b.v[i], o.v[i], c)
-	}
-	return r
-}
-
-// Ult reports whether b is less than o as unsigned 256-bit integers.
-func (b Bits) Ult(o Bits) bool {
-	for i := BitsWords - 1; i >= 0; i-- {
-		if b.v[i] != o.v[i] {
-			return b.v[i] < o.v[i]
-		}
-	}
-	return false
 }
 
 // Xor returns the bitwise exclusive-or of two vectors.

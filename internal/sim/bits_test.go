@@ -223,44 +223,6 @@ func TestWithFieldWordBoundaries(t *testing.T) {
 	}
 }
 
-func TestAddCarryChain(t *testing.T) {
-	one := B64(1)
-	allOnes64 := B64(^uint64(0))
-	// Carry out of word 0 into word 1.
-	if got := allOnes64.Add(one); got.Word(0) != 0 || got.Word(1) != 1 {
-		t.Errorf("2^64-1 + 1 = %v", got)
-	}
-	// Carry rippling through all four words.
-	max := BWords(^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0))
-	if got := max.Add(one); !got.IsZero() {
-		t.Errorf("2^256-1 + 1 = %v, want wraparound to zero", got)
-	}
-	commutes := func(a0, a1, b0, b1 uint64) bool {
-		a, b := BWords(a0, a1), BWords(b0, b1)
-		return a.Add(b).Equal(b.Add(a))
-	}
-	if err := quick.Check(commutes, nil); err != nil {
-		t.Errorf("add commutativity: %v", err)
-	}
-}
-
-func TestUlt(t *testing.T) {
-	lo := BWords(^uint64(0), 0) // 2^64-1
-	hi := BWords(0, 1)          // 2^64
-	if !lo.Ult(hi) || hi.Ult(lo) {
-		t.Error("Ult misorders values differing in word 1")
-	}
-	if lo.Ult(lo) {
-		t.Error("Ult should be irreflexive")
-	}
-	agrees := func(a, b uint64) bool {
-		return B64(a).Ult(B64(b)) == (a < b)
-	}
-	if err := quick.Check(agrees, nil); err != nil {
-		t.Errorf("Ult vs uint64 <: %v", err)
-	}
-}
-
 func TestBWordsPanicsOnTooMany(t *testing.T) {
 	defer func() {
 		if recover() == nil {

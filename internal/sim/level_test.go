@@ -317,3 +317,36 @@ func TestLevelizedDeterminismMatchesLegacy(t *testing.T) {
 		}
 	}
 }
+
+func TestStatsTimingSampled(t *testing.T) {
+	sm := New()
+	sm.Timing = true
+	sigs := buildChain(sm, 4)
+	work := sm.Signal("work", 32)
+	sm.CombOut("busy", func() {
+		v := uint64(0)
+		for i := 0; i < 1000; i++ {
+			v += sigs[4].U64()
+		}
+		work.SetU64(v)
+	}, []*Signal{work}, sigs[4])
+	for i := 0; i < 200; i++ {
+		if err := sm.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ks := sm.Stats()
+	var busy ProcStat
+	for _, p := range ks.Procs {
+		if p.Name == "busy" {
+			busy = p
+		}
+	}
+	if busy.TimeNS == 0 {
+		t.Errorf("timed run recorded no wall time for the busy process")
+	}
+	top := ks.TopProcs(1)
+	if len(top) == 0 || top[0].TimeNS == 0 {
+		t.Errorf("TopProcs did not rank by time: %+v", top)
+	}
+}

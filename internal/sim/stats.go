@@ -28,12 +28,8 @@ type ProcStat struct {
 	// processes and when levelization is off).
 	Rank   int  `json:"rank"`
 	Cyclic bool `json:"cyclic,omitempty"`
-	// Fused marks a process executing inside the compiled backend's fused
-	// bytecode program rather than as a Go closure.
-	Fused bool `json:"fused,omitempty"`
 	// TimeNS is the extrapolated evaluation wall time (1-in-8 sampling,
-	// scaled), collected when the simulator's Timing flag is set. Segment
-	// time of fused processes is apportioned by op count.
+	// scaled), collected when the simulator's Timing flag is set.
 	TimeNS int64 `json:"time_ns,omitempty"`
 }
 
@@ -54,15 +50,13 @@ type KernelStats struct {
 	Deltas    uint64 `json:"deltas"`
 	Settles   uint64 `json:"settles"`
 	Levelized bool   `json:"levelized"`
-	// Compiled reports the compiled backend was active; FusedProcs and
-	// FusedOps size the fused bytecode program (processes absorbed and
-	// total instructions), and CompiledEvals/ClosureEvals split process
-	// evaluations by dispatch mechanism.
-	Compiled      bool   `json:"compiled,omitempty"`
-	FusedProcs    int    `json:"fused_procs,omitempty"`
-	FusedOps      int    `json:"fused_ops,omitempty"`
+	// CompiledEvals counted evaluations of the retired compiled backend; it
+	// is always 0.
+	//
+	// Deprecated: kept only for perfledger's kernel probe; read ClosureEvals.
 	CompiledEvals uint64 `json:"compiled_evals,omitempty"`
-	ClosureEvals  uint64 `json:"closure_evals,omitempty"`
+	// ClosureEvals counts every process evaluation.
+	ClosureEvals uint64 `json:"closure_evals,omitempty"`
 	// Ranks is the number of topological ranks (0 when levelization is off).
 	Ranks int `json:"ranks,omitempty"`
 	// Units counts SCC scheduling units; CyclicSCCs inventories the cyclic
@@ -79,28 +73,11 @@ type KernelStats struct {
 // registration order), then sequential ones.
 func (sm *Simulator) Stats() *KernelStats {
 	ks := &KernelStats{
-		Cycles:        sm.cycle,
-		Deltas:        sm.DeltaCount,
-		Settles:       sm.settles,
-		Levelized:     sm.units != nil,
-		Compiled:      sm.prog != nil,
-		CompiledEvals: sm.compiledEvals,
-		ClosureEvals:  sm.closureEvals,
-	}
-	// Fused processes never evaluate through eval() after the freeze; their
-	// counts and sampled time derive from their segment (time apportioned by
-	// op share).
-	segEvals := make(map[*process]uint64)
-	segTime := make(map[*process]int64)
-	if sm.prog != nil {
-		ks.FusedProcs = sm.prog.fusedProcs
-		ks.FusedOps = sm.prog.fusedOps
-		for _, seg := range sm.prog.segs {
-			for _, p := range seg.procs {
-				segEvals[p] = seg.runs
-				segTime[p] = seg.sampleNS * 8 / int64(len(seg.procs))
-			}
-		}
+		Cycles:       sm.cycle,
+		Deltas:       sm.DeltaCount,
+		Settles:      sm.settles,
+		Levelized:    sm.units != nil,
+		ClosureEvals: sm.evals,
 	}
 	if sm.units != nil {
 		ks.Ranks = sm.maxRank + 1
@@ -131,19 +108,10 @@ func (sm *Simulator) Stats() *KernelStats {
 		if sm.units != nil {
 			st.Rank, st.Cyclic = p.rank, p.cyclic
 		}
-		if p.fused {
-			st.Fused = true
-			st.Evals += segEvals[p]
-			st.TimeNS += segTime[p]
-		}
 		ks.Procs = append(ks.Procs, st)
 	}
 	for _, p := range sm.seqs {
-		st := ProcStat{Name: p.name, Seq: true, Evals: p.evals, Rank: -1, TimeNS: p.sampleNS * 8}
-		if p.seqCode != nil {
-			st.Fused = true
-		}
-		ks.Procs = append(ks.Procs, st)
+		ks.Procs = append(ks.Procs, ProcStat{Name: p.name, Seq: true, Evals: p.evals, Rank: -1, TimeNS: p.sampleNS * 8})
 	}
 	return ks
 }
@@ -158,8 +126,8 @@ func (ks *KernelStats) DeltasPerCycle() float64 {
 
 // TopProcs returns the n hottest processes. When the profile carries sampled
 // wall time (the simulator ran with Timing set) processes rank by time —
-// the adoption list for the IR should be measured, not guessed — otherwise
-// by evaluation count. Ties break by evals, then name.
+// where the cycles go should be measured, not guessed — otherwise by
+// evaluation count. Ties break by evals, then name.
 func (ks *KernelStats) TopProcs(n int) []ProcStat {
 	procs := append([]ProcStat(nil), ks.Procs...)
 	timed := false
@@ -194,14 +162,11 @@ func (ks *KernelStats) Merge(o *KernelStats) {
 	ks.Cycles += o.Cycles
 	ks.Deltas += o.Deltas
 	ks.Settles += o.Settles
-	ks.CompiledEvals += o.CompiledEvals
 	ks.ClosureEvals += o.ClosureEvals
 	if len(ks.Procs) == 0 {
 		ks.Levelized = o.Levelized
 		ks.Ranks, ks.Units = o.Ranks, o.Units
 		ks.CyclicSCCs = o.CyclicSCCs
-		ks.Compiled = o.Compiled
-		ks.FusedProcs, ks.FusedOps = o.FusedProcs, o.FusedOps
 	}
 	for len(ks.SettleDepth) < len(o.SettleDepth) {
 		ks.SettleDepth = append(ks.SettleDepth, 0)
@@ -231,14 +196,8 @@ func (ks *KernelStats) Text(w io.Writer, topN int) {
 	if ks.Levelized {
 		mode = fmt.Sprintf("levelized (%d ranks, %d units, %d cyclic)", ks.Ranks, ks.Units, len(ks.CyclicSCCs))
 	}
-	if ks.Compiled {
-		mode = fmt.Sprintf("compiled (%d fused procs, %d ops) over %s", ks.FusedProcs, ks.FusedOps, mode)
-	}
 	fmt.Fprintf(w, "kernel: %d cycles, %d deltas (%.3f deltas/cycle), %d settles, %s\n",
 		ks.Cycles, ks.Deltas, ks.DeltasPerCycle(), ks.Settles, mode)
-	if ks.CompiledEvals > 0 {
-		fmt.Fprintf(w, "evals: %d compiled, %d closure\n", ks.CompiledEvals, ks.ClosureEvals)
-	}
 	if len(ks.SettleDepth) > 0 {
 		fmt.Fprintf(w, "settle depth:")
 		for i, v := range ks.SettleDepth {
@@ -281,9 +240,6 @@ func (ks *KernelStats) Text(w io.Writer, topN int) {
 				if p.Cyclic {
 					rank += " (cyclic)"
 				}
-			}
-			if p.Fused {
-				rank += "  fused"
 			}
 			t := ""
 			if timed {

@@ -17,7 +17,6 @@ import (
 	"crve/internal/coverage"
 	"crve/internal/jobs"
 	"crve/internal/regress"
-	"crve/internal/sim"
 )
 
 //go:embed templates/*.html
@@ -70,7 +69,6 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		Matrix:      r.Form.Get("matrix") != "",
 		Quick:       r.Form.Get("quick") != "",
 		KernelStats: r.Form.Get("kernelstats") != "",
-		Kernel:      strings.TrimSpace(r.Form.Get("kernel")),
 		RecordWave:  r.Form.Get("record_wave") != "",
 		Close:       r.Form.Get("close") != "",
 	}
@@ -130,17 +128,6 @@ type trajIter struct {
 	Cycles  uint64
 }
 
-// kernelRow is one (config, view) merged kernel profile for the dashboard's
-// kernel table.
-type kernelRow struct {
-	Name          string
-	View          string
-	Runs          int
-	Cycles        uint64
-	CompiledEvals uint64
-	ClosureEvals  uint64
-}
-
 type trajRow struct {
 	Config       string
 	Reason       string
@@ -156,7 +143,7 @@ type jobData struct {
 	Live     bool
 	Percent  float64
 	Configs  []cfgRow
-	Kernels  []kernelRow
+	Kernels  []regress.KernelProfile
 	Closures []trajRow
 	Waves    []string
 	LogTail  string
@@ -173,7 +160,8 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) {
 	if st.Progress.Total > 0 {
 		data.Percent = 100 * float64(st.Progress.Done) / float64(st.Progress.Total)
 	}
-	for _, cr := range job.Results() {
+	results := job.Results()
+	for _, cr := range results {
 		row := cfgRow{
 			Name:      cr.Cfg.Name,
 			FuncCov:   cr.SuiteCoverage.Percent(),
@@ -192,31 +180,8 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 		data.Configs = append(data.Configs, row)
-		for _, view := range []string{"RTL", "BCA"} {
-			merged := &sim.KernelStats{}
-			n := 0
-			for _, run := range cr.Runs {
-				res := run.Pair.RTL
-				if view == "BCA" {
-					res = run.Pair.BCA
-				}
-				if res.Kernel == nil {
-					continue
-				}
-				merged.Merge(res.Kernel)
-				n++
-			}
-			if n == 0 {
-				continue
-			}
-			data.Kernels = append(data.Kernels, kernelRow{
-				Name: cr.Cfg.Name, View: view, Runs: n,
-				Cycles:        merged.Cycles,
-				CompiledEvals: merged.CompiledEvals,
-				ClosureEvals:  merged.ClosureEvals,
-			})
-		}
 	}
+	data.Kernels = regress.KernelProfiles(results)
 	for _, traj := range job.Closures() {
 		tr := trajRow{
 			Config: traj.Config, Reason: traj.Reason, Converged: traj.Converged,
