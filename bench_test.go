@@ -99,27 +99,28 @@ func BenchmarkE3CoverageEquality(b *testing.B) {
 	}
 }
 
-// BenchmarkE4Alignment measures the legacy STBus Analyzer round trip:
-// parsing two VCD dumps and computing per-port alignment rates. (The paired
-// flow no longer does this — see BenchmarkStreamingPair — so the dumps are
-// requested explicitly.)
+// BenchmarkE4Alignment measures the offline STBus Analyzer (cmd/stba):
+// parsing two VCD dumps and computing per-port alignment rates. The paired
+// flow compares the views online instead, so the dumps are re-served from
+// the pair's recordings.
 func BenchmarkE4Alignment(b *testing.B) {
 	cfg := refCfg()
 	tc, err := testcases.ByName("back_to_back")
 	if err != nil {
 		b.Fatal(err)
 	}
-	pair, err := core.RunPairOpt(cfg, tc, 1, core.RunOptions{DumpVCD: true})
+	pair, err := core.RunPairOpt(cfg, tc, 1, core.RunOptions{RecordWave: true})
 	if err != nil {
 		b.Fatal(err)
 	}
+	rtlVCD, bcaVCD := pair.RTL.Wave.VCD(), pair.BCA.Wave.VCD()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fr, err := vcd.Parse(bytes.NewReader(pair.RTL.VCD))
+		fr, err := vcd.Parse(bytes.NewReader(rtlVCD))
 		if err != nil {
 			b.Fatal(err)
 		}
-		fb, err := vcd.Parse(bytes.NewReader(pair.BCA.VCD))
+		fb, err := vcd.Parse(bytes.NewReader(bcaVCD))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,10 +134,11 @@ func BenchmarkE4Alignment(b *testing.B) {
 	}
 }
 
-// benchPair runs one full sign-off pair (RTL run + BCA run + alignment) and
-// reports paired simulated cycles per second — the end-to-end unit the
-// streaming STBA rework targets.
-func benchPair(b *testing.B, opt core.RunOptions) {
+// BenchmarkStreamingPair measures the paired flow: the views run in lockstep
+// and the online observer compares them cycle by cycle — nothing is
+// recorded, no VCD text is built and nothing is parsed back. It reports
+// paired simulated cycles per second.
+func BenchmarkStreamingPair(b *testing.B) {
 	cfg := refCfg()
 	tc, err := testcases.ByName("back_to_back")
 	if err != nil {
@@ -144,7 +146,7 @@ func benchPair(b *testing.B, opt core.RunOptions) {
 	}
 	total := uint64(0)
 	for i := 0; i < b.N; i++ {
-		pair, err := core.RunPairOpt(cfg, tc, 1, opt)
+		pair, err := core.RunPairOpt(cfg, tc, 1, core.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,17 +156,6 @@ func benchPair(b *testing.B, opt core.RunOptions) {
 		total += pair.RTL.Cycles + pair.BCA.Cycles
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "cycles/s")
-}
-
-// BenchmarkStreamingPair measures the default paired flow: the views run in
-// lockstep and the online observer compares them cycle by cycle — nothing is
-// recorded, no VCD text is built and nothing is parsed back.
-func BenchmarkStreamingPair(b *testing.B) { benchPair(b, core.RunOptions{}) }
-
-// BenchmarkLegacyPair measures the retired round trip kept for ablation:
-// dump both runs to text VCD, parse both, then Compare.
-func BenchmarkLegacyPair(b *testing.B) {
-	benchPair(b, core.RunOptions{LegacyAlignment: true})
 }
 
 // benchViewThroughput runs a saturating test on one view and reports
@@ -356,7 +347,8 @@ func BenchmarkAblationArbitration(b *testing.B) {
 	}
 }
 
-// BenchmarkVCDWrite measures waveform-dump overhead per simulated cycle.
+// BenchmarkVCDWrite measures waveform-dump overhead per simulated cycle: a
+// recorded run rendered as text VCD.
 func BenchmarkVCDWrite(b *testing.B) {
 	cfg := refCfg()
 	tc, err := testcases.ByName("back_to_back")
@@ -364,11 +356,11 @@ func BenchmarkVCDWrite(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunTest(cfg, core.RTLView, tc, 1, core.RunOptions{DumpVCD: true})
+		res, err := core.RunTest(cfg, core.RTLView, tc, 1, core.RunOptions{RecordWave: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.VCD) == 0 {
+		if len(res.Wave.VCD()) == 0 {
 			b.Fatal("no dump")
 		}
 	}
@@ -381,14 +373,15 @@ func BenchmarkVCDParse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := core.RunTest(cfg, core.RTLView, tc, 1, core.RunOptions{DumpVCD: true})
+	res, err := core.RunTest(cfg, core.RTLView, tc, 1, core.RunOptions{RecordWave: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(res.VCD)))
+	text := res.Wave.VCD()
+	b.SetBytes(int64(len(text)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := vcd.Parse(bytes.NewReader(res.VCD)); err != nil {
+		if _, err := vcd.Parse(bytes.NewReader(text)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -402,7 +395,7 @@ func BenchmarkKernelStep(b *testing.B) {
 	for i := 0; i < 32; i++ {
 		d := sm.Signal("d", 32)
 		q := sm.Signal("q", 32)
-		sm.Comb("inc", func() { q.SetU64(d.U64() + 1) }, d)
+		sm.CombOut("inc", func() { q.SetU64(d.U64() + 1) }, []*sim.Signal{q}, d)
 		sm.Seq("reg", func() { d.Set(q.Get()) })
 		regs = append(regs, q)
 	}
@@ -417,10 +410,9 @@ func BenchmarkKernelStep(b *testing.B) {
 }
 
 // BenchmarkKernelStepChain measures settle depth: a single depth-32
-// combinational chain, the worst case for the legacy delta loop (33 deltas
-// per cycle) and the best case for the levelized scheduler (one ranked
-// sweep). The deltas/cycle metric makes the difference visible next to
-// ns/op.
+// combinational chain, which the levelized scheduler settles in one ranked
+// sweep (an iterate-to-fixpoint loop would take 33 deltas per cycle). The
+// deltas/cycle metric sits next to ns/op.
 func BenchmarkKernelStepChain(b *testing.B) {
 	const depth = 32
 	sm := sim.New()

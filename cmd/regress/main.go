@@ -3,9 +3,8 @@
 // generates the standard matrix), runs the generic test suite on both the
 // RTL and the BCA view with the same seeds, and emits verification, coverage
 // and alignment reports. The bus-accurate comparison streams online — no VCD
-// is written or parsed on the default path; -wave keeps compact binary
-// waveform recordings (.crw) as artifacts, and -legacy-align restores the
-// write-two-VCDs/parse/Compare round trip for ablation.
+// is written or parsed; -wave keeps compact binary waveform recordings
+// (.crw) as artifacts.
 //
 // Usage:
 //
@@ -19,7 +18,6 @@
 //	regress -config ./configs -close   # close coverage holes with synthesized tests
 //	regress -matrix -quick -kernelstats # also print the kernel profile per config/view
 //	regress -config ./configs -fabric topo.fab  # also gate on a whole-fabric check
-//	regress -matrix -quick -legacy-align  # alignment via the legacy VCD round trip
 //
 // The report output is byte-identical at any -j width: work units fan out
 // across the pool but merge deterministically. With -cache, a re-run serves
@@ -73,7 +71,6 @@ type options struct {
 	kernelstats bool
 	fabricArg   string
 	wave        bool
-	legacyAlign bool
 	jsonOut     bool
 }
 
@@ -84,7 +81,7 @@ func main() {
 	flag.BoolVar(&o.quick, "quick", false, "with -matrix: run only the first 6 configurations")
 	flag.StringVar(&o.testsArg, "tests", "", "comma-separated test names (default: all 12)")
 	flag.StringVar(&o.seedsArg, "seeds", "1", "comma-separated seeds")
-	flag.StringVar(&o.outDir, "out", "", "directory for reports and VCD dumps")
+	flag.StringVar(&o.outDir, "out", "", "directory for reports and waveform recordings")
 	flag.StringVar(&o.emitDir, "emit", "", "write the standard matrix as .cfg files and exit")
 	flag.BoolVar(&o.verbose, "v", false, "log each run")
 	flag.BoolVar(&o.nolint, "nolint", false, "skip the static-analysis gate and run even with lint errors")
@@ -96,7 +93,6 @@ func main() {
 	flag.BoolVar(&o.kernelstats, "kernelstats", false, "collect and print the simulation-kernel profile (deltas/cycle, settle depth, hottest processes)")
 	flag.StringVar(&o.fabricArg, "fabric", "", "comma-separated topology files (*.fab) the matrix must compose into; checked by the lint gate")
 	flag.BoolVar(&o.wave, "wave", false, "keep compact binary waveform recordings per run (written as .crw with -out)")
-	flag.BoolVar(&o.legacyAlign, "legacy-align", false, "compute alignment via the legacy VCD write/parse/Compare round trip (ablation baseline)")
 	flag.BoolVar(&o.jsonOut, "json", false, "emit the canonical JSON report on stdout (human summary moves to stderr) — byte-identical to the regressd report endpoint")
 	flag.Parse()
 	if err := run(o); err != nil {
@@ -204,7 +200,7 @@ func run(o options) error {
 
 	opt := regress.Options{
 		Tests: tests, Seeds: seeds, NoLint: true, Workers: o.jobs, // linted above
-		KernelStats: o.kernelstats, RecordWave: o.wave, LegacyAlignment: o.legacyAlign,
+		KernelStats: o.kernelstats, RecordWave: o.wave,
 	}
 	if o.verbose {
 		opt.Log = hout

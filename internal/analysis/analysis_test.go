@@ -124,7 +124,6 @@ func New() *Simulator                                                     { retu
 func (sm *Simulator) Signal(name string, width int) *Signal               { return &Signal{} }
 func (sm *Simulator) Bool(name string) *Signal                            { return &Signal{} }
 func (sm *Simulator) Seq(name string, fn func())                          {}
-func (sm *Simulator) Comb(name string, fn func(), sensitivity ...*Signal) {}
 func (sm *Simulator) CombOut(name string, fn func(), outputs []*Signal, sensitivity ...*Signal) {}
 func (sm *Simulator) AtCycleEnd(fn func())                                {}
 func (sm *Simulator) Run(n int) error                                     { return nil }
@@ -135,7 +134,6 @@ func (sm *Simulator) Root() Scope                                     { return S
 func (sc Scope) Signal(name string, width int) *Signal                { return &Signal{} }
 func (sc Scope) Bool(name string) *Signal                             { return &Signal{} }
 func (sc Scope) Seq(name string, fn func())                           {}
-func (sc Scope) Comb(name string, fn func(), sensitivity ...*Signal)  {}
 func (sc Scope) CombOut(name string, fn func(), outputs []*Signal, sensitivity ...*Signal) {}
 `
 
@@ -307,7 +305,7 @@ import "crve/internal/sim"
 func build(sc sim.Scope) {
 	req := sc.Bool("req") // constructor, not a read
 	gnt := sc.Bool("gnt")
-	sc.Comb("grant", func() { gnt.SetBool(req.Bool()) }, req)
+	sc.Seq("grant", func() { gnt.SetBool(req.Bool()) })
 	if gnt.Bool() { // line 7: elaboration read under a Scope registration
 		panic("unsettled")
 	}

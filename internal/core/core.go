@@ -3,17 +3,16 @@
 // checkers, scoreboard, functional coverage (all from internal/catg) — into
 // which either design view plugs unchanged:
 //
-//	DUT (RTL or BCA)  ←→  CATG bench  →  reports + VCD
+//	DUT (RTL or BCA)  ←→  CATG bench  →  reports (+ waveform recordings)
 //
 // RunTest executes one (test file, seed) pair against one view; RunPair
 // executes the same pair against both views in lockstep, streams the STBus
 // Analyzer comparison across them cycle by cycle (waveforms are opt-in
-// artifacts, no longer the comparison medium) and checks functional-coverage
+// artifacts, not the comparison medium) and checks functional-coverage
 // equality — the full flow of the paper's Figures 4 and 5.
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
@@ -145,10 +144,9 @@ type RunResult struct {
 	ScoreErrors []string
 	Coverage    *coverage.Group
 	CodeCov     *coverage.CodeMap
-	VCD         []byte
 	// Wave is the compact binary waveform recording, captured when
 	// RunOptions.RecordWave is set — the storable artifact that can re-serve
-	// values or the byte-identical text VCD on demand.
+	// values or the text VCD on demand.
 	Wave *vcd.Recording
 	// Alignment is the streaming STBA report against RunOptions.AlignWith.
 	Alignment *stba.Report
@@ -175,20 +173,13 @@ func (r *RunResult) Summary() string {
 
 // RunOptions tunes a RunTest invocation.
 type RunOptions struct {
-	// DumpVCD captures the DUT port waveforms as full-fidelity text VCD.
-	// The paired comparison no longer needs it: alignment streams online.
-	DumpVCD bool
 	// RecordWave captures the DUT port waveforms as a compact binary
-	// Recording (RunResult.Wave) — the artifact tier that replaces text VCD.
+	// Recording (RunResult.Wave), which re-serves them as text VCD.
 	RecordWave bool
 	// AlignWith, when set, attaches a streaming STBA observer comparing the
 	// run's port signals cycle-by-cycle against this reference recording;
 	// the per-port report lands in RunResult.Alignment.
 	AlignWith *vcd.Recording
-	// LegacyAlignment makes RunPairOpt compute alignment through the
-	// write-two-VCDs / parse / Compare round trip instead of the observer —
-	// kept for ablation and equivalence testing.
-	LegacyAlignment bool
 	// KernelStats collects the kernel profile (per-process evaluation
 	// counts, settle-depth histogram, SCC inventory) into RunResult.Kernel,
 	// and enables sampled per-process wall-time collection.
@@ -227,8 +218,6 @@ type benchInst struct {
 	sb       *catg.Scoreboard
 	cov      *catg.CoverageModel
 	limit    int
-	buf      bytes.Buffer
-	wr       *vcd.Writer
 	rc       *vcd.Recorder
 	obs      *stba.Observer
 	kstats   bool // collect the kernel profile
@@ -294,15 +283,8 @@ func startView(ctx context.Context, cfg nodespec.Config, view View, test Test, s
 	b.cov = catg.NewCoverageModel(cfg, test.trafficFor(cfg, 0))
 	b.cov.SubscribeMonitors(sm, b.initMons)
 	var sigs []*sim.Signal
-	if opt.DumpVCD || opt.RecordWave || opt.AlignWith != nil {
+	if opt.RecordWave || opt.AlignWith != nil {
 		sigs = portSignals(dut)
-	}
-	if opt.DumpVCD {
-		b.wr = vcd.NewWriter(&b.buf, "tb")
-		for _, s := range sigs {
-			b.wr.Declare(s)
-		}
-		b.wr.Attach(sm)
 	}
 	if opt.RecordWave {
 		b.rc = vcd.NewRecorder("tb")
@@ -403,12 +385,6 @@ func (b *benchInst) finish() (*RunResult, error) {
 	for _, m := range b.initMons {
 		res.Transactions += len(m.CompletedTxs())
 	}
-	if b.wr != nil {
-		if err := b.wr.Flush(); err != nil {
-			return nil, err
-		}
-		res.VCD = b.buf.Bytes()
-	}
 	if b.rc != nil {
 		res.Wave = b.rc.Recording()
 	}
@@ -459,12 +435,11 @@ func RunPair(cfg nodespec.Config, test Test, seed int64, bugs bca.Bugs) (*PairRe
 	return RunPairOpt(cfg, test, seed, RunOptions{Bugs: bugs})
 }
 
-// RunPairOpt is RunPair with full run options. By default the two views run
-// in lockstep and the bus-accurate comparison streams: an online observer on
-// the BCA view compares its ports with the RTL view's at every cycle, so no
-// waveform is recorded and no VCD text is built — DumpVCD and RecordWave are
-// honoured as given, purely as artifact requests. LegacyAlignment restores
-// the write/parse/Compare round trip.
+// RunPairOpt is RunPair with full run options. The two views run in lockstep
+// and the bus-accurate comparison streams: an online observer on the BCA
+// view compares its ports with the RTL view's at every cycle, so no waveform
+// is recorded — RecordWave is honoured as given, purely as an artifact
+// request.
 func RunPairOpt(cfg nodespec.Config, test Test, seed int64, opt RunOptions) (*PairResult, error) {
 	return RunPairCtx(context.Background(), cfg, test, seed, opt)
 }
@@ -474,15 +449,9 @@ func RunPairOpt(cfg nodespec.Config, test Test, seed int64, opt RunOptions) (*Pa
 // Errors come back as if the views ran one after the other: an RTL error
 // first, then a BCA one.
 func RunPairCtx(ctx context.Context, cfg nodespec.Config, test Test, seed int64, opt RunOptions) (*PairResult, error) {
-	if opt.LegacyAlignment {
-		return runPairLegacy(ctx, cfg, test, seed, opt)
-	}
 	cfg = cfg.WithDefaults()
 	ops := trafficOps(cfg, test, seed)
-	viewOpt := RunOptions{
-		DumpVCD: opt.DumpVCD, RecordWave: opt.RecordWave,
-		KernelStats: opt.KernelStats, Bugs: opt.Bugs,
-	}
+	viewOpt := RunOptions{RecordWave: opt.RecordWave, KernelStats: opt.KernelStats, Bugs: opt.Bugs}
 	r, err := startView(ctx, cfg, RTLView, test, seed, viewOpt, ops)
 	if err != nil {
 		return nil, fmt.Errorf("core: RTL run: %w", err)
@@ -535,41 +504,4 @@ func RunPairLanes(ctx context.Context, cfg nodespec.Config, test Test, seeds []i
 		prs[i] = pr
 	}
 	return prs, nil
-}
-
-// runPairLegacy is the pre-streaming pipeline: dump both runs as text VCD,
-// parse both, Compare. Kept behind RunOptions.LegacyAlignment for ablation
-// and for the streaming-equivalence property test.
-func runPairLegacy(ctx context.Context, cfg nodespec.Config, test Test, seed int64, opt RunOptions) (*PairResult, error) {
-	rtlOpt := RunOptions{DumpVCD: true, RecordWave: opt.RecordWave, KernelStats: opt.KernelStats}
-	rres, err := RunTestCtx(ctx, cfg, RTLView, test, seed, rtlOpt)
-	if err != nil {
-		return nil, fmt.Errorf("core: RTL run: %w", err)
-	}
-	bcaOpt := RunOptions{DumpVCD: true, RecordWave: opt.RecordWave, KernelStats: opt.KernelStats, Bugs: opt.Bugs}
-	bres, err := RunTestCtx(ctx, cfg, BCAView, test, seed, bcaOpt)
-	if err != nil {
-		return nil, fmt.Errorf("core: BCA run: %w", err)
-	}
-	fr, err := vcd.Parse(bytes.NewReader(rres.VCD))
-	if err != nil {
-		return nil, err
-	}
-	fb, err := vcd.Parse(bytes.NewReader(bres.VCD))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := stba.Compare(fr, fb, nil)
-	if err != nil {
-		return nil, err
-	}
-	pr := &PairResult{RTL: rres, BCA: bres, Alignment: rep}
-	if !opt.DumpVCD {
-		// Legacy alignment needs the text dumps internally, but the caller
-		// did not ask for them as artifacts — keep the result shape identical
-		// to the streaming path.
-		rres.VCD, bres.VCD = nil, nil
-	}
-	pr.CoverageEqual, pr.CoverageDiff = rres.Coverage.EqualHits(bres.Coverage)
-	return pr, nil
 }

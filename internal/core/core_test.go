@@ -101,14 +101,14 @@ func TestRunTestVCDOnlyWhenRequested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.VCD != nil {
-		t.Error("VCD captured without request")
+	if res.Wave != nil {
+		t.Error("waveform captured without request")
 	}
-	res, err = RunTest(cfg(1, 1), RTLView, smokeTest(), 3, RunOptions{DumpVCD: true})
+	res, err = RunTest(cfg(1, 1), RTLView, smokeTest(), 3, RunOptions{RecordWave: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.VCD) == 0 {
+	if res.Wave == nil || len(res.Wave.VCD()) == 0 {
 		t.Error("VCD missing")
 	}
 }
@@ -217,10 +217,10 @@ func TestRunPairRecordsOnlyWhenAsked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.RTL.Wave != nil || pr.BCA.Wave != nil || pr.RTL.VCD != nil || pr.BCA.VCD != nil {
+	if pr.RTL.Wave != nil || pr.BCA.Wave != nil {
 		t.Error("default pair kept a waveform")
 	}
-	opt := RunOptions{RecordWave: true, DumpVCD: true, Bugs: bca.Bugs{LRUInit: true}}
+	opt := RunOptions{RecordWave: true, Bugs: bca.Bugs{LRUInit: true}}
 	pr, err = RunPairCtx(context.Background(), c, smokeTest(), 5, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -232,9 +232,6 @@ func TestRunPairRecordsOnlyWhenAsked(t *testing.T) {
 		}
 		if got.Wave == nil || !bytes.Equal(got.Wave.Encode(), want.Wave.Encode()) {
 			t.Errorf("%s recording differs from the single-view run", got.View)
-		}
-		if !bytes.Equal(got.VCD, want.VCD) {
-			t.Errorf("%s VCD differs from the single-view run", got.View)
 		}
 	}
 }

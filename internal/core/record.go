@@ -41,7 +41,7 @@ func (r *RunResult) Record() *RunRecord {
 	}
 }
 
-// Result rebuilds the RunResult for configuration cfg. The VCD field stays
+// Result rebuilds the RunResult for configuration cfg. The Wave field stays
 // nil: report writers skip waveform artifacts for cache-served runs.
 func (rec *RunRecord) Result(cfg nodespec.Config) *RunResult {
 	return &RunResult{

@@ -59,7 +59,7 @@ func TestPairRecordRoundTrip(t *testing.T) {
 		Name:    "record_round_trip",
 		Traffic: catg.TrafficConfig{Ops: 6, Kinds: []stbus.OpKind{stbus.KindLoad, stbus.KindStore}, Sizes: []int{4}},
 	}
-	pair, err := core.RunPairOpt(cfg, test, 7, core.RunOptions{KernelStats: true})
+	pair, err := core.RunPairOpt(cfg, test, 7, core.RunOptions{KernelStats: true, RecordWave: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestPairRecordRoundTrip(t *testing.T) {
 	if back.BCA.CodeCov != nil {
 		t.Error("BCA code coverage must stay nil")
 	}
-	if back.RTL.VCD != nil || back.BCA.VCD != nil {
+	if back.RTL.Wave != nil || back.BCA.Wave != nil {
 		t.Error("records must not carry waveforms")
 	}
 	if back.RTL.DUTIn.Name != cfg.Name {

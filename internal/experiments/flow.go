@@ -27,7 +27,7 @@ func Flow(w io.Writer) error {
 	say("[1] functional specification signed off       -> NODE-SPEC.md (stable)")
 	say("[2] verification implementation               -> CATG bench for %v", cfg)
 	say("[3] RTL model verification")
-	rtlRes, err := core.RunTest(cfg, core.RTLView, tc, 1, core.RunOptions{DumpVCD: true})
+	rtlRes, err := core.RunTest(cfg, core.RTLView, tc, 1, core.RunOptions{})
 	if err != nil {
 		return err
 	}

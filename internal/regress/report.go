@@ -10,10 +10,9 @@ import (
 )
 
 // WriteReports materialises per-configuration reports and per-run waveform
-// artifacts — text VCD when a run dumped it, compact binary recordings
-// (.crw, re-servable as byte-identical VCD) when Options.RecordWave kept
-// them — the artifacts the paper's tool leaves for the analyzer and the
-// engineer.
+// artifacts — compact binary recordings (.crw, re-servable as text VCD) when
+// Options.RecordWave kept them — the artifacts the paper's tool leaves for
+// the analyzer and the engineer.
 func WriteReports(dir string, results []*ConfigResult) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -30,12 +29,6 @@ func WriteReports(dir string, results []*ConfigResult) error {
 			fmt.Fprintf(&report, "alignment min %.2f%%, coverage equal %v\n\n",
 				run.Pair.Alignment.MinRate(), run.Pair.CoverageEqual)
 			for view, res := range map[string]*core.RunResult{"rtl": run.Pair.RTL, "bca": run.Pair.BCA} {
-				if res.VCD != nil {
-					name := fmt.Sprintf("%s_seed%d_%s.vcd", run.Test, run.Seed, view)
-					if err := os.WriteFile(filepath.Join(base, name), res.VCD, 0o644); err != nil {
-						return err
-					}
-				}
 				if res.Wave != nil {
 					name := fmt.Sprintf("%s_seed%d_%s.crw", run.Test, run.Seed, view)
 					if err := os.WriteFile(filepath.Join(base, name), res.Wave.Encode(), 0o644); err != nil {

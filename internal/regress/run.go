@@ -58,10 +58,6 @@ type Options struct {
 	// simulated unit (WriteReports stores them as .crw files). Off by
 	// default: the streaming alignment path needs no retained waveforms.
 	RecordWave bool
-	// LegacyAlignment computes alignment through the legacy VCD round trip
-	// (write both dumps, parse, Compare) instead of the streaming observer —
-	// the ablation baseline.
-	LegacyAlignment bool
 }
 
 // TestRun is one (test, seed) execution on both views.

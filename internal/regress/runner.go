@@ -263,8 +263,7 @@ func runUnit(ctx context.Context, u workUnit, opt Options) unitOutcome {
 		return unitOutcome{idx: u.idx, err: fmt.Errorf("regress: %s/%s seed %d: %w", u.cfg.Name, u.test.Name, u.seed, err)}
 	}
 	pair, err := core.RunPairCtx(ctx, u.cfg, u.test, u.seed, core.RunOptions{
-		Bugs: opt.Bugs, KernelStats: opt.KernelStats,
-		RecordWave: opt.RecordWave, LegacyAlignment: opt.LegacyAlignment,
+		Bugs: opt.Bugs, KernelStats: opt.KernelStats, RecordWave: opt.RecordWave,
 	})
 	if err != nil {
 		return unitOutcome{idx: u.idx, err: fmt.Errorf("regress: %s/%s seed %d: %w", u.cfg.Name, u.test.Name, u.seed, err)}

@@ -8,7 +8,7 @@ import (
 
 	"crve/internal/bca"
 	"crve/internal/core"
-	"crve/internal/nodespec"
+	"crve/internal/stba"
 	"crve/internal/testcases"
 	"crve/internal/wire"
 )
@@ -17,32 +17,18 @@ import (
 // STBA: for every configuration of the standard matrix, clean, under each of
 // the five BCA bugs, and cut short so the views stop undrained at different
 // cycles, the lockstep pair's online observer must produce an alignment
-// report byte-identical (as JSON and as the rendered table) to the legacy
-// write-two-VCDs/parse/Compare round trip. Its cache record must also equal
-// both the legacy pair's and the sequential composition's — the RTL view run
-// with RecordWave, then the BCA view observing that recording — so warm
-// caches stay coherent and the traced replay that times the views one after
-// the other still reproduces the engine. The default pair must also be what
-// it claims: no VCD text buffer and no recording on either run.
+// report byte-identical (as JSON and as the rendered table), and the same
+// verdict, as the offline analyzer stba.Compare run over the pair's two
+// recordings. Its cache record must also equal the sequential composition's
+// — the pair's RTL view, then a BCA run observing the RTL recording through
+// AlignWith — so warm caches stay coherent and the traced replay that times
+// the views one after the other still reproduces the engine.
 func TestStreamingAlignmentEquivalence(t *testing.T) {
 	cfgs := StandardMatrix()
 	if testing.Short() {
 		cfgs = cfgs[:6]
 	}
-	tc, err := testcases.ByName("back_to_back")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const seed = 7
-	// Cut short under the ordering bug, error_paths leaves most views
-	// undrained and stops some pairs' views at different cycles, one of
-	// them drained and the other not.
-	cut, err := testcases.ByName("error_paths")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut.MaxCycles = 120
-
+	tc, cut := equivTest(t), cutShortTest(t)
 	rows := []struct {
 		label string
 		test  core.Test
@@ -62,72 +48,49 @@ func TestStreamingAlignmentEquivalence(t *testing.T) {
 			cfg := cfg
 			t.Run(cfg.Name+"/"+row.label, func(t *testing.T) {
 				t.Parallel()
-				str, err := core.RunPairOpt(cfg, row.test, seed, core.RunOptions{Bugs: row.bugs})
+				pair, err := core.RunPairOpt(cfg, row.test, equivSeed, core.RunOptions{RecordWave: true, Bugs: row.bugs})
 				if err != nil {
 					t.Fatal(err)
 				}
-				leg, err := core.RunPairOpt(cfg, row.test, seed, core.RunOptions{Bugs: row.bugs, LegacyAlignment: true})
+				ref, err := stba.Compare(pair.RTL.Wave.File(), pair.BCA.Wave.File(), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				seq := sequentialPair(t, cfg, row.test, seed, row.bugs)
-
-				if str.RTL.VCD != nil || str.BCA.VCD != nil {
-					t.Error("streaming path must not build VCD text buffers")
-				}
-				if str.RTL.Wave != nil || str.BCA.Wave != nil {
-					t.Error("streaming path must not record waveforms unless asked")
-				}
-
-				sj, err := json.Marshal(str.Alignment)
+				pj, err := json.Marshal(pair.Alignment)
 				if err != nil {
 					t.Fatal(err)
 				}
-				lj, err := json.Marshal(leg.Alignment)
+				rj, err := json.Marshal(ref)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(sj, lj) {
-					t.Errorf("alignment reports differ:\nstream: %s\nlegacy: %s", sj, lj)
+				if !bytes.Equal(pj, rj) {
+					t.Errorf("alignment reports differ:\nlockstep: %s\nCompare:  %s", pj, rj)
 				}
-				if str.Alignment.String() != leg.Alignment.String() {
-					t.Errorf("rendered alignment tables differ:\n--- stream ---\n%s--- legacy ---\n%s",
-						str.Alignment, leg.Alignment)
+				if pair.Alignment.String() != ref.String() {
+					t.Errorf("rendered alignment tables differ:\n--- lockstep ---\n%s--- Compare ---\n%s",
+						pair.Alignment, ref)
 				}
-				if str.SignedOff() != leg.SignedOff() {
-					t.Errorf("sign-off verdicts differ: stream %v, legacy %v", str.SignedOff(), leg.SignedOff())
+				refOff := pair.RTL.Passed() && pair.BCA.Passed() && pair.CoverageEqual && ref.AllPass()
+				if pair.SignedOff() != refOff {
+					t.Errorf("sign-off verdicts differ: lockstep %v, Compare %v", pair.SignedOff(), refOff)
 				}
 
 				// The cache unit is the encoded PairRecord; it must be
 				// byte-identical so existing caches and every path agree.
-				se, le, qe := encodeRecord(str), encodeRecord(leg), encodeRecord(seq)
-				if !bytes.Equal(se, le) {
-					t.Errorf("pair records differ:\nstream: %x\nlegacy: %x", se, le)
+				bres, err := core.RunTestCtx(context.Background(), cfg, core.BCAView, row.test, equivSeed,
+					core.RunOptions{AlignWith: pair.RTL.Wave, Bugs: row.bugs})
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !bytes.Equal(se, qe) {
-					t.Errorf("pair records differ:\nlockstep:   %x\nsequential: %x", se, qe)
+				seq := &core.PairResult{RTL: pair.RTL, BCA: bres, Alignment: bres.Alignment}
+				seq.CoverageEqual, seq.CoverageDiff = pair.RTL.Coverage.EqualHits(bres.Coverage)
+				if pe, qe := encodeRecord(pair), encodeRecord(seq); !bytes.Equal(pe, qe) {
+					t.Errorf("pair records differ:\nlockstep:   %x\nsequential: %x", pe, qe)
 				}
 			})
 		}
 	}
-}
-
-// sequentialPair composes a pair from the public single-view calls: the RTL
-// view recording its ports, then the BCA view observing that recording.
-func sequentialPair(t *testing.T, cfg nodespec.Config, test core.Test, seed int64, bugs bca.Bugs) *core.PairResult {
-	t.Helper()
-	ctx := context.Background()
-	rres, err := core.RunTestCtx(ctx, cfg, core.RTLView, test, seed, core.RunOptions{RecordWave: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bres, err := core.RunTestCtx(ctx, cfg, core.BCAView, test, seed, core.RunOptions{AlignWith: rres.Wave, Bugs: bugs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := &core.PairResult{RTL: rres, BCA: bres, Alignment: bres.Alignment}
-	pr.CoverageEqual, pr.CoverageDiff = rres.Coverage.EqualHits(bres.Coverage)
-	return pr
 }
 
 func encodeRecord(pr *core.PairResult) []byte {
@@ -166,8 +129,8 @@ func TestCutShortPairRecordDeterministic(t *testing.T) {
 }
 
 // TestStreamingEngineDeterminism re-asserts the engine's byte-identical-at-
-// any-width property on the streaming path, and that the streaming and
-// legacy pipelines produce the same logs and matrix report end to end.
+// any-width property on the streaming path: the same logs and matrix report
+// at -j1 and -j8.
 func TestStreamingEngineDeterminism(t *testing.T) {
 	cfgs := StandardMatrix()[:3]
 	tc, err := testcases.ByName("back_to_back")
@@ -175,11 +138,11 @@ func TestStreamingEngineDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(workers int, legacy bool) (string, string) {
+	run := func(workers int) (string, string) {
 		var log bytes.Buffer
 		opt := Options{
 			Tests: []core.Test{tc}, Seeds: []int64{1, 2},
-			Workers: workers, Log: &log, NoLint: true, LegacyAlignment: legacy,
+			Workers: workers, Log: &log, NoLint: true,
 		}
 		results, _, err := Run(cfgs, opt)
 		if err != nil {
@@ -188,19 +151,12 @@ func TestStreamingEngineDeterminism(t *testing.T) {
 		return log.String(), MatrixReport(results)
 	}
 
-	serialLog, serialRep := run(1, false)
-	parallelLog, parallelRep := run(8, false)
+	serialLog, serialRep := run(1)
+	parallelLog, parallelRep := run(8)
 	if serialLog != parallelLog {
 		t.Errorf("streaming logs differ between -j1 and -j8:\n--- j1 ---\n%s--- j8 ---\n%s", serialLog, parallelLog)
 	}
 	if serialRep != parallelRep {
 		t.Errorf("streaming matrix reports differ between -j1 and -j8")
-	}
-	legacyLog, legacyRep := run(8, true)
-	if legacyLog != serialLog {
-		t.Errorf("legacy and streaming logs differ:\n--- legacy ---\n%s--- stream ---\n%s", legacyLog, serialLog)
-	}
-	if legacyRep != serialRep {
-		t.Errorf("legacy and streaming matrix reports differ:\n--- legacy ---\n%s--- stream ---\n%s", legacyRep, serialRep)
 	}
 }

@@ -21,9 +21,8 @@ import (
 )
 
 // buildLevels computes the SCC condensation and rank order of the
-// combinational process graph. Called once, at the Step-time elaboration
-// freeze, after the time-zero settle has learned the outputs of legacy Comb
-// processes.
+// combinational process graph from the declared outputs. Called at the
+// Step-time elaboration freeze, before the time-zero settle.
 func (sm *Simulator) buildLevels() {
 	n := len(sm.combs)
 	for i, p := range sm.combs {
@@ -92,26 +91,21 @@ func (sm *Simulator) buildLevels() {
 		}
 		return units[a].procs[0].id < units[b].procs[0].id
 	})
+	// Count the processes woken before the freeze (every process registered
+	// since the last one) into their units.
+	sm.totalQueued = 0
 	for ui, u := range units {
 		for _, p := range u.procs {
 			p.unit = ui
 			p.rank = u.rank
 			p.cyclic = u.cyclic
+			if p.inQ {
+				u.queued++
+				sm.totalQueued++
+			}
 		}
 	}
-	// Re-home any processes already woken (e.g. a signal poked between
-	// cycles commits at the next settle; process wakes queued before the
-	// freeze live on runQ).
 	sm.units = units
-	sm.totalQueued = 0
-	q := sm.runQ
-	sm.runQ = sm.runQ[:0]
-	for _, p := range q {
-		if p.inQ {
-			p.inQ = false
-			sm.wake(p)
-		}
-	}
 }
 
 // tarjanSCC runs an iterative Tarjan over n nodes with adjacency adj,
@@ -186,9 +180,9 @@ func tarjanSCC(n int, adj [][]int) (comp []int, comps [][]int) {
 // An acyclic unit evaluates exactly once; a cyclic unit iterates its members
 // (registration order) to a local fixed point, bounded by MaxDeltas. A
 // write that feeds an already-swept rank — possible only when a process
-// drives a signal it neither declared nor wrote at time zero — leaves its
-// reader woken, and the sweep repeats as a mop-up pass, preserving
-// correctness at the price of extra deltas.
+// drives a signal it did not declare — leaves its reader woken, and the
+// sweep repeats as a mop-up pass, preserving correctness at the price of
+// extra deltas.
 func (sm *Simulator) settleLevelized() error {
 	sm.commit()
 	deltas := uint64(1)

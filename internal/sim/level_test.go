@@ -30,12 +30,12 @@ func buildChain(sm *Simulator, depth int) []*Signal {
 }
 
 func TestLevelizedChainSettlesInOneDelta(t *testing.T) {
-	// A depth-16 declared chain needs ~17 deltas per cycle under the legacy
-	// loop but exactly one ranked sweep (one delta) once levelized.
+	// A depth-16 declared chain settles in exactly one ranked sweep (one
+	// delta) per cycle.
 	const depth = 16
 	sm := New()
 	sigs := buildChain(sm, depth)
-	if err := sm.Step(); err != nil { // freeze + time-zero legacy settle
+	if err := sm.Step(); err != nil { // freeze + time-zero settle
 		t.Fatal(err)
 	}
 	before := sm.DeltaCount
@@ -60,32 +60,6 @@ func TestLevelizedChainSettlesInOneDelta(t *testing.T) {
 	}
 }
 
-func TestLegacyChainLearnsOutputs(t *testing.T) {
-	// The same chain registered with legacy Comb must learn its outputs on
-	// the time-zero evaluation and levelize identically.
-	const depth = 8
-	sm := New()
-	sigs := make([]*Signal, depth+1)
-	for i := range sigs {
-		sigs[i] = sm.Signal("s", 16)
-	}
-	for i := 0; i < depth; i++ {
-		i := i
-		sm.Comb("chain", func() { sigs[i+1].SetU64(sigs[i].U64() + 1) }, sigs[i])
-	}
-	sm.Seq("drive", func() { sigs[0].SetU64(sigs[0].U64() + 1) })
-	if err := sm.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	ks := sm.Stats()
-	if !ks.Levelized || ks.Ranks != depth {
-		t.Errorf("learned chain: levelized=%v ranks=%d, want true %d", ks.Levelized, ks.Ranks, depth)
-	}
-	if want := uint64(5 + depth); sigs[depth].U64() != want {
-		t.Errorf("chain output %d, want %d", sigs[depth].U64(), want)
-	}
-}
-
 // buildCyclic wires a converging two-process combinational loop:
 // x = in | y, y = x. Monotone, so it reaches a fixed point in two
 // iterations; the loop is a genuine 2-process SCC.
@@ -100,24 +74,21 @@ func buildCyclic(sm *Simulator) (in, x, y *Signal) {
 }
 
 func TestCyclicSCCConvergesAndMatchesLegacy(t *testing.T) {
-	run := func(force bool) ([]uint64, *KernelStats) {
-		sm := New()
-		sm.ForceDeltaLoop = force
-		_, _, y := buildCyclic(sm)
-		var trace []uint64
-		sm.AtCycleEnd(func() { trace = append(trace, y.U64()) })
-		if err := sm.Run(6); err != nil {
-			t.Fatal(err)
-		}
-		return trace, sm.Stats()
+	sm := New()
+	_, _, y := buildCyclic(sm)
+	var trace []uint64
+	sm.AtCycleEnd(func() { trace = append(trace, y.U64()) })
+	if err := sm.Run(6); err != nil {
+		t.Fatal(err)
 	}
-	lvl, lks := run(false)
-	leg, _ := run(true)
-	for i := range lvl {
-		if lvl[i] != leg[i] {
-			t.Fatalf("cycle %d: levelized %d != legacy %d", i, lvl[i], leg[i])
+	// Closed form: feed shifts a one in every cycle, so in = 2^k-1 after
+	// cycle k, and the loop's fixed point is y = x = in | y = in.
+	for i, got := range trace {
+		if want := uint64(1)<<(i+1) - 1; got != want {
+			t.Fatalf("cycle %d: y = %d, want %d", i+1, got, want)
 		}
 	}
+	lks := sm.Stats()
 	if !lks.Levelized {
 		t.Fatal("levelized run reported Levelized=false")
 	}
@@ -131,21 +102,21 @@ func TestCyclicSCCConvergesAndMatchesLegacy(t *testing.T) {
 }
 
 func TestUndeclaredLateWriteMopUp(t *testing.T) {
-	// A legacy Comb whose write is conditional stays silent on the time-zero
-	// evaluation, so levelization learns no output edge for it. When the
-	// write fires later and feeds logic in an already-swept rank, the
+	// cond leaves its conditional write to out undeclared, so levelization
+	// has no edge from cond to dbl and sweeps dbl (registered first) before
+	// it. When the write fires it feeds an already-swept process, and the
 	// scheduler's mop-up pass must still reach the fixed point.
 	sm := New()
 	sel := sm.Signal("sel", 1)
 	a := sm.Signal("a", 8)
 	out := sm.Signal("out", 8)
 	dbl := sm.Signal("dbl", 8)
-	sm.Comb("cond", func() {
+	sm.CombOut("dbl", func() { dbl.SetU64(out.U64() * 2) }, []*Signal{dbl}, out)
+	sm.CombOut("cond", func() {
 		if sel.Bool() {
 			out.SetU64(a.U64())
 		}
-	}, sel, a)
-	sm.CombOut("dbl", func() { dbl.SetU64(out.U64() * 2) }, []*Signal{dbl}, out)
+	}, nil, sel, a)
 	cycle := 0
 	sm.Seq("drive", func() {
 		cycle++
@@ -158,6 +129,10 @@ func TestUndeclaredLateWriteMopUp(t *testing.T) {
 	// cycle 3: sel held, out follows a (=30), dbl must have re-settled.
 	if out.U64() != 30 || dbl.U64() != 60 {
 		t.Fatalf("out=%d dbl=%d, want 30 60 (mop-up pass missed the late write)", out.U64(), dbl.U64())
+	}
+	// Cycles 2 and 3 each took a mop-up pass: two deltas.
+	if depth := sm.Stats().SettleDepth; len(depth) < 3 || depth[2] != 2 {
+		t.Fatalf("settle depth %v, want two settles of 2 deltas", depth)
 	}
 }
 
@@ -288,32 +263,31 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 }
 
 func TestLevelizedDeterminismMatchesLegacy(t *testing.T) {
-	// Same mixed design (chain + cyclic loop + xor mixer), both kernels,
-	// byte-identical traces.
-	build := func(force bool) []uint64 {
-		sm := New()
-		sm.ForceDeltaLoop = force
-		a := sm.Signal("a", 32)
-		b := sm.Signal("b", 32)
-		c := sm.Signal("c", 32)
-		x := sm.Signal("x", 32)
-		y := sm.Signal("y", 32)
-		sm.CombOut("b", func() { b.SetU64(a.U64() + 3) }, []*Signal{b}, a)
-		sm.CombOut("c", func() { c.SetU64(b.U64() ^ y.U64()) }, []*Signal{c}, b, y)
-		sm.CombOut("x", func() { x.SetU64(a.U64() | y.U64()) }, []*Signal{x}, a, y)
-		sm.CombOut("y", func() { y.SetU64(x.U64()) }, []*Signal{y}, x)
-		sm.Seq("a", func() { a.SetU64(a.U64()*1103515245 + 12345) })
-		var trace []uint64
-		sm.AtCycleEnd(func() { trace = append(trace, c.U64()) })
-		if err := sm.Run(40); err != nil {
-			t.Fatal(err)
-		}
-		return trace
+	// A mixed design (chain + cyclic loop + xor mixer) traced against a
+	// closed-form model of the same logic.
+	sm := New()
+	a := sm.Signal("a", 32)
+	b := sm.Signal("b", 32)
+	c := sm.Signal("c", 32)
+	x := sm.Signal("x", 32)
+	y := sm.Signal("y", 32)
+	sm.CombOut("b", func() { b.SetU64(a.U64() + 3) }, []*Signal{b}, a)
+	sm.CombOut("c", func() { c.SetU64(b.U64() ^ y.U64()) }, []*Signal{c}, b, y)
+	sm.CombOut("x", func() { x.SetU64(a.U64() | y.U64()) }, []*Signal{x}, a, y)
+	sm.CombOut("y", func() { y.SetU64(x.U64()) }, []*Signal{y}, x)
+	sm.Seq("a", func() { a.SetU64(a.U64()*1103515245 + 12345) })
+	var trace []uint64
+	sm.AtCycleEnd(func() { trace = append(trace, c.U64()) })
+	if err := sm.Run(40); err != nil {
+		t.Fatal(err)
 	}
-	lvl, leg := build(false), build(true)
-	for i := range lvl {
-		if lvl[i] != leg[i] {
-			t.Fatalf("cycle %d: levelized %#x != legacy %#x", i, lvl[i], leg[i])
+	// The loop x = a | y, y = x settles at y = a | y: y accumulates every a.
+	var ma, my uint32
+	for i, got := range trace {
+		ma = ma*1103515245 + 12345
+		my |= ma
+		if want := uint64((ma + 3) ^ my); got != want {
+			t.Fatalf("cycle %d: c = %#x, want %#x", i+1, got, want)
 		}
 	}
 }

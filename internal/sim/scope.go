@@ -40,13 +40,7 @@ func (sc Scope) Bool(name string) *Signal { return sc.sim.Bool(sc.join(name)) }
 // Seq registers a sequential process named under this scope.
 func (sc Scope) Seq(name string, fn func()) { sc.sim.Seq(sc.join(name), fn) }
 
-// Comb registers a combinational process named under this scope.
-func (sc Scope) Comb(name string, fn func(), sensitivity ...*Signal) {
-	sc.sim.Comb(sc.join(name), fn, sensitivity...)
-}
-
-// CombOut registers a combinational process with declared outputs named
-// under this scope.
+// CombOut registers a combinational process named under this scope.
 func (sc Scope) CombOut(name string, fn func(), outputs []*Signal, sensitivity ...*Signal) {
 	sc.sim.CombOut(sc.join(name), fn, outputs, sensitivity...)
 }

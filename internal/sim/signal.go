@@ -75,18 +75,7 @@ func (s *Signal) Bool() bool {
 // Set schedules v (masked to the signal width) to be committed at the next
 // delta boundary. Writing the current value cancels any pending change, like
 // a SystemC sc_signal write of an equal value.
-//
-// Before the elaboration freeze, writes performed by a combinational process
-// that did not declare its outputs (legacy Comb) are recorded as its driven
-// signals — the learning fallback behind levelization. A write of the
-// current value still identifies the signal as an output.
 func (s *Signal) Set(v Bits) {
-	sm := s.sim
-	if !sm.frozen {
-		if p := sm.cur; p != nil && !p.seq && !p.declared {
-			p.noteOut(s)
-		}
-	}
 	m := s.mask
 	v.v[0] &= m.v[0]
 	v.v[1] &= m.v[1]
@@ -97,7 +86,7 @@ func (s *Signal) Set(v Bits) {
 			return
 		}
 		s.pending = true
-		sm.pending = append(sm.pending, s)
+		s.sim.pending = append(s.sim.pending, s)
 	}
 	s.next = v
 }

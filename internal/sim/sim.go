@@ -14,12 +14,6 @@ const DefaultMaxDeltas = 1000
 // contains an unstable combinational loop.
 var ErrOscillation = errors.New("sim: combinational logic did not settle (oscillation)")
 
-// ForceDeltaLoop, when set before New, makes new simulators settle with the
-// legacy iterate-to-fixpoint delta loop instead of the levelized scheduler.
-// It exists for the kernel-equivalence property tests and for the ablation
-// benchmarks; production callers leave it false.
-var ForceDeltaLoop bool
-
 // StrictSensitivity, when set before New, makes new simulators panic when a
 // combinational process reads a signal outside its sensitivity list. Such a
 // process is undersensitized: it would not be re-run when the signal
@@ -60,10 +54,7 @@ type process struct {
 	// simulator's Timing flag is set.
 	sampleNS int64
 
-	// declared reports that outs came from CombOut rather than from the
-	// time-zero write-recording fallback.
-	declared bool
-	// outs holds the signals this process drives (declared or learned).
+	// outs holds the signals this process declares it drives.
 	outs []*Signal
 	// sens is the sensitivity list as registered.
 	sens []*Signal
@@ -71,21 +62,10 @@ type process struct {
 	// check.
 	sensBits []uint64
 
-	// unit/rank/cyclic are the levelization results (valid when frozen).
+	// unit/rank/cyclic are the levelization results (valid once levelized).
 	unit   int
 	rank   int
 	cyclic bool
-}
-
-// noteOut records s as a driven signal of p (learning fallback for legacy
-// Comb registrations). Output lists are short, so a linear scan beats a map.
-func (p *process) noteOut(s *Signal) {
-	for _, o := range p.outs {
-		if o == s {
-			return
-		}
-	}
-	p.outs = append(p.outs, s)
 }
 
 func (p *process) setSensBit(id int) {
@@ -118,32 +98,26 @@ type sccUnit struct {
 //
 //  1. runs every sequential process once (they observe values settled at the
 //     end of the previous cycle),
-//  2. commits scheduled signal updates and settles combinational processes —
-//     by default with the levelized scheduler (one ranked sweep over the
-//     SCC condensation of the process graph, iterating to a fixed point only
-//     inside cyclic components), or with the bounded iterate-to-fixpoint
-//     delta loop when ForceDeltaLoop is set,
+//  2. commits scheduled signal updates and settles combinational processes
+//     with the levelized scheduler: one ranked sweep over the SCC
+//     condensation of the process graph, iterating to a fixed point only
+//     inside cyclic components,
 //  3. invokes end-of-cycle hooks (monitors, tracers) which observe the fully
 //     settled cycle.
-//
-// Both settling strategies reach the same fixed point on acyclic logic (the
-// fixed point is unique) and iterate deterministically inside cyclic
-// components, so waveforms are identical either way.
 type Simulator struct {
 	signals []*Signal
 	seqs    []*process
 	combs   []*process
 	hooks   []func()
 
-	// pending/runQ and their spares are double-buffered so the settle hot
-	// loop is allocation-free in steady state.
+	// pending and its spare are double-buffered so the settle hot loop is
+	// allocation-free in steady state.
 	pending   []*Signal
 	pendSpare []*Signal
-	runQ      []*process
-	runQSpare []*process
 
 	// units is the topologically ordered SCC condensation, built at the
-	// Step-time elaboration freeze; nil when levelization is disabled.
+	// Step-time elaboration freeze; nil until then. Processes woken before
+	// the freeze are marked inQ and counted into their units when it runs.
 	units       []*sccUnit
 	totalQueued int
 	maxRank     int
@@ -151,11 +125,10 @@ type Simulator struct {
 	// evals counts process evaluations for the kernel profiling surface.
 	evals uint64
 
-	cycle  uint64
-	frozen bool
+	cycle uint64
 
 	// cur is the process currently evaluating (nil outside evaluations);
-	// it anchors the strict-sensitivity check and output learning.
+	// it anchors the strict-sensitivity check.
 	cur *process
 
 	MaxDeltas int
@@ -164,20 +137,15 @@ type Simulator struct {
 	// Stats. Off by default: the hot loop pays only a flag check.
 	Timing bool
 
-	// ForceDeltaLoop disables the levelized scheduler on this simulator;
-	// it must be set before the first Step. Initialized from the package
-	// variable of the same name.
-	ForceDeltaLoop bool
-
 	// Strict enables the strict-sensitivity debug check on this simulator.
 	// Initialized from the package variable StrictSensitivity.
 	Strict bool
 
 	// DeltaCount accumulates the total number of delta iterations executed,
-	// exposed for the kernel-convergence ablation benchmarks. The levelized
-	// scheduler charges one delta per settle plus one per extra fixpoint
-	// iteration inside cyclic components (and per mop-up pass after an
-	// undeclared write fed an already-swept rank).
+	// exposed for the kernel-convergence ablation benchmarks: one delta per
+	// settle plus one per extra fixpoint iteration inside cyclic components
+	// (and per mop-up pass after an undeclared write fed an already-swept
+	// rank).
 	DeltaCount uint64
 
 	// settles/settleHist back the Stats settle-depth histogram.
@@ -188,9 +156,8 @@ type Simulator struct {
 // New returns an empty simulator.
 func New() *Simulator {
 	return &Simulator{
-		MaxDeltas:      DefaultMaxDeltas,
-		ForceDeltaLoop: ForceDeltaLoop,
-		Strict:         StrictSensitivity,
+		MaxDeltas: DefaultMaxDeltas,
+		Strict:    StrictSensitivity,
 	}
 }
 
@@ -220,40 +187,29 @@ func (sm *Simulator) Seq(name string, fn func()) {
 	sm.seqs = append(sm.seqs, &process{name: name, fn: fn, seq: true, unit: -1})
 }
 
-// Comb registers a combinational process sensitive to the given signals. The
-// process runs whenever any of them changes, and once at the start of
-// simulation to establish initial outputs. Its driven signals are learned by
-// recording its writes on that mandatory time-zero evaluation; processes
-// whose writes are conditional should declare them with CombOut instead so
-// the levelized scheduler ranks them exactly.
-func (sm *Simulator) Comb(name string, fn func(), sensitivity ...*Signal) {
-	sm.addComb(name, fn, nil, false, sensitivity)
-}
-
-// CombOut registers a combinational process that declares the signals it
-// drives. Sensitivity (inputs) plus outputs give the levelized scheduler the
-// exact dependency edges of the process, with no reliance on the time-zero
-// learning fallback.
+// CombOut registers a combinational process that drives outputs and is
+// sensitive to the given signals. The process runs whenever any of them
+// changes, and once at the start of simulation to establish initial outputs.
+// Sensitivity (inputs) plus outputs give the levelized scheduler the
+// dependency edges of the process. A write to a signal left out of outputs
+// still settles, through a mop-up pass over the sweep, at the price of extra
+// deltas.
 func (sm *Simulator) CombOut(name string, fn func(), outputs []*Signal, sensitivity ...*Signal) {
-	sm.addComb(name, fn, outputs, true, sensitivity)
-}
-
-func (sm *Simulator) addComb(name string, fn func(), outs []*Signal, declared bool, sens []*Signal) {
-	p := &process{name: name, fn: fn, declared: declared, unit: -1}
-	for _, s := range sens {
+	p := &process{name: name, fn: fn, unit: -1}
+	for _, s := range sensitivity {
 		if s.sim != sm {
 			panic(fmt.Sprintf("sim: process %q sensitive to foreign signal %q", name, s.name))
 		}
 		s.sensitive = append(s.sensitive, p)
 		p.setSensBit(s.id)
 	}
-	p.sens = append(p.sens, sens...)
-	for _, s := range outs {
+	p.sens = append(p.sens, sensitivity...)
+	for _, s := range outputs {
 		if s.sim != sm {
 			panic(fmt.Sprintf("sim: process %q declares foreign output %q", name, s.name))
 		}
-		p.noteOut(s)
 	}
+	p.outs = append(p.outs, outputs...)
 	sm.combs = append(sm.combs, p)
 	// Any new combinational process invalidates the levelization; the next
 	// Step re-freezes (and runs the new process's time-zero evaluation).
@@ -262,27 +218,10 @@ func (sm *Simulator) addComb(name string, fn func(), outs []*Signal, declared bo
 }
 
 // unfreeze drops the levelized schedule so the next Step re-elaborates.
-// Queued wakes are re-homed onto the legacy run queue.
+// Queued wakes keep their inQ mark and are counted again at the next freeze.
 func (sm *Simulator) unfreeze() {
-	if !sm.frozen && sm.units == nil {
-		return
-	}
-	sm.frozen = false
-	if sm.units != nil {
-		for _, u := range sm.units {
-			if u.queued == 0 {
-				continue
-			}
-			for _, p := range u.procs {
-				if p.inQ {
-					sm.runQ = append(sm.runQ, p)
-					u.queued--
-				}
-			}
-		}
-		sm.units = nil
-		sm.totalQueued = 0
-	}
+	sm.units = nil
+	sm.totalQueued = 0
 }
 
 // AtCycleEnd registers a read-only observer hook invoked after each cycle
@@ -303,14 +242,12 @@ func (sm *Simulator) wake(p *process) {
 	if sm.units != nil {
 		sm.units[p.unit].queued++
 		sm.totalQueued++
-	} else {
-		sm.runQ = append(sm.runQ, p)
 	}
 }
 
 // eval runs one process evaluation with the current-process context set for
-// strict-sensitivity checking and output learning. With Timing set, one in
-// eight evaluations per process is wall-clock sampled for the profile.
+// strict-sensitivity checking. With Timing set, one in eight evaluations per
+// process is wall-clock sampled for the profile.
 func (sm *Simulator) eval(p *process) {
 	sm.cur = p
 	p.evals++
@@ -348,17 +285,12 @@ func (sm *Simulator) commit() bool {
 }
 
 // settle commits pending writes and runs woken combinational processes until
-// a fixed point, dispatching to the levelized scheduler when a schedule is
-// in place and recording the settle-depth histogram.
+// a fixed point with the levelized schedule, recording the settle-depth
+// histogram.
 func (sm *Simulator) settle() error {
 	sm.settles++
 	start := sm.DeltaCount
-	var err error
-	if sm.units != nil {
-		err = sm.settleLevelized()
-	} else {
-		err = sm.settleLoop()
-	}
+	err := sm.settleLevelized()
 	d := sm.DeltaCount - start
 	if d >= settleHistBuckets {
 		d = settleHistBuckets - 1
@@ -367,49 +299,17 @@ func (sm *Simulator) settle() error {
 	return err
 }
 
-// settleLoop is the legacy bounded iterate-to-fixpoint delta loop: evaluate
-// every woken process, commit, repeat until nothing changes. Its run queue
-// is double-buffered so steady-state settling does not allocate.
-func (sm *Simulator) settleLoop() error {
-	for delta := 0; ; delta++ {
-		if delta > sm.MaxDeltas {
-			return fmt.Errorf("%w after %d deltas at cycle %d", ErrOscillation, delta, sm.cycle)
-		}
-		// Evaluate phase: run every queued process.
-		q := sm.runQ
-		sm.runQ = sm.runQSpare[:0]
-		for _, p := range q {
-			p.inQ = false
-			sm.eval(p)
-		}
-		sm.runQSpare = q[:0]
-		// Update phase: commit writes, wake sensitive processes.
-		changed := sm.commit()
-		sm.DeltaCount++
-		if !changed && len(sm.runQ) == 0 {
-			return nil
-		}
-	}
-}
-
-// freeze is the Step-time elaboration freeze: it runs the time-zero settle
-// under the legacy loop — during which legacy Comb processes have their
-// writes recorded as outputs — then levelizes the process graph (unless
-// ForceDeltaLoop is set).
+// freeze is the Step-time elaboration freeze: it levelizes the process graph,
+// then runs the time-zero settle as a levelized sweep over every process
+// woken since the last freeze (each newly registered one included).
 func (sm *Simulator) freeze() error {
-	if err := sm.settle(); err != nil {
-		return err
-	}
-	if !sm.ForceDeltaLoop {
-		sm.buildLevels()
-	}
-	sm.frozen = true
-	return nil
+	sm.buildLevels()
+	return sm.settle()
 }
 
 // Step advances the simulation by one clock cycle.
 func (sm *Simulator) Step() error {
-	if !sm.frozen {
+	if sm.units == nil {
 		if err := sm.freeze(); err != nil {
 			return err
 		}

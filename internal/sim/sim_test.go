@@ -51,8 +51,8 @@ func TestCombSettlesChain(t *testing.T) {
 	a := sm.Signal("a", 8)
 	b := sm.Signal("b", 8)
 	c := sm.Signal("c", 8)
-	sm.Comb("b=a+1", func() { b.SetU64(a.U64() + 1) }, a)
-	sm.Comb("c=b*2", func() { c.SetU64(b.U64() * 2) }, b)
+	sm.CombOut("b=a+1", func() { b.SetU64(a.U64() + 1) }, []*Signal{b}, a)
+	sm.CombOut("c=b*2", func() { c.SetU64(b.U64() * 2) }, []*Signal{c}, b)
 	sm.Seq("drive", func() { a.SetU64(a.U64() + 1) })
 
 	if err := sm.Step(); err != nil {
@@ -73,7 +73,7 @@ func TestCombInitialSettle(t *testing.T) {
 	sm := New()
 	a := sm.Signal("a", 4)
 	inv := sm.Signal("inv", 4)
-	sm.Comb("inv", func() { inv.Set(a.Get().Not(4)) }, a)
+	sm.CombOut("inv", func() { inv.Set(a.Get().Not(4)) }, []*Signal{inv}, a)
 	if err := sm.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestCombInitialSettle(t *testing.T) {
 func TestOscillationDetected(t *testing.T) {
 	sm := New()
 	a := sm.Bool("a")
-	sm.Comb("not-a", func() { a.SetBool(!a.Bool()) }, a)
+	sm.CombOut("not-a", func() { a.SetBool(!a.Bool()) }, []*Signal{a}, a)
 	sm.Seq("kick", func() { a.SetBool(true) })
 	err := sm.Step()
 	if !errors.Is(err, ErrOscillation) {
@@ -97,7 +97,7 @@ func TestSetEqualValueCancelsPending(t *testing.T) {
 	sm := New()
 	a := sm.Signal("a", 8)
 	fired := 0
-	sm.Comb("watch", func() { fired++ }, a)
+	sm.CombOut("watch", func() { fired++ }, nil, a)
 	sm.Seq("noop", func() {
 		a.SetU64(1)
 		a.SetU64(0) // back to current value: no net change
@@ -115,7 +115,7 @@ func TestAtCycleEndObservesSettledValues(t *testing.T) {
 	sm := New()
 	a := sm.Signal("a", 8)
 	dbl := sm.Signal("dbl", 8)
-	sm.Comb("dbl", func() { dbl.SetU64(a.U64() * 2) }, a)
+	sm.CombOut("dbl", func() { dbl.SetU64(a.U64() * 2) }, []*Signal{dbl}, a)
 	sm.Seq("count", func() { a.SetU64(a.U64() + 1) })
 	var seen []uint64
 	sm.AtCycleEnd(func() { seen = append(seen, dbl.U64()) })
@@ -147,7 +147,7 @@ func TestSeqDriverVisibleSameCycleToComb(t *testing.T) {
 	sm := New()
 	req := sm.Bool("req")
 	gnt := sm.Bool("gnt")
-	sm.Comb("grant", func() { gnt.SetBool(req.Bool()) }, req)
+	sm.CombOut("grant", func() { gnt.SetBool(req.Bool()) }, []*Signal{gnt}, req)
 	sm.Seq("bfm", func() { req.SetBool(true) })
 	if err := sm.Step(); err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestDeterminism(t *testing.T) {
 		a := sm.Signal("a", 32)
 		b := sm.Signal("b", 32)
 		c := sm.Signal("c", 32)
-		sm.Comb("c", func() { c.SetU64(a.U64() ^ b.U64()) }, a, b)
+		sm.CombOut("c", func() { c.SetU64(a.U64() ^ b.U64()) }, []*Signal{c}, a, b)
 		sm.Seq("a", func() { a.SetU64(a.U64()*1103515245 + 12345) })
 		sm.Seq("b", func() { b.SetU64(b.U64() + c.U64() + 1) })
 		var trace []uint64
@@ -241,28 +241,26 @@ func TestSignalIDsDense(t *testing.T) {
 }
 
 func TestMaxDeltasBoundary(t *testing.T) {
-	// A comb chain of depth n settles in <= n+1 deltas; MaxDeltas just above
-	// the chain depth must succeed, just below must fail.
+	// A cyclic component that counts itself up to depth needs depth+1
+	// iterations to reach its fixed point: MaxDeltas just above that must
+	// succeed, just below must fail.
 	build := func(maxDeltas int) error {
 		sm := New()
 		sm.MaxDeltas = maxDeltas
 		const depth = 20
-		sigs := make([]*Signal, depth+1)
-		for i := range sigs {
-			sigs[i] = sm.Signal("s", 16)
-		}
-		for i := 0; i < depth; i++ {
-			i := i
-			sm.Comb("chain", func() { sigs[i+1].SetU64(sigs[i].U64() + 1) }, sigs[i])
-		}
-		sm.Seq("drive", func() { sigs[0].SetU64(sigs[0].U64() + 1) })
+		s := sm.Signal("s", 16)
+		sm.CombOut("count", func() {
+			if v := s.U64(); v < depth {
+				s.SetU64(v + 1)
+			}
+		}, []*Signal{s}, s)
 		return sm.Step()
 	}
 	if err := build(depth25); err != nil {
 		t.Errorf("deep-enough delta budget failed: %v", err)
 	}
-	if err := build(3); err == nil {
-		t.Error("tiny delta budget should hit the oscillation guard")
+	if err := build(3); !errors.Is(err, ErrOscillation) {
+		t.Errorf("tiny delta budget should hit the oscillation guard, got %v", err)
 	}
 }
 
@@ -292,7 +290,7 @@ func TestManySignalsStress(t *testing.T) {
 func TestRunStopsOnError(t *testing.T) {
 	sm := New()
 	a := sm.Bool("a")
-	sm.Comb("osc", func() { a.SetBool(!a.Bool()) }, a)
+	sm.CombOut("osc", func() { a.SetBool(!a.Bool()) }, []*Signal{a}, a)
 	sm.Seq("kick", func() { a.SetBool(true) })
 	if err := sm.Run(10); err == nil {
 		t.Fatal("Run should propagate the oscillation error")
@@ -306,7 +304,7 @@ func TestDeltaCountAccumulates(t *testing.T) {
 	sm := New()
 	a := sm.Signal("a", 8)
 	b := sm.Signal("b", 8)
-	sm.Comb("b", func() { b.SetU64(a.U64() + 1) }, a)
+	sm.CombOut("b", func() { b.SetU64(a.U64() + 1) }, []*Signal{b}, a)
 	sm.Seq("a", func() { a.SetU64(a.U64() + 1) })
 	if err := sm.Run(10); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ type ProcStat struct {
 	Seq   bool   `json:"seq,omitempty"`
 	Evals uint64 `json:"evals"`
 	// Rank is the levelized rank of the process's SCC (-1 for sequential
-	// processes and when levelization is off).
+	// processes and before the first Step).
 	Rank   int  `json:"rank"`
 	Cyclic bool `json:"cyclic,omitempty"`
 	// TimeNS is the extrapolated evaluation wall time (1-in-8 sampling,
@@ -57,7 +57,7 @@ type KernelStats struct {
 	CompiledEvals uint64 `json:"compiled_evals,omitempty"`
 	// ClosureEvals counts every process evaluation.
 	ClosureEvals uint64 `json:"closure_evals,omitempty"`
-	// Ranks is the number of topological ranks (0 when levelization is off).
+	// Ranks is the number of topological ranks (0 before the first Step).
 	Ranks int `json:"ranks,omitempty"`
 	// Units counts SCC scheduling units; CyclicSCCs inventories the cyclic
 	// ones (empty for a fully acyclic design).
@@ -192,7 +192,7 @@ func (ks *KernelStats) Merge(o *KernelStats) {
 // histogram, the cyclic-SCC inventory and the top-N processes by
 // evaluations.
 func (ks *KernelStats) Text(w io.Writer, topN int) {
-	mode := "delta-loop"
+	mode := "not levelized"
 	if ks.Levelized {
 		mode = fmt.Sprintf("levelized (%d ranks, %d units, %d cyclic)", ks.Ranks, ks.Units, len(ks.CyclicSCCs))
 	}

@@ -16,7 +16,7 @@ import (
 // — either a Live reference sampled from that view's simulator stepping in
 // lockstep, or a compact Recording of a finished run. No VCD text, no
 // parsing, no per-cycle value searches. After the run, Report returns the
-// same *Report the legacy pipeline (write two VCDs, Parse both, Compare)
+// same *Report the offline analyzer (Compare over the two views' dumps)
 // produces, byte for byte.
 //
 // The comparison window is min of the two sides' cycle counts, each defined
@@ -33,7 +33,7 @@ type Observer struct {
 // obsPort is the per-port comparison state.
 type obsPort struct {
 	name    string
-	names   []string // signal names, sorted — legacy pair order
+	names   []string // signal names, sorted — Compare's pair order
 	refIdx  []int    // reference index per signal
 	liveIdx []int    // observed-side index per signal
 

@@ -2,6 +2,8 @@ package vcd
 
 import (
 	"fmt"
+	"math"
+	"strings"
 
 	"crve/internal/sim"
 	"crve/internal/wire"
@@ -254,8 +256,15 @@ func IsRecording(data []byte) bool {
 	return len(data) >= len(recordingMagic) && string(data[:len(recordingMagic)]) == recordingMagic
 }
 
-// DecodeRecording parses a recording produced by Encode. Truncation,
-// trailing bytes and non-canonical varints are errors.
+// maxCycle is the last cycle whose VCD timestamp fits in 64 bits.
+const maxCycle = math.MaxUint64 / TimePerCycle
+
+// DecodeRecording parses a recording produced by Encode. It accepts only
+// what Encode writes for a recording Parse can read back from its VCD text:
+// truncation, trailing bytes, non-canonical varints, a module or signal name
+// that is not a VCD identifier, a duplicate signal name, an empty frame,
+// changes out of signal order, a value with bits above its signal's width
+// and a cycle past the VCD time range are errors.
 func DecodeRecording(data []byte) (*Recording, error) {
 	if !IsRecording(data) {
 		return nil, fmt.Errorf("vcd: not a %s waveform recording", recordingMagic)
@@ -266,6 +275,9 @@ func DecodeRecording(data []byte) (*Recording, error) {
 	}
 
 	rec := &Recording{module: d.Str(), byName: map[string]int{}}
+	if d.Err() == nil && !vcdIdent(rec.module) {
+		return nil, fmt.Errorf("vcd: recording module %q is not a VCD identifier", rec.module)
+	}
 	nsig := d.Count(2) // name length + width
 	for i := 0; i < nsig; i++ {
 		name, w := d.Str(), d.Uint()
@@ -275,6 +287,12 @@ func DecodeRecording(data []byte) (*Recording, error) {
 		if w == 0 || w > sim.MaxBitsWidth {
 			return nil, fmt.Errorf("vcd: recording signal %q width %d out of range", name, w)
 		}
+		if !vcdName(name) {
+			return nil, fmt.Errorf("vcd: recording signal name %q is not a dotted VCD identifier", name)
+		}
+		if _, dup := rec.byName[name]; dup {
+			return nil, fmt.Errorf("vcd: recording declares signal %q twice", name)
+		}
 		rec.byName[name] = len(rec.names)
 		rec.names = append(rec.names, name)
 		rec.widths = append(rec.widths, int(w))
@@ -283,15 +301,23 @@ func DecodeRecording(data []byte) (*Recording, error) {
 	frames := d.Count(2) // cycle delta + change count
 	cyc := uint64(0)
 	for f := 0; f < frames; f++ {
-		delta, n := d.Uint(), d.Uint()
+		delta := d.Uint()
+		n := d.Count(2) // signal index + at least one value word
 		if d.Err() != nil {
 			return fail()
 		}
 		if f > 0 && delta == 0 {
 			return nil, fmt.Errorf("vcd: recording frames not strictly increasing")
 		}
+		if delta > maxCycle-cyc {
+			return nil, fmt.Errorf("vcd: recording cycle past %d", uint64(maxCycle))
+		}
+		if n == 0 {
+			return nil, fmt.Errorf("vcd: recording frame at cycle %d has no changes", cyc+delta)
+		}
 		cyc += delta
-		for i := uint64(0); i < n; i++ {
+		prev := -1
+		for i := 0; i < n; i++ {
 			sig := d.Uint()
 			if d.Err() != nil {
 				return fail()
@@ -299,14 +325,20 @@ func DecodeRecording(data []byte) (*Recording, error) {
 			if sig >= uint64(nsig) {
 				return nil, fmt.Errorf("vcd: recording change for unknown signal %d", sig)
 			}
+			if int(sig) <= prev {
+				return nil, fmt.Errorf("vcd: recording changes at cycle %d not in signal order", cyc)
+			}
+			prev = int(sig)
 			var words [sim.BitsWords]uint64
 			for w := 0; w < valWords(rec.widths[sig]); w++ {
 				words[w] = d.Uint()
 			}
-			rec.stream = append(rec.stream, streamChange{
-				cycle: cyc, sig: int32(sig),
-				val: sim.BWords(words[:]...).Mask(rec.widths[sig]),
-			})
+			val := sim.BWords(words[:]...)
+			if !val.Equal(val.Mask(rec.widths[sig])) {
+				return nil, fmt.Errorf("vcd: recording value of %q at cycle %d wider than %d bits",
+					rec.names[sig], cyc, rec.widths[sig])
+			}
+			rec.stream = append(rec.stream, streamChange{cycle: cyc, sig: int32(sig), val: val})
 		}
 		rec.endCycle = cyc
 	}
@@ -314,6 +346,31 @@ func DecodeRecording(data []byte) (*Recording, error) {
 		return fail()
 	}
 	return rec, nil
+}
+
+// vcdName reports whether a signal name survives a VCD declaration: dotted
+// scope components, each a VCD identifier.
+func vcdName(name string) bool {
+	for _, c := range strings.Split(name, ".") {
+		if !vcdIdent(c) {
+			return false
+		}
+	}
+	return true
+}
+
+// vcdIdent reports whether s is a non-empty run of printable, non-space
+// ASCII other than '.' that is not the $end keyword.
+func vcdIdent(s string) bool {
+	if s == "" || s == "$end" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c <= ' ' || c > '~' || c == '.' {
+			return false
+		}
+	}
+	return true
 }
 
 // File converts the recording into the parsed-dump representation, so every

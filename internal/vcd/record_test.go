@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"crve/internal/wire"
 )
 
 // runBoth attaches a Writer and a Recorder to the same simulator run and
@@ -98,17 +100,53 @@ func TestRecordingEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// rawRecording encodes a one-signal recording field by field, so a test can
+// write frames Encode never would. Each frame is a cycle delta and its
+// (signal, value) changes.
+func rawRecording(names []string, width int, frames ...[]uint64) []byte {
+	var e wire.Encoder
+	e.Raw(recordingMagic)
+	e.Str("bench")
+	e.Uint(uint64(len(names)))
+	for _, n := range names {
+		e.Str(n)
+		e.Uint(uint64(width))
+	}
+	e.Uint(uint64(len(frames))) // samples
+	e.Uint(uint64(len(frames)))
+	for _, f := range frames {
+		e.Uint(f[0])
+		e.Uint(uint64(len(f[1:]) / 2))
+		for _, v := range f[1:] {
+			e.Uint(v)
+		}
+	}
+	return e.Bytes()
+}
+
 func TestDecodeRecordingRejectsCorrupt(t *testing.T) {
 	_, rec := runBoth(t, 5)
 	enc := rec.Encode()
-	if _, err := DecodeRecording([]byte("XXXX")); err == nil {
-		t.Error("bad magic accepted")
+	if _, err := DecodeRecording(rawRecording([]string{"top.a"}, 4, []uint64{0, 0, 9})); err != nil {
+		t.Fatalf("well-formed raw recording rejected: %v", err)
 	}
-	if _, err := DecodeRecording(enc[:len(enc)/2]); err == nil {
-		t.Error("truncated recording accepted")
-	}
-	if _, err := DecodeRecording(append(enc[:len(enc):len(enc)], 0)); err == nil {
-		t.Error("recording with a trailing byte accepted")
+	for _, row := range []struct {
+		name string
+		data []byte
+	}{
+		{"bad magic", []byte("XXXX")},
+		{"truncated", enc[:len(enc)/2]},
+		{"trailing byte", append(enc[:len(enc):len(enc)], 0)},
+		// 0x1f needs five bits: masking it would change the bytes.
+		{"value above width", rawRecording([]string{"top.a"}, 4, []uint64{0, 0, 0x1f})},
+		// Encode drops a frame without changes.
+		{"empty frame", rawRecording([]string{"top.a"}, 4, []uint64{0, 0, 9}, []uint64{1})},
+		// The text VCD could declare only one of the two.
+		{"duplicate name", rawRecording([]string{"top.a", "top.a"}, 4, []uint64{0, 0, 9, 1, 3})},
+	} {
+		if _, err := DecodeRecording(row.data); err == nil {
+			t.Errorf("%s: accepted", row.name)
+		}
 	}
 }
 

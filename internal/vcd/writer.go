@@ -117,7 +117,7 @@ func writeDefs(w io.Writer, module string, names []string, widths []int, codes [
 
 // writeScope emits $scope/$var declarations for all signals under prefix.
 func writeScope(w io.Writer, prefix string, names []string, widths []int, codes []string, idx []int) {
-	emitted := map[string]bool{}
+	scopes, vars := map[string]bool{}, map[string]bool{}
 	for _, i := range idx {
 		name := names[i]
 		if prefix != "" {
@@ -128,10 +128,10 @@ func writeScope(w io.Writer, prefix string, names []string, widths []int, codes 
 		}
 		if dot := strings.IndexByte(name, '.'); dot >= 0 {
 			child := name[:dot]
-			if emitted[child+"/"] {
+			if scopes[child] {
 				continue
 			}
-			emitted[child+"/"] = true
+			scopes[child] = true
 			full := child
 			if prefix != "" {
 				full = prefix + "." + child
@@ -141,10 +141,10 @@ func writeScope(w io.Writer, prefix string, names []string, widths []int, codes 
 			fmt.Fprintf(w, "$upscope $end\n")
 			continue
 		}
-		if emitted[name] {
+		if vars[name] {
 			continue
 		}
-		emitted[name] = true
+		vars[name] = true
 		fmt.Fprintf(w, "$var wire %d %s %s $end\n", widths[i], codes[i], name)
 	}
 }
