@@ -159,36 +159,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 func loadSources(paths []string) ([]lint.Source, error) {
 	var srcs []lint.Source
 	for _, path := range paths {
-		s, err := loadPath(path)
+		s, err := regress.LoadSources(path)
 		if err != nil {
 			return nil, err
 		}
 		srcs = append(srcs, s...)
 	}
 	return srcs, nil
-}
-
-// loadPath turns one configuration path into lint sources.
-func loadPath(path string) ([]lint.Source, error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if info.IsDir() {
-		return regress.LoadSourceDir(path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	src := regress.ParseSource(path, f)
-	// Mirror LoadSourceDir: an unnamed config takes its file name, so
-	// duplicate-name linting matches what a regression run would use.
-	if src.Cfg.Name == "node" {
-		src.Cfg.Name = strings.TrimSuffix(filepath.Base(path), ".cfg")
-	}
-	return []lint.Source{src}, nil
 }
 
 // fabFileNames lists the *.fab topology files of dir, sorted by name. An

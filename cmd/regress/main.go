@@ -10,12 +10,14 @@
 //
 //	regress -matrix                    # run the >=36-configuration matrix
 //	regress -config ./configs          # run every .cfg file in a directory
+//	regress -config node.cfg           # ...or one parameter file
 //	regress -config ./configs -tests basic_write_read,error_paths -seeds 1,2,3
 //	regress -matrix -quick -out ./out  # fast slice, write reports
 //	regress -matrix -quick -out ./out -wave  # ...plus .crw waveform recordings
 //	regress -matrix -j 8 -cache ./rc   # 8 workers, incremental result cache
 //	regress -emit ./configs            # materialise the matrix as .cfg files
 //	regress -config ./configs -close   # close coverage holes with synthesized tests
+//	regress -config node.cfg -close -plan  # report holes and planned units, run none
 //	regress -matrix -quick -kernelstats # also print the kernel profile per config/view
 //	regress -config ./configs -fabric topo.fab  # also gate on a whole-fabric check
 //
@@ -28,13 +30,18 @@
 // coverage enters the coverage-closure loop: the engine maps each hole back
 // to the traffic dimensions that can reach it, synthesizes biased follow-up
 // work units and re-runs them through the same pool and cache until coverage
-// is full or the -max-iters/-budget limits run out. The per-iteration
-// closure report prints per configuration (and lands in OUT/<config>/
-// closure.json with -out); a configuration whose closure does not converge
-// fails the run.
+// is full or the -max-iters/-budget limits run out. The table, the "work
+// units" line and the -json report count what closure bought; the
+// per-iteration closure report prints per configuration (and lands in
+// OUT/<config>/closure.json with -out); a configuration whose closure does
+// not converge fails the run. -plan stops short of the loop: it prints each
+// configuration's holes and the units the first iteration would run.
 package main
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,7 +61,7 @@ import (
 
 // options collects the parsed command line.
 type options struct {
-	configDir   string
+	configPath  string
 	matrix      bool
 	quick       bool
 	testsArg    string
@@ -66,6 +73,7 @@ type options struct {
 	jobs        int
 	cacheDir    string
 	close       bool
+	plan        bool
 	maxIters    int
 	budget      uint64
 	kernelstats bool
@@ -75,33 +83,50 @@ type options struct {
 }
 
 func main() {
-	var o options
-	flag.StringVar(&o.configDir, "config", "", "directory of .cfg parameter files")
-	flag.BoolVar(&o.matrix, "matrix", false, "use the standard >=36-configuration matrix")
-	flag.BoolVar(&o.quick, "quick", false, "with -matrix: run only the first 6 configurations")
-	flag.StringVar(&o.testsArg, "tests", "", "comma-separated test names (default: all 12)")
-	flag.StringVar(&o.seedsArg, "seeds", "1", "comma-separated seeds")
-	flag.StringVar(&o.outDir, "out", "", "directory for reports and waveform recordings")
-	flag.StringVar(&o.emitDir, "emit", "", "write the standard matrix as .cfg files and exit")
-	flag.BoolVar(&o.verbose, "v", false, "log each run")
-	flag.BoolVar(&o.nolint, "nolint", false, "skip the static-analysis gate and run even with lint errors")
-	flag.IntVar(&o.jobs, "j", 0, "parallel workers (0 = GOMAXPROCS)")
-	flag.StringVar(&o.cacheDir, "cache", "", "incremental result cache directory (re-runs only what changed)")
-	flag.BoolVar(&o.close, "close", false, "run the coverage-closure loop on configurations the suite leaves below 100% functional coverage")
-	flag.IntVar(&o.maxIters, "max-iters", 8, "with -close: maximum closure iterations per configuration")
-	flag.Uint64Var(&o.budget, "budget", 0, "with -close: closure cycle budget per configuration, both views (0 = unlimited)")
-	flag.BoolVar(&o.kernelstats, "kernelstats", false, "collect and print the simulation-kernel profile (deltas/cycle, settle depth, hottest processes)")
-	flag.StringVar(&o.fabricArg, "fabric", "", "comma-separated topology files (*.fab) the matrix must compose into; checked by the lint gate")
-	flag.BoolVar(&o.wave, "wave", false, "keep compact binary waveform recordings per run (written as .crw with -out)")
-	flag.BoolVar(&o.jsonOut, "json", false, "emit the canonical JSON report on stdout (human summary moves to stderr) — byte-identical to the regressd report endpoint")
-	flag.Parse()
-	if err := run(o); err != nil {
-		fmt.Fprintln(os.Stderr, "regress:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(o options) error {
+// run is the testable body of main: it parses args, runs the regression and
+// returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("regress", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.configPath, "config", "", "a .cfg parameter file or a directory of them")
+	fs.BoolVar(&o.matrix, "matrix", false, "use the standard >=36-configuration matrix")
+	fs.BoolVar(&o.quick, "quick", false, "with -matrix: run only the first 6 configurations")
+	fs.StringVar(&o.testsArg, "tests", "", "comma-separated test names (default: all 12)")
+	fs.StringVar(&o.seedsArg, "seeds", "1", "comma-separated seeds (the first also salts closure seeds)")
+	fs.StringVar(&o.outDir, "out", "", "directory for reports and waveform recordings")
+	fs.StringVar(&o.emitDir, "emit", "", "write the standard matrix as .cfg files and exit")
+	fs.BoolVar(&o.verbose, "v", false, "log each run")
+	fs.BoolVar(&o.nolint, "nolint", false, "skip the static-analysis gate and run even with lint errors")
+	fs.IntVar(&o.jobs, "j", 0, "parallel workers (0 = GOMAXPROCS)")
+	fs.StringVar(&o.cacheDir, "cache", "", "incremental result cache directory (re-runs only what changed)")
+	fs.BoolVar(&o.close, "close", false, "run the coverage-closure loop on configurations the suite leaves below 100% functional coverage")
+	fs.BoolVar(&o.plan, "plan", false, "with -close: report the holes and the first iteration's planned units instead of running them")
+	fs.IntVar(&o.maxIters, "max-iters", 8, "with -close: maximum closure iterations per configuration")
+	fs.Uint64Var(&o.budget, "budget", 0, "with -close: closure cycle budget per configuration, both views (0 = unlimited)")
+	fs.BoolVar(&o.kernelstats, "kernelstats", false, "collect and print the simulation-kernel profile (deltas/cycle, settle depth, hottest processes)")
+	fs.StringVar(&o.fabricArg, "fabric", "", "comma-separated topology files (*.fab) the matrix must compose into; checked by the lint gate")
+	fs.BoolVar(&o.wave, "wave", false, "keep compact binary waveform recordings per run (written as .crw with -out)")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit the canonical JSON report on stdout (human summary moves to stderr) — byte-identical to the regressd report endpoint")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := o.execute(stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "regress:", err)
+		return 1
+	}
+	return 0
+}
+
+// execute runs what the options ask for: it emits the matrix, or loads,
+// lints and runs the configurations and prints their reports.
+func (o options) execute(stdout, stderr io.Writer) error {
 	if o.emitDir != "" {
 		if err := os.MkdirAll(o.emitDir, 0o755); err != nil {
 			return err
@@ -113,15 +138,18 @@ func run(o options) error {
 				return err
 			}
 		}
-		fmt.Printf("wrote %d configuration files to %s\n", len(cfgs), o.emitDir)
+		fmt.Fprintf(stdout, "wrote %d configuration files to %s\n", len(cfgs), o.emitDir)
 		return nil
+	}
+	if o.plan && !o.close {
+		return fmt.Errorf("-plan needs -close")
 	}
 
 	var cfgs []nodespec.Config
 	switch {
-	case o.configDir != "":
+	case o.configPath != "":
 		var err error
-		cfgs, err = regress.LoadConfigDir(o.configDir)
+		cfgs, err = regress.LoadConfigs(o.configPath)
 		if err != nil {
 			return err
 		}
@@ -131,7 +159,7 @@ func run(o options) error {
 			cfgs = cfgs[:6]
 		}
 	default:
-		return fmt.Errorf("pass -config DIR or -matrix (see -h)")
+		return fmt.Errorf("pass -config FILE|DIR or -matrix (see -h)")
 	}
 
 	var tests []core.Test
@@ -156,10 +184,10 @@ func run(o options) error {
 	}
 
 	// Static-analysis gate: lint the whole set (with file:line positions
-	// when the configs came from a directory) before any cycle runs.
+	// when the configs came from files) before any cycle runs.
 	var rep *lint.Report
-	if o.configDir != "" {
-		srcs, err := regress.LoadSourceDir(o.configDir)
+	if o.configPath != "" {
+		srcs, err := regress.LoadSources(o.configPath)
 		if err != nil {
 			return err
 		}
@@ -182,25 +210,28 @@ func run(o options) error {
 		rep.Sort()
 	}
 	for _, d := range rep.Diags {
-		fmt.Fprintln(os.Stderr, "lint:", d)
+		fmt.Fprintln(stderr, "lint:", d)
 	}
 	if rep.HasErrors() {
 		if !o.nolint {
 			return fmt.Errorf("%s (run crvelint for details, or pass -nolint to override)", rep.Summary())
 		}
-		fmt.Fprintf(os.Stderr, "lint: %s — continuing because -nolint is set\n", rep.Summary())
+		fmt.Fprintf(stderr, "lint: %s — continuing because -nolint is set\n", rep.Summary())
 	}
 
 	// With -json the canonical report owns stdout; everything human-facing
 	// (tables, logs, summaries) moves to stderr so piping stays clean.
-	hout := io.Writer(os.Stdout)
+	hout := stdout
 	if o.jsonOut {
-		hout = os.Stderr
+		hout = stderr
 	}
 
-	opt := regress.Options{
-		Tests: tests, Seeds: seeds, NoLint: true, Workers: o.jobs, // linted above
-		KernelStats: o.kernelstats, RecordWave: o.wave,
+	opt := closure.Options{
+		Options: regress.Options{
+			Tests: tests, Seeds: seeds, NoLint: true, Workers: o.jobs, // linted above
+			KernelStats: o.kernelstats, RecordWave: o.wave,
+		},
+		Close: o.close && !o.plan, MaxIters: o.maxIters, Budget: o.budget,
 	}
 	if o.verbose {
 		opt.Log = hout
@@ -212,10 +243,11 @@ func run(o options) error {
 		}
 		opt.Cache = cache
 	}
-	results, stats, err := regress.Run(cfgs, opt)
+	res, err := closure.Run(context.Background(), cfgs, opt)
 	if err != nil {
 		return err
 	}
+	results, stats := res.Results, res.Stats
 	fmt.Fprint(hout, regress.MatrixReport(results))
 	signed := 0
 	for _, cr := range results {
@@ -228,66 +260,45 @@ func run(o options) error {
 	// Wall-clock and throughput come from the engine's Stats — computed
 	// once, read everywhere — and go to stderr so report output stays
 	// deterministic (byte-identical across runs and -j widths).
-	fmt.Fprintf(os.Stderr, "elapsed %s, %d cycles simulated, %.0f cycles/s\n",
+	fmt.Fprintf(stderr, "elapsed %s, %d cycles simulated, %.0f cycles/s\n",
 		stats.Duration.Round(time.Millisecond), stats.Cycles, stats.Throughput())
 	if o.kernelstats {
 		fmt.Fprint(hout, regress.KernelReport(results))
 	}
 
+	if o.plan {
+		printPlan(hout, results)
+	}
 	var notConverged int
-	if o.close {
-		var cstats regress.Stats
-		closed := 0
-		for _, cr := range results {
-			if cr.SuiteCoverage.Full() {
-				continue
-			}
-			copt := closure.Options{
-				Seeds: seeds, Workers: o.jobs, Cache: opt.Cache,
-				MaxIters: o.maxIters, Budget: o.budget,
-			}
-			if o.verbose {
-				copt.Log = hout
-			}
-			res, err := closure.CloseGroup(cr.Cfg, cr.SuiteCoverage, copt)
-			if err != nil {
-				return err
-			}
-			closure.Text(hout, res.Trajectory)
-			cstats.Ran += res.ClosureStats.Ran
-			cstats.Cached += res.ClosureStats.Cached
-			if res.Trajectory.Converged {
-				closed++
-			} else {
+	if opt.Close {
+		var cran, ccached int
+		for _, traj := range res.Trajectories {
+			closure.Text(hout, traj)
+			cran += traj.UnitsRun
+			ccached += traj.UnitsCached
+			if !traj.Converged {
 				notConverged++
 			}
 			if o.outDir != "" {
-				dir := filepath.Join(o.outDir, cr.Cfg.Name)
+				var buf bytes.Buffer
+				if err := closure.JSON(&buf, traj); err != nil {
+					return err
+				}
+				dir := filepath.Join(o.outDir, traj.Config)
 				if err := os.MkdirAll(dir, 0o755); err != nil {
 					return err
 				}
-				f, err := os.Create(filepath.Join(dir, "closure.json"))
-				if err != nil {
-					return err
-				}
-				if err := closure.JSON(f, res.Trajectory); err != nil {
-					f.Close()
-					return err
-				}
-				if err := f.Close(); err != nil {
+				if err := os.WriteFile(filepath.Join(dir, "closure.json"), buf.Bytes(), 0o644); err != nil {
 					return err
 				}
 			}
 		}
-		fmt.Fprintf(hout, "closure: %d configuration(s) closed, %d not converged, units %s\n",
-			closed, notConverged, cstats)
+		fmt.Fprintf(hout, "closure: %d configuration(s) closed, %d not converged, units %d ran, %d cached\n",
+			len(res.Trajectories)-notConverged, notConverged, cran, ccached)
 	}
 
 	if o.jsonOut {
-		// Built after closure so the coverage columns reflect whatever the
-		// closure loop bought — the same order of operations the service
-		// uses, keeping CLI and API reports diffable.
-		if err := regress.WriteJSON(os.Stdout, regress.BuildReport(results, stats)); err != nil {
+		if err := regress.WriteJSON(stdout, regress.BuildReport(results, stats)); err != nil {
 			return err
 		}
 	}
@@ -305,4 +316,28 @@ func run(o options) error {
 		return fmt.Errorf("coverage closure did not converge on %d configuration(s)", notConverged)
 	}
 	return nil
+}
+
+// printPlan reports each configuration's holes and the units the first
+// closure iteration would synthesize for them, without simulating any —
+// the dry "what would closure do" report of -close -plan.
+func printPlan(w io.Writer, results []*regress.ConfigResult) {
+	for _, cr := range results {
+		holes := cr.SuiteCoverage.Holes()
+		fmt.Fprintf(w, "%s: %.1f%% functional coverage, %d hole(s)\n",
+			cr.Cfg.Name, cr.SuiteCoverage.Percent(), len(holes))
+		if len(holes) == 0 {
+			continue
+		}
+		for _, h := range holes {
+			fmt.Fprintf(w, "  hole %s\n", h)
+		}
+		for _, u := range closure.Plan(cr.Cfg, holes, 1) {
+			var hs []string
+			for _, h := range u.Holes {
+				hs = append(hs, h.String())
+			}
+			fmt.Fprintf(w, "  plan %s -> [%s]\n", u.Test.Name, strings.Join(hs, " "))
+		}
+	}
 }

@@ -57,15 +57,14 @@ func run(configFile string, matrixIndex int, testName string, seed int64, view s
 	var cfg nodespec.Config
 	switch {
 	case configFile != "":
-		f, err := os.Open(configFile)
+		cfgs, err := regress.LoadConfigs(configFile)
 		if err != nil {
 			return err
 		}
-		cfg, err = regress.ParseConfig(f)
-		f.Close()
-		if err != nil {
-			return err
+		if len(cfgs) != 1 {
+			return fmt.Errorf("-config %s holds %d configurations, want one", configFile, len(cfgs))
 		}
+		cfg = cfgs[0]
 	case matrixIndex >= 0:
 		matrix := regress.StandardMatrix()
 		if matrixIndex >= len(matrix) {

@@ -1,17 +1,18 @@
 package closure
 
-// This file is the closure loop itself: plan against the holes of the merged
-// suite coverage, run the synthesized units on the regression engine, merge
-// their coverage back in canonical order, repeat until full or out of
-// budget. The loop's entire observable output is the core.ClosureTrajectory
-// record; report.go renders it.
+// This file is the one regression driver every front end calls, and the
+// closure loop inside it: run the suite, then — for each configuration left
+// below full coverage — plan against the holes of its merged suite coverage,
+// run the synthesized units on the regression engine, merge their coverage
+// back in canonical order, repeat until full or out of budget. The loop's
+// entire observable output is the core.ClosureTrajectory record; report.go
+// renders it.
 
 import (
 	"context"
 	"fmt"
-	"io"
+	"time"
 
-	"crve/internal/bca"
 	"crve/internal/catg"
 	"crve/internal/core"
 	"crve/internal/coverage"
@@ -19,61 +20,69 @@ import (
 	"crve/internal/regress"
 )
 
-// Options tunes a closure run.
+// Options tunes a regression run and its closure loop. The embedded
+// regress.Options drive the suite; closure units share its Seeds, Bugs,
+// Log, Progress, Workers and Cache, but never collect a kernel profile or a
+// waveform recording.
 type Options struct {
-	// Tests is the base suite Close runs before closing (unused by
-	// CloseGroup, whose caller already ran a suite).
-	Tests []core.Test
-	// Seeds seeds the base suite; Seeds[0] (default 1) also salts the
-	// per-iteration closure seeds, so a different base seed explores a
-	// different closure trajectory.
-	Seeds []int64
-	// Bugs seeds the BCA view, exactly as in a plain regression run.
-	Bugs bca.Bugs
-	// Workers bounds the engine's worker pool (0 = GOMAXPROCS). The
-	// trajectory is byte-identical at any width.
-	Workers int
-	// Cache, when non-nil, serves unchanged units from disk. Cycle
-	// accounting counts cached units at their recorded cost, so a warm
-	// trajectory is identical to the cold one that produced it.
-	Cache *regress.Cache
-	// MaxIters bounds the loop (default 8).
+	regress.Options
+	// Close runs the closure loop on every configuration the suite leaves
+	// below 100 % functional coverage.
+	Close bool
+	// MaxIters bounds the loop per configuration (default 8).
 	MaxIters int
-	// Budget bounds the total simulated cycles spent on closure units
-	// across both views; 0 means unlimited. The check runs between
-	// iterations, so the final iteration may overshoot.
+	// Budget bounds the cycles, both views, that closure units cost per
+	// configuration; 0 means unlimited. Cached units charge their recorded
+	// cost, so a warm trajectory is identical to the cold one that produced
+	// it. The check runs between iterations, so the final iteration may
+	// overshoot.
 	Budget uint64
-	// StallIters stops the loop after this many consecutive iterations
-	// that closed no new bin (default 3): more of the same stimulus is not
-	// going to help.
-	StallIters int
-	// Log receives progress lines when non-nil.
-	Log io.Writer
-	// NoLint skips the static-analysis gate of the base suite run.
-	NoLint bool
 }
 
-// Result is the outcome of a closure run.
+// stallIters stops the loop after this many consecutive iterations that
+// closed no new bin: more of the same stimulus is not going to help.
+const stallIters = 3
+
+// Result is the outcome of Run.
 type Result struct {
-	// Trajectory is the complete serializable record of the loop.
-	Trajectory *core.ClosureTrajectory
-	// Coverage is the final merged suite coverage (the same group the
-	// caller handed CloseGroup, after mutation).
-	Coverage *coverage.Group
-	// Base is the base-suite aggregate (nil when the caller ran the suite
-	// itself and used CloseGroup).
-	Base *regress.ConfigResult
-	// BaseStats / ClosureStats split the ran/cached unit counts between
-	// the base suite and the synthesized closure units.
-	BaseStats, ClosureStats regress.Stats
+	// Results holds the per-configuration aggregates in input order. A
+	// closed configuration's SuiteCoverage includes what closure bought;
+	// its Runs stay the suite's.
+	Results []*regress.ConfigResult
+	// Stats counts suite and closure units alike.
+	Stats regress.Stats
+	// Trajectories holds one record per configuration the loop ran on, in
+	// result order.
+	Trajectories []*core.ClosureTrajectory
 }
 
-// Stats sums the base-suite and closure-unit statistics.
-func (r *Result) Stats() regress.Stats {
-	return regress.Stats{
-		Ran:    r.BaseStats.Ran + r.ClosureStats.Ran,
-		Cached: r.BaseStats.Cached + r.ClosureStats.Cached,
+// Run is the regression driver behind cmd/regress and the job service: it
+// runs the suite through regress.RunCtx and, when opt.Close is set, the
+// closure loop on each configuration left below full functional coverage.
+// Progress events cover the whole run: closure units count on from the
+// suite's totals. Cancelling ctx stops the suite or the loop promptly, as in
+// regress.RunCtx.
+func Run(ctx context.Context, cfgs []nodespec.Config, opt Options) (*Result, error) {
+	start := time.Now()
+	results, stats, err := regress.RunCtx(ctx, cfgs, opt.Options)
+	if err != nil {
+		return nil, err
 	}
+	res := &Result{Results: results, Stats: stats}
+	if opt.Close {
+		for _, cr := range results {
+			if cr.SuiteCoverage.Full() {
+				continue
+			}
+			traj, err := closeGroup(ctx, cr.Cfg, cr.SuiteCoverage, opt, &res.Stats)
+			if err != nil {
+				return nil, err
+			}
+			res.Trajectories = append(res.Trajectories, traj)
+		}
+	}
+	res.Stats.Duration = time.Since(start)
+	return res, nil
 }
 
 // closureSeed derives the deterministic seed of one closure iteration from
@@ -83,51 +92,17 @@ func closureSeed(base int64, iter int) int64 {
 	return base*1_000_000 + int64(iter)
 }
 
-// Close runs the base suite on cfg and then closes its coverage holes.
-func Close(cfg nodespec.Config, opt Options) (*Result, error) {
-	return CloseCtx(context.Background(), cfg, opt)
-}
-
-// CloseCtx is Close under a cancellation context, threaded through the base
-// suite and every closure iteration.
-func CloseCtx(ctx context.Context, cfg nodespec.Config, opt Options) (*Result, error) {
-	base, stats, err := regress.RunCtx(ctx, []nodespec.Config{cfg}, regress.Options{
-		Tests: opt.Tests, Seeds: opt.Seeds, Bugs: opt.Bugs,
-		Log: opt.Log, NoLint: opt.NoLint, Workers: opt.Workers, Cache: opt.Cache,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := CloseGroupCtx(ctx, cfg, base[0].SuiteCoverage, opt)
-	if err != nil {
-		return nil, err
-	}
-	res.Base = base[0]
-	res.BaseStats = stats
-	return res, nil
-}
-
-// CloseGroup runs only the closure loop against an already-populated suite
-// coverage group — typically the aggregate of a prior matrix run — mutating
-// it as holes close. A group with no holes returns immediately with zero
-// iterations, zero synthesized units and an untouched cache: closure on full
-// coverage is a no-op.
-func CloseGroup(cfg nodespec.Config, cov *coverage.Group, opt Options) (*Result, error) {
-	return CloseGroupCtx(context.Background(), cfg, cov, opt)
-}
-
-// CloseGroupCtx is CloseGroup under a cancellation context: the loop checks
-// ctx between iterations and the engine checks it within each one, so a
-// served closure job cancels promptly at any depth.
-func CloseGroupCtx(ctx context.Context, cfg nodespec.Config, cov *coverage.Group, opt Options) (*Result, error) {
+// closeGroup runs the closure loop against an already-populated suite
+// coverage group, mutating it as holes close, and adds every closure unit
+// to stats. Seeds[0] (default 1) salts the per-iteration seeds, so a
+// different base seed explores a different trajectory. A group with no
+// holes returns at once with zero iterations and an untouched cache. The
+// loop checks ctx between iterations and the engine checks it within each.
+func closeGroup(ctx context.Context, cfg nodespec.Config, cov *coverage.Group, opt Options, stats *regress.Stats) (*core.ClosureTrajectory, error) {
 	cfg = cfg.WithDefaults()
 	maxIters := opt.MaxIters
 	if maxIters <= 0 {
 		maxIters = 8
-	}
-	stallAfter := opt.StallIters
-	if stallAfter <= 0 {
-		stallAfter = 3
 	}
 	baseSeed := int64(1)
 	if len(opt.Seeds) > 0 {
@@ -177,7 +152,7 @@ func CloseGroupCtx(ctx context.Context, cfg nodespec.Config, cov *coverage.Group
 			traj.Reason = core.ClosureBudget
 			break
 		}
-		if stall >= stallAfter {
+		if stall >= stallIters {
 			traj.Reason = core.ClosureStalled
 			break
 		}
@@ -200,11 +175,15 @@ func CloseGroupCtx(ctx context.Context, cfg nodespec.Config, cov *coverage.Group
 			tests[i] = u.Test
 		}
 		// Synthesized units bypass the lint gate: the configuration already
-		// passed it (or was explicitly -nolint'ed) before the base suite ran.
-		cres, err := regress.RunConfigCtx(ctx, cfg, regress.Options{
+		// passed it (or was explicitly -nolint'ed) before the suite ran.
+		iopt := regress.Options{
 			Tests: tests, Seeds: []int64{seed}, Bugs: opt.Bugs,
 			Log: opt.Log, Workers: opt.Workers, Cache: opt.Cache,
-		})
+		}
+		if opt.Progress != nil {
+			iopt.Progress = countOn(opt.Progress, *stats)
+		}
+		cres, err := regress.RunConfigCtx(ctx, cfg, iopt)
 		if err != nil {
 			return nil, fmt.Errorf("closure: %s iter %d: %w", cfg.Name, iter, err)
 		}
@@ -226,8 +205,11 @@ func CloseGroupCtx(ctx context.Context, cfg nodespec.Config, cov *coverage.Group
 			if run.Cached {
 				itRec.CacheHits++
 				traj.UnitsCached++
+				stats.Cached++
 			} else {
 				traj.UnitsRun++
+				stats.Ran++
+				stats.Cycles += cycles
 			}
 			itRec.Cycles += cycles
 			itRec.Units = append(itRec.Units, core.ClosureUnit{
@@ -256,12 +238,21 @@ func CloseGroupCtx(ctx context.Context, cfg nodespec.Config, cov *coverage.Group
 	if opt.Log != nil {
 		fmt.Fprintf(opt.Log, "closure %s: %s\n", cfg.Name, Summary(traj))
 	}
-	res := &Result{Trajectory: traj, Coverage: cov}
-	for _, it := range traj.Iterations {
-		res.ClosureStats.Ran += len(it.Units) - it.CacheHits
-		res.ClosureStats.Cached += it.CacheHits
+	return traj, nil
+}
+
+// countOn adapts an iteration's run-relative progress events to whole-run
+// ones, counting on from done — the units merged before the iteration.
+func countOn(sink func(regress.Progress), done regress.Stats) func(regress.Progress) {
+	units := done.Ran + done.Cached
+	return func(p regress.Progress) {
+		p.Done += units
+		p.Total += units
+		p.Ran += done.Ran
+		p.Cached += done.Cached
+		p.Cycles += done.Cycles
+		sink(p)
 	}
-	return res, nil
 }
 
 func holeStrings(hs []coverage.Hole) []string {

@@ -1,6 +1,7 @@
 package closure
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,6 +51,21 @@ func tinyConfig() nodespec.Config {
 	}.WithDefaults()
 }
 
+// closeOne runs the suite on cfg and closes its holes through Run, and
+// returns the result with its one trajectory.
+func closeOne(t *testing.T, cfg nodespec.Config, opt regress.Options) (*Result, *core.ClosureTrajectory) {
+	t.Helper()
+	opt.Tests = testcases.All()
+	res, err := Run(context.Background(), []nodespec.Config{cfg}, Options{Options: opt, Close: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Trajectories) != 1 {
+		t.Fatalf("%d trajectories, want 1", len(res.Trajectories))
+	}
+	return res, res.Trajectories[0]
+}
+
 func TestShippedConfigMatches(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "configs", "closure", "regbank.cfg"))
 	if err != nil {
@@ -70,11 +86,7 @@ func TestShippedConfigMatches(t *testing.T) {
 // suite leaves regbank below 100 % functional coverage, and the closure
 // engine reaches 100 % within the default budgets.
 func TestCloseConvergesOnHolesConfig(t *testing.T) {
-	res, err := Close(holesConfig(), Options{Tests: testcases.All(), Seeds: []int64{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	traj := res.Trajectory
+	_, traj := closeOne(t, holesConfig(), regress.Options{Seeds: []int64{1}})
 	if traj.StartPercent >= 100 {
 		t.Fatalf("base suite already full (%.1f%%): regbank no longer demonstrates closure", traj.StartPercent)
 	}
@@ -108,11 +120,14 @@ func TestCloseNoOpOnFullGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CloseGroup(cfg, base.SuiteCoverage, Options{Cache: cache})
+	var stats regress.Stats
+	traj, err := closeGroup(context.Background(), cfg, base.SuiteCoverage, Options{Options: regress.Options{Cache: cache}}, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traj := res.Trajectory
+	if stats != (regress.Stats{}) {
+		t.Errorf("no-op closure counted units: %+v", stats)
+	}
 	if !traj.Converged || traj.Reason != core.ClosureFull {
 		t.Errorf("reason=%s converged=%v, want full/true", traj.Reason, traj.Converged)
 	}
@@ -132,13 +147,10 @@ func TestCloseNoOpOnFullGroup(t *testing.T) {
 // at -j 1 and -j 4.
 func TestCloseWorkerDeterminism(t *testing.T) {
 	run := func(workers int) string {
-		res, err := Close(holesConfig(), Options{Tests: testcases.All(), Seeds: []int64{1}, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, traj := closeOne(t, holesConfig(), regress.Options{Seeds: []int64{1}, Workers: workers})
 		var sb strings.Builder
-		Text(&sb, res.Trajectory)
-		if err := JSON(&sb, res.Trajectory); err != nil {
+		Text(&sb, traj)
+		if err := JSON(&sb, traj); err != nil {
 			t.Fatal(err)
 		}
 		return sb.String()
@@ -156,22 +168,18 @@ func TestCloseWarmCacheZeroResim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Tests: testcases.All(), Seeds: []int64{1}, Cache: cache}
-	cold, err := Close(holesConfig(), opt)
-	if err != nil {
-		t.Fatal(err)
+	opt := regress.Options{Seeds: []int64{1}, Cache: cache}
+	cold, ct := closeOne(t, holesConfig(), opt)
+	warm, wt := closeOne(t, holesConfig(), opt)
+	if got := warm.Stats; got.Ran != 0 || got.Cycles != 0 {
+		t.Errorf("warm closure re-simulated %d unit(s), %d cycles, want 0 (stats %v)", got.Ran, got.Cycles, got)
 	}
-	warm, err := Close(holesConfig(), opt)
-	if err != nil {
-		t.Fatal(err)
+	if warm.Stats.Cached != cold.Stats.Ran+cold.Stats.Cached {
+		t.Errorf("warm cached %d unit(s), cold produced %d", warm.Stats.Cached, cold.Stats.Ran+cold.Stats.Cached)
 	}
-	if got := warm.Stats(); got.Ran != 0 {
-		t.Errorf("warm closure re-simulated %d unit(s), want 0 (stats %v)", got.Ran, got)
+	if wt.UnitsCached != ct.UnitsRun+ct.UnitsCached {
+		t.Errorf("warm cached %d closure unit(s), cold produced %d", wt.UnitsCached, ct.UnitsRun+ct.UnitsCached)
 	}
-	if warm.ClosureStats.Cached != cold.ClosureStats.Ran+cold.ClosureStats.Cached {
-		t.Errorf("warm cached %d closure unit(s), cold produced %d", warm.ClosureStats.Cached, cold.ClosureStats.Ran+cold.ClosureStats.Cached)
-	}
-	ct, wt := cold.Trajectory, warm.Trajectory
 	if ct.Reason != wt.Reason || ct.FinalPercent != wt.FinalPercent ||
 		ct.TotalCycles != wt.TotalCycles || len(ct.Iterations) != len(wt.Iterations) {
 		t.Errorf("warm trajectory diverged from cold:\n--- cold ---\n%s--- warm ---\n%s", TextString(ct), TextString(wt))
@@ -214,11 +222,10 @@ func TestCloseDeadBinsOnly(t *testing.T) {
 			}
 		}
 	}
-	res, err := CloseGroup(cfg, cov, Options{})
+	traj, err := closeGroup(context.Background(), cfg, cov, Options{}, &regress.Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	traj := res.Trajectory
 	if traj.Reason != core.ClosureDeadBins || !traj.Converged {
 		t.Errorf("reason=%s converged=%v, want dead-bins/true", traj.Reason, traj.Converged)
 	}
@@ -241,11 +248,10 @@ func TestCloseStallsOnForeignHole(t *testing.T) {
 	}
 	cov := base.SuiteCoverage
 	cov.Item("foreign", "unhittable")
-	res, err := CloseGroup(cfg, cov, Options{StallIters: 1, MaxIters: 8})
+	traj, err := closeGroup(context.Background(), cfg, cov, Options{MaxIters: 100}, &regress.Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	traj := res.Trajectory
 	if traj.Reason != core.ClosureStalled || traj.Converged {
 		t.Errorf("reason=%s converged=%v, want stalled/false", traj.Reason, traj.Converged)
 	}
@@ -276,11 +282,10 @@ func TestCloseBudget(t *testing.T) {
 	}
 	cov := base.SuiteCoverage
 	cov.Item("foreign", "unhittable") // never closes, so only the budget can stop the loop early
-	res, err := CloseGroup(cfg, cov, Options{Budget: 1, StallIters: 100, MaxIters: 100})
+	traj, err := closeGroup(context.Background(), cfg, cov, Options{Budget: 1, MaxIters: 100}, &regress.Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	traj := res.Trajectory
 	if traj.Reason != core.ClosureBudget {
 		t.Errorf("reason=%s, want budget", traj.Reason)
 	}
@@ -298,15 +303,15 @@ func TestCloseMaxIters(t *testing.T) {
 	}
 	cov := base.SuiteCoverage
 	cov.Item("foreign", "unhittable")
-	res, err := CloseGroup(cfg, cov, Options{MaxIters: 1, StallIters: 100})
+	traj, err := closeGroup(context.Background(), cfg, cov, Options{MaxIters: 1}, &regress.Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trajectory.Reason != core.ClosureMaxIters {
-		t.Errorf("reason=%s, want max-iters", res.Trajectory.Reason)
+	if traj.Reason != core.ClosureMaxIters {
+		t.Errorf("reason=%s, want max-iters", traj.Reason)
 	}
-	if len(res.Trajectory.Iterations) != 1 {
-		t.Errorf("ran %d iteration(s), want 1", len(res.Trajectory.Iterations))
+	if len(traj.Iterations) != 1 {
+		t.Errorf("ran %d iteration(s), want 1", len(traj.Iterations))
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package jobs is the job tier of the served verification flow: it wraps
-// the regress/closure engines in an explicit job lifecycle
+// the regression driver (closure.Run) in an explicit job lifecycle
 // (queued → running → done/failed/cancelled) behind a bounded scheduler, so
 // many clients can submit matrix runs into one long-lived process sharing
 // one content-addressed result cache. The HTTP surface (internal/api) and
@@ -162,18 +162,13 @@ type Job struct {
 
 	res resolved
 
-	mu       sync.Mutex
-	state    State
-	err      string
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	progress ProgressStatus
-	// committed accumulates counters from engine runs that already finished
-	// (the base matrix, then each closure loop): live Progress events are
-	// relative to one engine run, so the job-level counters are
-	// committed + current.
-	committed ProgressStatus
+	mu        sync.Mutex
+	state     State
+	err       string
+	created   time.Time
+	started   time.Time
+	finished  time.Time
+	progress  ProgressStatus
 	log       strings.Builder
 	cancel    func()
 	results   []*regress.ConfigResult
@@ -342,34 +337,15 @@ func (j *Job) closeSubsLocked() {
 }
 
 // onProgress is the engine's injected sink (regress.Options.Progress),
-// called from the merge goroutine in canonical order. Events are relative
-// to the current engine run; the job adds its committed baseline.
+// called from the merge goroutine in canonical order with whole-run
+// counters: closure units count on from the suite.
 func (j *Job) onProgress(p regress.Progress) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.progress.Total = j.committed.Total + p.Total
-	j.progress.Done = j.committed.Done + p.Done
-	j.progress.Ran = j.committed.Ran + p.Ran
-	j.progress.Cached = j.committed.Cached + p.Cached
-	j.progress.Cycles = j.committed.Cycles + p.Cycles
-	j.progress.Config = p.Config
-	j.progress.Test = p.Test
-	j.progress.Seed = p.Seed
-	j.broadcastLocked()
-}
-
-// commit folds a finished engine run's statistics into the committed
-// baseline, so the next engine run's relative events stack correctly.
-func (j *Job) commit(stats regress.Stats) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	units := stats.Ran + stats.Cached
-	j.committed.Total += units
-	j.committed.Done += units
-	j.committed.Ran += stats.Ran
-	j.committed.Cached += stats.Cached
-	j.committed.Cycles += stats.Cycles
-	j.progress = j.committed
+	j.progress = ProgressStatus{
+		Total: p.Total, Done: p.Done, Ran: p.Ran, Cached: p.Cached, Cycles: p.Cycles,
+		Config: p.Config, Test: p.Test, Seed: p.Seed,
+	}
 	j.broadcastLocked()
 }
 

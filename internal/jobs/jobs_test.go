@@ -3,6 +3,8 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -253,5 +255,43 @@ func TestSubscribe(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Error("late subscriber got nothing")
+	}
+}
+
+// TestCloseJobProgress: a close job's progress never runs backwards, and its
+// terminal ran/cached/cycles equal its report's units, closure unit
+// included: both count simulated cycles only, as the engine does.
+func TestCloseJobProgress(t *testing.T) {
+	text, err := os.ReadFile(filepath.Join("..", "..", "configs", "closure", "regbank.cfg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := testManager(t, 1)
+	job, err := m.Submit(Spec{Configs: []string{string(text)}, Close: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, cancel := job.Subscribe()
+	defer cancel()
+	done := 0
+	for st := range events {
+		if st.Progress.Done < done {
+			t.Errorf("progress ran backwards: done %d after %d", st.Progress.Done, done)
+		}
+		done = st.Progress.Done
+	}
+	st := job.Status()
+	if st.State != Done {
+		t.Fatalf("job ended %s (%s), want done", st.State, st.Error)
+	}
+	if len(job.Closures()) != 1 {
+		t.Fatalf("%d closure trajectories, want 1", len(job.Closures()))
+	}
+	got := regress.UnitTotals{Ran: st.Progress.Ran, Cached: st.Progress.Cached, Cycles: st.Progress.Cycles}
+	if rep := job.Report(); got != rep.Units {
+		t.Errorf("terminal status counts %+v, report units %+v", got, rep.Units)
+	}
+	if st.Progress.Done != st.Progress.Total || st.Progress.Done != got.Ran+got.Cached {
+		t.Errorf("terminal progress %+v: done must equal total and ran+cached", st.Progress)
 	}
 }

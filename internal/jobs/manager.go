@@ -1,7 +1,7 @@
 package jobs
 
 // This file is the bounded scheduler: a fixed pool of executor slots pulls
-// queued jobs and drives the regress/closure engines under a per-job
+// queued jobs and drives the regression driver, closure.Run, under a per-job
 // cancellation context. Every job shares the manager's content-addressed
 // result cache, so overlapping submissions dedupe at the work-unit level —
 // the cache's in-process flight group guarantees a unit is simulated at most
@@ -230,50 +230,21 @@ func (m *Manager) execute(job *Job) {
 	job.mu.Unlock()
 	m.logf("job %s running", job.ID)
 
-	results, stats, err := regress.RunCtx(ctx, job.res.cfgs, regress.Options{
-		Tests: job.res.tests, Seeds: job.res.seeds,
-		NoLint: job.Spec.NoLint, Workers: m.opt.Workers, Cache: m.opt.Cache,
-		KernelStats: job.Spec.KernelStats, RecordWave: job.Spec.RecordWave,
-		Log: jobLog{job}, Progress: job.onProgress,
+	res, err := closure.Run(ctx, job.res.cfgs, closure.Options{
+		Options: regress.Options{
+			Tests: job.res.tests, Seeds: job.res.seeds,
+			NoLint: job.Spec.NoLint, Workers: m.opt.Workers, Cache: m.opt.Cache,
+			KernelStats: job.Spec.KernelStats, RecordWave: job.Spec.RecordWave,
+			Log: jobLog{job}, Progress: job.onProgress,
+		},
+		Close: job.Spec.Close, MaxIters: job.Spec.MaxIters, Budget: job.Spec.Budget,
 	})
-	if err == nil {
-		job.commit(stats)
-		if job.Spec.Close {
-			err = m.runClosure(ctx, job, results, &stats)
-		}
-	}
-	m.finish(job, results, stats, err)
-}
-
-// runClosure runs the coverage-closure loop on every configuration the
-// suite left below full functional coverage, accumulating trajectories and
-// unit statistics into the job.
-func (m *Manager) runClosure(ctx context.Context, job *Job, results []*regress.ConfigResult, stats *regress.Stats) error {
-	for _, cr := range results {
-		if cr.SuiteCoverage.Full() {
-			continue
-		}
-		res, err := closure.CloseGroupCtx(ctx, cr.Cfg, cr.SuiteCoverage, closure.Options{
-			Seeds: job.res.seeds, Workers: m.opt.Workers, Cache: m.opt.Cache,
-			MaxIters: job.Spec.MaxIters, Budget: job.Spec.Budget, Log: jobLog{job},
-		})
-		if err != nil {
-			return err
-		}
-		cs := res.ClosureStats
-		stats.Ran += cs.Ran
-		stats.Cached += cs.Cached
-		job.mu.Lock()
-		job.closures = append(job.closures, res.Trajectory)
-		job.mu.Unlock()
-		job.commit(regress.Stats{Ran: cs.Ran, Cached: cs.Cached, Cycles: res.Trajectory.TotalCycles})
-	}
-	return nil
+	m.finish(job, res, err)
 }
 
 // finish moves the job to its terminal state, builds the canonical report
 // and the waveform index, and releases subscribers.
-func (m *Manager) finish(job *Job, results []*regress.ConfigResult, stats regress.Stats, err error) {
+func (m *Manager) finish(job *Job, res *closure.Result, err error) {
 	job.mu.Lock()
 	defer job.mu.Unlock()
 	job.finished = time.Now()
@@ -281,11 +252,12 @@ func (m *Manager) finish(job *Job, results []*regress.ConfigResult, stats regres
 	switch {
 	case err == nil:
 		job.state = Done
-		job.results = results
-		job.stats = stats
+		job.results = res.Results
+		job.closures = res.Trajectories
+		job.stats = res.Stats
 		job.stats.Duration = job.finished.Sub(job.started)
-		job.report = regress.BuildReport(results, job.stats)
-		for _, cr := range results {
+		job.report = regress.BuildReport(res.Results, job.stats)
+		for _, cr := range res.Results {
 			for _, run := range cr.Runs {
 				for view, r := range map[string]*core.RunResult{"rtl": run.Pair.RTL, "bca": run.Pair.BCA} {
 					if r.Wave != nil {

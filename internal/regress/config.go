@@ -15,7 +15,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -25,21 +24,22 @@ import (
 	"crve/internal/stbus"
 )
 
-// lineError is one parse failure with its 1-based line number, so callers
-// can report every broken line of a parameter file at once.
-type lineError struct {
-	line int
-	err  error
-}
-
 // parseLines scans one parameter file, applying every `key = value` line and
-// accumulating (rather than short-circuiting on) per-line failures. It
-// returns the partially-filled configuration, the line on which each key was
-// set, and every parse error.
-func parseLines(r io.Reader) (nodespec.Config, map[string]int, []lineError) {
+// collecting (rather than short-circuiting on) per-line failures as CRVE000
+// diagnostics positioned in file. It returns the partially-filled
+// configuration and the line on which each key was set.
+func parseLines(file string, r io.Reader) (nodespec.Config, map[string]int, []lint.Diagnostic) {
 	cfg := nodespec.Config{}
 	keyLine := map[string]int{}
-	var errs []lineError
+	var diags []lint.Diagnostic
+	fail := func(line int, err error) {
+		diags = append(diags, lint.Diagnostic{
+			Pos:      lint.Position{File: file, Line: line},
+			Code:     lint.CodeParse,
+			Severity: lint.Error,
+			Msg:      err.Error(),
+		})
+	}
 	sc := bufio.NewScanner(r)
 	line := 0
 	for sc.Scan() {
@@ -54,21 +54,21 @@ func parseLines(r io.Reader) (nodespec.Config, map[string]int, []lineError) {
 		}
 		key, val, ok := strings.Cut(text, "=")
 		if !ok {
-			errs = append(errs, lineError{line, fmt.Errorf("expected key = value")})
+			fail(line, fmt.Errorf("expected key = value"))
 			continue
 		}
 		key = strings.TrimSpace(key)
 		val = strings.TrimSpace(val)
 		if err := applyParam(&cfg, key, val); err != nil {
-			errs = append(errs, lineError{line, err})
+			fail(line, err)
 			continue
 		}
 		keyLine[key] = line
 	}
 	if err := sc.Err(); err != nil {
-		errs = append(errs, lineError{line, err})
+		fail(line, err)
 	}
-	return cfg, keyLine, errs
+	return cfg, keyLine, diags
 }
 
 // ParseConfig reads one HDL-parameter file. The format is line-oriented
@@ -89,21 +89,26 @@ func parseLines(r io.Reader) (nodespec.Config, map[string]int, []lineError) {
 //	prog_port = true
 //	prog_base = 0x8000
 //
-// Every broken line is reported (the errors are joined, one `regress: line
-// N:` entry per failure) instead of stopping at the first; the semantic
-// Validate pass runs only when the file parsed cleanly. For positioned,
-// coded diagnostics use ParseSource and internal/lint instead.
+// Every broken line is reported (see configErr) instead of stopping at the
+// first. For positioned, coded diagnostics use ParseSource and
+// internal/lint instead.
 func ParseConfig(r io.Reader) (nodespec.Config, error) {
-	cfg, _, lineErrs := parseLines(r)
-	if len(lineErrs) > 0 {
-		errs := make([]error, len(lineErrs))
-		for i, le := range lineErrs {
-			errs[i] = fmt.Errorf("regress: line %d: %w", le.line, le.err)
-		}
-		return cfg, errors.Join(errs...)
+	src := ParseSource("", r)
+	return src.Cfg, configErr(src)
+}
+
+// configErr is the error form of a parsed source: every broken line, one
+// `regress: line N:` entry each, joined — or, when the file parsed cleanly,
+// the semantic Validate error.
+func configErr(src lint.Source) error {
+	if len(src.Parse) == 0 {
+		return src.Cfg.Validate()
 	}
-	cfg = cfg.WithDefaults()
-	return cfg, cfg.Validate()
+	errs := make([]error, len(src.Parse))
+	for i, d := range src.Parse {
+		errs[i] = fmt.Errorf("regress: line %d: %s", d.Pos.Line, d.Msg)
+	}
+	return errors.Join(errs...)
 }
 
 // ParseSource reads one HDL-parameter file into a lint.Source: the parsed
@@ -112,17 +117,8 @@ func ParseConfig(r io.Reader) (nodespec.Config, error) {
 // source rather than an error, so a whole configuration directory can be
 // linted in one pass.
 func ParseSource(file string, r io.Reader) lint.Source {
-	cfg, keyLine, lineErrs := parseLines(r)
-	src := lint.Source{File: file, Cfg: cfg.WithDefaults(), KeyLine: keyLine}
-	for _, le := range lineErrs {
-		src.Parse = append(src.Parse, lint.Diagnostic{
-			Pos:      lint.Position{File: file, Line: le.line},
-			Code:     lint.CodeParse,
-			Severity: lint.Error,
-			Msg:      le.err.Error(),
-		})
-	}
-	return src
+	cfg, keyLine, diags := parseLines(file, r)
+	return lint.Source{File: file, Cfg: cfg.WithDefaults(), KeyLine: keyLine, Parse: diags}
 }
 
 func applyParam(cfg *nodespec.Config, key, val string) error {
@@ -307,74 +303,81 @@ func FormatConfig(cfg nodespec.Config) string {
 	return sb.String()
 }
 
-// cfgFileNames lists the *.cfg files of dir, sorted by name.
-func cfgFileNames(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
+// cfgFiles resolves a configuration path: a file stands for itself, a
+// directory for its *.cfg files sorted by name (subdirectories are
+// skipped).
+func cfgFiles(path string) ([]string, error) {
+	info, err := os.Stat(path)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
+	if !info.IsDir() {
+		return []string{path}, nil
+	}
+	entries, err := os.ReadDir(path) // sorted by name
+	if err != nil {
+		return nil, err
+	}
+	var files []string
 	for _, e := range entries {
 		if !e.IsDir() && strings.HasSuffix(e.Name(), ".cfg") {
-			names = append(names, e.Name())
+			files = append(files, filepath.Join(path, e.Name()))
 		}
 	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("regress: no .cfg files in %s", dir)
+	if len(files) == 0 {
+		return nil, fmt.Errorf("regress: no .cfg files in %s", path)
 	}
-	return names, nil
+	return files, nil
 }
 
-// LoadConfigDir parses every *.cfg file in dir, sorted by file name.
-func LoadConfigDir(dir string) ([]nodespec.Config, error) {
-	names, err := cfgFileNames(dir)
+// loadSource parses the parameter file at path. A configuration without a
+// `name` line takes its file name — the one naming rule of every loader, so
+// a file gets the same name (and cache key) whichever tool reads it.
+func loadSource(path string) (lint.Source, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return lint.Source{}, err
+	}
+	defer f.Close()
+	src := ParseSource(path, f)
+	if src.Cfg.Name == "node" {
+		src.Cfg.Name = strings.TrimSuffix(filepath.Base(path), ".cfg")
+	}
+	return src, nil
+}
+
+// LoadSources parses the parameter file at path, or every *.cfg file of the
+// directory at path, into lint sources. Broken files do not fail it: parse
+// failures ride along as CRVE000 diagnostics, so crvelint reports every
+// problem of a directory in one pass. Only I/O failures (or a directory
+// without .cfg files) are errors.
+func LoadSources(path string) ([]lint.Source, error) {
+	files, err := cfgFiles(path)
 	if err != nil {
 		return nil, err
 	}
-	var cfgs []nodespec.Config
-	for _, name := range names {
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
+	srcs := make([]lint.Source, len(files))
+	for i, file := range files {
+		if srcs[i], err = loadSource(file); err != nil {
 			return nil, err
 		}
-		cfg, err := ParseConfig(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		if cfg.Name == "node" {
-			cfg.Name = strings.TrimSuffix(name, ".cfg")
-		}
-		cfgs = append(cfgs, cfg)
-	}
-	return cfgs, nil
-}
-
-// LoadSourceDir parses every *.cfg file in dir into lint sources. Unlike
-// LoadConfigDir it does not fail on broken files: parse failures ride along
-// as CRVE000 diagnostics so crvelint reports every problem of the directory
-// in one pass. Only I/O failures (or an empty directory) are errors.
-func LoadSourceDir(dir string) ([]lint.Source, error) {
-	names, err := cfgFileNames(dir)
-	if err != nil {
-		return nil, err
-	}
-	var srcs []lint.Source
-	for _, name := range names {
-		path := filepath.Join(dir, name)
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		src := ParseSource(path, f)
-		f.Close()
-		// Mirror LoadConfigDir: an unnamed config takes its file name, so
-		// duplicate-name linting matches what a run would use.
-		if src.Cfg.Name == "node" {
-			src.Cfg.Name = strings.TrimSuffix(name, ".cfg")
-		}
-		srcs = append(srcs, src)
 	}
 	return srcs, nil
+}
+
+// LoadConfigs is LoadSources for a run: it refuses the first file that does
+// not parse or validate, listing every broken line of it.
+func LoadConfigs(path string) ([]nodespec.Config, error) {
+	srcs, err := LoadSources(path)
+	if err != nil {
+		return nil, err
+	}
+	cfgs := make([]nodespec.Config, len(srcs))
+	for i, src := range srcs {
+		if err := configErr(src); err != nil {
+			return nil, fmt.Errorf("%s: %w", filepath.Base(src.File), err)
+		}
+		cfgs[i] = src.Cfg
+	}
+	return cfgs, nil
 }

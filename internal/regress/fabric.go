@@ -1,40 +1,20 @@
 package regress
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
-
 	"crve/internal/fabric"
 	"crve/internal/lint"
 )
 
-// loadConfigSource is the fabric.ConfigLoader backed by the standard
-// parameter-file parser: node directives in a topology file reference the
-// same *.cfg format the regression matrix loads. Unnamed configs take their
-// file basename, exactly as LoadSourceDir does.
-func loadConfigSource(path string) (lint.Source, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return lint.Source{}, err
-	}
-	defer f.Close()
-	src := ParseSource(path, f)
-	if src.Cfg.Name == "node" {
-		src.Cfg.Name = strings.TrimSuffix(filepath.Base(path), ".cfg")
-	}
-	return src, nil
-}
-
 // LoadFabric elaborates the topology file at path, resolving node configs
-// through the regress parameter-file loader.
+// through the regress parameter-file loader: node directives in a topology
+// reference the same *.cfg format the regression matrix loads.
 func LoadFabric(path string) (*fabric.Topology, error) {
-	return fabric.LoadFile(path, loadConfigSource)
+	return fabric.LoadFile(path, loadSource)
 }
 
 // CheckFabric elaborates and checks one topology file: the whole-fabric
 // rules (CRVE018–CRVE023) plus the per-config lint of every referenced
 // configuration. Only I/O failures on the topology file itself are errors.
 func CheckFabric(path string) (*lint.Report, error) {
-	return fabric.CheckFile(path, loadConfigSource)
+	return fabric.CheckFile(path, loadSource)
 }

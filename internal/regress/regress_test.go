@@ -104,27 +104,54 @@ func TestFormatConfigRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadConfigDir: LoadConfigs takes a directory or a single file, names
+// an unnamed configuration after its file, and refuses a broken file with
+// every broken line of it.
 func TestLoadConfigDir(t *testing.T) {
+	write := func(dir, name, text string) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "a.cfg"), []byte(sampleCfg), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	single := write(dir, "a.cfg", sampleCfg)
 	cfg2 := StandardMatrix()[0]
-	if err := os.WriteFile(filepath.Join(dir, "b.cfg"), []byte(FormatConfig(cfg2)), 0o644); err != nil {
-		t.Fatal(err)
+	write(dir, "b.cfg", FormatConfig(cfg2))
+	write(dir, "ignore.txt", "x")
+	unnamed := write(t.TempDir(), "solo.cfg", strings.Replace(sampleCfg, "name      = sample\n", "", 1))
+	for _, tc := range []struct {
+		what, path string
+		want       []string
+	}{
+		{"directory", dir, []string{"sample", cfg2.Name}},
+		{"single file", single, []string{"sample"}},
+		{"unnamed file", unnamed, []string{"solo"}},
+	} {
+		cfgs, err := LoadConfigs(tc.path)
+		if err != nil {
+			t.Errorf("%s: %v", tc.what, err)
+			continue
+		}
+		var got []string
+		for _, cfg := range cfgs {
+			got = append(got, cfg.Name)
+		}
+		if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("%s: loaded %v, want %v", tc.what, got, tc.want)
+		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "ignore.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfgs, err := LoadConfigDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cfgs) != 2 || cfgs[0].Name != "sample" {
-		t.Errorf("loaded %d configs: %v", len(cfgs), cfgs)
-	}
-	if _, err := LoadConfigDir(t.TempDir()); err == nil {
+	if _, err := LoadConfigs(t.TempDir()); err == nil {
 		t.Error("empty dir should fail")
+	}
+	broken := write(t.TempDir(), "broken.cfg", "type = t9\nbogus = 1\nwhat\n")
+	want := "broken.cfg: regress: line 1: bad type \"t9\"\n" +
+		"regress: line 2: unknown parameter \"bogus\"\n" +
+		"regress: line 3: expected key = value"
+	if _, err := LoadConfigs(broken); err == nil || err.Error() != want {
+		t.Errorf("broken file: got %v, want\n%s", err, want)
 	}
 }
 
@@ -373,7 +400,7 @@ func TestLoadSourceDirCollectsBrokenFiles(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "broken.cfg"), []byte("what\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srcs, err := LoadSourceDir(dir)
+	srcs, err := LoadSources(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +452,7 @@ func TestRunMatrixLintGate(t *testing.T) {
 // and survives a writer -> parser round trip unchanged.
 func TestShippedConfigsLintCleanAndRoundTrip(t *testing.T) {
 	dir := filepath.Join("..", "..", "configs")
-	srcs, err := LoadSourceDir(dir)
+	srcs, err := LoadSources(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func configCorpus(tb testing.TB) []string {
 func checkFormatRoundTrip(cfg nodespec.Config) error {
 	cfg = cfg.WithDefaults()
 	text := FormatConfig(cfg)
-	back, _, backErrs := parseLines(strings.NewReader(text))
+	back, _, backErrs := parseLines("", strings.NewReader(text))
 	if len(backErrs) > 0 {
 		return fmt.Errorf("formatted config does not re-parse: %v\n%s", backErrs, text)
 	}
@@ -86,7 +86,7 @@ func TestFormatConfigFixpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			cfg, _, lineErrs := parseLines(f)
+			cfg, _, lineErrs := parseLines(path, f)
 			if len(lineErrs) > 0 {
 				t.Skipf("does not parse (%d line errors): -fix never rewrites it", len(lineErrs))
 			}

@@ -36,11 +36,6 @@ type Options struct {
 	// matrix with lint errors refuses to run: a mis-specified node config
 	// should fail in milliseconds, not mid-run after expensive cycles.
 	NoLint bool
-	// Fabrics lists topology files (*.fab) to check alongside the matrix:
-	// the run refuses to start while any fabric the configs are meant to
-	// compose into fails the whole-topology rules (CRVE018–CRVE023), under
-	// the same NoLint override as the per-config gate.
-	Fabrics []string
 	// Workers bounds the engine's worker pool — how many (config, test,
 	// seed) units simulate concurrently. 0 means runtime.GOMAXPROCS(0);
 	// 1 executes strictly serially. The merged output is byte-identical
@@ -179,7 +174,7 @@ func passStr(ok bool) string {
 
 // LintConfigs runs the static-analysis layer over a configuration set and
 // the run's seed list, positioning diagnostics at the configuration names
-// (file-based positions come from LoadSourceDir + lint.CheckSet directly).
+// (file-based positions come from LoadSources + lint.CheckSet directly).
 func LintConfigs(cfgs []nodespec.Config, seeds []int64) *lint.Report {
 	srcs := make([]lint.Source, len(cfgs))
 	for i, cfg := range cfgs {
@@ -213,18 +208,6 @@ func RunCtx(ctx context.Context, cfgs []nodespec.Config, opt Options) ([]*Config
 			var sb strings.Builder
 			rep.Text(&sb)
 			return nil, Stats{}, fmt.Errorf("regress: matrix failed lint (set NoLint to override):\n%s", sb.String())
-		}
-		for _, path := range opt.Fabrics {
-			frep, err := CheckFabric(path)
-			if err != nil {
-				return nil, Stats{}, fmt.Errorf("regress: fabric %s: %w", path, err)
-			}
-			if frep.HasErrors() {
-				var sb strings.Builder
-				frep.Text(&sb)
-				return nil, Stats{}, fmt.Errorf("regress: fabric %s failed lint (set NoLint to override):\n%s", path, sb.String())
-			}
-			rep.Diags = append(rep.Diags, frep.Diags...)
 		}
 		if opt.Log != nil {
 			for _, d := range rep.Diags {
