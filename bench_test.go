@@ -409,6 +409,32 @@ func BenchmarkKernelStep(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelStepWatched is BenchmarkKernelStep with every register
+// on a change journal drained each cycle, as the alignment and waveform
+// taps drain theirs: the journal must stay allocation-free.
+func BenchmarkKernelStepWatched(b *testing.B) {
+	sm := sim.New()
+	var regs []*sim.Signal
+	for i := 0; i < 32; i++ {
+		d := sm.Signal("d", 32)
+		q := sm.Signal("q", 32)
+		sm.CombOut("inc", func() { q.SetU64(d.U64() + 1) }, []*sim.Signal{q}, d)
+		sm.Seq("reg", func() { d.Set(q.Get()) })
+		regs = append(regs, d)
+	}
+	w := sm.Watch(regs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	noted := 0
+	for i := 0; i < b.N; i++ {
+		if err := sm.Step(); err != nil {
+			b.Fatal(err)
+		}
+		noted += len(w.Drain())
+	}
+	b.ReportMetric(float64(noted)/float64(b.N), "noted/cycle")
+}
+
 // BenchmarkKernelStepChain measures settle depth: a single depth-32
 // combinational chain, which the levelized scheduler settles in one ranked
 // sweep (an iterate-to-fixpoint loop would take 33 deltas per cycle). The

@@ -40,6 +40,8 @@ func (c PortConfig) WithDefaults() PortConfig { return c }
 type Port struct {
 	Cfg  PortConfig
 	Name string
+	Req, Gnt, Opc, Data *sim.Signal
+	RReq, RGnt, RData   *sim.Signal
 }
 func NewPort(sc sim.Scope, name string, cfg PortConfig) *Port { return &Port{Cfg: cfg, Name: name} }
 func Bind(sm *sim.Simulator, initSide, tgtSide *Port)         {}
@@ -481,6 +483,60 @@ func mystery() stbus.PortConfig { return stbus.PortConfig{} }
 	}
 }
 
+const portdriveFixture = `package client
+import (
+	"crve/internal/sim"
+	"crve/internal/stbus"
+)
+type bundle struct{ Req *sim.Signal }
+func drive(p *stbus.Port, v stbus.Port, b bundle, s *sim.Signal, x sim.Bits) {
+	p.Req.SetBool(true)  // line 8: channel signal
+	p.Opc.SetU64(1)      // line 9: channel signal
+	v.RData.Set(x)       // line 10: channel signal, Port by value
+	p.RReq.SetBool(true) // line 11: channel signal
+	p.Gnt.SetBool(true)  // handshake answer: not cached, fine
+	p.RGnt.SetBool(true) // handshake answer: not cached, fine
+	_ = p.Req.Bool()     // a read, fine
+	b.Req.SetBool(true)  // not a stbus.Port, fine
+	s.Set(x)             // a plain signal, fine
+}
+`
+
+func TestPortDriveFlagsChannelWrites(t *testing.T) {
+	got := runOn(t, PortDrive, "client.go", portdriveFixture)
+	if len(got) != 4 {
+		t.Fatalf("want 4 findings, got %d: %v", len(got), got)
+	}
+	for i, want := range []string{"8: direct SetBool on stbus.Port channel signal Req", "9: direct SetU64", "10: direct Set on stbus.Port channel signal RData", "11: "} {
+		if !strings.HasPrefix(got[i], want) {
+			t.Errorf("finding %d = %q, want prefix %q", i, got[i], want)
+		}
+	}
+	if !strings.Contains(got[0], "DriveCell") {
+		t.Errorf("message should name the drive methods: %v", got[0])
+	}
+}
+
+func TestPortDriveSkipsTestFilesAndStbus(t *testing.T) {
+	if got := runOn(t, PortDrive, "client_test.go", portdriveFixture); len(got) != 0 {
+		t.Fatalf("portdrive must not fire in _test.go files, got %v", got)
+	}
+	// Package stbus itself implements the drive methods and Bind.
+	src := `package stbus
+import "crve/internal/sim"
+type Port struct{ Req *sim.Signal }
+func (p *Port) IdleReq() { p.Req.SetBool(false) }
+`
+	fset, files, pkg, info := check(t, stubs(t), "crve/internal/stbus", "port.go", src)
+	diags, err := Run([]*Analyzer{PortDrive}, fset, files, pkg, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 0 {
+		t.Fatalf("portdrive must not fire inside package stbus, got %v", diags)
+	}
+}
+
 func TestAnalyzersAreRegistered(t *testing.T) {
 	names := map[string]bool{}
 	for _, a := range Analyzers() {
@@ -492,7 +548,7 @@ func TestAnalyzersAreRegistered(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	if !names["configliteral"] || !names["portwidth"] || !names["signalread"] || !names["bindcheck"] {
+	if !names["configliteral"] || !names["portwidth"] || !names["signalread"] || !names["bindcheck"] || !names["portdrive"] {
 		t.Errorf("expected analyzers missing: %v", names)
 	}
 }

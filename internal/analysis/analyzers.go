@@ -21,7 +21,7 @@ const (
 // Analyzers returns every repo-invariant analyzer, in stable order. This is
 // the set cmd/crvevet serves to `go vet -vettool`.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Bindcheck, ConfigLiteral, PortWidth, SignalRead}
+	return []*Analyzer{Bindcheck, ConfigLiteral, PortDrive, PortWidth, SignalRead}
 }
 
 // ConfigLiteral flags a nodespec.Config composite literal passed directly

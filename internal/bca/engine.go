@@ -390,7 +390,8 @@ func (e *engine) Commit(in *Inputs, reqCell func(i int) stbus.Cell, respCell fun
 			if r < 0 {
 				e.service(i, r)
 			}
-			e.pktCells[i] = nil
+			// service copies what it keeps, so the buffer is reused.
+			e.pktCells[i] = e.pktCells[i][:0]
 			e.pktRoute[i] = routeIdle
 		} else {
 			e.pktRoute[i] = r

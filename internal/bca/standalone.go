@@ -36,12 +36,15 @@ type saMem struct {
 	lat   int
 	cyc   uint64
 	cur   []stbus.Cell
-	queue []struct {
-		resp    []stbus.RespCell
-		readyAt uint64
-		idx     int
-	}
-	mem map[uint64]byte
+	queue []saPkt
+	mem   stbus.SparseMem
+}
+
+// saPkt is a response packet queued in a standalone target.
+type saPkt struct {
+	resp    []stbus.RespCell
+	readyAt uint64
+	idx     int
 }
 
 func (m *saMem) canAccept() bool { return len(m.queue) < 4 }
@@ -55,26 +58,20 @@ func (m *saMem) capture(cfg stbus.PortConfig, c stbus.Cell) {
 	var rd []byte
 	if head.Opc.IsLoad() {
 		rd = make([]byte, head.Opc.SizeBytes())
-		for i := range rd {
-			rd[i] = m.mem[head.Addr+uint64(i)]
-		}
+		m.mem.Read(head.Addr, rd)
 	}
 	if head.Opc.HasWriteData() {
-		for i, b := range stbus.ExtractWriteData(cfg.Endian, m.cur, cfg.BusBytes()) {
-			m.mem[head.Addr+uint64(i)] = b
-		}
+		m.mem.Write(head.Addr, stbus.ExtractWriteData(cfg.Endian, m.cur, cfg.BusBytes()))
 	}
 	resp, err := stbus.BuildResponse(cfg.Type, cfg.Endian, head.Opc, head.Addr, rd,
 		cfg.BusBytes(), head.TID, head.Src, false)
 	if err != nil {
 		resp = []stbus.RespCell{{ROpc: stbus.RespError, EOP: true, TID: head.TID, Src: head.Src}}
 	}
-	m.queue = append(m.queue, struct {
-		resp    []stbus.RespCell
-		readyAt uint64
-		idx     int
-	}{resp: resp, readyAt: m.cyc + uint64(m.lat)})
-	m.cur = nil
+	m.queue = append(m.queue, saPkt{resp: resp, readyAt: m.cyc + uint64(m.lat)})
+	// Nothing above keeps the cells (ExtractWriteData copies), so the buffer
+	// is reused across packets.
+	m.cur = m.cur[:0]
 }
 
 func (m *saMem) offering() (stbus.RespCell, bool) {
@@ -155,7 +152,7 @@ func RunStandalone(cfg StandaloneConfig) (StandaloneResult, error) {
 	}
 	mems := make([]*saMem, nc.NumTgt)
 	for t := range mems {
-		mems[t] = &saMem{lat: cfg.MemLatency, mem: map[uint64]byte{}}
+		mems[t] = &saMem{lat: cfg.MemLatency}
 	}
 	in := NewInputs(nc)
 	curTgtReq := make([]bool, nc.NumTgt)

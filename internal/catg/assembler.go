@@ -26,7 +26,7 @@ type TxAssembler struct {
 
 	reqCells  []stbus.Cell
 	reqStart  uint64
-	pending   []*pendingTx
+	pending   []pendingTx
 	respCells []stbus.RespCell
 	seq       uint64
 
@@ -88,7 +88,7 @@ func (a *TxAssembler) finishRequest(cyc uint64) {
 		tr.WriteData = stbus.ExtractWriteData(a.Cfg.Endian, a.reqCells, a.Cfg.BusBytes())
 	}
 	a.seq++
-	a.pending = append(a.pending, &pendingTx{tr: tr, reqOp: first.Opc, reqAddr: first.Addr, seq: a.seq})
+	a.pending = append(a.pending, pendingTx{tr: tr, reqOp: first.Opc, reqAddr: first.Addr, seq: a.seq})
 	// Nothing above retains the cell slice (ExtractWriteData copies), so the
 	// buffer is reused across packets instead of reallocated.
 	a.reqCells = a.reqCells[:0]

@@ -119,23 +119,23 @@ type TargetBFM struct {
 	Cfg  TargetConfig
 
 	rng   *rand.Rand
-	mem   map[uint64]byte
+	mem   stbus.SparseMem
 	cur   []stbus.Cell
-	queue []*tgtPkt
+	rd    []byte // read-data scratch: BuildResponse copies it into the cells
+	queue []tgtPkt
 	gap   int
 	cyc   uint64
 }
 
 // NewTargetBFM attaches a target BFM to port.
 func NewTargetBFM(sm *sim.Simulator, port *stbus.Port, cfg TargetConfig, seed int64) *TargetBFM {
-	b := &TargetBFM{Port: port, Cfg: cfg.WithDefaults(), rng: rand.New(rand.NewSource(seed)),
-		mem: make(map[uint64]byte)}
+	b := &TargetBFM{Port: port, Cfg: cfg.WithDefaults(), rng: rand.New(rand.NewSource(seed))}
 	sm.Seq(port.Name+".bfm", b.tick)
 	return b
 }
 
 // Peek reads a byte of the target's memory, for tests.
-func (b *TargetBFM) Peek(addr uint64) byte { return b.mem[addr] }
+func (b *TargetBFM) Peek(addr uint64) byte { return b.mem.Byte(addr) }
 
 func (b *TargetBFM) tick() {
 	p := b.Port
@@ -155,7 +155,7 @@ func (b *TargetBFM) tick() {
 		b.gap--
 	}
 	if p.RespFire() {
-		h := b.queue[0]
+		h := &b.queue[0]
 		h.idx++
 		if h.idx == len(h.resp) {
 			b.queue = b.queue[1:]
@@ -170,7 +170,7 @@ func (b *TargetBFM) tick() {
 }
 
 // serve executes a completed request packet against the memory model.
-func (b *TargetBFM) serve(cells []stbus.Cell) *tgtPkt {
+func (b *TargetBFM) serve(cells []stbus.Cell) tgtPkt {
 	cfg := b.Port.Cfg
 	first := cells[0]
 	op, addr := first.Opc, first.Addr
@@ -178,18 +178,18 @@ func (b *TargetBFM) serve(cells []stbus.Cell) *tgtPkt {
 	if b.Cfg.MaxLatency > b.Cfg.MinLatency {
 		lat += b.rng.Intn(b.Cfg.MaxLatency - b.Cfg.MinLatency + 1)
 	}
-	pk := &tgtPkt{readyAt: b.cyc + uint64(lat)}
+	pk := tgtPkt{readyAt: b.cyc + uint64(lat)}
 	var rd []byte
 	if op.IsLoad() {
-		rd = make([]byte, op.SizeBytes())
-		for i := range rd {
-			rd[i] = b.mem[addr+uint64(i)]
+		n := op.SizeBytes()
+		if cap(b.rd) < n {
+			b.rd = make([]byte, n)
 		}
+		rd = b.rd[:n]
+		b.mem.Read(addr, rd)
 	}
 	if op.HasWriteData() {
-		for i, v := range stbus.ExtractWriteData(cfg.Endian, cells, cfg.BusBytes()) {
-			b.mem[addr+uint64(i)] = v
-		}
+		b.mem.Write(addr, stbus.ExtractWriteData(cfg.Endian, cells, cfg.BusBytes()))
 	}
 	resp, err := stbus.BuildResponse(cfg.Type, cfg.Endian, op, addr, rd, cfg.BusBytes(),
 		first.TID, first.Src, false)

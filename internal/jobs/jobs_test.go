@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"crve/internal/arb"
+	"crve/internal/core"
+	"crve/internal/coverage"
 	"crve/internal/nodespec"
 	"crve/internal/regress"
 	"crve/internal/stbus"
@@ -136,6 +138,42 @@ func TestJobLifecycle(t *testing.T) {
 	regress.WriteJSON(&b2, rep2)
 	if b1.String() != b2.String() {
 		t.Errorf("cache-served report diverged:\n%s\nvs\n%s", b1.String(), b2.String())
+	}
+}
+
+// TestFinishedJobKeepsWhatItServes: the manager keeps every finished job, so
+// a job keeps each run's verdicts and alignment and its configurations'
+// merged coverage, which the API and the dashboard serve, and drops each
+// run's own coverage maps and latencies, which nothing serves.
+func TestFinishedJobKeepsWhatItServes(t *testing.T) {
+	m := testManager(t, 1)
+	job, err := m.Submit(Spec{Configs: []string{cfgText(t, "keep0", 2)}, Tests: []string{"basic_write_read"}, Seeds: []int64{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, job); st.State != Done {
+		t.Fatalf("job ended %s (%s), want done", st.State, st.Error)
+	}
+	results := job.Results()
+	if len(results) != 1 || len(results[0].Runs) != 2 {
+		t.Fatalf("results %+v, want one configuration with two runs", results)
+	}
+	cr := results[0]
+	if cr.SuiteCoverage.Percent() == 0 || cr.CodeCov.Percent(coverage.LinePoint) == 0 {
+		t.Error("the merged configuration coverage must survive the job")
+	}
+	for _, run := range cr.Runs {
+		if run.Pair.Alignment.MinRate() != 100 || !run.Pair.CoverageEqual {
+			t.Errorf("%s/%d: alignment or coverage verdict lost", run.Test, run.Seed)
+		}
+		for _, r := range []*core.RunResult{run.Pair.RTL, run.Pair.BCA} {
+			if !r.Passed() || r.Cycles == 0 {
+				t.Errorf("%s/%d %s: verdict lost (passed %v, %d cycles)", run.Test, run.Seed, r.View, r.Passed(), r.Cycles)
+			}
+			if r.Coverage != nil || r.CodeCov != nil || r.Latencies != nil {
+				t.Errorf("%s/%d %s: finished job still holds the run's coverage maps or latencies", run.Test, run.Seed, r.View)
+			}
+		}
 	}
 }
 

@@ -252,7 +252,6 @@ func (m *Manager) finish(job *Job, res *closure.Result, err error) {
 	switch {
 	case err == nil:
 		job.state = Done
-		job.results = res.Results
 		job.closures = res.Trajectories
 		job.stats = res.Stats
 		job.stats.Duration = job.finished.Sub(job.started)
@@ -263,9 +262,17 @@ func (m *Manager) finish(job *Job, res *closure.Result, err error) {
 					if r.Wave != nil {
 						job.waves[waveKey(cr.Cfg.Name, run.Test, run.Seed, view)] = r.Wave
 					}
+					// The manager keeps every finished job. It serves each
+					// run's verdicts, alignment and kernel profile, and the
+					// coverage merged per configuration; a run's own
+					// coverage maps and latencies, which nothing serves once
+					// they are merged, are not kept for the life of the
+					// daemon.
+					r.Coverage, r.CodeCov, r.Latencies = nil, nil, nil
 				}
 			}
 		}
+		job.results = res.Results
 	case errors.Is(err, context.Canceled):
 		job.state = Cancelled
 		job.err = err.Error()

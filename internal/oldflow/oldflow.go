@@ -54,8 +54,7 @@ func Run(cfg nodespec.Config, bugs bca.Bugs, pairs int, seed int64) (*Result, er
 	rng := rand.New(rand.NewSource(seed))
 
 	// The memory model behind target 0 — the only target the old flow uses.
-	mem := attachSimpleMemory(sm, node.Tgt[0].Name, node)
-	_ = mem
+	attachSimpleMemory(sm, node.Tgt[0].Name, node)
 	// Idle every other port: the model owner's bench never drove them.
 	for i := 1; i < cfg.NumInit; i++ {
 		p := node.Init[i]
@@ -186,10 +185,10 @@ func minInt(a, b int) int {
 }
 
 // attachSimpleMemory is the old flow's memory model behind target port 0.
-func attachSimpleMemory(sm *sim.Simulator, name string, node *bca.Node) map[uint64]byte {
+func attachSimpleMemory(sm *sim.Simulator, name string, node *bca.Node) {
 	p := node.Tgt[0]
 	cfg := p.Cfg
-	mem := map[uint64]byte{}
+	var mem stbus.SparseMem
 	var cur []stbus.Cell
 	type pkt struct {
 		resp []stbus.RespCell
@@ -204,14 +203,10 @@ func attachSimpleMemory(sm *sim.Simulator, name string, node *bca.Node) map[uint
 				var rd []byte
 				if first.Opc.IsLoad() {
 					rd = make([]byte, first.Opc.SizeBytes())
-					for i := range rd {
-						rd[i] = mem[first.Addr+uint64(i)]
-					}
+					mem.Read(first.Addr, rd)
 				}
 				if first.Opc.HasWriteData() {
-					for i, v := range stbus.ExtractWriteData(cfg.Endian, cur, cfg.BusBytes()) {
-						mem[first.Addr+uint64(i)] = v
-					}
+					mem.Write(first.Addr, stbus.ExtractWriteData(cfg.Endian, cur, cfg.BusBytes()))
 				}
 				resp, err := stbus.BuildResponse(cfg.Type, cfg.Endian, first.Opc, first.Addr, rd,
 					cfg.BusBytes(), first.TID, first.Src, false)
@@ -236,5 +231,4 @@ func attachSimpleMemory(sm *sim.Simulator, name string, node *bca.Node) map[uint
 		}
 		p.Gnt.SetBool(len(queue) < 2)
 	})
-	return mem
 }

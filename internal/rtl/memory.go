@@ -56,7 +56,7 @@ type Memory struct {
 	Cfg  MemoryConfig
 	Port *stbus.Port
 
-	mem     map[uint64]byte
+	mem     stbus.SparseMem
 	cur     []stbus.Cell
 	queue   []*memPacket
 	gap     int
@@ -74,17 +74,16 @@ func NewMemory(sc sim.Scope, cfg MemoryConfig) (*Memory, error) {
 	m := &Memory{
 		Cfg:  cfg,
 		Port: stbus.NewPort(ms, "port", cfg.Port),
-		mem:  make(map[uint64]byte),
 	}
 	ms.Seq("mem", m.seq)
 	return m, nil
 }
 
 // Peek reads a byte directly, for tests and scoreboards.
-func (m *Memory) Peek(addr uint64) byte { return m.mem[addr] }
+func (m *Memory) Peek(addr uint64) byte { return m.mem.Byte(addr) }
 
 // Poke writes a byte directly, for test preconditioning.
-func (m *Memory) Poke(addr uint64, v byte) { m.mem[addr] = v }
+func (m *Memory) Poke(addr uint64, v byte) { m.mem.Write(addr, []byte{v}) }
 
 // inFlight counts packets being received or awaiting/streaming responses.
 func (m *Memory) inFlight() int {
@@ -144,15 +143,10 @@ func (m *Memory) servePacket(cells []stbus.Cell) *memPacket {
 	var readData []byte
 	if op.IsLoad() {
 		readData = make([]byte, size)
-		for i := range readData {
-			readData[i] = m.mem[addr+uint64(i)]
-		}
+		m.mem.Read(addr, readData)
 	}
 	if op.HasWriteData() {
-		data := stbus.ExtractWriteData(cfg.Port.Endian, cells, cfg.Port.BusBytes())
-		for i, b := range data {
-			m.mem[addr+uint64(i)] = b
-		}
+		m.mem.Write(addr, stbus.ExtractWriteData(cfg.Port.Endian, cells, cfg.Port.BusBytes()))
 	}
 	resp, err := stbus.BuildResponse(cfg.Port.Type, cfg.Port.Endian, op, addr, readData,
 		cfg.Port.BusBytes(), first.TID, first.Src, false)

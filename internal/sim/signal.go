@@ -7,14 +7,14 @@ import "fmt"
 // effect at the next delta boundary. Signals are created by
 // (*Simulator).Signal and are owned by exactly one Simulator.
 type Signal struct {
-	sim   *Simulator
-	id    int
-	name  string
-	width int
-
-	cur     Bits
-	next    Bits
+	sim     *Simulator
+	id      int
+	name    string
+	width   int32
 	pending bool
+
+	cur  Bits
+	next Bits
 	// mask points at the maskTab entry for width, letting Set mask
 	// without a (non-inlinable) Bits.Mask call.
 	mask *Bits
@@ -22,13 +22,16 @@ type Signal struct {
 	// sensitive holds the combinational processes to wake when the
 	// committed value changes.
 	sensitive []*process
+	// watches lists the change journals to note when the committed value
+	// changes; nil for an unwatched signal.
+	watches *watchRef
 }
 
 // Name returns the hierarchical signal name.
 func (s *Signal) Name() string { return s.name }
 
 // Width returns the signal width in bits.
-func (s *Signal) Width() int { return s.width }
+func (s *Signal) Width() int { return int(s.width) }
 
 // ID returns the simulator-unique dense signal index, usable as a slice key
 // by tracers and monitors.
@@ -99,7 +102,7 @@ func (s *Signal) SetBool(v bool) { s.Set(BBool(v)) }
 
 // force installs a value immediately, bypassing delta semantics. It is only
 // used by the kernel for initialisation before time starts.
-func (s *Signal) force(v Bits) { s.cur = v.Mask(s.width) }
+func (s *Signal) force(v Bits) { s.cur = v.Mask(int(s.width)) }
 
 func (s *Signal) String() string {
 	return fmt.Sprintf("%s[%d]=%s", s.name, s.width, s.cur)

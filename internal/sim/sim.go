@@ -166,7 +166,7 @@ func (sm *Simulator) Signal(name string, width int) *Signal {
 	if width <= 0 || width > MaxBitsWidth {
 		panic(fmt.Sprintf("sim: signal %q width %d out of range 1..%d", name, width, MaxBitsWidth))
 	}
-	s := &Signal{sim: sm, id: len(sm.signals), name: name, width: width, mask: &maskTab[width]}
+	s := &Signal{sim: sm, id: len(sm.signals), name: name, width: int32(width), mask: &maskTab[width]}
 	sm.signals = append(sm.signals, s)
 	return s
 }
@@ -262,8 +262,9 @@ func (sm *Simulator) eval(p *process) {
 	sm.cur = nil
 }
 
-// commit applies every pending signal write and wakes the processes
-// sensitive to the ones that changed, reporting whether any did. The pending
+// commit applies every pending signal write, wakes the processes sensitive
+// to the ones that changed and notes them on their watches, reporting
+// whether any changed. An unwatched signal pays one nil check. The pending
 // list is double-buffered, not reallocated.
 func (sm *Simulator) commit() bool {
 	pend := sm.pending
@@ -278,6 +279,9 @@ func (sm *Simulator) commit() bool {
 		changed = true
 		for _, p := range s.sensitive {
 			sm.wake(p)
+		}
+		for r := s.watches; r != nil; r = r.next {
+			r.j.Note(r.idx)
 		}
 	}
 	sm.pendSpare = pend[:0]

@@ -3,6 +3,7 @@ package stba
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -19,6 +20,13 @@ import (
 // same *Report the offline analyzer (Compare over the two views' dumps)
 // produces, byte for byte.
 //
+// The work per cycle is proportional to the signals that changed, not to
+// the signals compared: each port keeps a count of its mismatching signal
+// pairs, and a pair is compared again only when either side of it changed —
+// on the observed side per its kernel change journal, on a Live reference
+// per that reference's journal, on a Recording per the changes its cursor
+// applies. A cycle is misaligned while the port's count is above zero.
+//
 // The comparison window is min of the two sides' cycle counts, each defined
 // by its last signal activity exactly like File.Cycles on a parsed dump; the
 // window is therefore only known once both runs end, so per-port mismatches
@@ -27,15 +35,29 @@ import (
 type Observer struct {
 	ref   reference
 	live  *Live // the observed side, sampled so its cycle count is known
-	ports []obsPort
+	pairs []pair
+	// byRef and byLive list the pairs that compare each reference and each
+	// observed signal.
+	byRef, byLive fanout
+	ports         []obsPort
+}
+
+// pair is one compared signal: its name, its index on each side, whether
+// the two sides differ now, and the sample that last compared them (cycle
+// + 1), so a pair both of whose sides changed is compared once.
+type pair struct {
+	name      string
+	ref, live int32
+	port      int32
+	bad       bool
+	compared  uint64
 }
 
 // obsPort is the per-port comparison state.
 type obsPort struct {
-	name    string
-	names   []string // signal names, sorted — Compare's pair order
-	refIdx  []int    // reference index per signal
-	liveIdx []int    // observed-side index per signal
+	name   string
+	lo, hi int // the port's pairs, obs.pairs[lo:hi], sorted by name — Compare's order
+	bad    int // mismatching pairs now
 
 	mismatch   []uint64 // bitset of mismatching cycles
 	firstCycle int64    // first mismatching cycle, or -1
@@ -46,9 +68,11 @@ type obsPort struct {
 type reference interface {
 	numSignals() int
 	signalName(i int) string
-	// valuesAt returns every signal's value at the end of the given cycle,
-	// indexed like signalName. Cycles must be non-decreasing across calls.
-	valuesAt(cycle uint64) []sim.Bits
+	// advance brings the reference to the end of the given cycle. It returns
+	// every signal's value there, indexed like signalName, and the indices
+	// of the signals that may have changed since the previous advance.
+	// Cycles must be non-decreasing across calls.
+	advance(cycle uint64) (vals []sim.Bits, changed []int32)
 	// initial returns signal i's value at the end of cycle 0.
 	initial(i int) sim.Bits
 	// cycles returns the number of cycles the reference covers, defined by
@@ -56,57 +80,76 @@ type reference interface {
 	cycles() uint64
 }
 
-// Live is a reference taken from a running simulation: a hook samples its
-// signals at the end of every cycle, keeping each one's last sampled value
-// and the last cycle any of them changed, the first sample counting as a
-// change. That is what vcd.Recorder tracks, without the change stream. The
-// reference simulation must step each cycle before the observed one does;
-// once it stops, comparisons read its final values, as a Recording's cursor
-// does past its last change.
+// Live is a reference taken from a running simulation: at the end of every
+// cycle it re-reads the signals its kernel change journal noted, keeping
+// each one's last sampled value and the last cycle any of them changed, the
+// first sample (which reads every signal) counting as a change. That is what
+// vcd.Recorder tracks, without the change stream. The reference simulation
+// must step each cycle before the observed one does; once it stops,
+// comparisons read its final values, as a Recording's cursor does past its
+// last change.
 type Live struct {
 	sigs    []*sim.Signal
+	watch   *sim.Journal
 	vals    []sim.Bits // last sampled value per signal
 	first   []sim.Bits // values at the first sample
 	started bool
 	end     uint64 // last cycle any signal changed
+	// dirty journals the signals whose sampled value changed since the
+	// observer last drained it.
+	dirty *sim.Journal
 }
 
 // NewLive returns a reference over sigs that has not sampled yet.
 func NewLive(sigs []*sim.Signal) *Live {
-	return &Live{sigs: sigs, vals: make([]sim.Bits, len(sigs)), first: make([]sim.Bits, len(sigs))}
+	l := newLive(sigs)
+	l.first = make([]sim.Bits, len(sigs))
+	return l
 }
 
-// Attach registers an end-of-cycle hook on sm that samples every signal,
-// at the same points as vcd.Recorder.Attach.
+// newLive is NewLive without the first-sample snapshot, which only a
+// reference reads: the observed side of an Observer is built with it.
+func newLive(sigs []*sim.Signal) *Live {
+	return &Live{sigs: sigs, vals: make([]sim.Bits, len(sigs)), dirty: sim.NewJournal(len(sigs))}
+}
+
+// Attach opens the reference's change journal on sm, which owns its
+// signals, and registers an end-of-cycle hook that samples them, at the same
+// points as vcd.Recorder.Attach.
 func (l *Live) Attach(sm *sim.Simulator) {
+	l.watch = sm.Watch(l.sigs)
 	sm.AtCycleEnd(func() {
-		l.Sample(sm.Cycle() - 1)
+		l.sample(sm.Cycle() - 1)
 	})
 }
 
-// Sample takes every signal's value at the end of the given cycle. Cycles
-// must be sampled in increasing order.
-func (l *Live) Sample(cycle uint64) {
+// sample takes the signals' values at the end of the given cycle: every
+// signal the first time, afterwards the ones the journal noted. Cycles must
+// be sampled in increasing order.
+func (l *Live) sample(cycle uint64) {
 	if !l.started {
 		l.started, l.end = true, cycle
 		for i, s := range l.sigs {
 			l.vals[i] = s.Get()
 		}
 		copy(l.first, l.vals)
+		l.watch.Drain()
 		return
 	}
-	for i, s := range l.sigs {
-		if v := s.Get(); !v.Equal(l.vals[i]) {
+	for _, i := range l.watch.Drain() {
+		if v := l.sigs[i].Get(); v != l.vals[i] {
 			l.vals[i], l.end = v, cycle
+			l.dirty.Note(i)
 		}
 	}
 }
 
-func (l *Live) numSignals() int            { return len(l.sigs) }
-func (l *Live) signalName(i int) string    { return l.sigs[i].Name() }
-func (l *Live) valuesAt(uint64) []sim.Bits { return l.vals }
-func (l *Live) initial(i int) sim.Bits     { return l.first[i] }
-func (l *Live) cycles() uint64             { return l.end + 1 }
+func (l *Live) numSignals() int         { return len(l.sigs) }
+func (l *Live) signalName(i int) string { return l.sigs[i].Name() }
+func (l *Live) initial(i int) sim.Bits  { return l.first[i] }
+func (l *Live) cycles() uint64          { return l.end + 1 }
+
+func (l *Live) advance(uint64) ([]sim.Bits, []int32) { return l.vals, l.dirty.Drain() }
 
 // recorded serves a Recording as a reference through a streaming cursor.
 type recorded struct {
@@ -119,9 +162,9 @@ func (r recorded) signalName(i int) string { return r.rec.SignalName(i) }
 func (r recorded) initial(i int) sim.Bits  { return r.rec.ValueAt(i, 0) }
 func (r recorded) cycles() uint64          { return r.rec.Cycles() }
 
-func (r recorded) valuesAt(cycle uint64) []sim.Bits {
-	r.cur.AdvanceTo(cycle)
-	return r.cur.Values()
+func (r recorded) advance(cycle uint64) ([]sim.Bits, []int32) {
+	changed := r.cur.AdvanceTo(cycle)
+	return r.cur.Values(), changed
 }
 
 // NewObserver builds an observer comparing the recording (first dump) against
@@ -138,108 +181,202 @@ func NewLiveObserver(ref *Live, sigs []*sim.Signal) (*Observer, error) {
 	return newObserver(ref, sigs)
 }
 
-func newObserver(ref reference, sigs []*sim.Signal) (*Observer, error) {
-	liveByName := make(map[string]int, len(sigs))
-	refByName := make(map[string]int, ref.numSignals())
-	names := make([]string, 0, len(sigs)+ref.numSignals())
-	for i, s := range sigs {
-		liveByName[s.Name()] = i
-		names = append(names, s.Name())
-	}
-	for i := 0; i < ref.numSignals(); i++ {
-		refByName[ref.signalName(i)] = i
-		names = append(names, ref.signalName(i))
-	}
+// sigName is one side's signal in the name-sorted layout.
+type sigName struct {
+	name string
+	idx  int32
+}
 
-	seen := map[string]int{}
-	for _, n := range names {
-		dot := strings.LastIndexByte(n, '.')
-		if dot < 0 {
+// byName lists n signals sorted by name. When a name repeats, only its
+// highest index is kept, as a name lookup filled in index order would.
+func byName(n int, name func(i int) string) []sigName {
+	out := make([]sigName, n)
+	for i := range out {
+		out[i] = sigName{name(i), int32(i)}
+	}
+	slices.SortFunc(out, func(a, b sigName) int {
+		if c := strings.Compare(a.name, b.name); c != 0 {
+			return c
+		}
+		return int(a.idx - b.idx)
+	})
+	k := 0
+	for _, s := range out {
+		if k > 0 && out[k-1].name == s.name {
+			out[k-1] = s
 			continue
 		}
-		prefix, leaf := n[:dot], n[dot+1:]
-		if leaf == "req" {
-			seen[prefix] |= 1
+		out[k] = s
+		k++
+	}
+	return out[:k]
+}
+
+func newObserver(ref reference, sigs []*sim.Signal) (*Observer, error) {
+	// The union of both sides' names in sorted order, each name with its
+	// index on either side (-1 where it is missing): the signals under a
+	// port are then one contiguous run, already in Compare's pair order.
+	refs := byName(ref.numSignals(), ref.signalName)
+	lives := byName(len(sigs), func(i int) string { return sigs[i].Name() })
+	union := make([]pair, 0, max(len(refs), len(lives)))
+	for r, l := 0, 0; r < len(refs) || l < len(lives); {
+		p := pair{ref: -1, live: -1}
+		switch {
+		case l == len(lives) || r < len(refs) && refs[r].name <= lives[l].name:
+			p.name = refs[r].name
+		default:
+			p.name = lives[l].name
 		}
-		if leaf == "gnt" {
-			seen[prefix] |= 2
+		if r < len(refs) && refs[r].name == p.name {
+			p.ref = refs[r].idx
+			r++
+		}
+		if l < len(lives) && lives[l].name == p.name {
+			p.live = lives[l].idx
+			l++
+		}
+		union = append(union, p)
+	}
+	find := func(name string) int {
+		return sort.Search(len(union), func(k int) bool { return union[k].name >= name })
+	}
+
+	// A port is a scope holding both a req and a gnt wire on either side.
+	var ports []string
+	for _, p := range union {
+		if prefix, ok := strings.CutSuffix(p.name, ".req"); ok {
+			if k := find(prefix + ".gnt"); k < len(union) && union[k].name == prefix+".gnt" {
+				ports = append(ports, prefix)
+			}
 		}
 	}
-	ports := portsFrom(seen)
 	if len(ports) == 0 {
 		return nil, fmt.Errorf("stba: no STBus ports found")
 	}
+	sort.Strings(ports)
 
-	obs := &Observer{ref: ref, live: NewLive(sigs)}
-	for _, port := range ports {
-		under := map[string]bool{}
-		for _, n := range names {
-			if strings.HasPrefix(n, port+".") {
-				under[n] = true
+	obs := &Observer{ref: ref, live: newLive(sigs), ports: make([]obsPort, len(ports)),
+		pairs: make([]pair, 0, len(union))}
+	for pi, port := range ports {
+		under := port + "."
+		p := obsPort{name: port, lo: len(obs.pairs), firstCycle: -1}
+		for k := find(under); k < len(union) && strings.HasPrefix(union[k].name, under); k++ {
+			pr := union[k]
+			if pr.ref < 0 {
+				return nil, fmt.Errorf("stba: signal %q missing from first dump", pr.name)
 			}
-		}
-		sorted := make([]string, 0, len(under))
-		for n := range under {
-			sorted = append(sorted, n)
-		}
-		sort.Strings(sorted)
-		p := obsPort{name: port, names: sorted, firstCycle: -1}
-		for _, n := range sorted {
-			ri, ok := refByName[n]
-			if !ok {
-				return nil, fmt.Errorf("stba: signal %q missing from first dump", n)
+			if pr.live < 0 {
+				return nil, fmt.Errorf("stba: signal %q missing from second dump", pr.name)
 			}
-			li, ok := liveByName[n]
-			if !ok {
-				return nil, fmt.Errorf("stba: signal %q missing from second dump", n)
-			}
-			p.refIdx = append(p.refIdx, ri)
-			p.liveIdx = append(p.liveIdx, li)
+			pr.port = int32(pi)
+			obs.pairs = append(obs.pairs, pr)
 		}
-		if len(p.names) == 0 {
+		p.hi = len(obs.pairs)
+		if p.hi == p.lo {
 			return nil, fmt.Errorf("stba: port %q has no signals", port)
 		}
-		obs.ports = append(obs.ports, p)
+		obs.ports[pi] = p
 	}
+	obs.byRef = newFanout(ref.numSignals(), obs.pairs, func(p pair) int32 { return p.ref })
+	obs.byLive = newFanout(len(sigs), obs.pairs, func(p pair) int32 { return p.live })
 	return obs, nil
 }
 
-// Attach registers an end-of-cycle hook on the live simulator, sampling at
-// the same points as vcd.Writer.Attach.
+// fanout maps a signal index to the pairs comparing it: one pair, none for
+// a signal outside every port, or several for a signal under nested port
+// scopes.
+type fanout struct {
+	off, pairs []int32
+}
+
+func newFanout(n int, pairs []pair, side func(pair) int32) fanout {
+	f := fanout{off: make([]int32, n+1), pairs: make([]int32, len(pairs))}
+	for _, p := range pairs {
+		f.off[side(p)+1]++
+	}
+	for i := 1; i <= n; i++ {
+		f.off[i] += f.off[i-1]
+	}
+	next := append([]int32(nil), f.off[:n]...)
+	for k, p := range pairs {
+		s := side(p)
+		f.pairs[next[s]] = int32(k)
+		next[s]++
+	}
+	return f
+}
+
+func (f fanout) of(i int32) []int32 { return f.pairs[f.off[i]:f.off[i+1]] }
+
+// Attach opens the observed side's change journal on sm, which owns its
+// signals, and registers an end-of-cycle hook that compares them, sampling
+// at the same points as vcd.Writer.Attach.
 func (obs *Observer) Attach(sm *sim.Simulator) {
+	obs.live.watch = sm.Watch(obs.live.sigs)
 	sm.AtCycleEnd(func() {
-		obs.Sample(sm.Cycle() - 1)
+		obs.sample(sm.Cycle() - 1)
 	})
 }
 
-// Sample compares every port signal's live value against the reference at
-// the end of the given cycle. Cycles must be sampled in increasing order.
-func (obs *Observer) Sample(cycle uint64) {
-	obs.live.Sample(cycle)
-	live, ref := obs.live.vals, obs.ref.valuesAt(cycle)
+// sample compares the port signals at the end of the given cycle: every
+// pair the first time, afterwards the pairs with a side that changed.
+// Cycles must be sampled in increasing order.
+func (obs *Observer) sample(cycle uint64) {
+	first := !obs.live.started
+	obs.live.sample(cycle)
+	refVals, refChanged := obs.ref.advance(cycle)
+	liveVals, liveChanged := obs.live.advance(cycle)
+	compare := func(k int32) {
+		pr := &obs.pairs[k]
+		if pr.compared == cycle+1 {
+			return
+		}
+		pr.compared = cycle + 1
+		bad := liveVals[pr.live] != refVals[pr.ref]
+		if bad == pr.bad {
+			return
+		}
+		pr.bad = bad
+		if bad {
+			obs.ports[pr.port].bad++
+		} else {
+			obs.ports[pr.port].bad--
+		}
+	}
+	if first {
+		for k := range obs.pairs {
+			compare(int32(k))
+		}
+	} else {
+		for _, i := range refChanged {
+			for _, k := range obs.byRef.of(i) {
+				compare(k)
+			}
+		}
+		for _, i := range liveChanged {
+			for _, k := range obs.byLive.of(i) {
+				compare(k)
+			}
+		}
+	}
 	for pi := range obs.ports {
 		p := &obs.ports[pi]
-		ok := true
-		for i, li := range p.liveIdx {
-			if !live[li].Equal(ref[p.refIdx[i]]) {
-				ok = false
-				if p.firstCycle < 0 {
-					p.firstNames = append(p.firstNames, p.names[i])
-					continue
+		if p.bad == 0 {
+			continue
+		}
+		if p.firstCycle < 0 {
+			p.firstCycle = int64(cycle)
+			for _, pr := range obs.pairs[p.lo:p.hi] {
+				if pr.bad {
+					p.firstNames = append(p.firstNames, pr.name)
 				}
-				break
 			}
 		}
-		if !ok {
-			if p.firstCycle < 0 {
-				p.firstCycle = int64(cycle)
-			}
-			word := cycle / 64
-			for uint64(len(p.mismatch)) <= word {
-				p.mismatch = append(p.mismatch, 0)
-			}
-			p.mismatch[word] |= 1 << (cycle % 64)
+		word := cycle / 64
+		for uint64(len(p.mismatch)) <= word {
+			p.mismatch = append(p.mismatch, 0)
 		}
+		p.mismatch[word] |= 1 << (cycle % 64)
 	}
 }
 
@@ -254,11 +391,11 @@ func (obs *Observer) Report() *Report {
 		for pi := range obs.ports {
 			p := &obs.ports[pi]
 			var zero sim.Bits
-			for i, ri := range p.refIdx {
-				if !obs.ref.initial(ri).Equal(zero) {
+			for _, pr := range obs.pairs[p.lo:p.hi] {
+				if !obs.ref.initial(int(pr.ref)).Equal(zero) {
 					if p.firstCycle < 0 {
 						p.firstCycle = 0
-						p.firstNames = append(p.firstNames, p.names[i])
+						p.firstNames = append(p.firstNames, pr.name)
 					}
 					p.mismatch = []uint64{1}
 					break
@@ -271,7 +408,7 @@ func (obs *Observer) Report() *Report {
 	for pi := range obs.ports {
 		p := &obs.ports[pi]
 		pa := PortAlignment{
-			Port: p.name, Signals: len(p.names),
+			Port: p.name, Signals: p.hi - p.lo,
 			Cycles: span, CyclesA: ca, CyclesB: cb,
 			Aligned:         shared - popcountBelow(p.mismatch, shared),
 			FirstDivergence: -1,

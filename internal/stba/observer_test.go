@@ -129,10 +129,10 @@ func runLockstepObserved(t *testing.T, cfg nodespec.Config, bugs bca.Bugs, seed 
 
 // checkObserverMatchesCompare asserts the streaming reports — against a
 // recording, and against a Live reference stepped in lockstep — are
-// JSON-identical to the legacy VCD round-trip report for the given scenario.
-func checkObserverMatchesCompare(t *testing.T, bugs bca.Bugs, seed int64, rtlCycles, bcaCycles int) {
+// JSON-identical to the legacy VCD round-trip report for the given scenario,
+// and returns that report.
+func checkObserverMatchesCompare(t *testing.T, cfg nodespec.Config, bugs bca.Bugs, seed int64, rtlCycles, bcaCycles int) *Report {
 	t.Helper()
-	cfg := nodeCfg()
 	fr, rec, _ := runViewObserved(t, cfg, nil, seed, rtlCycles, nil)
 	fb, _, obs := runViewObserved(t, cfg, &bugs, seed, bcaCycles, rec)
 
@@ -156,22 +156,56 @@ func checkObserverMatchesCompare(t *testing.T, bugs bca.Bugs, seed int64, rtlCyc
 			t.Errorf("%s: rendered reports differ:\n--- legacy ---\n%s--- stream ---\n%s", c.name, want.String(), c.got.String())
 		}
 	}
+	return want
 }
 
 func TestObserverMatchesCompareBugFree(t *testing.T) {
-	checkObserverMatchesCompare(t, bca.Bugs{}, 5, 1500, 1500)
+	checkObserverMatchesCompare(t, nodeCfg(), bca.Bugs{}, 5, 1500, 1500)
 }
 
 func TestObserverMatchesCompareBugged(t *testing.T) {
-	checkObserverMatchesCompare(t, bca.Bugs{LRUInit: true}, 5, 1500, 1500)
+	checkObserverMatchesCompare(t, nodeCfg(), bca.Bugs{LRUInit: true}, 5, 1500, 1500)
 }
 
 func TestObserverMatchesCompareShortRun(t *testing.T) {
 	// The live run stops early: the tail must be charged exactly as Compare
 	// charges a short dump.
-	checkObserverMatchesCompare(t, bca.Bugs{}, 7, 1500, 900)
+	checkObserverMatchesCompare(t, nodeCfg(), bca.Bugs{}, 7, 1500, 900)
 	// And the reference can be the short side too.
-	checkObserverMatchesCompare(t, bca.Bugs{LRUInit: true}, 7, 900, 1500)
+	checkObserverMatchesCompare(t, nodeCfg(), bca.Bugs{LRUInit: true}, 7, 900, 1500)
+}
+
+// TestObserverMatchesCompareEveryBug: the observer re-compares only the
+// pairs whose sides changed, so each seeded bug's divergence pattern —
+// ports that misalign and realign, several signals at once — must still
+// produce Compare's report, also when the bugged view or the reference
+// stops early.
+func TestObserverMatchesCompareEveryBug(t *testing.T) {
+	t2 := nodeCfg()
+	t2.Port.Type = stbus.Type2
+	for _, row := range []struct {
+		name          string
+		cfg           nodespec.Config
+		bugs          bca.Bugs
+		rtl, bca      int
+		wantDiverging bool
+	}{
+		{"chunk-lck", nodeCfg(), bca.Bugs{ChunkLckIgnored: true}, 1500, 1500, false},
+		{"pipe-off-by-one", nodeCfg(), bca.Bugs{PipeOffByOne: true}, 1500, 1500, true},
+		{"err-resp-tid-zero", nodeCfg(), bca.Bugs{ErrRespTIDZero: true}, 1500, 1500, true},
+		{"t2-order", t2, bca.Bugs{T2OrderIgnored: true}, 1500, 1500, true},
+		// The traffic ends near cycle 120: these runs stop inside it.
+		{"bugged-short-bca", nodeCfg(), bca.Bugs{PipeOffByOne: true}, 1500, 80, true},
+		{"bugged-short-rtl", t2, bca.Bugs{T2OrderIgnored: true}, 90, 1500, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			rep := checkObserverMatchesCompare(t, row.cfg, row.bugs, 11, row.rtl, row.bca)
+			t.Logf("min rate %.2f%% cycles %d/%d", rep.MinRate(), rep.Ports[0].CyclesA, rep.Ports[0].CyclesB)
+			if row.wantDiverging && rep.MinRate() == 100 {
+				t.Errorf("no port diverged, so the row does not exercise re-alignment:\n%s", rep)
+			}
+		})
+	}
 }
 
 func TestObserverRecordingRoundTripVCD(t *testing.T) {
@@ -224,7 +258,10 @@ func TestObserverErrors(t *testing.T) {
 	rc := vcd.NewRecorder("tb")
 	rc.Declare(req)
 	rc.Declare(gnt)
-	rc.Sample(0)
+	rc.Attach(sm)
+	if err := sm.Step(); err != nil {
+		t.Fatal(err)
+	}
 	rec := rc.Recording()
 	if _, err := NewObserver(rec, []*sim.Signal{req, gnt, extra}); err == nil {
 		t.Error("live-only signal should fail (missing from first dump)")
@@ -281,5 +318,38 @@ func TestObserverZeroSamplesReadsCycleZero(t *testing.T) {
 	}
 	if p := got.Ports[0]; p.FirstDivergence != 0 || len(p.FirstDiverging) != 1 || p.FirstDiverging[0] != "p.req" || p.Aligned != 0 {
 		t.Errorf("zero-sample comparison did not read cycle 0: %+v", p)
+	}
+}
+
+// glitchSim builds a cyclic unit in which g pulses and settles back to 0
+// within every cycle (trig toggles each cycle, ack follows it one
+// iteration later), so g is on the kernel's change journal every cycle
+// without ever changing its value.
+func glitchSim() (sm *sim.Simulator, g *sim.Signal) {
+	sm = sim.New()
+	trig, ack := sm.Bool("trig"), sm.Bool("ack")
+	g = sm.Bool("p.g")
+	sm.Seq("trig", func() { trig.SetBool(!trig.Bool()) })
+	sm.CombOut("g", func() { g.SetBool(trig.Bool() != ack.Bool()) }, []*sim.Signal{g}, trig, ack)
+	sm.CombOut("ack", func() { ack.SetBool(trig.Bool()) }, []*sim.Signal{ack}, trig, g)
+	return sm, g
+}
+
+// TestLiveIgnoresSettledGlitch: a Live reference re-reads every noted
+// signal and keeps only real changes, so a glitch neither moves the value
+// nor extends the reference's cycle count.
+func TestLiveIgnoresSettledGlitch(t *testing.T) {
+	sm, g := glitchSim()
+	live := NewLive([]*sim.Signal{g})
+	live.Attach(sm)
+	if err := sm.Run(5); err != nil {
+		t.Fatal(err)
+	}
+	vals, changed := live.advance(4)
+	if len(changed) != 0 || vals[0].Bool() {
+		t.Errorf("glitch reported as a change: changed %v, value %v", changed, vals[0])
+	}
+	if got := live.cycles(); got != 1 {
+		t.Errorf("cycles() = %d, want 1: only the first sample is a change", got)
 	}
 }

@@ -82,6 +82,16 @@ func (c PortConfig) Diff(o PortConfig) []string {
 // Type I uses the same wires with stricter rules: a single outstanding
 // operation, so the response channel is only ever busy for the one pending
 // request.
+//
+// The port remembers each channel's last drive, so DriveCell, IdleReq,
+// DriveResp and IdleResp schedule nothing when the channel already holds
+// that state: an idle or waiting port costs a comparison, not a write per
+// wire. The cache is exact only because the 16 channel signals (Req
+// through Pri, RReq through RSrc) are written only through those four
+// methods — or, on the far side of a Bind, only by Bind's copy process,
+// whose owner never drives them. The crvevet analyzer portdrive flags a
+// direct Set on them outside this package. Gnt and RGnt are answered
+// directly and are not cached.
 type Port struct {
 	Cfg  PortConfig
 	Name string
@@ -107,6 +117,12 @@ type Port struct {
 	REOP  *sim.Signal // end of response packet
 	RTID  *sim.Signal // response transaction id (8)
 	RSrc  *sim.Signal // response source id (8)
+
+	// The last drive of each channel; the zero values are idle, which is
+	// what fresh signals hold.
+	reqOn, respOn bool
+	reqCell       Cell
+	respCell      RespCell
 }
 
 // NewPort creates the signal bundle under scope sc with the given instance
@@ -153,8 +169,12 @@ func (p *Port) Signals() []*sim.Signal {
 }
 
 // DriveCell schedules the request-channel payload of cell c with req
-// asserted.
+// asserted, unless the channel already holds it.
 func (p *Port) DriveCell(c Cell) {
+	if p.reqOn && p.reqCell == c {
+		return
+	}
+	p.reqOn, p.reqCell = true, c
 	p.Req.SetBool(true)
 	p.Opc.SetU64(uint64(c.Opc))
 	p.Add.SetU64(c.Addr)
@@ -168,8 +188,13 @@ func (p *Port) DriveCell(c Cell) {
 }
 
 // IdleReq schedules the request channel to idle (req low, payload cleared so
-// waveforms of independent implementations stay comparable).
+// waveforms of independent implementations stay comparable), unless it
+// already is.
 func (p *Port) IdleReq() {
+	if !p.reqOn {
+		return
+	}
+	p.reqOn, p.reqCell = false, Cell{}
 	p.Req.SetBool(false)
 	p.Opc.SetU64(0)
 	p.Add.SetU64(0)
@@ -198,8 +223,12 @@ func (p *Port) SampleCell() Cell {
 }
 
 // DriveResp schedules the response-channel payload of cell r with r_req
-// asserted.
+// asserted, unless the channel already holds it.
 func (p *Port) DriveResp(r RespCell) {
+	if p.respOn && p.respCell == r {
+		return
+	}
+	p.respOn, p.respCell = true, r
 	p.RReq.SetBool(true)
 	p.ROpc.SetU64(uint64(r.ROpc))
 	p.RData.Set(r.Data)
@@ -208,8 +237,12 @@ func (p *Port) DriveResp(r RespCell) {
 	p.RSrc.SetU64(uint64(r.Src))
 }
 
-// IdleResp schedules the response channel to idle.
+// IdleResp schedules the response channel to idle, unless it already is.
 func (p *Port) IdleResp() {
+	if !p.respOn {
+		return
+	}
+	p.respOn, p.respCell = false, RespCell{}
 	p.RReq.SetBool(false)
 	p.ROpc.SetU64(0)
 	p.RData.Set(sim.Bits{})

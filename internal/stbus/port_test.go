@@ -152,3 +152,106 @@ func TestNewPortPanicsOnBadConfig(t *testing.T) {
 	}()
 	NewPort(sim.Root(sim.New()), "p", PortConfig{Type: Type2, DataBits: 7})
 }
+
+// channelSignals returns the 16 signals the drive methods cache.
+func channelSignals(p *Port) []*sim.Signal {
+	return []*sim.Signal{
+		p.Req, p.Opc, p.Add, p.Data, p.BE, p.EOP, p.Lck, p.TID, p.Src, p.Pri,
+		p.RReq, p.ROpc, p.RData, p.REOP, p.RTID, p.RSrc,
+	}
+}
+
+// TestPortRedriveSchedulesNothing: re-driving the held cell or response, or
+// idling an idle channel, schedules no write. A write placed on the wires
+// earlier in the same cycle therefore survives the re-drive (the drive
+// methods would have overwritten it), and nothing else commits.
+func TestPortRedriveSchedulesNothing(t *testing.T) {
+	sm := sim.New()
+	p := NewPort(sim.Root(sm), "p", testCfg())
+	c := Cell{Opc: ST4, Addr: 0x20, Data: sim.B64(7), BE: 0xf, EOP: true, TID: 1, Src: 2, Pri: 3}
+	r := RespCell{ROpc: RespData, Data: sim.B64(9), EOP: true, TID: 1, Src: 2}
+	step := 0
+	// "poke" runs first each cycle; on cycle 1 it puts marker values on the
+	// wires behind the port's back.
+	sm.Seq("poke", func() {
+		if step == 1 {
+			p.Opc.SetU64(0x55)
+			p.RData.Set(sim.B64(0x66))
+		}
+	})
+	sm.Seq("drive", func() {
+		if step < 2 {
+			p.DriveCell(c)
+			p.DriveResp(r)
+		}
+		step++
+	})
+	w := sm.Watch(channelSignals(p))
+	if err := sm.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(w.Drain()); n == 0 {
+		t.Fatal("the first drive committed nothing")
+	}
+	if err := sm.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Opc.U64() != 0x55 || p.RData.Get() != sim.B64(0x66) {
+		t.Errorf("re-drive scheduled writes: opc=%#x r_data=%v, want the markers 0x55 and 0x66",
+			p.Opc.U64(), p.RData.Get())
+	}
+	if got := w.Drain(); len(got) != 2 {
+		t.Errorf("cycle 1 committed %d channel changes, want only the 2 markers", len(got))
+	}
+
+	// An idle channel re-idled schedules nothing either.
+	sm2 := sim.New()
+	q := NewPort(sim.Root(sm2), "q", testCfg())
+	sm2.Seq("poke", func() { q.Add.SetU64(0x77) })
+	sm2.Seq("idle", func() {
+		q.IdleReq()
+		q.IdleResp()
+	})
+	if err := sm2.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if q.Add.U64() != 0x77 {
+		t.Errorf("IdleReq on an idle channel scheduled writes: add=%#x, want the marker 0x77", q.Add.U64())
+	}
+}
+
+// TestPortDriveIdleDriveSchedulesBothTransitions: the cache remembers the
+// last drive, not the first, so driving c, idling and driving c again
+// changes the wires twice.
+func TestPortDriveIdleDriveSchedulesBothTransitions(t *testing.T) {
+	sm := sim.New()
+	p := NewPort(sim.Root(sm), "p", testCfg())
+	c := Cell{Opc: LD4, Addr: 0x40, BE: 0xf, EOP: true, TID: 4}
+	r := RespCell{ROpc: RespData, Data: sim.B64(3), EOP: true, TID: 4}
+	step := 0
+	sm.Seq("drive", func() {
+		if step == 1 {
+			p.IdleReq()
+			p.IdleResp()
+		} else {
+			p.DriveCell(c)
+			p.DriveResp(r)
+		}
+		step++
+	})
+	w := sm.Watch([]*sim.Signal{p.Req, p.RReq})
+	for cyc, want := range []bool{true, false, true} {
+		if err := sm.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(w.Drain()); n != 2 {
+			t.Errorf("cycle %d: %d of req/r_req changed, want 2", cyc, n)
+		}
+		if p.Req.Bool() != want || p.RReq.Bool() != want {
+			t.Errorf("cycle %d: req=%v r_req=%v, want %v", cyc, p.Req.Bool(), p.RReq.Bool(), want)
+		}
+		if want && (p.SampleCell() != c || p.SampleResp() != r) {
+			t.Errorf("cycle %d: wires hold %+v / %+v, want %+v / %+v", cyc, p.SampleCell(), p.SampleResp(), c, r)
+		}
+	}
+}

@@ -96,7 +96,7 @@ type tlmMem struct {
 	cfg  catg.TargetConfig
 	port stbus.PortConfig
 	rng  *rand.Rand
-	mem  map[uint64]byte
+	mem  stbus.SparseMem
 
 	cur   []stbus.Cell
 	queue []*tlmPkt
@@ -156,14 +156,10 @@ func (m *tlmMem) serve(cells []stbus.Cell) *tlmPkt {
 	var rd []byte
 	if op.IsLoad() {
 		rd = make([]byte, op.SizeBytes())
-		for i := range rd {
-			rd[i] = m.mem[addr+uint64(i)]
-		}
+		m.mem.Read(addr, rd)
 	}
 	if op.HasWriteData() {
-		for i, v := range stbus.ExtractWriteData(m.port.Endian, cells, m.port.BusBytes()) {
-			m.mem[addr+uint64(i)] = v
-		}
+		m.mem.Write(addr, stbus.ExtractWriteData(m.port.Endian, cells, m.port.BusBytes()))
 	}
 	resp, err := stbus.BuildResponse(m.port.Type, m.port.Endian, op, addr, rd, m.port.BusBytes(),
 		first.TID, first.Src, false)
@@ -202,7 +198,6 @@ func Run(cfg nodespec.Config, traffic func(initIdx int) catg.TrafficConfig,
 			cfg:  target(t).WithDefaults(),
 			port: cfg.Port,
 			rng:  rand.New(rand.NewSource(catg.TargetSeed(seed, t))),
-			mem:  make(map[uint64]byte),
 		}
 	}
 	if maxCycles == 0 {

@@ -3,6 +3,7 @@ package vcd
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"crve/internal/sim"
@@ -19,12 +20,16 @@ import (
 // values or the byte-identical text VCD on demand.
 
 // streamChange is one recorded value change: signal sig (declare index) took
-// value val at the end of clock cycle cycle. The stream is ordered by
-// (cycle, sig), exactly the order Writer would have emitted the change in.
+// a new value at the end of clock cycle cycle. The value of a signal at most
+// 64 bits wide is lo itself and wide is -1; a wider signal's value is
+// Recording.wide[wide]. Keeping the common case out of a full sim.Bits
+// makes a change 24 bytes instead of 48. The stream is ordered by (cycle,
+// sig), exactly the order Writer would have emitted the change in.
 type streamChange struct {
 	cycle uint64
+	lo    uint64
 	sig   int32
-	val   sim.Bits
+	wide  int32
 }
 
 // Recording is a captured waveform: per-signal metadata plus the ordered
@@ -33,10 +38,11 @@ type Recording struct {
 	module string
 	names  []string
 	widths []int
-	stream []streamChange
+	stream changeStream
+	wide   []sim.Bits // values of changes to signals wider than 64 bits
 
 	// endCycle is the last cycle any change was recorded (the binary analog
-	// of a VCD file's EndTime); samples counts Sample invocations.
+	// of a VCD file's EndTime); samples counts the cycles sampled.
 	endCycle uint64
 	samples  uint64
 
@@ -63,8 +69,50 @@ func (rec *Recording) SignalIndex(name string) int {
 	return -1
 }
 
+// add appends a change of signal sig to v at the end of the given cycle.
+func (rec *Recording) add(cycle uint64, sig int32, v sim.Bits) {
+	ch := streamChange{cycle: cycle, sig: sig, wide: -1}
+	if rec.widths[sig] <= 64 {
+		ch.lo = v.Uint64()
+	} else {
+		ch.wide = int32(len(rec.wide))
+		rec.wide = append(rec.wide, v)
+	}
+	rec.stream.push(ch)
+}
+
+// value returns the value a change set.
+func (rec *Recording) value(ch streamChange) sim.Bits {
+	if ch.wide < 0 {
+		return sim.B64(ch.lo)
+	}
+	return rec.wide[ch.wide]
+}
+
 // Changes returns the total number of recorded value changes.
-func (rec *Recording) Changes() int { return len(rec.stream) }
+func (rec *Recording) Changes() int { return rec.stream.n }
+
+// chunkLen is the number of changes in one chunk of a changeStream.
+const chunkLen = 512
+
+// changeStream is the ordered change list of a recording, kept in
+// fixed-size chunks: a recording grows without copying the changes it
+// already holds, as a growing slice would on every reallocation.
+type changeStream struct {
+	chunks [][]streamChange
+	n      int
+}
+
+func (st *changeStream) push(ch streamChange) {
+	if st.n%chunkLen == 0 {
+		st.chunks = append(st.chunks, make([]streamChange, 0, chunkLen))
+	}
+	last := &st.chunks[len(st.chunks)-1]
+	*last = append(*last, ch)
+	st.n++
+}
+
+func (st *changeStream) at(k int) streamChange { return st.chunks[k/chunkLen][k%chunkLen] }
 
 // Samples returns the number of cycle samples taken.
 func (rec *Recording) Samples() uint64 { return rec.samples }
@@ -76,11 +124,13 @@ func (rec *Recording) Samples() uint64 { return rec.samples }
 func (rec *Recording) Cycles() uint64 { return rec.endCycle + 1 }
 
 // Recorder captures a compact Recording from live simulation signals. It
-// mirrors Writer's protocol: Declare every signal, Attach (or call Sample
-// per cycle), then read Recording() once the run completes.
+// mirrors Writer's protocol: Declare every signal, Attach, then read
+// Recording() once the run completes. It records from the kernel's change
+// journal, so a cycle costs in proportion to the signals that changed.
 type Recorder struct {
 	rec     *Recording
 	sigs    []*sim.Signal
+	watch   *sim.Journal
 	last    []sim.Bits
 	started bool
 }
@@ -92,10 +142,10 @@ func NewRecorder(module string) *Recorder {
 }
 
 // Declare adds a signal to the capture set. All declarations must happen
-// before the first sample.
+// before Attach.
 func (r *Recorder) Declare(sig *sim.Signal) {
-	if r.started {
-		panic("vcd: Recorder.Declare after first sample")
+	if r.watch != nil {
+		panic("vcd: Recorder.Declare after Attach")
 	}
 	r.rec.byName[sig.Name()] = len(r.sigs)
 	r.rec.names = append(r.rec.names, sig.Name())
@@ -110,18 +160,22 @@ func (r *Recorder) DeclareAll(sm *sim.Simulator) {
 	}
 }
 
-// Attach registers an end-of-cycle hook on sm that samples all declared
-// signals each cycle — the same sampling points as Writer.Attach.
+// Attach opens a change journal over the declared signals on sm, which owns
+// them, and registers an end-of-cycle hook that samples them each cycle —
+// the same sampling points as Writer.Attach.
 func (r *Recorder) Attach(sm *sim.Simulator) {
+	r.watch = sm.Watch(r.sigs)
 	sm.AtCycleEnd(func() {
-		r.Sample(sm.Cycle() - 1)
+		r.sample(sm.Cycle() - 1)
 	})
 }
 
-// Sample records the value of every declared signal at the end of the given
+// sample records the declared signals' values at the end of the given
 // cycle. The first sample records every signal (the $dumpvars analog);
-// subsequent samples record only signals whose value changed.
-func (r *Recorder) Sample(cycle uint64) {
+// later ones re-read the signals the journal noted, in declare order — the
+// order Writer emits and DecodeRecording requires — and record those whose
+// value changed.
+func (r *Recorder) sample(cycle uint64) {
 	rec := r.rec
 	rec.samples++
 	if !r.started {
@@ -130,18 +184,21 @@ func (r *Recorder) Sample(cycle uint64) {
 		for i, s := range r.sigs {
 			v := s.Get()
 			r.last[i] = v
-			rec.stream = append(rec.stream, streamChange{cycle: cycle, sig: int32(i), val: v})
+			rec.add(cycle, int32(i), v)
 		}
 		rec.endCycle = cycle
+		r.watch.Drain()
 		return
 	}
-	for i, s := range r.sigs {
-		v := s.Get()
+	noted := r.watch.Drain()
+	slices.Sort(noted)
+	for _, i := range noted {
+		v := r.sigs[i].Get()
 		if v.Equal(r.last[i]) {
 			continue
 		}
 		r.last[i] = v
-		rec.stream = append(rec.stream, streamChange{cycle: cycle, sig: int32(i), val: v})
+		rec.add(cycle, i, v)
 		rec.endCycle = cycle
 	}
 }
@@ -152,9 +209,10 @@ func (r *Recorder) Recording() *Recording { return r.rec }
 // Cursor streams a Recording's values forward, cycle by cycle, in O(changes)
 // total — the parse-once/query-many access path of the streaming analyzer.
 type Cursor struct {
-	rec  *Recording
-	pos  int
-	vals []sim.Bits
+	rec     *Recording
+	pos     int
+	vals    []sim.Bits
+	changed []int32 // signals the last AdvanceTo set
 }
 
 // NewCursor returns a cursor positioned before the first cycle; every value
@@ -163,14 +221,35 @@ func (rec *Recording) NewCursor() *Cursor {
 	return &Cursor{rec: rec, vals: make([]sim.Bits, len(rec.names))}
 }
 
-// AdvanceTo applies every change up to and including the given cycle.
-// Cycles must be non-decreasing across calls.
-func (c *Cursor) AdvanceTo(cycle uint64) {
-	st := c.rec.stream
-	for c.pos < len(st) && st[c.pos].cycle <= cycle {
-		c.vals[st[c.pos].sig] = st[c.pos].val
-		c.pos++
+// AdvanceTo applies every change up to and including the given cycle and
+// returns the indices of the signals it set, in stream order: a signal that
+// changed in several of the cycles passed appears once per change. Cycles
+// must be non-decreasing across calls. The slice is the cursor's own and
+// stays valid until the next AdvanceTo.
+func (c *Cursor) AdvanceTo(cycle uint64) []int32 {
+	pos, changed := c.pos, c.changed[:0]
+	st := &c.rec.stream
+	for pos < st.n {
+		chunk := st.chunks[pos/chunkLen][pos%chunkLen:]
+		k := 0
+		for ; k < len(chunk) && chunk[k].cycle <= cycle; k++ {
+			// Storing each branch's value directly, not value()'s result,
+			// avoids a store-forwarding stall on the temporary.
+			ch := &chunk[k]
+			if ch.wide < 0 {
+				c.vals[ch.sig] = sim.B64(ch.lo)
+			} else {
+				c.vals[ch.sig] = c.rec.wide[ch.wide]
+			}
+			changed = append(changed, ch.sig)
+		}
+		pos += k
+		if k < len(chunk) {
+			break
+		}
 	}
+	c.pos, c.changed = pos, changed
+	return changed
 }
 
 // Value returns signal i's value at the cursor's current cycle.
@@ -186,12 +265,13 @@ func (c *Cursor) Values() []sim.Bits { return c.vals }
 // window serving; sequential readers should prefer a Cursor.
 func (rec *Recording) ValueAt(i int, cycle uint64) sim.Bits {
 	var v sim.Bits
-	for _, ch := range rec.stream {
+	for k := 0; k < rec.stream.n; k++ {
+		ch := rec.stream.at(k)
 		if ch.cycle > cycle {
 			break
 		}
 		if int(ch.sig) == i {
-			v = ch.val
+			v = rec.value(ch)
 		}
 	}
 	return v
@@ -219,10 +299,11 @@ func (rec *Recording) Encode() []byte {
 	e.Uint(rec.samples)
 
 	// Count frames (runs of equal cycle in the ordered stream).
+	st := &rec.stream
 	frames := 0
-	for k := 0; k < len(rec.stream); {
+	for k := 0; k < st.n; {
 		j := k
-		for j < len(rec.stream) && rec.stream[j].cycle == rec.stream[k].cycle {
+		for j < st.n && st.at(j).cycle == st.at(k).cycle {
 			j++
 		}
 		frames++
@@ -230,19 +311,21 @@ func (rec *Recording) Encode() []byte {
 	}
 	e.Uint(uint64(frames))
 	prev := uint64(0)
-	for k := 0; k < len(rec.stream); {
+	for k := 0; k < st.n; {
 		j := k
-		for j < len(rec.stream) && rec.stream[j].cycle == rec.stream[k].cycle {
+		for j < st.n && st.at(j).cycle == st.at(k).cycle {
 			j++
 		}
-		cyc := rec.stream[k].cycle
+		cyc := st.at(k).cycle
 		e.Uint(cyc - prev)
 		prev = cyc
 		e.Uint(uint64(j - k))
-		for _, ch := range rec.stream[k:j] {
+		for i := k; i < j; i++ {
+			ch := st.at(i)
 			e.Uint(uint64(ch.sig))
+			v := rec.value(ch)
 			for w := 0; w < valWords(rec.widths[ch.sig]); w++ {
-				e.Uint(ch.val.Word(w))
+				e.Uint(v.Word(w))
 			}
 		}
 		k = j
@@ -338,7 +421,7 @@ func DecodeRecording(data []byte) (*Recording, error) {
 				return nil, fmt.Errorf("vcd: recording value of %q at cycle %d wider than %d bits",
 					rec.names[sig], cyc, rec.widths[sig])
 			}
-			rec.stream = append(rec.stream, streamChange{cycle: cyc, sig: int32(sig), val: val})
+			rec.add(cyc, int32(sig), val)
 		}
 		rec.endCycle = cyc
 	}
@@ -388,8 +471,9 @@ func (rec *Recording) File() *File {
 		f.Vars = append(f.Vars, Var{Name: name, Width: rec.widths[i], Code: idCode(i)})
 		f.Changes = append(f.Changes, nil)
 	}
-	for _, ch := range rec.stream {
-		f.Changes[ch.sig] = append(f.Changes[ch.sig], Change{Time: ch.cycle * TimePerCycle, Value: ch.val})
+	for k := 0; k < rec.stream.n; k++ {
+		ch := rec.stream.at(k)
+		f.Changes[ch.sig] = append(f.Changes[ch.sig], Change{Time: ch.cycle * TimePerCycle, Value: rec.value(ch)})
 	}
 	return f
 }
@@ -407,34 +491,34 @@ func (rec *Recording) VCD() []byte {
 	writeDefs(w, rec.module, rec.names, rec.widths, codes)
 
 	emit := func(ch streamChange) {
+		val := rec.value(ch)
 		if rec.widths[ch.sig] == 1 {
-			if ch.val.Bool() {
+			if val.Bool() {
 				fmt.Fprintf(w, "1%s\n", codes[ch.sig])
 			} else {
 				fmt.Fprintf(w, "0%s\n", codes[ch.sig])
 			}
 			return
 		}
-		fmt.Fprintf(w, "b%s %s\n", ch.val.BinaryString(rec.widths[ch.sig]), codes[ch.sig])
+		fmt.Fprintf(w, "b%s %s\n", val.BinaryString(rec.widths[ch.sig]), codes[ch.sig])
 	}
 	first := true
-	for k := 0; k < len(rec.stream); {
+	st := &rec.stream
+	for k := 0; k < st.n; {
 		j := k
-		for j < len(rec.stream) && rec.stream[j].cycle == rec.stream[k].cycle {
+		for j < st.n && st.at(j).cycle == st.at(k).cycle {
 			j++
 		}
-		fmt.Fprintf(w, "#%d\n", rec.stream[k].cycle*TimePerCycle)
+		fmt.Fprintf(w, "#%d\n", st.at(k).cycle*TimePerCycle)
+		if first {
+			fmt.Fprintf(w, "$dumpvars\n")
+		}
+		for i := k; i < j; i++ {
+			emit(st.at(i))
+		}
 		if first {
 			first = false
-			fmt.Fprintf(w, "$dumpvars\n")
-			for _, ch := range rec.stream[k:j] {
-				emit(ch)
-			}
 			fmt.Fprintf(w, "$end\n")
-		} else {
-			for _, ch := range rec.stream[k:j] {
-				emit(ch)
-			}
 		}
 		k = j
 	}

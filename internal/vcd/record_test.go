@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"crve/internal/sim"
 	"crve/internal/wire"
 )
 
@@ -169,5 +170,38 @@ func TestCursorStreamsValues(t *testing.T) {
 		if got := rec.ValueAt(ci, cyc).Uint64(); got != cyc+1 {
 			t.Errorf("ValueAt(cnt, %d) = %d, want %d", cyc, got, cyc+1)
 		}
+	}
+}
+
+// TestRecorderIgnoresSettledGlitch: g pulses and settles back to 0 inside
+// every cycle (a cyclic unit: g = trig != ack, ack = trig, trig toggling),
+// so the change journal notes it every cycle; the recorder re-reads it and
+// records nothing past the first sample, exactly as Writer emits nothing.
+func TestRecorderIgnoresSettledGlitch(t *testing.T) {
+	sm := sim.New()
+	trig, ack := sm.Bool("trig"), sm.Bool("ack")
+	g := sm.Bool("top.g")
+	sm.Seq("trig", func() { trig.SetBool(!trig.Bool()) })
+	sm.CombOut("g", func() { g.SetBool(trig.Bool() != ack.Bool()) }, []*sim.Signal{g}, trig, ack)
+	sm.CombOut("ack", func() { ack.SetBool(trig.Bool()) }, []*sim.Signal{ack}, trig, g)
+	var buf bytes.Buffer
+	wr := NewWriter(&buf, "bench")
+	wr.Declare(g)
+	wr.Attach(sm)
+	r := NewRecorder("bench")
+	r.Declare(g)
+	r.Attach(sm)
+	if err := sm.Run(6); err != nil {
+		t.Fatal(err)
+	}
+	if err := wr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rec := r.Recording()
+	if rec.Changes() != 1 || rec.Cycles() != 1 {
+		t.Errorf("recorded %d changes over %d cycles, want the first sample only", rec.Changes(), rec.Cycles())
+	}
+	if !bytes.Equal(rec.VCD(), buf.Bytes()) {
+		t.Errorf("Recording.VCD differs from Writer output:\n%s\nvs\n%s", rec.VCD(), buf.Bytes())
 	}
 }
