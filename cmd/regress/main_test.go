@@ -72,10 +72,13 @@ func TestCloseReportMatchesService(t *testing.T) {
 }
 
 // TestClosePlan: -close -plan runs the suite, reports the hole and the unit
-// the first closure iteration would run, and simulates no closure unit.
+// the first closure iteration would run, and simulates no closure unit. The
+// suite's 12 units land in one cache segment, which serves all of them to a
+// second run.
 func TestClosePlan(t *testing.T) {
 	cache := t.TempDir()
-	code, stdout, stderr := runArgs("-config", regbank, "-close", "-plan", "-cache", cache)
+	args := []string{"-config", regbank, "-close", "-plan", "-cache", cache}
+	code, stdout, stderr := runArgs(args...)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 	}
@@ -86,12 +89,19 @@ func TestClosePlan(t *testing.T) {
 	if !strings.HasSuffix(stdout, want) {
 		t.Errorf("plan output:\n%s\nwant it to end with:\n%s", stdout, want)
 	}
-	entries, err := filepath.Glob(filepath.Join(cache, "*.crr"))
+	files, err := filepath.Glob(filepath.Join(cache, "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 12 {
-		t.Errorf("cache holds %d entries after -plan, want the 12 suite units", len(entries))
+	if len(files) != 1 || filepath.Ext(files[0]) != ".crp" {
+		t.Errorf("cache holds %v after -plan, want exactly one .crp segment", files)
+	}
+	code, stdout, stderr = runArgs(args...)
+	if code != 0 {
+		t.Fatalf("second run: exit %d, stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stdout, "work units: 0 ran, 12 cached\n") {
+		t.Errorf("second run must serve the 12 suite units from the cache:\n%s", stdout)
 	}
 
 	if code, _, stderr := runArgs("-config", regbank, "-plan"); code != 1 || !strings.Contains(stderr, "-plan needs -close") {

@@ -15,12 +15,27 @@ import (
 // invalidation explicitly.
 func testCache(t *testing.T, version string) *Cache {
 	t.Helper()
-	c, err := OpenCache(t.TempDir())
+	return openTestCache(t, t.TempDir(), version)
+}
+
+// openTestCache opens dir as a cache with a pinned version.
+func openTestCache(t testing.TB, dir, version string) *Cache {
+	t.Helper()
+	c, err := openCache(dir, version)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.version = version
 	return c
+}
+
+// segments lists the segment files in dir.
+func segments(t testing.TB, dir string) []string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*"+segmentExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
 }
 
 func TestCacheKeyDiscriminates(t *testing.T) {
@@ -63,57 +78,110 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 func TestCacheCorruptAndVersionMismatchAreMisses(t *testing.T) {
 	c := testCache(t, "v1")
 	cfg := StandardMatrix()[0]
+	first := c.Key(cfg, "first", 1, bca.Bugs{}, "")
 	key := c.Key(cfg, "t", 1, bca.Bugs{}, "")
 	if _, ok := c.Load(key); ok {
 		t.Fatal("empty cache must miss")
 	}
-	if err := c.Store(key, cfg, "t", 1, fakeRecord("t", 1)); err != nil {
-		t.Fatal(err)
+	for _, u := range []struct{ key, test string }{{first, "first"}, {key, "t"}} {
+		if err := c.Store(u.key, cfg, u.test, 1, fakeRecord(u.test, 1)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	valid, err := os.ReadFile(c.path(key))
+	segs := segments(t, c.Dir())
+	if len(segs) != 1 {
+		t.Fatalf("cache holds %d segments, want 1", len(segs))
+	}
+	seg := segs[0]
+	valid, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if filepath.Ext(c.path(key)) != entrySuffix {
-		t.Errorf("entry path %s", c.path(key))
 	}
 	if rec, ok := c.Load(key); !ok || rec.RTL.Test != "t" {
 		t.Fatal("a valid entry must hit")
 	}
-	loadAs := func(data []byte) bool {
+	k, _ := parseKey(key)
+	head, last := len(segmentHeader("v1")), int(c.index[k].off) // key's frame is the last
+	writeSeg := func(data []byte) {
 		t.Helper()
-		if err := os.WriteFile(c.path(key), data, 0o644); err != nil {
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, ok := c.Load(key)
-		return ok
+	}
+	// loadAs writes data as the segment and reports which entries a fresh
+	// handle, scanning the segment from its header, serves.
+	loadAs := func(data []byte) (firstHit, keyHit bool) {
+		t.Helper()
+		writeSeg(data)
+		fresh := openTestCache(t, c.Dir(), "v1")
+		_, firstHit = fresh.Load(first)
+		_, keyHit = fresh.Load(key)
+		return firstHit, keyHit
+	}
+	lastFrame := func(entry []byte) []byte {
+		return appendFrame(append([]byte(nil), valid[:last]...), k, entry)
 	}
 
-	for n := 0; n < len(valid); n++ {
-		if loadAs(valid[:n]) {
-			t.Fatalf("entry truncated to %d of %d bytes must load as a miss", n, len(valid))
+	for n := last; n < len(valid); n++ {
+		if firstHit, keyHit := loadAs(valid[:n]); keyHit || !firstHit {
+			t.Fatalf("segment truncated to %d of %d bytes: entry hit %v, earlier entry hit %v; want only the earlier one", n, len(valid), keyHit, firstHit)
 		}
 	}
-	if loadAs(append(append([]byte(nil), valid...), 0)) {
+	entry := encodeEntry("v1", "t", 1, fakeRecord("t", 1))
+	if !bytes.Equal(lastFrame(entry), valid) {
+		t.Fatal("re-framing the stored entry does not rebuild the segment")
+	}
+	if _, keyHit := loadAs(lastFrame(append(entry, 0))); keyHit {
 		t.Error("entry with a trailing byte must load as a miss")
 	}
-	other := testCache(t, "v2")
-	if err := other.Store(key, cfg, "t", 1, fakeRecord("t", 1)); err != nil {
-		t.Fatal(err)
-	}
-	foreign, err := os.ReadFile(other.path(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loadAs(foreign) {
+	if _, keyHit := loadAs(lastFrame(encodeEntry("v2", "t", 1, fakeRecord("t", 1)))); keyHit {
 		t.Error("entry written under another version must load as a miss")
 	}
-	v3 := `{"version":"v1","config":"","test":"t","seed":1,"pair":{"rtl":{"drained":true},"bca":{"drained":true}}}`
-	if loadAs([]byte(v3)) {
-		t.Error("a leftover JSON entry must load as a miss")
+	if firstHit, keyHit := loadAs(append(segmentHeader("v2"), valid[head:]...)); firstHit || keyHit {
+		t.Error("segment written under another version must load as a miss")
 	}
-	if !loadAs(valid) {
+	// Files of older layouts are never read, even one holding exactly what
+	// the one-file-per-entry store wrote for this key and version.
+	v3 := `{"version":"v1","config":"","test":"t","seed":1,"pair":{"rtl":{"drained":true},"bca":{"drained":true}}}`
+	for name, data := range map[string][]byte{key + ".crr": entry, key + ".json": []byte(v3)} {
+		if err := os.WriteFile(filepath.Join(c.Dir(), name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, keyHit := loadAs(valid[:last]); keyHit {
+		t.Error("a leftover .crr or .json entry must load as a miss")
+	}
+	if firstHit, keyHit := loadAs(valid); !firstHit || !keyHit {
 		t.Error("restoring the valid bytes must hit again")
+	}
+
+	// On a handle that has indexed the segment, flipping any single byte of
+	// a frame makes that entry miss and no other. (A fresh scan stops at the
+	// first bad frame, so every entry after it misses too.)
+	indexed := openTestCache(t, c.Dir(), "v1")
+	frames := []struct {
+		key        string
+		start, end int
+	}{{first, head, last}, {key, last, len(valid)}}
+	for i, fr := range frames {
+		other := frames[1-i].key
+		for p := fr.start; p < fr.end; p++ {
+			flipped := append([]byte(nil), valid...)
+			flipped[p] ^= 0xff
+			writeSeg(flipped)
+			if _, ok := indexed.Load(fr.key); ok {
+				t.Fatalf("segment byte %d flipped: its entry still hits", p)
+			}
+			if _, ok := indexed.Load(other); !ok {
+				t.Fatalf("segment byte %d flipped: another frame's entry misses", p)
+			}
+		}
+	}
+	writeSeg(valid)
+	for _, fr := range frames {
+		if _, ok := indexed.Load(fr.key); !ok {
+			t.Error("restoring the valid bytes must hit again on the indexed handle")
+		}
 	}
 }
 
@@ -172,8 +240,7 @@ func TestRunIncremental(t *testing.T) {
 	}
 
 	// A fresh cache sees changed code (version bump): everything re-runs.
-	bumped := testCache(t, "pinned-2")
-	bumped.dir = cache.dir
+	bumped := openTestCache(t, cache.Dir(), "pinned-2")
 	opt.Cache = bumped
 	_, stats4, err := Run(cfgs, opt)
 	if err != nil {
