@@ -54,23 +54,8 @@ func (m *saMem) capture(cfg stbus.PortConfig, c stbus.Cell) {
 	if !c.EOP {
 		return
 	}
-	head := m.cur[0]
-	var rd []byte
-	if head.Opc.IsLoad() {
-		rd = make([]byte, head.Opc.SizeBytes())
-		m.mem.Read(head.Addr, rd)
-	}
-	if head.Opc.HasWriteData() {
-		m.mem.Write(head.Addr, stbus.ExtractWriteData(cfg.Endian, m.cur, cfg.BusBytes()))
-	}
-	resp, err := stbus.BuildResponse(cfg.Type, cfg.Endian, head.Opc, head.Addr, rd,
-		cfg.BusBytes(), head.TID, head.Src, false)
-	if err != nil {
-		resp = []stbus.RespCell{{ROpc: stbus.RespError, EOP: true, TID: head.TID, Src: head.Src}}
-	}
-	m.queue = append(m.queue, saPkt{resp: resp, readyAt: m.cyc + uint64(m.lat)})
-	// Nothing above keeps the cells (ExtractWriteData copies), so the buffer
-	// is reused across packets.
+	m.queue = append(m.queue, saPkt{resp: m.mem.Serve(cfg, m.cur), readyAt: m.cyc + uint64(m.lat)})
+	// Serve does not keep the cells, so the buffer is reused across packets.
 	m.cur = m.cur[:0]
 }
 

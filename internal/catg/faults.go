@@ -137,48 +137,34 @@ type FaultyInitiatorBFM struct {
 	// OnPacket is the packet index the dynamic fault strikes.
 	OnPacket int
 
-	ops      []Op
-	opIdx    int
-	cellIdx  int
+	core     *Initiator
 	injected bool
 	waiting  bool
-
-	sentPackets int
-	respEOPs    int
 }
 
 // NewFaultyInitiatorBFM attaches the fault rig to port.
 func NewFaultyInitiatorBFM(sm *sim.Simulator, port *stbus.Port, ops []Op, f Fault, onPacket int) *FaultyInitiatorBFM {
-	b := &FaultyInitiatorBFM{Port: port, Fault: f, OnPacket: onPacket, ops: ops}
+	b := &FaultyInitiatorBFM{Port: port, Fault: f, OnPacket: onPacket, core: NewInitiator(ops)}
 	sm.Seq(port.Name+".faultybfm", b.tick)
 	return b
 }
 
 func (b *FaultyInitiatorBFM) tick() {
 	p := b.Port
-	if p.ReqFire() {
+	fired := p.ReqFire()
+	if fired {
 		b.waiting = false
-		cur := b.ops[b.opIdx]
-		b.cellIdx++
-		if b.cellIdx == len(cur.Cells) {
-			b.sentPackets++
-			b.opIdx++
-			b.cellIdx = 0
-		}
 	} else if p.Req.Bool() && !p.Gnt.Bool() {
 		b.waiting = true
 	}
-	if p.RespFire() && p.SampleResp().EOP {
-		b.respEOPs++
-	}
+	cell, req, _ := b.core.Step(fired, p.RespFire() && p.REOP.Bool())
 	p.RGnt.SetBool(true)
-	if b.opIdx >= len(b.ops) {
+	if !req {
 		p.IdleReq()
 		return
 	}
-	cell := b.ops[b.opIdx].Cells[b.cellIdx]
 	// Dynamic fault injection while waiting for grant on the chosen packet.
-	if b.waiting && !b.injected && b.opIdx == b.OnPacket {
+	if b.waiting && !b.injected && b.core.opIdx == b.OnPacket {
 		switch b.Fault {
 		case FaultDropReq:
 			b.injected = true
@@ -194,9 +180,7 @@ func (b *FaultyInitiatorBFM) tick() {
 }
 
 // Done reports whether the stream was issued and answered.
-func (b *FaultyInitiatorBFM) Done() bool {
-	return b.opIdx >= len(b.ops) && b.respEOPs >= b.sentPackets
-}
+func (b *FaultyInitiatorBFM) Done() bool { return b.core.done() }
 
 // Injected reports whether the dynamic fault fired.
 func (b *FaultyInitiatorBFM) Injected() bool { return b.injected }

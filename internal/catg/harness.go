@@ -7,75 +7,98 @@ import (
 	"crve/internal/stbus"
 )
 
-// InitiatorBFM drives one initiator-facing DUT port with a generated
-// operation stream, honouring the request handshake (cells held until
-// granted) and always accepting responses. It corresponds to the "Harness"
-// blocks of the paper's Figure 2.
-type InitiatorBFM struct {
-	Port *stbus.Port
-
+// Initiator is the signal-independent core of an initiator BFM: it walks a
+// generated operation stream, holding each cell until it is granted and
+// leaving each operation's idle gap before it. InitiatorBFM and
+// FaultyInitiatorBFM step it from a port's wires; the transaction-level
+// bench (internal/tlm) steps it from function calls, so every bench
+// presents the same stimulus by construction.
+type Initiator struct {
 	ops     []Op
 	opIdx   int
 	cellIdx int
 	idle    int
 	started bool
 
-	sentPackets int
-	respEOPs    int
+	sent     int
+	received int
+}
+
+// NewInitiator builds the core for an operation stream.
+func NewInitiator(ops []Op) *Initiator { return &Initiator{ops: ops} }
+
+// Step advances the core by one clock edge. granted reports that the cell
+// presented last cycle was accepted (req and gnt high); respEOP that last
+// cycle accepted the final cell of a response packet. It returns the cell
+// to present this cycle and whether to present one (req), and whether every
+// operation has now been issued and every response packet received.
+func (in *Initiator) Step(granted, respEOP bool) (cell stbus.Cell, req, done bool) {
+	if granted {
+		in.cellIdx++
+		if in.cellIdx == len(in.ops[in.opIdx].Cells) {
+			in.sent++
+			in.opIdx++
+			in.cellIdx = 0
+			if in.opIdx < len(in.ops) {
+				in.idle = in.ops[in.opIdx].IdleBefore
+			}
+		}
+	} else if in.started && in.idle > 0 {
+		in.idle--
+	}
+	if !in.started {
+		in.started = true
+		if in.opIdx < len(in.ops) {
+			in.idle = in.ops[in.opIdx].IdleBefore
+		}
+	}
+	if respEOP {
+		in.received++
+	}
+	if in.opIdx < len(in.ops) && in.idle == 0 {
+		cell, req = in.ops[in.opIdx].Cells[in.cellIdx], true
+	}
+	return cell, req, in.done()
+}
+
+func (in *Initiator) done() bool { return in.opIdx >= len(in.ops) && in.received >= in.sent }
+
+// InitiatorBFM drives one initiator-facing DUT port with a generated
+// operation stream, honouring the request handshake (cells held until
+// granted) and always accepting responses. It corresponds to the "Harness"
+// blocks of the paper's Figure 2; the stream walk itself is Initiator.
+type InitiatorBFM struct {
+	Port *stbus.Port
+	core *Initiator
 }
 
 // NewInitiatorBFM attaches a BFM to port, registering its clocked driver
 // process with the simulator.
 func NewInitiatorBFM(sm *sim.Simulator, port *stbus.Port, ops []Op) *InitiatorBFM {
-	b := &InitiatorBFM{Port: port, ops: ops}
+	b := &InitiatorBFM{Port: port, core: NewInitiator(ops)}
 	sm.Seq(port.Name+".bfm", b.tick)
 	return b
 }
 
 func (b *InitiatorBFM) tick() {
 	p := b.Port
-	if p.ReqFire() {
-		cur := b.ops[b.opIdx]
-		b.cellIdx++
-		if b.cellIdx == len(cur.Cells) {
-			b.sentPackets++
-			b.opIdx++
-			b.cellIdx = 0
-			if b.opIdx < len(b.ops) {
-				b.idle = b.ops[b.opIdx].IdleBefore
-			}
-		}
-	} else if b.started && b.idle > 0 && !p.Req.Bool() {
-		b.idle--
-	}
-	if !b.started {
-		b.started = true
-		if b.opIdx < len(b.ops) {
-			b.idle = b.ops[b.opIdx].IdleBefore
-		}
-	}
-	if b.opIdx < len(b.ops) && b.idle == 0 {
-		p.DriveCell(b.ops[b.opIdx].Cells[b.cellIdx])
+	if cell, req, _ := b.core.Step(p.ReqFire(), p.RespFire() && p.REOP.Bool()); req {
+		p.DriveCell(cell)
 	} else {
 		p.IdleReq()
-	}
-	if p.RespFire() && p.SampleResp().EOP {
-		b.respEOPs++
 	}
 	p.RGnt.SetBool(true)
 }
 
 // Done reports whether every operation was issued and every response packet
 // received.
-func (b *InitiatorBFM) Done() bool {
-	return b.opIdx >= len(b.ops) && b.respEOPs >= b.sentPackets
-}
+func (b *InitiatorBFM) Done() bool { return b.core.done() }
 
 // Sent returns the number of request packets fully issued.
-func (b *InitiatorBFM) Sent() int { return b.sentPackets }
+func (b *InitiatorBFM) Sent() int { return b.core.sent }
 
 // Received returns the number of response packets received.
-func (b *InitiatorBFM) Received() int { return b.respEOPs }
+func (b *InitiatorBFM) Received() int { return b.core.received }
 
 // TargetSeed derives the timing seed of target tgt from a test seed, the
 // formula shared by the signal-level bench (internal/core) and the
@@ -112,90 +135,97 @@ type tgtPkt struct {
 	idx     int
 }
 
-// TargetBFM models a memory-backed STBus target with seeded random timing.
-// The same seed yields the same grant/latency pattern on both DUT views.
-type TargetBFM struct {
-	Port *stbus.Port
-	Cfg  TargetConfig
+// Target is the signal-independent core of a target BFM: a memory-backed
+// STBus target with seeded random timing. TargetBFM steps it from a port's
+// wires; the transaction-level bench steps it from function calls, so the
+// same seed yields the same grant and latency pattern in every bench.
+type Target struct {
+	cfg     TargetConfig
+	portCfg stbus.PortConfig
 
 	rng   *rand.Rand
 	mem   stbus.SparseMem
 	cur   []stbus.Cell
-	rd    []byte // read-data scratch: BuildResponse copies it into the cells
 	queue []tgtPkt
 	gap   int
 	cyc   uint64
 }
 
+// NewTarget builds the core of a target on a port configured as portCfg,
+// its timing drawn from seed.
+func NewTarget(portCfg stbus.PortConfig, cfg TargetConfig, seed int64) *Target {
+	return &Target{cfg: cfg.WithDefaults(), portCfg: portCfg, rng: rand.New(rand.NewSource(seed))}
+}
+
+// Step advances the core by one clock edge. reqFired reports that last
+// cycle accepted the request cell cell; respFired that it accepted the
+// response cell offered. It returns this cycle's response cell and whether
+// it is offered (r_req), and whether a request cell is accepted this cycle
+// (gnt). The random stream is drawn in a fixed order: one grant-gap draw
+// per accepted cell, then the latency draw at a packet's last cell.
+func (t *Target) Step(reqFired bool, cell stbus.Cell, respFired bool) (resp stbus.RespCell, rreq, gnt bool) {
+	t.cyc++
+	if reqFired {
+		t.cur = append(t.cur, cell)
+		if t.cfg.GntGapPct > 0 && t.rng.Intn(100) < t.cfg.GntGapPct {
+			t.gap = 1 + t.rng.Intn(3)
+		}
+		if cell.EOP {
+			lat := t.cfg.MinLatency
+			if t.cfg.MaxLatency > t.cfg.MinLatency {
+				lat += t.rng.Intn(t.cfg.MaxLatency - t.cfg.MinLatency + 1)
+			}
+			// Serve does not keep the cells, so the packet buffer is reused
+			// across packets instead of reallocated.
+			t.queue = append(t.queue, tgtPkt{resp: t.mem.Serve(t.portCfg, t.cur), readyAt: t.cyc + uint64(lat)})
+			t.cur = t.cur[:0]
+		}
+	} else if t.gap > 0 {
+		t.gap--
+	}
+	if respFired {
+		h := &t.queue[0]
+		h.idx++
+		if h.idx == len(h.resp) {
+			t.queue = t.queue[1:]
+		}
+	}
+	if len(t.queue) > 0 && t.cyc >= t.queue[0].readyAt {
+		resp, rreq = t.queue[0].resp[t.queue[0].idx], true
+	}
+	return resp, rreq, len(t.queue) < t.cfg.QueueDepth && t.gap == 0
+}
+
+// TargetBFM models a memory-backed STBus target with seeded random timing.
+// The same seed yields the same grant/latency pattern on both DUT views;
+// the target itself is Target.
+type TargetBFM struct {
+	Port *stbus.Port
+	core *Target
+}
+
 // NewTargetBFM attaches a target BFM to port.
 func NewTargetBFM(sm *sim.Simulator, port *stbus.Port, cfg TargetConfig, seed int64) *TargetBFM {
-	b := &TargetBFM{Port: port, Cfg: cfg.WithDefaults(), rng: rand.New(rand.NewSource(seed))}
+	b := &TargetBFM{Port: port, core: NewTarget(port.Cfg, cfg, seed)}
 	sm.Seq(port.Name+".bfm", b.tick)
 	return b
 }
 
 // Peek reads a byte of the target's memory, for tests.
-func (b *TargetBFM) Peek(addr uint64) byte { return b.mem.Byte(addr) }
+func (b *TargetBFM) Peek(addr uint64) byte { return b.core.mem.Byte(addr) }
 
 func (b *TargetBFM) tick() {
 	p := b.Port
-	b.cyc++
-	if p.ReqFire() {
-		b.cur = append(b.cur, p.SampleCell())
-		if b.Cfg.GntGapPct > 0 && b.rng.Intn(100) < b.Cfg.GntGapPct {
-			b.gap = 1 + b.rng.Intn(3)
-		}
-		if b.cur[len(b.cur)-1].EOP {
-			// serve consumes the cells synchronously, so the packet buffer is
-			// reused across packets instead of reallocated.
-			b.queue = append(b.queue, b.serve(b.cur))
-			b.cur = b.cur[:0]
-		}
-	} else if b.gap > 0 {
-		b.gap--
+	var cell stbus.Cell
+	fired := p.ReqFire()
+	if fired {
+		cell = p.SampleCell()
 	}
-	if p.RespFire() {
-		h := &b.queue[0]
-		h.idx++
-		if h.idx == len(h.resp) {
-			b.queue = b.queue[1:]
-		}
-	}
-	if len(b.queue) > 0 && b.cyc >= b.queue[0].readyAt {
-		p.DriveResp(b.queue[0].resp[b.queue[0].idx])
+	resp, rreq, gnt := b.core.Step(fired, cell, p.RespFire())
+	if rreq {
+		p.DriveResp(resp)
 	} else {
 		p.IdleResp()
 	}
-	p.Gnt.SetBool(len(b.queue) < b.Cfg.QueueDepth && b.gap == 0)
-}
-
-// serve executes a completed request packet against the memory model.
-func (b *TargetBFM) serve(cells []stbus.Cell) tgtPkt {
-	cfg := b.Port.Cfg
-	first := cells[0]
-	op, addr := first.Opc, first.Addr
-	lat := b.Cfg.MinLatency
-	if b.Cfg.MaxLatency > b.Cfg.MinLatency {
-		lat += b.rng.Intn(b.Cfg.MaxLatency - b.Cfg.MinLatency + 1)
-	}
-	pk := tgtPkt{readyAt: b.cyc + uint64(lat)}
-	var rd []byte
-	if op.IsLoad() {
-		n := op.SizeBytes()
-		if cap(b.rd) < n {
-			b.rd = make([]byte, n)
-		}
-		rd = b.rd[:n]
-		b.mem.Read(addr, rd)
-	}
-	if op.HasWriteData() {
-		b.mem.Write(addr, stbus.ExtractWriteData(cfg.Endian, cells, cfg.BusBytes()))
-	}
-	resp, err := stbus.BuildResponse(cfg.Type, cfg.Endian, op, addr, rd, cfg.BusBytes(),
-		first.TID, first.Src, false)
-	if err != nil {
-		resp = []stbus.RespCell{{ROpc: stbus.RespError, EOP: true, TID: first.TID, Src: first.Src}}
-	}
-	pk.resp = resp
-	return pk
+	p.Gnt.SetBool(gnt)
 }

@@ -66,7 +66,7 @@ func TestTargetBFMQueueDepthBackpressure(t *testing.T) {
 	sm, bfm, tgt := buildLoop(t, TargetConfig{MinLatency: 10, MaxLatency: 10, QueueDepth: 1}, ops, 5)
 	maxQ := 0
 	sm.AtCycleEnd(func() {
-		if n := len(tgt.queue); n > maxQ {
+		if n := len(tgt.core.queue); n > maxQ {
 			maxQ = n
 		}
 	})

@@ -199,21 +199,7 @@ func attachSimpleMemory(sm *sim.Simulator, name string, node *bca.Node) {
 		if p.ReqFire() {
 			cur = append(cur, p.SampleCell())
 			if cur[len(cur)-1].EOP {
-				first := cur[0]
-				var rd []byte
-				if first.Opc.IsLoad() {
-					rd = make([]byte, first.Opc.SizeBytes())
-					mem.Read(first.Addr, rd)
-				}
-				if first.Opc.HasWriteData() {
-					mem.Write(first.Addr, stbus.ExtractWriteData(cfg.Endian, cur, cfg.BusBytes()))
-				}
-				resp, err := stbus.BuildResponse(cfg.Type, cfg.Endian, first.Opc, first.Addr, rd,
-					cfg.BusBytes(), first.TID, first.Src, false)
-				if err != nil {
-					resp = []stbus.RespCell{{ROpc: stbus.RespError, EOP: true, TID: first.TID, Src: first.Src}}
-				}
-				queue = append(queue, &pkt{resp: resp})
+				queue = append(queue, &pkt{resp: mem.Serve(cfg, cur)})
 				cur = nil
 			}
 		}

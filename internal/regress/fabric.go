@@ -5,16 +5,11 @@ import (
 	"crve/internal/lint"
 )
 
-// LoadFabric elaborates the topology file at path, resolving node configs
-// through the regress parameter-file loader: node directives in a topology
-// reference the same *.cfg format the regression matrix loads.
-func LoadFabric(path string) (*fabric.Topology, error) {
-	return fabric.LoadFile(path, loadSource)
-}
-
 // CheckFabric elaborates and checks one topology file: the whole-fabric
 // rules (CRVE018–CRVE023) plus the per-config lint of every referenced
-// configuration. Only I/O failures on the topology file itself are errors.
+// configuration, resolving node configs through the regress parameter-file
+// loader (node directives reference the same *.cfg format the regression
+// matrix loads). Only I/O failures on the topology file itself are errors.
 func CheckFabric(path string) (*lint.Report, error) {
 	return fabric.CheckFile(path, loadSource)
 }

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -245,8 +246,17 @@ func runEngine(ctx context.Context, cfgs []nodespec.Config, opt Options, logHead
 // cache fill. Runs on a worker goroutine; everything it touches is
 // unit-local. With a cache, the acquire/release flight protocol guarantees
 // at most one goroutine in the process ever simulates a given key, across
-// every engine run sharing the Cache.
-func runUnit(ctx context.Context, u workUnit, opt Options) unitOutcome {
+// every engine run sharing the Cache. A panic while elaborating or
+// simulating fails this unit with an error that carries the stack: the
+// process and every other job go on, nothing is stored, and the deferred
+// release (which runs first) frees the unit's flight.
+func runUnit(ctx context.Context, u workUnit, opt Options) (out unitOutcome) {
+	defer func() {
+		if r := recover(); r != nil {
+			out = unitOutcome{idx: u.idx, err: fmt.Errorf("regress: %s/%s seed %d: panic: %v\n%s",
+				u.cfg.Name, u.test.Name, u.seed, r, debug.Stack())}
+		}
+	}()
 	var key string
 	if opt.Cache != nil {
 		key = opt.Cache.Key(u.cfg, u.test.Name, u.seed, opt.Bugs, "")

@@ -2,10 +2,12 @@ package regress
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"crve/internal/arb"
+	"crve/internal/catg"
 	"crve/internal/core"
 	"crve/internal/nodespec"
 	"crve/internal/stbus"
@@ -152,5 +154,37 @@ func TestParallelErrorIsCanonical(t *testing.T) {
 		if !strings.Contains(err.Error(), "bad1") || strings.Contains(err.Error(), "bad2") {
 			t.Errorf("error must cite the canonically first failure (bad1): %v", err)
 		}
+	}
+}
+
+// TestPanickingUnitFailsItsRun: a unit that panics while the bench is built
+// fails the run with an error naming the unit and carrying the stack, not
+// the process. Nothing is stored and the unit's flight is released, so a
+// re-run fails the same way instead of blocking, and a healthy test on the
+// same cache still simulates and stores.
+func TestPanickingUnitFailsItsRun(t *testing.T) {
+	cache := testCache(t, "pinned")
+	cfgs := []nodespec.Config{engineCfg(t, "boom", 4)}
+	broken := core.Test{Name: "broken", TrafficFor: func(nodespec.Config, int) catg.TrafficConfig {
+		panic("traffic generator bug")
+	}}
+	opt := Options{Tests: []core.Test{broken}, Seeds: []int64{3}, Cache: cache, Workers: 2}
+	for pass := 0; pass < 2; pass++ {
+		_, _, err := RunCtx(context.Background(), cfgs, opt)
+		if err == nil {
+			t.Fatalf("pass %d: a panicking unit must fail the run", pass)
+		}
+		for _, want := range []string{"boom/broken seed 3", "panic: traffic generator bug", "runUnit"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("pass %d: error lacks %q:\n%v", pass, want, err)
+			}
+		}
+	}
+	opt.Tests = engineSuite(t, "basic_write_read")
+	if _, stats, err := RunCtx(context.Background(), cfgs, opt); err != nil || stats.Ran != 1 {
+		t.Fatalf("healthy unit after the panic: stats %v, err %v", stats, err)
+	}
+	if _, stats, err := RunCtx(context.Background(), cfgs, opt); err != nil || stats.Cached != 1 {
+		t.Fatalf("healthy unit was not stored: stats %v, err %v", stats, err)
 	}
 }

@@ -3,126 +3,50 @@ package stba
 import (
 	"fmt"
 
+	"crve/internal/catg"
+	"crve/internal/sim"
 	"crve/internal/stbus"
 	"crve/internal/vcd"
 )
 
-// PortTrace is the cycle-sampled signal view of one STBus port inside a VCD
-// dump.
-type PortTrace struct {
-	f      *vcd.File
-	prefix string
-	idx    map[string]int
-}
-
-// OpenPort binds the named port prefix inside a dump.
-func OpenPort(f *vcd.File, prefix string) (*PortTrace, error) {
-	pt := &PortTrace{f: f, prefix: prefix, idx: map[string]int{}}
-	for _, leaf := range []string{"req", "gnt", "opc", "add", "data", "be", "eop", "lck",
-		"tid", "src", "pri", "r_req", "r_gnt", "r_opc", "r_data", "r_eop", "r_tid", "r_src"} {
-		i := f.VarIndex(prefix + "." + leaf)
-		if i < 0 {
-			return nil, fmt.Errorf("stba: port %q lacks signal %q", prefix, leaf)
-		}
-		pt.idx[leaf] = i
-	}
-	return pt, nil
-}
-
-func (pt *PortTrace) at(leaf string, cyc uint64) uint64 {
-	return pt.f.ValueAt(pt.idx[leaf], cyc*vcd.TimePerCycle).Uint64()
-}
-
-func (pt *PortTrace) bitsAt(leaf string, cyc uint64) (v uint64, b bool) {
-	x := pt.f.ValueAt(pt.idx[leaf], cyc*vcd.TimePerCycle)
-	return x.Uint64(), x.Bool()
-}
-
 // ExtractTransactions reconstructs the transaction stream observed at a port
 // from a waveform dump — the "STBus transaction information" the paper's
-// analyzer extracts. typ selects the protocol rules used to pair responses
+// analyzer extracts. It replays the port's granted request and response
+// cells into a catg.TxAssembler, the pairing the bench monitors use, so it
+// reports what a monitor on that port completed: first-cell fields,
+// payloads, and an orphan response as an errored anonymous transaction. A
+// dump names neither the port's role nor its endianness, so Initiator and
+// Target are -1, the bus width is the dump's data wire and byte lanes are
+// read little-endian. typ selects the protocol rules used to pair responses
 // with requests.
 func ExtractTransactions(f *vcd.File, prefix string, typ stbus.Type) ([]*stbus.Transaction, error) {
-	pt, err := OpenPort(f, prefix)
-	if err != nil {
-		return nil, err
-	}
-	type pend struct {
-		tr *stbus.Transaction
-	}
-	var pending []*pend
-	var out []*stbus.Transaction
-	var reqStart uint64
-	inReq := false
-	var reqFirstOpc stbus.Opcode
-	var reqFirstAddr uint64
-	var reqFirstTID, reqFirstSrc, reqFirstPri uint8
-	var reqLck bool
-	inResp := false
-	var respErr bool
-	var respTID, respSrc uint8
-
-	cycles := f.Cycles()
-	for cyc := uint64(0); cyc < cycles; cyc++ {
-		reqFire := pt.at("req", cyc) != 0 && pt.at("gnt", cyc) != 0
-		if reqFire {
-			if !inReq {
-				inReq = true
-				reqStart = cyc
-				reqFirstOpc = stbus.Opcode(pt.at("opc", cyc))
-				reqFirstAddr = pt.at("add", cyc)
-				reqFirstTID = uint8(pt.at("tid", cyc))
-				reqFirstSrc = uint8(pt.at("src", cyc))
-				reqFirstPri = uint8(pt.at("pri", cyc))
-			}
-			if _, lck := pt.bitsAt("lck", cyc); lck {
-				reqLck = true
-			}
-			if _, eop := pt.bitsAt("eop", cyc); eop {
-				tr := &stbus.Transaction{
-					Initiator: -1, Target: -1,
-					Opc: reqFirstOpc, Addr: reqFirstAddr,
-					TID: reqFirstTID, Src: reqFirstSrc, Pri: reqFirstPri,
-					Lck: reqLck, StartCycle: reqStart, ReqEndCycle: cyc,
-				}
-				pending = append(pending, &pend{tr: tr})
-				inReq = false
-				reqLck = false
-			}
-		}
-		respFire := pt.at("r_req", cyc) != 0 && pt.at("r_gnt", cyc) != 0
-		if respFire {
-			if !inResp {
-				inResp = true
-				respErr = false
-				respTID = uint8(pt.at("r_tid", cyc))
-				respSrc = uint8(pt.at("r_src", cyc))
-			}
-			if stbus.IsErrorResp(uint8(pt.at("r_opc", cyc))) {
-				respErr = true
-			}
-			if _, eop := pt.bitsAt("r_eop", cyc); eop {
-				inResp = false
-				idx := -1
-				if typ == stbus.Type3 {
-					for k, pd := range pending {
-						if pd.tr.Src == respSrc && pd.tr.TID == respTID {
-							idx = k
-							break
-						}
-					}
-				} else if len(pending) > 0 {
-					idx = 0
-				}
-				if idx >= 0 {
-					pd := pending[idx]
-					pending = append(pending[:idx], pending[idx+1:]...)
-					pd.tr.EndCycle = cyc
-					pd.tr.Err = respErr
-					out = append(out, pd.tr)
-				}
-			}
+	leaves := [...]string{"req", "gnt", "opc", "add", "data", "be", "eop", "lck", "tid", "src", "pri",
+		"r_req", "r_gnt", "r_opc", "r_data", "r_eop", "r_tid", "r_src"}
+	var idx [len(leaves)]int
+	for k, leaf := range leaves {
+		if idx[k] = f.VarIndex(prefix + "." + leaf); idx[k] < 0 {
+			return nil, fmt.Errorf("stba: port %q lacks signal %q", prefix, leaf)
 		}
 	}
-	return out, nil
+	cfg := stbus.PortConfig{Type: typ, DataBits: f.Vars[idx[4]].Width}.WithDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("stba: port %q: %w", prefix, err)
+	}
+	asm := catg.NewTxAssembler(cfg, -1, false, nil)
+	var v [len(leaves)]sim.Bits // the leaves' values at cyc, in leaves' order
+	for cyc := uint64(0); cyc < f.Cycles(); cyc++ {
+		for k, i := range idx {
+			v[k] = f.ValueAt(i, cyc*vcd.TimePerCycle)
+		}
+		if v[0].Bool() && v[1].Bool() {
+			asm.ReqCell(cyc, stbus.Cell{Opc: stbus.Opcode(v[2].Uint64()), Addr: v[3].Uint64(), Data: v[4],
+				BE: v[5].Uint64(), EOP: v[6].Bool(), Lck: v[7].Bool(),
+				TID: uint8(v[8].Uint64()), Src: uint8(v[9].Uint64()), Pri: uint8(v[10].Uint64())})
+		}
+		if v[11].Bool() && v[12].Bool() {
+			asm.RespCell(cyc, stbus.RespCell{ROpc: uint8(v[13].Uint64()), Data: v[14], EOP: v[15].Bool(),
+				TID: uint8(v[16].Uint64()), Src: uint8(v[17].Uint64())})
+		}
+	}
+	return asm.Completed, nil
 }

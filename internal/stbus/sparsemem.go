@@ -7,6 +7,7 @@ package stbus
 // memory.
 type SparseMem struct {
 	words map[uint64]uint64
+	rd    []byte // Serve's read-data scratch: BuildResponse copies it into the cells
 }
 
 // Byte returns the byte at addr.
@@ -42,4 +43,32 @@ func (m *SparseMem) Write(addr uint64, src []byte) {
 		}
 		m.words[key] = w
 	}
+}
+
+// Serve executes a complete request packet, as granted on a port of
+// configuration cfg, against the memory and returns its response packet.
+// The first cell carries the operation: a load reads before a store
+// writes, so a swap or read-modify-write answers with the old data. A
+// packet BuildResponse rejects is answered with one error cell. Every
+// memory target model serves its packets here; the cells are not retained.
+func (m *SparseMem) Serve(cfg PortConfig, cells []Cell) []RespCell {
+	first := cells[0]
+	op, addr := first.Opc, first.Addr
+	var rd []byte
+	if op.IsLoad() {
+		n := op.SizeBytes()
+		if cap(m.rd) < n {
+			m.rd = make([]byte, n)
+		}
+		rd = m.rd[:n]
+		m.Read(addr, rd)
+	}
+	if op.HasWriteData() {
+		m.Write(addr, ExtractWriteData(cfg.Endian, cells, cfg.BusBytes()))
+	}
+	resp, err := BuildResponse(cfg.Type, cfg.Endian, op, addr, rd, cfg.BusBytes(), first.TID, first.Src, false)
+	if err != nil {
+		return []RespCell{{ROpc: RespError, EOP: true, TID: first.TID, Src: first.Src}}
+	}
+	return resp
 }

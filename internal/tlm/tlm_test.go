@@ -1,6 +1,7 @@
 package tlm
 
 import (
+	"fmt"
 	"testing"
 
 	"crve/internal/arb"
@@ -8,7 +9,9 @@ import (
 	"crve/internal/catg"
 	"crve/internal/core"
 	"crve/internal/nodespec"
+	"crve/internal/regress"
 	"crve/internal/stbus"
+	"crve/internal/testcases"
 )
 
 func cfg(nInit, nTgt int) nodespec.Config {
@@ -44,32 +47,59 @@ func TestTLMRunDrainsClean(t *testing.T) {
 
 // TestTLMMatchesWrappedBench is the core future-work claim: the ports
 // approach must report exactly what the wrapped signal-level bench reports —
-// same drain cycle count, same transaction count, bin-identical functional
-// coverage — for the same configuration, test and seed.
+// same transaction count, bin-identical functional coverage — for the same
+// configuration, test and seed. Both benches step the same CATG cores
+// against the same engine, so they agree on every generic test, on a Type 2
+// and a Type 3 matrix configuration (both with a programming port), with a
+// clean BCA (where both must pass) and with a seeded bug alike.
 func TestTLMMatchesWrappedBench(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		c := cfg(3, 2)
-		test := core.Test{Name: "tlm_equiv", Traffic: traffic(), Target: target()}
-		wrapped, err := core.RunTest(c, core.BCAView, test, seed, core.RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ports, err := RunTest(c, traffic(), target(), seed, bca.Bugs{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !wrapped.Passed() || !ports.Passed() {
-			t.Fatalf("seed %d: runs failed (wrapped=%v ports=%v %v)", seed,
-				wrapped.Passed(), ports.Passed(), ports.ScoreErrors)
-		}
-		if wrapped.Transactions != ports.Transactions {
-			t.Errorf("seed %d: transactions %d (wrapped) vs %d (ports)",
-				seed, wrapped.Transactions, ports.Transactions)
-		}
-		if eq, why := wrapped.Coverage.EqualHits(ports.Coverage); !eq {
-			t.Errorf("seed %d: coverage differs between wrapped and ports approach: %s", seed, why)
+	matrix := regress.StandardMatrix()
+	for _, c := range []nodespec.Config{matrix[5], matrix[29]} {
+		for _, bugs := range []bca.Bugs{{}, {T2OrderIgnored: true}} {
+			for _, test := range testcases.All() {
+				name := fmt.Sprintf("%s/%v/bugs=%v/%s", c.Name, c.Port.Type, bugs.Any(), test.Name)
+				t.Run(name, func(t *testing.T) {
+					const seed = 1
+					wrapped, err := core.RunTest(c, core.BCAView, test, seed, core.RunOptions{Bugs: bugs})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ports, err := Run(c,
+						func(i int) catg.TrafficConfig { return trafficFor(test, c, i) },
+						func(tg int) catg.TargetConfig { return targetFor(test, c, tg) },
+						seed, bugs, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bugs.Any() && (!wrapped.Passed() || !ports.Passed()) {
+						t.Fatalf("clean runs failed (wrapped=%v ports=%v %v)", wrapped.Passed(), ports.Passed(), ports.ScoreErrors)
+					}
+					if wrapped.Transactions != ports.Transactions {
+						t.Errorf("transactions %d (wrapped) vs %d (ports)", wrapped.Transactions, ports.Transactions)
+					}
+					if eq, why := wrapped.Coverage.EqualHits(ports.Coverage); !eq {
+						t.Errorf("coverage differs between wrapped and ports approach: %s", why)
+					}
+				})
+			}
 		}
 	}
+}
+
+// trafficFor and targetFor resolve a test's per-port constraints as the
+// signal-level bench does.
+func trafficFor(test core.Test, c nodespec.Config, i int) catg.TrafficConfig {
+	if test.TrafficFor != nil {
+		return test.TrafficFor(c, i)
+	}
+	return test.Traffic
+}
+
+func targetFor(test core.Test, c nodespec.Config, tg int) catg.TargetConfig {
+	if test.TargetFor != nil {
+		return test.TargetFor(c, tg)
+	}
+	return test.Target
 }
 
 // TestTLMMatchesRTL closes the triangle: the ports-approach BCA bench also

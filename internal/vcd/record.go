@@ -49,17 +49,11 @@ type Recording struct {
 	byName map[string]int
 }
 
-// Module returns the top scope name the recording re-serves VCD under.
-func (rec *Recording) Module() string { return rec.module }
-
 // NumSignals returns the number of recorded signals.
 func (rec *Recording) NumSignals() int { return len(rec.names) }
 
 // SignalName returns the hierarchical name of signal i (declare order).
 func (rec *Recording) SignalName(i int) string { return rec.names[i] }
-
-// SignalWidth returns the bit width of signal i.
-func (rec *Recording) SignalWidth(i int) int { return rec.widths[i] }
 
 // SignalIndex returns the declare index of the named signal, or -1.
 func (rec *Recording) SignalIndex(name string) int {

@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"strings"
 
-	"crve/internal/coverage"
 	"crve/internal/jobs"
 	"crve/internal/regress"
 )
@@ -98,28 +97,9 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	http.Redirect(w, r, "/jobs/"+job.ID, http.StatusSeeOther)
 }
 
-// runRow / cfgRow / trajRow are the pre-digested view models: templates only
-// format, never compute.
-type runRow struct {
-	Test     string
-	Seed     int64
-	Cached   bool
-	RTLPass  bool
-	BCAPass  bool
-	CovEqual bool
-	MinAlign float64
-}
-
-type cfgRow struct {
-	Name      string
-	FuncCov   float64
-	LineCov   float64
-	MinAlign  float64
-	SignedOff bool
-	Runs      []runRow
-	Holes     []string
-}
-
+// trajIter / trajRow are the pre-digested closure view models: templates
+// only format, never compute. The matrix and runs tables render the job's
+// canonical report (regress.BuildReport) as it is.
 type trajIter struct {
 	Iter    int
 	Percent float64
@@ -142,7 +122,7 @@ type jobData struct {
 	St       jobs.Status
 	Live     bool
 	Percent  float64
-	Configs  []cfgRow
+	Configs  []regress.ConfigReport
 	Kernels  []regress.KernelProfile
 	Closures []trajRow
 	Waves    []string
@@ -160,28 +140,10 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) {
 	if st.Progress.Total > 0 {
 		data.Percent = 100 * float64(st.Progress.Done) / float64(st.Progress.Total)
 	}
-	results := job.Results()
-	for _, cr := range results {
-		row := cfgRow{
-			Name:      cr.Cfg.Name,
-			FuncCov:   cr.SuiteCoverage.Percent(),
-			LineCov:   cr.CodeCov.Percent(coverage.LinePoint),
-			MinAlign:  cr.MinAlignment,
-			SignedOff: cr.SignedOff(),
-		}
-		for _, h := range cr.SuiteCoverage.Holes() {
-			row.Holes = append(row.Holes, h.String())
-		}
-		for _, run := range cr.Runs {
-			row.Runs = append(row.Runs, runRow{
-				Test: run.Test, Seed: run.Seed, Cached: run.Cached,
-				RTLPass: run.Pair.RTL.Passed(), BCAPass: run.Pair.BCA.Passed(),
-				CovEqual: run.Pair.CoverageEqual, MinAlign: run.Pair.Alignment.MinRate(),
-			})
-		}
-		data.Configs = append(data.Configs, row)
+	if rep := job.Report(); rep != nil {
+		data.Configs = rep.Configs
 	}
-	data.Kernels = regress.KernelProfiles(results)
+	data.Kernels = regress.KernelProfiles(job.Results())
 	for _, traj := range job.Closures() {
 		tr := trajRow{
 			Config: traj.Config, Reason: traj.Reason, Converged: traj.Converged,

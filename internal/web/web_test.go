@@ -1,6 +1,7 @@
 package web_test
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -94,6 +95,26 @@ func TestDashboard(t *testing.T) {
 	for _, want := range []string{"web0", "basic_write_read", "Matrix", "Waveforms", "sign-off"} {
 		if !strings.Contains(detail, want) {
 			t.Errorf("job page is missing %q", want)
+		}
+	}
+	// The Matrix and Runs tables render the job's canonical report.
+	cr := job.Report().Configs[0]
+	for _, want := range []string{
+		fmt.Sprintf("</span> %.1f%%</td>", cr.FuncCovPercent),
+		fmt.Sprintf("</span> %.1f%%</td>", cr.LineCovPercent),
+		fmt.Sprintf("<td>%.3f</td>", cr.MinAlignment),
+	} {
+		if !strings.Contains(detail, want) {
+			t.Errorf("job page is missing the report's %q", want)
+		}
+	}
+	if len(cr.Runs) != 2 {
+		t.Fatalf("report has %d runs, want 2", len(cr.Runs))
+	}
+	for _, run := range cr.Runs {
+		row := fmt.Sprintf("<td>%s</td>\n  <td>%d</td>", run.Test, run.Seed)
+		if n := strings.Count(detail, row); n != 1 {
+			t.Errorf("job page has %d rows for run %s seed %d, want 1", n, run.Test, run.Seed)
 		}
 	}
 
