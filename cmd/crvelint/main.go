@@ -1,7 +1,8 @@
 // Command crvelint statically analyzes bench configuration files before any
 // cycle runs: it parses each *.cfg, runs the internal/lint rule set over the
 // parsed configurations, and reports every problem of the whole set in one
-// pass — the same checks the regression driver applies before a matrix run.
+// pass — through regress.LintSet, the gate every regression request passes
+// before it runs.
 //
 // Usage:
 //
@@ -43,9 +44,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
+	"crve/internal/closure"
 	"crve/internal/lint"
 	"crve/internal/regress"
 )
@@ -59,10 +60,12 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("crvelint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var seeds closure.SeedList
+	var fabrics closure.StringList
 	jsonOut := fs.Bool("json", false, "emit the report as JSON")
-	seedList := fs.String("seeds", "", "comma-separated seed list to lint alongside the configs")
+	fs.Var(&seeds, "seeds", "comma-separated seed `list` to lint alongside the configs")
 	codes := fs.Bool("codes", false, "print the diagnostic-code table and exit")
-	fabricList := fs.String("fabric", "", "comma-separated topology files to check as whole fabrics")
+	fs.Var(&fabrics, "fabric", "comma-separated `list` of topology files to check as whole fabrics")
 	fix := fs.Bool("fix", false, "rewrite configs to repair mechanical diagnostics, then re-lint")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: crvelint [flags] path...")
@@ -77,18 +80,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		printCodes(stdout)
 		return 0
 	}
-	if fs.NArg() == 0 && *fabricList == "" {
+	if fs.NArg() == 0 && len(fabrics) == 0 {
 		fs.Usage()
 		return 2
 	}
 
-	seeds, err := parseSeeds(*seedList)
-	if err != nil {
-		fmt.Fprintf(stderr, "crvelint: %v\n", err)
-		return 2
-	}
 	var cfgPaths []string
-	fabrics := splitList(*fabricList)
 	for _, path := range fs.Args() {
 		info, err := os.Stat(path)
 		if err != nil {
@@ -129,16 +126,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	report := lint.CheckSet(srcs, seeds)
-	for _, fab := range fabrics {
-		frep, err := regress.CheckFabric(fab)
-		if err != nil {
-			fmt.Fprintf(stderr, "crvelint: %v\n", err)
-			return 2
-		}
-		report.Diags = append(report.Diags, frep.Diags...)
+	report, err := regress.LintSet(srcs, seeds, fabrics)
+	if err != nil {
+		fmt.Fprintf(stderr, "crvelint: %v\n", err)
+		return 2
 	}
-	report.Sort()
 	if *jsonOut {
 		if err := report.JSON(stdout); err != nil {
 			fmt.Fprintf(stderr, "crvelint: %v\n", err)
@@ -260,33 +252,6 @@ func parseBroken(src lint.Source) bool {
 		}
 	}
 	return false
-}
-
-// parseSeeds parses the -seeds flag: a comma-separated list of int64s.
-func parseSeeds(list string) ([]int64, error) {
-	if list == "" {
-		return nil, nil
-	}
-	var seeds []int64
-	for _, field := range strings.Split(list, ",") {
-		s, err := strconv.ParseInt(strings.TrimSpace(field), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad seed %q in -seeds", field)
-		}
-		seeds = append(seeds, s)
-	}
-	return seeds, nil
-}
-
-// splitList splits a comma-separated flag value, dropping empty fields.
-func splitList(list string) []string {
-	var out []string
-	for _, f := range strings.Split(list, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // printCodes renders the rule table: every diagnostic code, its severity

@@ -14,12 +14,16 @@
 //	regress -config ./configs -tests basic_write_read,error_paths -seeds 1,2,3
 //	regress -matrix -quick -out ./out  # fast slice, write reports
 //	regress -matrix -quick -out ./out -wave  # ...plus .crw waveform recordings
+//	regress -matrix -quick -config node.cfg  # the slice, then the file
 //	regress -matrix -j 8 -cache ./rc   # 8 workers, incremental result cache
 //	regress -emit ./configs            # materialise the matrix as .cfg files
 //	regress -config ./configs -close   # close coverage holes with synthesized tests
 //	regress -config node.cfg -close -plan  # report holes and planned units, run none
 //	regress -matrix -quick -kernelstats # also print the kernel profile per config/view
 //	regress -config ./configs -fabric topo.fab  # also gate on a whole-fabric check
+//
+// The request flags and their resolution are closure.Request's, shared with
+// regressd: an invalid request fails here as it fails there.
 //
 // The report output is byte-identical at any -j width: work units fan out
 // across the pool but merge deterministically. With -cache, a re-run serves
@@ -47,39 +51,26 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
 	"crve/internal/closure"
-	"crve/internal/core"
 	"crve/internal/lint"
-	"crve/internal/nodespec"
 	"crve/internal/regress"
-	"crve/internal/testcases"
 )
 
-// options collects the parsed command line.
+// options collects the parsed command line: the request plus CLI-only settings.
 type options struct {
-	configPath  string
-	matrix      bool
-	quick       bool
-	testsArg    string
-	seedsArg    string
-	outDir      string
-	emitDir     string
-	verbose     bool
-	nolint      bool
-	jobs        int
-	cacheDir    string
-	close       bool
-	plan        bool
-	maxIters    int
-	budget      uint64
-	kernelstats bool
-	fabricArg   string
-	wave        bool
-	jsonOut     bool
+	req        closure.Request
+	configPath string
+	fabrics    closure.StringList
+	outDir     string
+	emitDir    string
+	verbose    bool
+	jobs       int
+	cacheDir   string
+	plan       bool
+	jsonOut    bool
 }
 
 func main() {
@@ -92,24 +83,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var o options
 	fs := flag.NewFlagSet("regress", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	o.req.Flags(fs)
 	fs.StringVar(&o.configPath, "config", "", "a .cfg parameter file or a directory of them")
-	fs.BoolVar(&o.matrix, "matrix", false, "use the standard >=36-configuration matrix")
-	fs.BoolVar(&o.quick, "quick", false, "with -matrix: run only the first 6 configurations")
-	fs.StringVar(&o.testsArg, "tests", "", "comma-separated test names (default: all 12)")
-	fs.StringVar(&o.seedsArg, "seeds", "1", "comma-separated seeds (the first also salts closure seeds)")
 	fs.StringVar(&o.outDir, "out", "", "directory for reports and waveform recordings")
 	fs.StringVar(&o.emitDir, "emit", "", "write the standard matrix as .cfg files and exit")
 	fs.BoolVar(&o.verbose, "v", false, "log each run")
-	fs.BoolVar(&o.nolint, "nolint", false, "skip the static-analysis gate and run even with lint errors")
 	fs.IntVar(&o.jobs, "j", 0, "parallel workers (0 = GOMAXPROCS)")
 	fs.StringVar(&o.cacheDir, "cache", "", "incremental result cache directory (re-runs only what changed)")
-	fs.BoolVar(&o.close, "close", false, "run the coverage-closure loop on configurations the suite leaves below 100% functional coverage")
 	fs.BoolVar(&o.plan, "plan", false, "with -close: report the holes and the first iteration's planned units instead of running them")
-	fs.IntVar(&o.maxIters, "max-iters", 8, "with -close: maximum closure iterations per configuration")
-	fs.Uint64Var(&o.budget, "budget", 0, "with -close: closure cycle budget per configuration, both views (0 = unlimited)")
-	fs.BoolVar(&o.kernelstats, "kernelstats", false, "collect and print the simulation-kernel profile (deltas/cycle, settle depth, hottest processes)")
-	fs.StringVar(&o.fabricArg, "fabric", "", "comma-separated topology files (*.fab) the matrix must compose into; checked by the lint gate")
-	fs.BoolVar(&o.wave, "wave", false, "keep compact binary waveform recordings per run (written as .crw with -out)")
+	fs.Var(&o.fabrics, "fabric", "comma-separated `list` of topology files (*.fab) the matrix must compose into; checked by the lint gate")
 	fs.BoolVar(&o.jsonOut, "json", false, "emit the canonical JSON report on stdout (human summary moves to stderr) — byte-identical to the regressd report endpoint")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -124,8 +106,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// execute runs what the options ask for: it emits the matrix, or loads,
-// lints and runs the configurations and prints their reports.
+// execute runs what the options ask for: it emits the matrix, or resolves
+// the request and runs it and prints its reports.
 func (o options) execute(stdout, stderr io.Writer) error {
 	if o.emitDir != "" {
 		if err := os.MkdirAll(o.emitDir, 0o755); err != nil {
@@ -141,81 +123,25 @@ func (o options) execute(stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "wrote %d configuration files to %s\n", len(cfgs), o.emitDir)
 		return nil
 	}
-	if o.plan && !o.close {
+	if o.plan && !o.req.Close {
 		return fmt.Errorf("-plan needs -close")
 	}
 
-	var cfgs []nodespec.Config
-	switch {
-	case o.configPath != "":
-		var err error
-		cfgs, err = regress.LoadConfigs(o.configPath)
-		if err != nil {
-			return err
-		}
-	case o.matrix:
-		cfgs = regress.StandardMatrix()
-		if o.quick {
-			cfgs = cfgs[:6]
-		}
-	default:
-		return fmt.Errorf("pass -config FILE|DIR or -matrix (see -h)")
-	}
-
-	var tests []core.Test
-	if o.testsArg == "" {
-		tests = testcases.All()
-	} else {
-		for _, name := range strings.Split(o.testsArg, ",") {
-			tc, err := testcases.ByName(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			tests = append(tests, tc)
-		}
-	}
-	var seeds []int64
-	for _, s := range strings.Split(o.seedsArg, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad seed %q", s)
-		}
-		seeds = append(seeds, v)
-	}
-
-	// Static-analysis gate: lint the whole set (with file:line positions
-	// when the configs came from files) before any cycle runs.
-	var rep *lint.Report
+	var srcs []lint.Source
 	if o.configPath != "" {
-		srcs, err := regress.LoadSources(o.configPath)
-		if err != nil {
+		var err error
+		if srcs, err = regress.LoadSources(o.configPath); err != nil {
 			return err
 		}
-		rep = lint.CheckSet(srcs, seeds)
-	} else {
-		rep = regress.LintConfigs(cfgs, seeds)
 	}
-	if o.fabricArg != "" {
-		for _, path := range strings.Split(o.fabricArg, ",") {
-			path = strings.TrimSpace(path)
-			if path == "" {
-				continue
-			}
-			frep, err := regress.CheckFabric(path)
-			if err != nil {
-				return err
-			}
-			rep.Diags = append(rep.Diags, frep.Diags...)
-		}
-		rep.Sort()
+	cfgs, rep, opt, err := o.req.Resolve(srcs, o.fabrics)
+	if err != nil {
+		return err
 	}
 	for _, d := range rep.Diags {
 		fmt.Fprintln(stderr, "lint:", d)
 	}
 	if rep.HasErrors() {
-		if !o.nolint {
-			return fmt.Errorf("%s (run crvelint for details, or pass -nolint to override)", rep.Summary())
-		}
 		fmt.Fprintf(stderr, "lint: %s — continuing because -nolint is set\n", rep.Summary())
 	}
 
@@ -226,13 +152,8 @@ func (o options) execute(stdout, stderr io.Writer) error {
 		hout = stderr
 	}
 
-	opt := closure.Options{
-		Options: regress.Options{
-			Tests: tests, Seeds: seeds, NoLint: true, Workers: o.jobs, // linted above
-			KernelStats: o.kernelstats, RecordWave: o.wave,
-		},
-		Close: o.close && !o.plan, MaxIters: o.maxIters, Budget: o.budget,
-	}
+	opt.Workers = o.jobs
+	opt.Close = opt.Close && !o.plan
 	if o.verbose {
 		opt.Log = hout
 	}
@@ -248,21 +169,16 @@ func (o options) execute(stdout, stderr io.Writer) error {
 		return err
 	}
 	results, stats := res.Results, res.Stats
+	report := regress.BuildReport(results, stats)
 	fmt.Fprint(hout, regress.MatrixReport(results))
-	signed := 0
-	for _, cr := range results {
-		if cr.SignedOff() {
-			signed++
-		}
-	}
-	fmt.Fprintf(hout, "signed off: %d/%d configurations\n", signed, len(results))
+	fmt.Fprintf(hout, "signed off: %d/%d configurations\n", report.SignedOff, report.Total)
 	fmt.Fprintf(hout, "work units: %s\n", stats)
 	// Wall-clock and throughput come from the engine's Stats — computed
 	// once, read everywhere — and go to stderr so report output stays
 	// deterministic (byte-identical across runs and -j widths).
 	fmt.Fprintf(stderr, "elapsed %s, %d cycles simulated, %.0f cycles/s\n",
 		stats.Duration.Round(time.Millisecond), stats.Cycles, stats.Throughput())
-	if o.kernelstats {
+	if o.req.KernelStats {
 		fmt.Fprint(hout, regress.KernelReport(results))
 	}
 
@@ -298,7 +214,7 @@ func (o options) execute(stdout, stderr io.Writer) error {
 	}
 
 	if o.jsonOut {
-		if err := regress.WriteJSON(stdout, regress.BuildReport(results, stats)); err != nil {
+		if err := regress.WriteJSON(stdout, report); err != nil {
 			return err
 		}
 	}
@@ -309,8 +225,8 @@ func (o options) execute(stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(hout, "reports written to %s\n", o.outDir)
 	}
-	if signed != len(results) {
-		return fmt.Errorf("%d configuration(s) failed sign-off", len(results)-signed)
+	if report.SignedOff != report.Total {
+		return fmt.Errorf("%d configuration(s) failed sign-off", report.Total-report.SignedOff)
 	}
 	if notConverged > 0 {
 		return fmt.Errorf("coverage closure did not converge on %d configuration(s)", notConverged)

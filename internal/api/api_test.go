@@ -343,6 +343,8 @@ func TestServiceDuplicateJobs(t *testing.T) {
 // TestServiceErrors covers the client-error surface.
 func TestServiceErrors(t *testing.T) {
 	srv, _ := newTestServer(t)
+	unmapped := testCfg(t, "er2") // target 1 loses its region: CRVE005
+	unmapped.Map = unmapped.Map[:1]
 
 	for path, want := range map[string]int{
 		"/api/v1/jobs/nope":        http.StatusNotFound,
@@ -366,6 +368,7 @@ func TestServiceErrors(t *testing.T) {
 		"quick sans matrix": `{"quick": true}`,
 		"empty spec":        `{}`,
 		"unknown test":      fmt.Sprintf(`{"configs": [%q], "tests": ["nope"]}`, regress.FormatConfig(testCfg(t, "er0"))),
+		"lint error":        fmt.Sprintf(`{"configs": [%q]}`, regress.FormatConfig(unmapped)),
 	} {
 		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -187,7 +187,7 @@ type Topology struct {
 // ConfigLoader loads one node configuration file into a lint source. It is
 // a parameter (rather than a direct call into internal/regress) so regress
 // can depend on fabric for its gate without an import cycle; callers outside
-// regress use regress.CheckFabric, which supplies the standard loader.
+// regress use regress.LintSet, which supplies the standard loader.
 type ConfigLoader func(path string) (lint.Source, error)
 
 // LoadFile parses the topology file at path, loading referenced node

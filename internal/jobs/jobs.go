@@ -13,10 +13,10 @@ import (
 	"sync"
 	"time"
 
+	"crve/internal/closure"
 	"crve/internal/core"
 	"crve/internal/nodespec"
 	"crve/internal/regress"
-	"crve/internal/testcases"
 	"crve/internal/vcd"
 )
 
@@ -30,7 +30,7 @@ const (
 	Running State = "running"
 	// Done — the run completed; results and the report are available.
 	Done State = "done"
-	// Failed — the run errored (lint gate, simulation failure, ...).
+	// Failed — the run errored (a simulation, cache or report failure).
 	Failed State = "failed"
 	// Cancelled — the client (or shutdown) cancelled the job before it
 	// completed. Work units finished before the cancel remain in the shared
@@ -43,80 +43,9 @@ func (s State) Terminal() bool {
 	return s == Done || s == Failed || s == Cancelled
 }
 
-// Spec is a job submission: which configurations to run, with which tests
-// and seeds, and which extras to collect. It is the POST /api/v1/jobs body.
-type Spec struct {
-	// Matrix selects the standard ≥36-configuration matrix; Quick restricts
-	// it to the first 6 (the CI slice).
-	Matrix bool `json:"matrix,omitempty"`
-	Quick  bool `json:"quick,omitempty"`
-	// Configs holds inline HDL-parameter files (the .cfg text format), one
-	// configuration each, appended after any matrix selection.
-	Configs []string `json:"configs,omitempty"`
-	// Tests names the suite subset (default: all twelve generic tests).
-	Tests []string `json:"tests,omitempty"`
-	// Seeds lists the per-test seeds (default: [1]).
-	Seeds []int64 `json:"seeds,omitempty"`
-	// NoLint skips the static-analysis gate.
-	NoLint bool `json:"nolint,omitempty"`
-	// KernelStats collects the simulation-kernel profile per unit.
-	KernelStats bool `json:"kernelstats,omitempty"`
-	// RecordWave keeps compact binary waveform recordings (.crw) per run,
-	// served back via GET .../wave/{config}/{test}/{seed}/{view}.
-	RecordWave bool `json:"record_wave,omitempty"`
-	// Close runs the coverage-closure loop on configurations the suite
-	// leaves below 100% functional coverage; MaxIters/Budget bound it.
-	Close    bool   `json:"close,omitempty"`
-	MaxIters int    `json:"max_iters,omitempty"`
-	Budget   uint64 `json:"budget,omitempty"`
-}
-
-// resolved is a validated spec: concrete configurations and tests.
-type resolved struct {
-	cfgs  []nodespec.Config
-	tests []core.Test
-	seeds []int64
-}
-
-// resolve validates the spec into runnable form, so a bad submission fails
-// at submit time with a client error, not mid-job.
-func (s Spec) resolve() (resolved, error) {
-	var r resolved
-	if s.Matrix {
-		r.cfgs = regress.StandardMatrix()
-		if s.Quick {
-			r.cfgs = r.cfgs[:6]
-		}
-	} else if s.Quick {
-		return r, fmt.Errorf("jobs: \"quick\" needs \"matrix\"")
-	}
-	for i, text := range s.Configs {
-		cfg, err := regress.ParseConfig(strings.NewReader(text))
-		if err != nil {
-			return r, fmt.Errorf("jobs: configs[%d]: %w", i, err)
-		}
-		r.cfgs = append(r.cfgs, cfg)
-	}
-	if len(r.cfgs) == 0 {
-		return r, fmt.Errorf("jobs: empty spec: set \"matrix\" or supply \"configs\"")
-	}
-	if len(s.Tests) == 0 {
-		r.tests = testcases.All()
-	} else {
-		for _, name := range s.Tests {
-			tc, err := testcases.ByName(name)
-			if err != nil {
-				return r, fmt.Errorf("jobs: %w", err)
-			}
-			r.tests = append(r.tests, tc)
-		}
-	}
-	r.seeds = s.Seeds
-	if len(r.seeds) == 0 {
-		r.seeds = []int64{1}
-	}
-	return r, nil
-}
+// Spec is a job submission, the POST /api/v1/jobs body: the request every
+// front end fills, resolved and linted at submit (closure.Request.Resolve).
+type Spec = closure.Request
 
 // ProgressStatus is the live counter block of a job status.
 type ProgressStatus struct {
@@ -160,7 +89,9 @@ type Job struct {
 	ID   string
 	Spec Spec
 
-	res resolved
+	// cfgs and opt are the resolved spec; opt carries the job's own sinks.
+	cfgs []nodespec.Config
+	opt  closure.Options
 
 	mu        sync.Mutex
 	state     State
@@ -208,13 +139,8 @@ func (j *Job) statusLocked() Status {
 		t := j.finished
 		st.Finished = &t
 	}
-	if j.results != nil {
-		st.Configs = len(j.results)
-		for _, cr := range j.results {
-			if cr.SignedOff() {
-				st.SignedOff++
-			}
-		}
+	if j.report != nil {
+		st.SignedOff, st.Configs = j.report.SignedOff, j.report.Total
 	}
 	return st
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -61,15 +62,48 @@ func waitTerminal(t *testing.T, job *Job) Status {
 
 func TestSpecValidation(t *testing.T) {
 	m := testManager(t, 1)
+	unreachable, err := os.ReadFile(filepath.Join("..", "..", "configs", "bad", "crve005_unreachable.cfg"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, spec := range map[string]Spec{
 		"empty":              {},
 		"quick needs matrix": {Quick: true},
 		"unknown test":       {Configs: []string{cfgText(t, "v0", 2)}, Tests: []string{"no_such_test"}},
 		"unparsable config":  {Configs: []string{"pipe_size = what"}},
+		"lint error":         {Configs: []string{string(unreachable)}},
+		"unparsable nolint":  {Configs: []string{"pipe_size = what"}, NoLint: true},
 	} {
 		if _, err := m.Submit(spec); err == nil {
 			t.Errorf("%s: Submit accepted an invalid spec", name)
 		}
+	}
+}
+
+// TestSubmitLintsSpec: the lint gate runs at submit. An error is refused
+// there, listing the diagnostic under the inline config's name, configs[0];
+// with NoLint the job runs, and its log opens with the gate's diagnostics.
+func TestSubmitLintsSpec(t *testing.T) {
+	text, err := os.ReadFile(filepath.Join("..", "..", "configs", "bad", "crve005_unreachable.cfg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := testManager(t, 1)
+	spec := Spec{Configs: []string{string(text)}, Tests: []string{"basic_write_read"}}
+	const diag = "configs[0]:12: error: CRVE005: target 1 has no address-map region"
+	if _, err := m.Submit(spec); err == nil || !strings.Contains(err.Error(), "\n"+diag) {
+		t.Fatalf("Submit: %v, want a lint refusal listing %q", err, diag)
+	}
+	spec.NoLint = true
+	job, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, job); st.State != Done {
+		t.Fatalf("nolint job ended %s (%s), want done", st.State, st.Error)
+	}
+	if !strings.HasPrefix(job.Log(), "lint: "+diag) {
+		t.Errorf("job log does not open with the lint diagnostic:\n%s", job.Log())
 	}
 }
 

@@ -81,11 +81,11 @@ func NewManager(opt Options) *Manager {
 	return m
 }
 
-// Submit validates spec, registers a queued job and hands it to the
+// Submit resolves spec, registers a queued job and hands it to the
 // executor pool. A spec that cannot resolve (unknown test, bad config text,
-// nothing to run) fails here, before a job ID exists.
+// a lint error, nothing to run) fails here, before a job ID exists.
 func (m *Manager) Submit(spec Spec) (*Job, error) {
-	res, err := spec.resolve()
+	cfgs, rep, opt, err := spec.Resolve(nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -98,13 +98,19 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	job := &Job{
 		ID:      fmt.Sprintf("j%04d", m.nextID),
 		Spec:    spec,
-		res:     res,
+		cfgs:    cfgs,
+		opt:     opt,
 		state:   Queued,
 		created: time.Now(),
 		subs:    make(map[chan Status]struct{}),
 		waves:   make(map[string]*vcd.Recording),
 	}
-	job.progress.Total = len(res.cfgs) * len(res.tests) * len(res.seeds)
+	job.opt.Workers, job.opt.Cache = m.opt.Workers, m.opt.Cache
+	job.opt.Log, job.opt.Progress = jobLog{job}, job.onProgress
+	for _, d := range rep.Diags {
+		fmt.Fprintf(job.opt.Log, "lint: %s\n", d)
+	}
+	job.progress.Total = len(cfgs) * len(opt.Tests) * len(opt.Seeds)
 	// Enqueue under the lock: Drain closes the queue under the same lock,
 	// so a submission can never race a send onto a closed channel.
 	select {
@@ -117,7 +123,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	m.order = append(m.order, job.ID)
 	m.mu.Unlock()
 	m.logf("job %s queued (%d configs, %d tests, %d seeds)",
-		job.ID, len(res.cfgs), len(res.tests), len(res.seeds))
+		job.ID, len(cfgs), len(opt.Tests), len(opt.Seeds))
 	return job, nil
 }
 
@@ -230,15 +236,7 @@ func (m *Manager) execute(job *Job) {
 	job.mu.Unlock()
 	m.logf("job %s running", job.ID)
 
-	res, err := closure.Run(ctx, job.res.cfgs, closure.Options{
-		Options: regress.Options{
-			Tests: job.res.tests, Seeds: job.res.seeds,
-			NoLint: job.Spec.NoLint, Workers: m.opt.Workers, Cache: m.opt.Cache,
-			KernelStats: job.Spec.KernelStats, RecordWave: job.Spec.RecordWave,
-			Log: jobLog{job}, Progress: job.onProgress,
-		},
-		Close: job.Spec.Close, MaxIters: job.Spec.MaxIters, Budget: job.Spec.Budget,
-	})
+	res, err := closure.Run(ctx, job.cfgs, job.opt)
 	m.finish(job, res, err)
 }
 

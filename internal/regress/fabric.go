@@ -5,11 +5,20 @@ import (
 	"crve/internal/lint"
 )
 
-// CheckFabric elaborates and checks one topology file: the whole-fabric
-// rules (CRVE018–CRVE023) plus the per-config lint of every referenced
-// configuration, resolving node configs through the regress parameter-file
-// loader (node directives reference the same *.cfg format the regression
-// matrix loads). Only I/O failures on the topology file itself are errors.
-func CheckFabric(path string) (*lint.Report, error) {
-	return fabric.CheckFile(path, loadSource)
+// LintSet is the lint gate of a whole request: the rule set over srcs and
+// seeds, plus each topology file in fabrics checked as a whole fabric
+// (CRVE018–CRVE023, and the lint of every configuration it references), in
+// one sorted report. Only an I/O failure on a topology file is an error.
+// crvelint prints the report; closure.Request.Resolve refuses on its errors.
+func LintSet(srcs []lint.Source, seeds []int64, fabrics []string) (*lint.Report, error) {
+	rep := lint.CheckSet(srcs, seeds)
+	for _, path := range fabrics {
+		frep, err := fabric.CheckFile(path, loadSource)
+		if err != nil {
+			return nil, err
+		}
+		rep.Diags = append(rep.Diags, frep.Diags...)
+	}
+	rep.Sort()
+	return rep, nil
 }

@@ -174,7 +174,7 @@ func passStr(ok bool) string {
 
 // LintConfigs runs the static-analysis layer over a configuration set and
 // the run's seed list, positioning diagnostics at the configuration names
-// (file-based positions come from LoadSources + lint.CheckSet directly).
+// (file-based positions come from LoadSources + LintSet).
 func LintConfigs(cfgs []nodespec.Config, seeds []int64) *lint.Report {
 	srcs := make([]lint.Source, len(cfgs))
 	for i, cfg := range cfgs {

@@ -8,10 +8,10 @@ package web
 
 import (
 	"embed"
-	"fmt"
+	"flag"
 	"html/template"
+	"io"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"crve/internal/jobs"
@@ -41,17 +41,38 @@ func New(mgr *jobs.Manager) *Server {
 // Handler returns the routable handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// indexData feeds templates/index.html.
+// indexData feeds templates/index.html. Bools and Texts are the submit
+// form's inputs, one per request flag: checkboxes and text fields.
 type indexData struct {
-	Jobs    []jobs.Status
-	Tests   []string
-	Version string
-	CacheOn bool
+	Jobs         []jobs.Status
+	Bools, Texts []*flag.Flag
+	Version      string
+	CacheOn      bool
+}
+
+// requestFlags is the request's field table on a throwaway flag set: the
+// form renders from it and parses through it.
+func requestFlags(spec *jobs.Spec) *flag.FlagSet {
+	fs := flag.NewFlagSet("form", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	spec.Flags(fs)
+	return fs
 }
 
 func (s *Server) index(w http.ResponseWriter, r *http.Request) {
 	all := s.mgr.List()
 	data := indexData{Version: regress.CodeVersion(), CacheOn: s.mgr.Cache() != nil}
+	var spec jobs.Spec
+	fs := requestFlags(&spec)
+	spec.Matrix, spec.Quick = true, true // the form starts on the quick matrix
+	fs.VisitAll(func(f *flag.Flag) {
+		f.Usage = strings.ReplaceAll(f.Usage, "`", "") // backquotes name a value in -h output
+		if b, ok := f.Value.(interface{ IsBoolFlag() bool }); ok && b.IsBoolFlag() {
+			data.Bools = append(data.Bools, f)
+		} else {
+			data.Texts = append(data.Texts, f)
+		}
+	})
 	for i := len(all) - 1; i >= 0; i-- { // newest first
 		data.Jobs = append(data.Jobs, all[i].Status())
 	}
@@ -59,35 +80,27 @@ func (s *Server) index(w http.ResponseWriter, r *http.Request) {
 }
 
 // submit accepts the dashboard form and redirects to the new job's page.
+// Each non-empty form value sets its request flag, and the config textarea
+// adds an inline configuration; an input left empty keeps its default.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	if err := r.ParseForm(); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	spec := jobs.Spec{
-		Matrix:      r.Form.Get("matrix") != "",
-		Quick:       r.Form.Get("quick") != "",
-		KernelStats: r.Form.Get("kernelstats") != "",
-		RecordWave:  r.Form.Get("record_wave") != "",
-		Close:       r.Form.Get("close") != "",
-	}
-	if t := strings.TrimSpace(r.Form.Get("tests")); t != "" {
-		for _, name := range strings.Split(t, ",") {
-			spec.Tests = append(spec.Tests, strings.TrimSpace(name))
-		}
-	}
-	if sd := strings.TrimSpace(r.Form.Get("seeds")); sd != "" {
-		for _, v := range strings.Split(sd, ",") {
-			n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad seed %q", v), http.StatusBadRequest)
+	var spec jobs.Spec
+	fs := requestFlags(&spec)
+	for name, values := range r.PostForm {
+		for _, v := range values {
+			if v = strings.TrimSpace(v); v == "" {
+				continue
+			}
+			if name == "config" {
+				spec.Configs = append(spec.Configs, v)
+			} else if err := fs.Set(name, v); err != nil {
+				http.Error(w, "bad "+name+": "+err.Error(), http.StatusBadRequest)
 				return
 			}
-			spec.Seeds = append(spec.Seeds, n)
 		}
-	}
-	if cfg := strings.TrimSpace(r.Form.Get("config")); cfg != "" {
-		spec.Configs = []string{cfg}
 	}
 	job, err := s.mgr.Submit(spec)
 	if err != nil {

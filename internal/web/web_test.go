@@ -1,11 +1,14 @@
 package web_test
 
 import (
+	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -63,9 +66,26 @@ func TestDashboard(t *testing.T) {
 	srv := httptest.NewServer(web.New(mgr).Handler())
 	defer srv.Close()
 
-	// Empty index renders.
-	if page := getPage(t, srv, "/", http.StatusOK); !strings.Contains(page, "no jobs yet") {
+	// Empty index renders, with one form input per request flag plus the
+	// inline-config textarea.
+	page := getPage(t, srv, "/", http.StatusOK)
+	if !strings.Contains(page, "no jobs yet") {
 		t.Errorf("empty index is missing the empty-state hint:\n%s", page)
+	}
+	fs := flag.NewFlagSet("request", flag.ContinueOnError)
+	new(jobs.Spec).Flags(fs)
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) {
+		names = append(names, f.Name)
+		if n := strings.Count(page, fmt.Sprintf(`name=%q`, f.Name)); n != 1 {
+			t.Errorf("form has %d inputs named %s, want 1", n, f.Name)
+		}
+	})
+	if n := strings.Count(page, "<input "); n != len(names) {
+		t.Errorf("form has %d inputs, want one per request flag (%d)", n, len(names))
+	}
+	if n := strings.Count(page, `<textarea name="config"`); n != 1 {
+		t.Errorf("form has %d config textareas, want 1", n)
 	}
 
 	job, err := mgr.Submit(jobs.Spec{
@@ -133,6 +153,48 @@ func TestDashboard(t *testing.T) {
 	// The default client follows the 303 to the job page.
 	if resp.StatusCode != http.StatusOK || !strings.Contains(resp.Request.URL.Path, "/jobs/") {
 		t.Errorf("form submit landed on %s (%d), want a /jobs/{id} page", resp.Request.URL.Path, resp.StatusCode)
+	}
+
+	// Posting every request field gives the spec the equivalent JSON body
+	// gives.
+	text := strings.TrimSpace(testCfgText(t, "web2"))
+	form := url.Values{
+		"matrix": {"true"}, "quick": {"true"}, "tests": {"basic_write_read"}, "seeds": {"2, 3"},
+		"nolint": {"true"}, "kernelstats": {"true"}, "wave": {"true"}, "close": {"true"},
+		"max-iters": {"2"}, "budget": {"5000"}, "config": {text},
+	}
+	for _, name := range names {
+		if _, ok := form[name]; !ok {
+			t.Fatalf("the form post does not set request flag %s", name)
+		}
+	}
+	quoted, err := json.Marshal(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(strings.NewReader(`{"matrix": true, "quick": true, "tests": ["basic_write_read"],
+		"seeds": [2, 3], "nolint": true, "kernelstats": true, "record_wave": true, "close": true,
+		"max_iters": 2, "budget": 5000, "configs": [` + string(quoted) + `]}`))
+	dec.DisallowUnknownFields()
+	var want jobs.Spec
+	if err := dec.Decode(&want); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = srv.Client().PostForm(srv.URL+"/submit", form)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	full, ok := mgr.Get(strings.TrimPrefix(resp.Request.URL.Path, "/jobs/"))
+	if !ok {
+		t.Fatalf("full form submit landed on %s (%d), want a job page", resp.Request.URL.Path, resp.StatusCode)
+	}
+	if !reflect.DeepEqual(full.Spec, want) {
+		t.Errorf("form spec %+v, want the JSON body's %+v", full.Spec, want)
+	}
+	mgr.Cancel(full.ID)
+	for deadline := time.Now().Add(60 * time.Second); !full.Status().State.Terminal() && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	// Bad form input is a client error.
