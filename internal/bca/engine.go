@@ -53,10 +53,13 @@ type Outputs struct {
 	InitRC  []stbus.RespCell
 }
 
-// engine is the transaction-level node model: packets are assembled,
+// Engine is the transaction-level node model: packets are assembled,
 // routed and answered as whole units; per-cycle signal behaviour falls out
-// of replaying the forwarding-stage slots.
-type engine struct {
+// of replaying the forwarding-stage slots. The wrapped Node and the
+// standalone runner are built on it, and the transaction-level bench
+// (internal/tlm, the "ports approach" of the paper's future work) drives it
+// directly through Plan, Commit and Out.
+type Engine struct {
 	cfg  nodespec.Config
 	bugs Bugs
 
@@ -97,12 +100,13 @@ type engine struct {
 	scrRespG  arb.Input
 }
 
-func newEngine(cfg nodespec.Config, bugs Bugs) (*engine, error) {
+// NewEngine builds the model of cfg with bugs seeded.
+func NewEngine(cfg nodespec.Config, bugs Bugs) (*Engine, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &engine{cfg: cfg, bugs: bugs}
+	e := &Engine{cfg: cfg, bugs: bugs}
 	nI, nT := cfg.NumInit, cfg.NumTgt
 	if cfg.ReqArb == arb.Programmable {
 		e.prog = arb.NewProgrammable(cfg.DefaultPriorities())
@@ -160,7 +164,7 @@ func newEngine(cfg nodespec.Config, bugs Bugs) (*engine, error) {
 
 // source maps a route to the response-source index used by the response
 // path and the ordering rule.
-func (e *engine) source(route int) int {
+func (e *Engine) source(route int) int {
 	if route >= 0 {
 		return route
 	}
@@ -168,7 +172,7 @@ func (e *engine) source(route int) int {
 }
 
 // route decodes the first cell of a packet from initiator i.
-func (e *engine) route(i int, addr uint64) int {
+func (e *Engine) route(i int, addr uint64) int {
 	c := &e.cfg
 	if c.ProgPort && addr >= c.ProgBase && addr < c.ProgBase+uint64(4*c.NumInit) {
 		return intProg
@@ -181,7 +185,7 @@ func (e *engine) route(i int, addr uint64) int {
 }
 
 // pipeLimit is the outstanding-packet bound (seeded bug 3 widens it).
-func (e *engine) pipeLimit() int {
+func (e *Engine) pipeLimit() int {
 	if e.bugs.PipeOffByOne {
 		return e.cfg.PipeSize + 1
 	}
@@ -190,7 +194,7 @@ func (e *engine) pipeLimit() int {
 
 // mayOpen checks the first-cell conditions shared by every route: ordering
 // (Type 2) and the pipe bound.
-func (e *engine) mayOpen(i, src int) bool {
+func (e *Engine) mayOpen(i, src int) bool {
 	if e.cfg.Port.Type == stbus.Type2 && !e.bugs.T2OrderIgnored {
 		for _, s := range e.inflight[i] {
 			if s != src {
@@ -203,14 +207,14 @@ func (e *engine) mayOpen(i, src int) bool {
 
 // fwdFree reports whether target t's forwarding slot can take a cell this
 // cycle.
-func (e *engine) fwdFree(t int, in *Inputs) bool {
+func (e *Engine) fwdFree(t int, in *Inputs) bool {
 	return !e.fwdBusy[t] || in.TgtGnt[t]
 }
 
 // Plan computes the cycle's grants from the settled inputs; it is pure with
 // respect to engine state and may be called repeatedly until the inputs
 // settle. The final call's plan is consumed by Commit.
-func (e *engine) Plan(in *Inputs) {
+func (e *Engine) Plan(in *Inputs) {
 	nI, nT := e.cfg.NumInit, e.cfg.NumTgt
 	// Request side: collect each initiator's wish.
 	for i := 0; i < nI; i++ {
@@ -338,7 +342,7 @@ func (e *engine) Plan(in *Inputs) {
 // Commit advances the model by one clock edge. reqCell and respCell fetch
 // the full payloads of the cycle's transfers; outputs for the next cycle are
 // left in e.out.
-func (e *engine) Commit(in *Inputs, reqCell func(i int) stbus.Cell, respCell func(t int) stbus.RespCell) {
+func (e *Engine) Commit(in *Inputs, reqCell func(i int) stbus.Cell, respCell func(t int) stbus.RespCell) {
 	nI, nT := e.cfg.NumInit, e.cfg.NumTgt
 	// Forwarding slots drained by targets.
 	for t := 0; t < nT; t++ {
@@ -468,7 +472,7 @@ func (e *engine) Commit(in *Inputs, reqCell func(i int) stbus.Cell, respCell fun
 }
 
 // retire pops the oldest inflight entry from the given source.
-func (e *engine) retire(i, src int) {
+func (e *Engine) retire(i, src int) {
 	fl := e.inflight[i]
 	for k, s := range fl {
 		if s == src {
@@ -480,7 +484,7 @@ func (e *engine) retire(i, src int) {
 
 // service answers a packet routed to an internal service (error responder or
 // register decoder) at the edge completing it.
-func (e *engine) service(i, route int) {
+func (e *Engine) service(i, route int) {
 	c := &e.cfg
 	cells := e.pktCells[i]
 	head := cells[0]
@@ -523,9 +527,13 @@ func (e *engine) service(i, route int) {
 	}
 }
 
-// Inflight returns the outstanding-packet count of initiator i.
-func (e *engine) Inflight(i int) int { return len(e.inflight[i]) }
+// Out returns the engine's live output record: grants from the last Plan and
+// registered drives from the last Commit.
+func (e *Engine) Out() *Outputs { return &e.out }
 
-func (e *engine) String() string {
+// Inflight returns the outstanding-packet count of initiator i.
+func (e *Engine) Inflight(i int) int { return len(e.inflight[i]) }
+
+func (e *Engine) String() string {
 	return fmt.Sprintf("bca engine %s bugs=%v", e.cfg.Name, e.bugs.List())
 }

@@ -59,7 +59,7 @@ func TestEngineFacadeRejectsBadConfig(t *testing.T) {
 }
 
 func TestEngineStringAndWrappedString(t *testing.T) {
-	eng, err := newEngine(cfg3(1, 1), Bugs{LRUInit: true})
+	eng, err := NewEngine(cfg3(1, 1), Bugs{LRUInit: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func genTraffic(cfg nodespec.Config, rng *rand.Rand, i, ops int) []stbus.Cell {
 // wrapped co-simulation, without any signal kernel — this is what makes the
 // standalone BCA fast (experiment E5).
 func RunStandalone(cfg StandaloneConfig) (StandaloneResult, error) {
-	eng, err := newEngine(cfg.Node, Bugs{})
+	eng, err := NewEngine(cfg.Node, Bugs{})
 	if err != nil {
 		return StandaloneResult{}, err
 	}

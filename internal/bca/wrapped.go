@@ -18,14 +18,14 @@ type Node struct {
 	Init []*stbus.Port
 	Tgt  []*stbus.Port
 
-	eng  *engine
+	eng  *Engine
 	in   *Inputs
 	tick *sim.Signal
 }
 
 // NewNode elaborates a wrapped BCA node under scope sc.
 func NewNode(sc sim.Scope, cfg nodespec.Config, bugs Bugs) (*Node, error) {
-	eng, err := newEngine(cfg, bugs)
+	eng, err := NewEngine(cfg, bugs)
 	if err != nil {
 		return nil, err
 	}

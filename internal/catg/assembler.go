@@ -1,15 +1,52 @@
 package catg
 
 import (
+	"crve/internal/nodespec"
 	"crve/internal/stbus"
 )
 
-// TxAssembler is the signal-independent core of a Monitor: it reconstructs
-// transactions from a stream of request-cell and response-cell transfer
-// events at one port. The signal-level Monitor feeds it from sampled wires;
-// the transaction-level bench (internal/tlm, the paper's future-work "ports
-// approach") feeds it from function-call events. Using one assembler for
-// both guarantees the two bench styles report identical transactions.
+// Route codes a route classifier may return for a first-cell address.
+const (
+	// RouteUnmapped marks addresses outside every map region (answered by
+	// the DUT's error responder).
+	RouteUnmapped = -1
+	// RouteProg marks addresses inside the programming region.
+	RouteProg = -2
+)
+
+// RouteFunc classifies a first-cell address: a target index, RouteUnmapped
+// or RouteProg. NodeRouter builds one from a node configuration.
+type RouteFunc func(addr uint64) int
+
+// NodeRouter returns the route classifier of a node configuration, as seen
+// from initiator port initIdx (partial-crossbar connectivity included).
+func NodeRouter(cfg nodespec.Config, initIdx int) RouteFunc {
+	return func(addr uint64) int {
+		if cfg.ProgPort && addr >= cfg.ProgBase && addr < cfg.ProgBase+uint64(4*cfg.NumInit) {
+			return RouteProg
+		}
+		t := cfg.Map.Route(addr)
+		if t < 0 || !cfg.Connected(initIdx, t) {
+			return RouteUnmapped
+		}
+		return t
+	}
+}
+
+type pendingTx struct {
+	tr      *stbus.Transaction
+	reqOp   stbus.Opcode
+	reqAddr uint64
+	seq     uint64
+}
+
+// TxAssembler is the monitor of one port (the "Monitor" blocks of Figure
+// 2): it reconstructs transactions from a stream of request-cell and
+// response-cell transfer events. Env feeds it the transfers of each cycle's
+// port sample, in the signal bench and the transaction-level bench alike;
+// offline extraction (internal/stba) feeds it the transfers of a recorded
+// dump. Using one assembler everywhere guarantees they report identical
+// transactions.
 type TxAssembler struct {
 	// Cfg is the port configuration (protocol type, width, endianness).
 	Cfg stbus.PortConfig
@@ -22,7 +59,6 @@ type TxAssembler struct {
 
 	// Completed transactions in completion order.
 	Completed []*stbus.Transaction
-	listeners []func(*stbus.Transaction)
 
 	reqCells  []stbus.Cell
 	reqStart  uint64
@@ -38,11 +74,6 @@ func NewTxAssembler(cfg stbus.PortConfig, index int, initiatorSide bool, route R
 	return &TxAssembler{Cfg: cfg.WithDefaults(), Index: index, InitiatorSide: initiatorSide, Route: route}
 }
 
-// OnComplete registers a transaction listener.
-func (a *TxAssembler) OnComplete(fn func(*stbus.Transaction)) {
-	a.listeners = append(a.listeners, fn)
-}
-
 // ReqCell records one granted request cell at cycle cyc.
 func (a *TxAssembler) ReqCell(cyc uint64, cell stbus.Cell) {
 	if len(a.reqCells) == 0 {
@@ -54,12 +85,16 @@ func (a *TxAssembler) ReqCell(cyc uint64, cell stbus.Cell) {
 	}
 }
 
-// RespCell records one granted response cell at cycle cyc.
-func (a *TxAssembler) RespCell(cyc uint64, cell stbus.RespCell) {
+// RespCell records one granted response cell at cycle cyc. At a packet's
+// last cell it returns the transaction the packet completes, nil before.
+func (a *TxAssembler) RespCell(cyc uint64, cell stbus.RespCell) *stbus.Transaction {
 	a.respCells = append(a.respCells, cell)
-	if cell.EOP {
-		a.finishResponse(cyc)
+	if !cell.EOP {
+		return nil
 	}
+	tr := a.finishResponse(cyc)
+	a.Completed = append(a.Completed, tr)
+	return tr
 }
 
 func (a *TxAssembler) finishRequest(cyc uint64) {
@@ -94,7 +129,7 @@ func (a *TxAssembler) finishRequest(cyc uint64) {
 	a.reqCells = a.reqCells[:0]
 }
 
-func (a *TxAssembler) finishResponse(cyc uint64) {
+func (a *TxAssembler) finishResponse(cyc uint64) *stbus.Transaction {
 	// cells stays valid through this call — the next RespCell append that
 	// could overwrite the backing array happens only after it returns — and
 	// ExtractReadData copies, so the buffer is reused across packets.
@@ -117,10 +152,8 @@ func (a *TxAssembler) finishResponse(cyc uint64) {
 	if idx < 0 {
 		// Orphan response: surface it as an anonymous errored transaction so
 		// the checker and scoreboard can flag it.
-		tr := &stbus.Transaction{Initiator: -1, Target: -1, TID: first.TID, Src: first.Src,
+		return &stbus.Transaction{Initiator: -1, Target: -1, TID: first.TID, Src: first.Src,
 			Err: true, StartCycle: cyc, EndCycle: cyc}
-		a.complete(tr)
-		return
 	}
 	pt := a.pending[idx]
 	a.pending = append(a.pending[:idx], a.pending[idx+1:]...)
@@ -135,22 +168,12 @@ func (a *TxAssembler) finishResponse(cyc uint64) {
 	if pt.reqOp.IsLoad() && !tr.Err {
 		tr.ReadData = stbus.ExtractReadData(a.Cfg.Endian, pt.reqOp, pt.reqAddr, cells, a.Cfg.BusBytes())
 	}
-	a.complete(tr)
-}
-
-func (a *TxAssembler) complete(tr *stbus.Transaction) {
-	a.Completed = append(a.Completed, tr)
-	for _, fn := range a.listeners {
-		fn(tr)
-	}
+	return tr
 }
 
 // LastCompletedSeq returns the issue sequence number of the most recently
 // completed transaction (0 before any completion or for orphan responses).
 func (a *TxAssembler) LastCompletedSeq() uint64 { return a.lastCompletedSeq }
-
-// PendingCount returns the number of request packets awaiting a response.
-func (a *TxAssembler) PendingCount() int { return len(a.pending) }
 
 // OldestPendingSeq returns the issue sequence number of the oldest pending
 // transaction (0 when none).

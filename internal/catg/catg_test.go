@@ -23,13 +23,11 @@ func nodeCfg(nInit, nTgt int) nodespec.Config {
 
 // bench is a fully assembled CATG environment around a DUT.
 type bench struct {
-	sm       *sim.Simulator
-	bfms     []*InitiatorBFM
-	initMons []*Monitor
-	tgtMons  []*Monitor
-	checkers []*Checker
-	sb       *Scoreboard
-	cov      *CoverageModel
+	sm   *sim.Simulator
+	bfms []*InitiatorBFM
+	env  *Env
+	sb   *Scoreboard
+	cov  *CoverageModel
 }
 
 // buildBench wires CATG components around the given DUT ports (Figure 2).
@@ -37,19 +35,13 @@ func buildBench(sm *sim.Simulator, cfg nodespec.Config, tc TrafficConfig, seed i
 	initPorts, tgtPorts []*stbus.Port) *bench {
 	b := &bench{sm: sm}
 	for i, p := range initPorts {
-		ops := GenerateOps(cfg, tc, i, seed)
-		b.bfms = append(b.bfms, NewInitiatorBFM(sm, p, ops))
-		b.initMons = append(b.initMons, NewMonitor(sm, p, i, true, NodeRouter(cfg, i)))
-		b.checkers = append(b.checkers, NewChecker(sm, p, cfg, true, NodeRouter(cfg, i)))
+		b.bfms = append(b.bfms, NewInitiatorBFM(sm, p, GenerateOps(cfg, tc, i, seed)))
 	}
 	for t, p := range tgtPorts {
 		NewTargetBFM(sm, p, TargetConfig{MinLatency: 1, MaxLatency: 6, GntGapPct: 20}, seed*31+int64(t))
-		b.tgtMons = append(b.tgtMons, NewMonitor(sm, p, t, false, nil))
-		b.checkers = append(b.checkers, NewChecker(sm, p, cfg, false, nil))
 	}
-	b.sb = NewScoreboard(cfg, b.initMons, b.tgtMons)
-	b.cov = NewCoverageModel(cfg, tc)
-	b.cov.SubscribeMonitors(sm, b.initMons)
+	b.env = AttachEnv(sm, cfg, tc, append(append([]*stbus.Port(nil), initPorts...), tgtPorts...))
+	b.sb, b.cov = b.env.Scoreboard, b.env.Coverage
 	return b
 }
 
@@ -71,13 +63,7 @@ func (b *bench) run(t *testing.T, limit int) {
 	}
 }
 
-func (b *bench) violations() []Violation {
-	var out []Violation
-	for _, c := range b.checkers {
-		out = append(out, c.Violations...)
-	}
-	return out
-}
+func (b *bench) violations() []Violation { return b.env.Violations() }
 
 func TestGenerateOpsDeterministic(t *testing.T) {
 	cfg := nodeCfg(2, 2)
@@ -313,11 +299,9 @@ func TestOOOCoverageBinHit(t *testing.T) {
 	tc := TrafficConfig{Ops: 60}
 	ops := GenerateOps(cfg, tc, 0, 12)
 	b.bfms = append(b.bfms, NewInitiatorBFM(sm, n.Init[0], ops))
-	b.initMons = append(b.initMons, NewMonitor(sm, n.Init[0], 0, true, NodeRouter(cfg, 0)))
 	NewTargetBFM(sm, n.Tgt[0], TargetConfig{MinLatency: 25, MaxLatency: 25}, 1)
 	NewTargetBFM(sm, n.Tgt[1], TargetConfig{MinLatency: 0, MaxLatency: 0}, 2)
-	b.cov = NewCoverageModel(cfg, tc)
-	b.cov.SubscribeMonitors(sm, b.initMons)
+	b.cov = AttachEnv(sm, cfg, tc, n.Init).Coverage
 	b.run(t, 30000)
 	if b.cov.Group.MustItem("completion_order").Hits("reordered") == 0 {
 		t.Error("reordered bin never hit despite different-speed targets")
@@ -331,7 +315,7 @@ func TestMonitorReconstructsTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := NewMonitor(sm, n.Init[0], 0, true, NodeRouter(cfg, 0))
+	mon := AttachEnv(sm, cfg, TrafficConfig{}, n.Init).Asm[0]
 	NewTargetBFM(sm, n.Tgt[0], TargetConfig{MinLatency: 3, MaxLatency: 3}, 1)
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	cells, err := stbus.BuildRequest(stbus.Type3, stbus.LittleEndian, stbus.ST8, 0x1008,
@@ -343,10 +327,10 @@ func TestMonitorReconstructsTransaction(t *testing.T) {
 	if err := sm.RunUntil(bfm.Done, 300); err != nil {
 		t.Fatal(err)
 	}
-	if len(mon.CompletedTxs()) != 1 {
-		t.Fatalf("%d transactions", len(mon.CompletedTxs()))
+	if len(mon.Completed) != 1 {
+		t.Fatalf("%d transactions", len(mon.Completed))
 	}
-	tr := mon.CompletedTxs()[0]
+	tr := mon.Completed[0]
 	if tr.Opc != stbus.ST8 || tr.Addr != 0x1008 || tr.TID != 9 || tr.Target != 0 || tr.Initiator != 0 {
 		t.Errorf("transaction %v", tr)
 	}
@@ -368,17 +352,17 @@ func TestCheckerCleanOnDirectedTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck := NewChecker(sm, n.Init[0], cfg, true, NodeRouter(cfg, 0))
+	ck := AttachEnv(sm, cfg, TrafficConfig{}, n.Init).Checkers[0]
 	NewTargetBFM(sm, n.Tgt[0], TargetConfig{}, 1)
 	ops := GenerateOps(cfg, TrafficConfig{Ops: 20}, 0, 4)
 	bfm := NewInitiatorBFM(sm, n.Init[0], ops)
 	if err := sm.RunUntil(bfm.Done, 5000); err != nil {
 		t.Fatal(err)
 	}
-	if !ck.Passed() {
+	if len(ck.Violations) != 0 {
 		t.Fatalf("violations: %v", ck.Violations)
 	}
-	if ck.OutstandingCount() != 0 {
-		t.Errorf("checker still tracks %d outstanding", ck.OutstandingCount())
+	if len(ck.pending) != 0 {
+		t.Errorf("checker still tracks %d outstanding", len(ck.pending))
 	}
 }

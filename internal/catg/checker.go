@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"crve/internal/nodespec"
-	"crve/internal/sim"
 	"crve/internal/stbus"
 )
 
@@ -21,7 +20,11 @@ func (v Violation) String() string {
 }
 
 // Checker enforces the STBus interface rules at one port — the "Protocol
-// checkers" of the paper's Figure 2/6. It is a passive cycle-end observer.
+// checkers" of the paper's Figure 2/6. It is the signal-independent core of
+// a checker: it steps once per cycle on the port's sample, read off the
+// wires by the signal bench or filled from function calls by the
+// transaction-level bench, and tracks packets itself, because it judges
+// what the port carries rather than what a BFM meant to send.
 //
 // The rule set covers the request handshake (payload stability, no request
 // drops, alignment, opcode legality, packet length), the response channel
@@ -29,7 +32,8 @@ func (v Violation) String() string {
 // (Type 1 single-outstanding, Type 2 ordering) and DUT-level invariants
 // derived from the node configuration (pipe occupancy, chunk atomicity).
 type Checker struct {
-	Port *stbus.Port
+	// Port names the checked port in violations.
+	Port string
 	// Node is the DUT configuration the checker validates against.
 	Node nodespec.Config
 	// InitiatorSide enables the initiator-port-only rules.
@@ -66,47 +70,37 @@ type checkerPending struct {
 	route int
 }
 
-// NewChecker attaches a protocol checker to port. route classifies
+// NewChecker builds the checker of the port named port. route classifies
 // first-cell addresses (NodeRouter for initiator-side ports; nil for
 // target-side ports).
-func NewChecker(sm *sim.Simulator, port *stbus.Port, node nodespec.Config, initiatorSide bool,
-	route RouteFunc) *Checker {
-	c := &Checker{Port: port, Node: node.WithDefaults(), InitiatorSide: initiatorSide, route: route}
-	c.chunkTarget = -1
-	sm.AtCycleEnd(c.observe)
-	return c
+func NewChecker(port string, node nodespec.Config, initiatorSide bool, route RouteFunc) *Checker {
+	return &Checker{Port: port, Node: node.WithDefaults(), InitiatorSide: initiatorSide, route: route, chunkTarget: -1}
 }
 
 func (c *Checker) fail(rule, format string, args ...any) {
 	c.Violations = append(c.Violations, Violation{
-		Cycle: c.cyc, Port: c.Port.Name, Rule: rule, Detail: fmt.Sprintf(format, args...),
+		Cycle: c.cyc, Port: c.Port, Rule: rule, Detail: fmt.Sprintf(format, args...),
 	})
 }
 
-// Passed reports whether no violation was recorded.
-func (c *Checker) Passed() bool { return len(c.Violations) == 0 }
-
-func (c *Checker) observe() {
-	p := c.Port
-	req, gnt := p.Req.Bool(), p.Gnt.Bool()
-	cell := p.SampleCell()
-
+// Step judges one cycle of the port.
+func (c *Checker) Step(s *PortSample) {
 	// Handshake rules against the previous cycle.
 	if c.prevReq && !c.prevGnt {
-		if !req {
+		if !s.Req {
 			c.fail("req-drop", "req deasserted while waiting for gnt")
-		} else if cell != c.prevCell {
+		} else if s.Cell != c.prevCell {
 			c.fail("stability", "request payload changed while waiting for gnt (%v -> %v)",
-				c.prevCell, cell)
+				c.prevCell, s.Cell)
 		}
 	}
-	if req && gnt {
-		c.onReqCell(cell)
+	if s.ReqFire() {
+		c.onReqCell(s.Cell)
 	}
-	c.prevReq, c.prevGnt, c.prevCell = req, gnt, cell
+	c.prevReq, c.prevGnt, c.prevCell = s.Req, s.Gnt, s.Cell
 
-	if p.RespFire() {
-		c.onRespCell(p.SampleResp())
+	if s.RespFire() {
+		c.onRespCell(s.Resp)
 	}
 	c.cyc++
 }
@@ -235,6 +229,3 @@ func (c *Checker) onRespCell(cell stbus.RespCell) {
 		c.fail("err-expected", "unmapped access (addr %#x) answered without error flag", pd.addr)
 	}
 }
-
-// OutstandingCount returns the checker's view of in-flight packets.
-func (c *Checker) OutstandingCount() int { return len(c.pending) }

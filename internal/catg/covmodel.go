@@ -6,7 +6,6 @@ import (
 
 	"crve/internal/coverage"
 	"crve/internal/nodespec"
-	"crve/internal/sim"
 	"crve/internal/stbus"
 )
 
@@ -15,10 +14,11 @@ import (
 // constraints, so that every declared bin is reachable and "full functional
 // coverage" (the paper's sign-off criterion) is a meaningful target.
 //
-// It samples initiator-side monitors and per-cycle contention; because its
-// input is only what the monitors observe at the ports, the same tests with
-// the same seeds produce identical coverage on the RTL and the BCA view —
-// the equality the paper requires.
+// Env feeds it the transactions the initiator-side assemblers complete and
+// each cycle's count of requesting initiators; because its input is only
+// what is observed at the ports, the same tests with the same seeds produce
+// identical coverage on the RTL and the BCA view — the equality the paper
+// requires.
 type CoverageModel struct {
 	Group *coverage.Group
 
@@ -32,7 +32,7 @@ type CoverageModel struct {
 	multiInit   bool
 
 	// Preresolved bin handles (nil = bin undeclared for this configuration).
-	// The transaction sampler runs on every monitor's completion callback and
+	// The transaction sampler runs on every initiator-side completion and
 	// dominated the RTL-view throughput profile when it formatted bin names
 	// and looked them up per event; with handles a sample is counter
 	// increments only. Resolved once by resolveBins after the group is
@@ -231,32 +231,10 @@ func (cm *CoverageModel) resolveBins() {
 	}
 }
 
-// SubscribeMonitors wires the model to the DUT's initiator-side monitors and
-// registers its per-cycle contention sampler.
-func (cm *CoverageModel) SubscribeMonitors(sm *sim.Simulator, initMons []*Monitor) {
-	for _, m := range initMons {
-		m := m
-		m.OnComplete(func(tr *stbus.Transaction) {
-			cm.SampleTransaction(tr, m.LastCompletedSeq(), m.OldestPendingSeq())
-		})
-	}
-	if cm.multiInit {
-		sm.AtCycleEnd(func() {
-			// Contention counts simultaneous requests (not grants): a shared
-			// bus grants at most one initiator per cycle, but its arbiter
-			// still sees concurrent requests.
-			n := 0
-			for _, m := range initMons {
-				if m.Port.Req.Bool() {
-					n++
-				}
-			}
-			cm.SampleContention(n)
-		})
-	}
-}
-
 // SampleContention records one cycle's count of requesting initiators.
+// Contention counts simultaneous requests (not grants): a shared bus grants
+// at most one initiator per cycle, but its arbiter still sees concurrent
+// requests.
 func (cm *CoverageModel) SampleContention(requesting int) {
 	if !cm.multiInit {
 		return
@@ -272,8 +250,7 @@ func (cm *CoverageModel) SampleContention(requesting int) {
 // SampleTransaction records one completed initiator-side transaction.
 // completedSeq is the transaction's issue sequence number and oldestPending
 // the oldest still-pending issue number at its port (0 when none) — the pair
-// the out-of-order detector needs. Both a signal-level Monitor and the
-// transaction-level bench (internal/tlm) feed this entry point.
+// the out-of-order detector needs.
 func (cm *CoverageModel) SampleTransaction(tr *stbus.Transaction, completedSeq, oldestPending uint64) {
 	cm.opBin[tr.Opc].Inc()
 	if tr.Initiator >= 0 && tr.Initiator < len(cm.initBin) {

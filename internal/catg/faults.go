@@ -157,7 +157,7 @@ func (b *FaultyInitiatorBFM) tick() {
 	} else if p.Req.Bool() && !p.Gnt.Bool() {
 		b.waiting = true
 	}
-	cell, req, _ := b.core.Step(fired, p.RespFire() && p.REOP.Bool())
+	cell, req := b.core.Step(fired, p.RespFire() && p.REOP.Bool())
 	p.RGnt.SetBool(true)
 	if !req {
 		p.IdleReq()
@@ -180,7 +180,7 @@ func (b *FaultyInitiatorBFM) tick() {
 }
 
 // Done reports whether the stream was issued and answered.
-func (b *FaultyInitiatorBFM) Done() bool { return b.core.done() }
+func (b *FaultyInitiatorBFM) Done() bool { return b.core.Done() }
 
 // Injected reports whether the dynamic fault fired.
 func (b *FaultyInitiatorBFM) Injected() bool { return b.injected }

@@ -44,15 +44,29 @@ func TestBenchAroundConverterDUT(t *testing.T) {
 	downView := upView
 	downView.Port = conv.Cfg.Down
 
-	ops := GenerateOps(upView, TrafficConfig{Ops: 30, IdlePct: 10}, 0, 5)
+	tc := TrafficConfig{Ops: 30, IdlePct: 10}
+	ops := GenerateOps(upView, tc, 0, 5)
 	bfm := NewInitiatorBFM(sm, conv.Up, ops)
-	upMon := NewMonitor(sm, conv.Up, 0, true, NodeRouter(upView, 0))
-	upCk := NewChecker(sm, conv.Up, upView, true, NodeRouter(upView, 0))
-	downMon := NewMonitor(sm, conv.Down, 0, false, nil)
-	downCk := NewChecker(sm, conv.Down, downView, false, nil)
-	sb := NewScoreboard(upView, []*Monitor{upMon}, []*Monitor{downMon})
-	cov := NewCoverageModel(upView, TrafficConfig{Ops: 30, IdlePct: 10})
-	cov.SubscribeMonitors(sm, []*Monitor{upMon})
+	env := AttachEnv(sm, upView, tc, []*stbus.Port{conv.Up})
+	upMon, upCk, sb, cov := env.Asm[0], env.Checkers[0], env.Scoreboard, env.Coverage
+	// The downstream port speaks the T2 view, so its assembler and checker
+	// are built for that view and fed the same scoreboard.
+	downMon := NewTxAssembler(conv.Cfg.Down, 0, false, nil)
+	downCk := NewChecker(conv.Down.Name, downView, false, nil)
+	var cyc uint64
+	sm.AtCycleEnd(func() {
+		s := SamplePort(conv.Down)
+		if s.ReqFire() {
+			downMon.ReqCell(cyc, s.Cell)
+		}
+		if s.RespFire() {
+			if tr := downMon.RespCell(cyc, s.Resp); tr != nil {
+				sb.AddTargetTransaction(tr)
+			}
+		}
+		downCk.Step(&s)
+		cyc++
+	})
 
 	if err := sm.RunUntil(bfm.Done, 20000); err != nil {
 		t.Fatal(err)
@@ -60,17 +74,17 @@ func TestBenchAroundConverterDUT(t *testing.T) {
 	if err := sm.Run(5); err != nil {
 		t.Fatal(err)
 	}
-	if !upCk.Passed() {
+	if len(upCk.Violations) != 0 {
 		t.Fatalf("upstream checker: %v", upCk.Violations)
 	}
-	if !downCk.Passed() {
+	if len(downCk.Violations) != 0 {
 		t.Fatalf("downstream checker: %v", downCk.Violations)
 	}
 	if errs := sb.Check(); len(errs) != 0 {
 		t.Fatalf("scoreboard through the converter: %v", errs)
 	}
-	if len(upMon.CompletedTxs()) != 30 {
-		t.Errorf("%d transactions observed, want 30", len(upMon.CompletedTxs()))
+	if len(upMon.Completed) != 30 {
+		t.Errorf("%d transactions observed, want 30", len(upMon.Completed))
 	}
 	if cov.Group.Percent() < 70 {
 		t.Errorf("coverage %.1f%%\n%s", cov.Group.Percent(), cov.Group.Report())
@@ -116,18 +130,18 @@ func TestBenchAroundType1PeripheralDUT(t *testing.T) {
 		}
 	}
 	bfm := NewInitiatorBFM(sm, conv.Up, ops)
-	ck := NewChecker(sm, conv.Up, upView, true, NodeRouter(upView, 0))
-	mon := NewMonitor(sm, conv.Up, 0, true, NodeRouter(upView, 0))
+	env := AttachEnv(sm, upView, tc, []*stbus.Port{conv.Up})
+	ck, mon := env.Checkers[0], env.Asm[0]
 	if err := sm.RunUntil(bfm.Done, 10000); err != nil {
 		t.Fatal(err)
 	}
-	if !ck.Passed() {
+	if len(ck.Violations) != 0 {
 		t.Fatalf("T1 checker: %v", ck.Violations)
 	}
-	if len(mon.CompletedTxs()) != 20 {
-		t.Errorf("%d transactions, want 20", len(mon.CompletedTxs()))
+	if len(mon.Completed) != 20 {
+		t.Errorf("%d transactions, want 20", len(mon.Completed))
 	}
-	for _, tr := range mon.CompletedTxs() {
+	for _, tr := range mon.Completed {
 		if tr.Err {
 			t.Errorf("unexpected error response: %v", tr)
 		}

@@ -30,9 +30,8 @@ func NewInitiator(ops []Op) *Initiator { return &Initiator{ops: ops} }
 // Step advances the core by one clock edge. granted reports that the cell
 // presented last cycle was accepted (req and gnt high); respEOP that last
 // cycle accepted the final cell of a response packet. It returns the cell
-// to present this cycle and whether to present one (req), and whether every
-// operation has now been issued and every response packet received.
-func (in *Initiator) Step(granted, respEOP bool) (cell stbus.Cell, req, done bool) {
+// to present this cycle and whether to present one (req).
+func (in *Initiator) Step(granted, respEOP bool) (cell stbus.Cell, req bool) {
 	if granted {
 		in.cellIdx++
 		if in.cellIdx == len(in.ops[in.opIdx].Cells) {
@@ -58,10 +57,12 @@ func (in *Initiator) Step(granted, respEOP bool) (cell stbus.Cell, req, done boo
 	if in.opIdx < len(in.ops) && in.idle == 0 {
 		cell, req = in.ops[in.opIdx].Cells[in.cellIdx], true
 	}
-	return cell, req, in.done()
+	return cell, req
 }
 
-func (in *Initiator) done() bool { return in.opIdx >= len(in.ops) && in.received >= in.sent }
+// Done reports whether every operation was issued and every response packet
+// received.
+func (in *Initiator) Done() bool { return in.opIdx >= len(in.ops) && in.received >= in.sent }
 
 // InitiatorBFM drives one initiator-facing DUT port with a generated
 // operation stream, honouring the request handshake (cells held until
@@ -82,7 +83,7 @@ func NewInitiatorBFM(sm *sim.Simulator, port *stbus.Port, ops []Op) *InitiatorBF
 
 func (b *InitiatorBFM) tick() {
 	p := b.Port
-	if cell, req, _ := b.core.Step(p.ReqFire(), p.RespFire() && p.REOP.Bool()); req {
+	if cell, req := b.core.Step(p.ReqFire(), p.RespFire() && p.REOP.Bool()); req {
 		p.DriveCell(cell)
 	} else {
 		p.IdleReq()
@@ -92,7 +93,7 @@ func (b *InitiatorBFM) tick() {
 
 // Done reports whether every operation was issued and every response packet
 // received.
-func (b *InitiatorBFM) Done() bool { return b.core.done() }
+func (b *InitiatorBFM) Done() bool { return b.core.Done() }
 
 // Sent returns the number of request packets fully issued.
 func (b *InitiatorBFM) Sent() int { return b.core.sent }

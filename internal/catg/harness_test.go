@@ -125,11 +125,10 @@ func TestBFMAgainstRealNodeIsLossless(t *testing.T) {
 		t.Fatal(err)
 	}
 	var bfms []*InitiatorBFM
-	var mons []*Monitor
 	for i, p := range n.Init {
 		bfms = append(bfms, NewInitiatorBFM(sm, p, GenerateOps(cfg, TrafficConfig{Ops: 20}, i, 6)))
-		mons = append(mons, NewMonitor(sm, p, i, true, NodeRouter(cfg, i)))
 	}
+	mons := AttachEnv(sm, cfg, TrafficConfig{}, n.Init).Asm
 	for tg, p := range n.Tgt {
 		NewTargetBFM(sm, p, TargetConfig{MinLatency: 1, MaxLatency: 4}, int64(tg))
 	}
@@ -141,12 +140,12 @@ func TestBFMAgainstRealNodeIsLossless(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, m := range mons {
-		if len(m.CompletedTxs()) != bfms[i].Sent() {
+		if len(m.Completed) != bfms[i].Sent() {
 			t.Errorf("initiator %d: monitor saw %d txs, BFM sent %d",
-				i, len(m.CompletedTxs()), bfms[i].Sent())
+				i, len(m.Completed), bfms[i].Sent())
 		}
-		if m.PendingCount() != 0 {
-			t.Errorf("initiator %d: %d transactions never completed", i, m.PendingCount())
+		if len(m.pending) != 0 {
+			t.Errorf("initiator %d: %d transactions never completed", i, len(m.pending))
 		}
 	}
 }

@@ -27,27 +27,18 @@ type Scoreboard struct {
 	progRegs []uint8
 }
 
-// NewScoreboard builds a scoreboard subscribed to the given initiator-side
-// and target-side monitors.
-func NewScoreboard(node nodespec.Config, initMons, tgtMons []*Monitor) *Scoreboard {
+// NewScoreboard builds an empty scoreboard for node.
+func NewScoreboard(node nodespec.Config) *Scoreboard {
 	node = node.WithDefaults()
-	s := &Scoreboard{Node: node, progRegs: node.DefaultPriorities()}
-	for _, m := range initMons {
-		m.OnComplete(s.AddInitiatorTransaction)
-	}
-	for _, m := range tgtMons {
-		m.OnComplete(s.AddTargetTransaction)
-	}
-	return s
+	return &Scoreboard{Node: node, progRegs: node.DefaultPriorities()}
 }
 
-// AddInitiatorTransaction feeds one initiator-side transaction directly
-// (used by the transaction-level bench in internal/tlm).
+// AddInitiatorTransaction feeds one completed initiator-side transaction.
 func (s *Scoreboard) AddInitiatorTransaction(tr *stbus.Transaction) {
 	s.initTxs = append(s.initTxs, tr)
 }
 
-// AddTargetTransaction feeds one target-side transaction directly.
+// AddTargetTransaction feeds one completed target-side transaction.
 func (s *Scoreboard) AddTargetTransaction(tr *stbus.Transaction) {
 	s.tgtTxs = append(s.tgtTxs, tr)
 }

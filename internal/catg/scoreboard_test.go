@@ -11,7 +11,7 @@ func sbFixture() (*Scoreboard, func(tr stbus.Transaction), func(tr stbus.Transac
 	cfg := nodeCfg(2, 2)
 	cfg.ProgPort = true
 	cfg.ProgBase = 0x10_0000
-	sb := NewScoreboard(cfg, nil, nil)
+	sb := NewScoreboard(cfg)
 	addInit := func(tr stbus.Transaction) { sb.AddInitiatorTransaction(&tr) }
 	addTgt := func(tr stbus.Transaction) { sb.AddTargetTransaction(&tr) }
 	return sb, addInit, addTgt

@@ -5,7 +5,7 @@
 //   - harness BFMs: a constrained-random initiator and a memory-modelling
 //     target, both seeded so that the same test file and seed produce the
 //     same stimulus on the RTL and the BCA view;
-//   - monitors that reconstruct transactions from port signals;
+//   - monitors that reconstruct transactions from port traffic;
 //   - protocol checkers enforcing the STBus interface rules;
 //   - a scoreboard checking data integrity through the DUT;
 //   - a functional-coverage model derived from the DUT and traffic

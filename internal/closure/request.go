@@ -61,12 +61,13 @@ func (r *Request) Flags(fs *flag.FlagSet) {
 // Resolve makes the request runnable, the same way for every front end:
 // the matrix (or its quick slice), then srcs, which a front end parsed from
 // files and which keep their file:line positions, then the Configs texts,
-// named configs[i]; every test unless Tests names some; seeds [1] unless
-// Seeds lists some. regress.LintSet gates all of it with the fabrics
-// topology files: an error refuses the request unless NoLint is set, and a
-// configuration that does not parse or validate is refused even then. The
-// Options carry the request with NoLint set, since the gate ran; a front
-// end adds Workers, Cache, Log and Progress and calls Run.
+// positioned as configs[i] and, without a name line, named config<i>;
+// every test unless Tests names some; seeds [1] unless Seeds lists some.
+// regress.LintSet gates all of it with the fabrics topology files: an error
+// refuses the request unless NoLint is set, and a configuration that does
+// not parse or validate is refused even then. The Options carry the request
+// with NoLint set, since the gate ran; a front end adds Workers, Cache, Log
+// and Progress and calls Run.
 func (r *Request) Resolve(srcs []lint.Source, fabrics []string) ([]nodespec.Config, *lint.Report, Options, error) {
 	var cfgs []nodespec.Config
 	if r.Matrix {
@@ -83,7 +84,7 @@ func (r *Request) Resolve(srcs []lint.Source, fabrics []string) ([]nodespec.Conf
 	}
 	all = append(all, srcs...)
 	for i, text := range r.Configs {
-		all = append(all, regress.ParseSource(fmt.Sprintf("configs[%d]", i), strings.NewReader(text)))
+		all = append(all, regress.ParseNamed(fmt.Sprintf("configs[%d]", i), fmt.Sprintf("config%d", i), strings.NewReader(text)))
 	}
 	if len(all) == 0 {
 		return nil, nil, Options{}, errors.New("empty request: set matrix or give a configuration")

@@ -198,36 +198,26 @@ func RunTest(cfg nodespec.Config, view View, test Test, seed int64, opt RunOptio
 	return RunTestCtx(context.Background(), cfg, view, test, seed, opt)
 }
 
-// tailCycles is the short run after a view drains, so registered responses
-// and monitors settle.
-const tailCycles = 5
-
 // benchInst is one fully wired bench+DUT instance and its run in progress:
 // elaboration (startView), the run loop applied one cycle per call (step)
 // and report collection (finish). RunTestCtx steps one instance to the end;
 // RunPairCtx steps two in lockstep.
 type benchInst struct {
-	ctx      context.Context
-	sm       *sim.Simulator
-	dut      DUT
-	res      *RunResult
-	bfms     []*catg.InitiatorBFM
-	initMons []*catg.Monitor
-	tgtMons  []*catg.Monitor
-	checkers []*catg.Checker
-	sb       *catg.Scoreboard
-	cov      *catg.CoverageModel
-	limit    int
-	rc       *vcd.Recorder
-	obs      *stba.Observer
-	kstats   bool // collect the kernel profile
+	ctx    context.Context
+	sm     *sim.Simulator
+	dut    DUT
+	res    *RunResult
+	env    *catg.Env
+	sched  catg.Schedule
+	rc     *vcd.Recorder
+	obs    *stba.Observer
+	kstats bool // collect the kernel profile
 
-	// Run state: cycles run before draining, drain checks made (the
-	// context is polled every 64th), tail cycles left (-1 until the view
-	// drains), and whether and how the run ended.
-	ran, polls, tail int
-	stopped          bool
-	err              error
+	// Run state: drain checks made (the context is polled every 64th), and
+	// whether and how the run ended.
+	polls   int
+	stopped bool
+	err     error
 }
 
 // trafficOps generates every initiator's operation stream for (test, seed).
@@ -241,14 +231,14 @@ func trafficOps(cfg nodespec.Config, test Test, seed int64) [][]catg.Op {
 }
 
 // startView builds a fresh simulator for the requested view and wires the
-// common environment around the DUT: BFMs driven by ops, monitors, checkers,
-// scoreboard, coverage, and whichever waveform/alignment taps the options
-// request. cfg must already have its defaults applied.
+// common environment around the DUT: BFMs driven by ops, the observers of
+// catg.Env behind one sampling hook, and whichever waveform/alignment taps
+// the options request. cfg must already have its defaults applied.
 func startView(ctx context.Context, cfg nodespec.Config, view View, test Test, seed int64, opt RunOptions, ops [][]catg.Op) (*benchInst, error) {
 	sm := sim.New()
 	sm.Timing = opt.KernelStats
 	b := &benchInst{
-		ctx: ctx, sm: sm, kstats: opt.KernelStats, limit: test.MaxCycles, tail: -1,
+		ctx: ctx, sm: sm, kstats: opt.KernelStats,
 		res: &RunResult{Test: test.Name, Seed: seed, View: view, DUTIn: cfg},
 	}
 	dut, err := BuildDUT(sim.Root(sm), cfg, view, opt.Bugs)
@@ -257,31 +247,15 @@ func startView(ctx context.Context, cfg nodespec.Config, view View, test Test, s
 	}
 	b.dut = dut
 
-	totalCells := 0
+	var bfms []*catg.InitiatorBFM
 	for i, p := range dut.InitPorts() {
-		for _, o := range ops[i] {
-			totalCells += len(o.Cells) + o.IdleBefore
-		}
-		b.bfms = append(b.bfms, catg.NewInitiatorBFM(sm, p, ops[i]))
-		mon := catg.NewMonitor(sm, p, i, true, catg.NodeRouter(cfg, i))
-		res := b.res
-		mon.OnComplete(func(tr *stbus.Transaction) {
-			res.Latencies = append(res.Latencies, tr.Latency())
-		})
-		b.initMons = append(b.initMons, mon)
-		b.checkers = append(b.checkers, catg.NewChecker(sm, p, cfg, true, catg.NodeRouter(cfg, i)))
-	}
-	if b.limit == 0 {
-		b.limit = 2000 + totalCells*60
+		bfms = append(bfms, catg.NewInitiatorBFM(sm, p, ops[i]))
 	}
 	for tg, p := range dut.TgtPorts() {
 		catg.NewTargetBFM(sm, p, test.targetFor(cfg, tg), catg.TargetSeed(seed, tg))
-		b.tgtMons = append(b.tgtMons, catg.NewMonitor(sm, p, tg, false, nil))
-		b.checkers = append(b.checkers, catg.NewChecker(sm, p, cfg, false, nil))
 	}
-	b.sb = catg.NewScoreboard(cfg, b.initMons, b.tgtMons)
-	b.cov = catg.NewCoverageModel(cfg, test.trafficFor(cfg, 0))
-	b.cov.SubscribeMonitors(sm, b.initMons)
+	b.sched = catg.NewSchedule(test.MaxCycles, ops, bfms)
+	b.env = catg.AttachEnv(sm, cfg, test.trafficFor(cfg, 0), ports(dut))
 	var sigs []*sim.Signal
 	if opt.RecordWave || opt.AlignWith != nil {
 		sigs = portSignals(dut)
@@ -303,67 +277,47 @@ func startView(ctx context.Context, cfg nodespec.Config, view View, test Test, s
 	return b, nil
 }
 
-// portSignals returns the DUT's port signals in port order, initiator ports
-// first: what the waveform and alignment taps trace.
+// ports returns the DUT's ports, initiator ports first.
+func ports(d DUT) []*stbus.Port {
+	return append(append([]*stbus.Port(nil), d.InitPorts()...), d.TgtPorts()...)
+}
+
+// portSignals returns the DUT's port signals in port order: what the
+// waveform and alignment taps trace.
 func portSignals(d DUT) []*sim.Signal {
 	var sigs []*sim.Signal
-	for _, p := range d.InitPorts() {
-		sigs = append(sigs, p.Signals()...)
-	}
-	for _, p := range d.TgtPorts() {
+	for _, p := range ports(d) {
 		sigs = append(sigs, p.Signals()...)
 	}
 	return sigs
 }
 
-// done reports whether every initiator BFM has drained its program.
-func (b *benchInst) done() bool {
-	for _, bf := range b.bfms {
-		if !bf.Done() {
-			return false
-		}
-	}
-	return true
-}
-
 // step runs the view's next cycle and reports true, or reports false once the
-// view has stopped; a failed cycle samples nothing. Before draining it
-// checks done ahead of every cycle and stops at the cycle limit;
-// a Step error there ends the run undrained, not in error. Once drained it
-// runs the tail, where a Step error is the run's error. The context is
-// polled every 64 drain checks; a cancelled run ends with an error wrapping
-// ctx.Err().
+// view has stopped; a failed cycle samples nothing. The cycles run follow
+// catg.Schedule. A Step error before the view drains ends the run
+// undrained, not in error; in the tail it is the run's error. The context
+// is polled every 64 drain checks; a cancelled run ends with an error
+// wrapping ctx.Err().
 func (b *benchInst) step() bool {
 	if b.stopped {
 		return false
 	}
-	if b.tail < 0 {
+	if !b.sched.Drained {
 		if b.polls++; b.polls&63 == 0 && b.ctx.Err() != nil {
 			b.stopped = true
 			b.err = fmt.Errorf("core: %s %s seed %d: %w", b.res.View, b.res.Test, b.res.Seed, b.ctx.Err())
 			return false
 		}
-		if !b.done() {
-			if b.ran >= b.limit {
-				b.stopped = true
-				return false
-			}
-			b.ran++
-			if b.sm.Step() != nil {
-				b.stopped = true
-				return false
-			}
-			return true
-		}
-		b.res.Drained, b.tail = true, tailCycles
 	}
-	if b.tail == 0 {
+	if !b.sched.Next() {
 		b.stopped = true
 		return false
 	}
-	b.tail--
 	if err := b.sm.Step(); err != nil {
-		b.stopped, b.err = true, err
+		b.stopped = true
+		if b.sched.Drained {
+			b.err = err
+		}
 		return false
 	}
 	return true
@@ -376,15 +330,13 @@ func (b *benchInst) finish() (*RunResult, error) {
 	}
 	res := b.res
 	res.Cycles = b.sm.Cycle()
-	for _, c := range b.checkers {
-		res.Violations = append(res.Violations, c.Violations...)
-	}
-	res.ScoreErrors = b.sb.Check()
-	res.Coverage = b.cov.Group
+	res.Drained = b.sched.Drained
+	res.Transactions = b.env.Transactions()
+	res.Latencies = b.env.Latencies
+	res.Violations = b.env.Violations()
+	res.ScoreErrors = b.env.Scoreboard.Check()
+	res.Coverage = b.env.Coverage.Group
 	res.CodeCov = b.dut.CodeCoverage()
-	for _, m := range b.initMons {
-		res.Transactions += len(m.CompletedTxs())
-	}
 	if b.rc != nil {
 		res.Wave = b.rc.Recording()
 	}

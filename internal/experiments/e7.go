@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"time"
 
 	"crve/internal/arb"
@@ -17,8 +18,9 @@ import (
 // verification environment, which "should enhance simulation performance" —
 // without changing what the environment observes. The experiment verifies
 // both halves: the transaction-level bench reports results identical to the
-// wrapped signal-level bench (same transactions, bin-identical coverage),
-// and it does so several times faster.
+// wrapped signal-level bench (same cycles, transactions, violations and
+// scoreboard errors, bin-identical coverage), and it does so several times
+// faster.
 func E7PortsApproach(w io.Writer) error {
 	cfg := RefConfig()
 	cfg.ReqArb = arb.LRU
@@ -47,12 +49,16 @@ func E7PortsApproach(w io.Writer) error {
 	elP := time.Since(startP)
 
 	eq, why := wrapped.Coverage.EqualHits(ports.Coverage)
+	sameTxs := wrapped.Transactions == ports.Transactions
+	sameViolations := reflect.DeepEqual(wrapped.Violations, ports.Violations)
+	sameErrors := reflect.DeepEqual(wrapped.ScoreErrors, ports.ScoreErrors)
 	fmt.Fprintf(w, "%-32s %10s %12s %14s %6s %8s\n", "bench", "cycles", "elapsed", "cycles/sec", "txs", "passed")
 	fmt.Fprintf(w, "%-32s %10d %12s %14.0f %6d %8v\n", "BCA wrapped (signal bench)", wrapped.Cycles,
 		elW.Round(time.Microsecond), float64(wrapped.Cycles)/elW.Seconds(), wrapped.Transactions, wrapped.Passed())
 	fmt.Fprintf(w, "%-32s %10d %12s %14.0f %6d %8v\n", "BCA ports approach (TLM bench)", ports.Cycles,
 		elP.Round(time.Microsecond), float64(ports.Cycles)/elP.Seconds(), ports.Transactions, ports.Passed())
-	fmt.Fprintf(w, "identical results: transactions %v, coverage bins %v", wrapped.Transactions == ports.Transactions, eq)
+	fmt.Fprintf(w, "identical results: transactions %v, coverage bins %v, violations %v, score errors %v",
+		sameTxs, eq, sameViolations, sameErrors)
 	if !eq {
 		fmt.Fprintf(w, " (%s)", why)
 	}
@@ -60,7 +66,7 @@ func E7PortsApproach(w io.Writer) error {
 	speedup := (float64(ports.Cycles) / elP.Seconds()) / (float64(wrapped.Cycles) / elW.Seconds())
 	fmt.Fprintf(w, "ports-approach speedup over the wrapped bench: %.1fx\n", speedup)
 	fmt.Fprintf(w, "paper claim: direct interfacing \"should enhance simulation performance\"\n")
-	if !eq || wrapped.Transactions != ports.Transactions {
+	if !eq || !sameTxs || !sameViolations || !sameErrors {
 		return fmt.Errorf("experiments: ports approach diverged from the wrapped bench")
 	}
 	return nil

@@ -122,7 +122,7 @@ func TestE7PortsApproachIdentity(t *testing.T) {
 	if err := E7PortsApproach(&buf); err != nil {
 		t.Fatalf("%v\n%s", err, buf.String())
 	}
-	if !strings.Contains(buf.String(), "identical results: transactions true, coverage bins true") {
+	if !strings.Contains(buf.String(), "identical results: transactions true, coverage bins true, violations true, score errors true") {
 		t.Errorf("ports approach not identical:\n%s", buf.String())
 	}
 }

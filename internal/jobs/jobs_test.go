@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,6 +78,34 @@ func TestSpecValidation(t *testing.T) {
 		if _, err := m.Submit(spec); err == nil {
 			t.Errorf("%s: Submit accepted an invalid spec", name)
 		}
+	}
+
+	// Two inline configurations without a name line are named after their
+	// positions, config0 and config1: the spec is accepted and both run.
+	regbank, err := os.ReadFile(filepath.Join("..", "..", "configs", "closure", "regbank.cfg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unnamed []string
+	for _, line := range strings.Split(string(regbank), "\n") {
+		if !strings.HasPrefix(strings.TrimSpace(line), "name") {
+			unnamed = append(unnamed, line)
+		}
+	}
+	text := strings.Join(unnamed, "\n")
+	job, err := m.Submit(Spec{Configs: []string{text, text}, Tests: []string{"basic_write_read"}})
+	if err != nil {
+		t.Fatalf("two unnamed inline configs: %v", err)
+	}
+	if st := waitTerminal(t, job); st.State != Done {
+		t.Fatalf("two unnamed inline configs: job ended %s (%s), want done", st.State, st.Error)
+	}
+	var ran []string
+	for _, r := range job.Results() {
+		ran = append(ran, fmt.Sprintf("%s:%d", r.Cfg.Name, len(r.Runs)))
+	}
+	if got := strings.Join(ran, " "); got != "config0:1 config1:1" {
+		t.Errorf("two unnamed inline configs ran %q, want config0:1 config1:1", got)
 	}
 }
 

@@ -121,6 +121,19 @@ func ParseSource(file string, r io.Reader) lint.Source {
 	return lint.Source{File: file, Cfg: cfg.WithDefaults(), KeyLine: keyLine, Parse: diags}
 }
 
+// ParseNamed is ParseSource for a loader that names configurations after
+// their source: one without a `name` line is called name, not "node". A
+// file's name is its base name and the i-th inline text of a request is
+// config<i>, plain identifiers, because the name lands in signal scopes,
+// -out paths and wave routes.
+func ParseNamed(file, name string, r io.Reader) lint.Source {
+	src := ParseSource(file, r)
+	if src.Cfg.Name == "node" {
+		src.Cfg.Name = name
+	}
+	return src
+}
+
 func applyParam(cfg *nodespec.Config, key, val string) error {
 	parseUint := func() (uint64, error) {
 		return strconv.ParseUint(strings.TrimPrefix(val, "0x"), base(val), 64)
@@ -331,19 +344,15 @@ func cfgFiles(path string) ([]string, error) {
 }
 
 // loadSource parses the parameter file at path. A configuration without a
-// `name` line takes its file name — the one naming rule of every loader, so
-// a file gets the same name (and cache key) whichever tool reads it.
+// `name` line takes its file name (ParseNamed), so a file gets the same name
+// (and cache key) whichever tool reads it.
 func loadSource(path string) (lint.Source, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return lint.Source{}, err
 	}
 	defer f.Close()
-	src := ParseSource(path, f)
-	if src.Cfg.Name == "node" {
-		src.Cfg.Name = strings.TrimSuffix(filepath.Base(path), ".cfg")
-	}
-	return src, nil
+	return ParseNamed(path, strings.TrimSuffix(filepath.Base(path), ".cfg"), f), nil
 }
 
 // LoadSources parses the parameter file at path, or every *.cfg file of the

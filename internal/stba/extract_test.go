@@ -17,8 +17,8 @@ import (
 // TestExtractTransactionsMatchesMonitor pins the offline analyzer to the
 // bench: on every initiator port of a recorded BCA run of error_paths under
 // ErrRespTIDZero, the transactions extracted from the dump equal, field by
-// field and payloads included, what a catg.Monitor on that port completed
-// live. The bug answers error responses with the wrong tid, so the run has
+// field and payloads included, what the bench's catg.TxAssembler on that
+// port completed live. The bug answers error responses with the wrong tid, so the run has
 // orphan responses as well as load and store payloads. A dump does not name
 // a port's role or routing, so only Initiator and Target are left out.
 func TestExtractTransactionsMatchesMonitor(t *testing.T) {
@@ -32,14 +32,13 @@ func TestExtractTransactionsMatchesMonitor(t *testing.T) {
 	}
 	rc := vcd.NewRecorder("tb")
 	var bfms []*catg.InitiatorBFM
-	var mons []*catg.Monitor
 	for i, p := range dut.InitPorts() {
 		bfms = append(bfms, catg.NewInitiatorBFM(sm, p, catg.GenerateOps(cfg, test.Traffic, i, seed)))
-		mons = append(mons, catg.NewMonitor(sm, p, i, true, catg.NodeRouter(cfg, i)))
 		for _, s := range p.Signals() {
 			rc.Declare(s)
 		}
 	}
+	mons := catg.AttachEnv(sm, cfg, test.Traffic, dut.InitPorts()).Asm
 	for tg, p := range dut.TgtPorts() {
 		catg.NewTargetBFM(sm, p, test.Target, catg.TargetSeed(seed, tg))
 	}
@@ -65,7 +64,7 @@ func TestExtractTransactionsMatchesMonitor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := mons[i].CompletedTxs()
+		want := mons[i].Completed
 		if len(got) != len(want) {
 			t.Fatalf("%s: extracted %d transactions, monitor completed %d", p.Name, len(got), len(want))
 		}

@@ -11,11 +11,12 @@
 //
 // Run drives the BCA engine from function calls through the CATG cores the
 // signal-level BFMs step (catg.Initiator and catg.Target: same generated
-// stimulus, same seeded target timing) and observes it with the same
-// transaction assembly, scoreboard and functional-coverage model, so the
-// transaction-level bench reports results identical to the wrapped
-// signal-level bench by construction — at standalone-engine speed.
-// Experiment E7 measures both properties.
+// stimulus, same seeded target timing), runs by the same catg.Schedule and
+// observes it with the same catg.Env (assemblers, protocol checkers,
+// scoreboard and functional-coverage model), so the transaction-level bench
+// reports results identical to the wrapped signal-level bench by
+// construction — at standalone-engine speed. Experiment E7 measures both
+// properties.
 package tlm
 
 import (
@@ -33,17 +34,22 @@ type Result struct {
 	Cycles       uint64
 	Drained      bool
 	Transactions int
+	Violations   []catg.Violation
 	ScoreErrors  []string
 	Coverage     *coverage.Group
 }
 
-// Passed reports whether the run drained with a clean scoreboard.
-func (r *Result) Passed() bool { return r.Drained && len(r.ScoreErrors) == 0 }
+// Passed reports whether the run drained with no protocol violation and a
+// clean scoreboard.
+func (r *Result) Passed() bool {
+	return r.Drained && len(r.Violations) == 0 && len(r.ScoreErrors) == 0
+}
 
 // Run executes one (test, seed) against the BCA engine through the ports
 // approach. The test's traffic and target parameters are resolved exactly as
-// the signal-level bench resolves them, so a clean model yields bit-identical
-// transactions, scoreboard results and functional coverage.
+// the signal-level bench resolves them, and the run follows the same
+// catg.Schedule, so a model yields the transactions, violations, scoreboard
+// results, functional coverage and cycle count the wrapped bench reports.
 func Run(cfg nodespec.Config, traffic func(initIdx int) catg.TrafficConfig,
 	target func(tgtIdx int) catg.TargetConfig, seed int64, bugs bca.Bugs, maxCycles uint64) (*Result, error) {
 	cfg = cfg.WithDefaults()
@@ -53,76 +59,55 @@ func Run(cfg nodespec.Config, traffic func(initIdx int) catg.TrafficConfig,
 	}
 	nI, nT := cfg.NumInit, cfg.NumTgt
 
+	ops := make([][]catg.Op, nI)
 	inits := make([]*catg.Initiator, nI)
-	totalCells := 0
 	for i := range inits {
-		ops := catg.GenerateOps(cfg, traffic(i), i, seed)
-		for _, o := range ops {
-			totalCells += len(o.Cells) + o.IdleBefore
-		}
-		inits[i] = catg.NewInitiator(ops)
+		ops[i] = catg.GenerateOps(cfg, traffic(i), i, seed)
+		inits[i] = catg.NewInitiator(ops[i])
 	}
 	tgts := make([]*catg.Target, nT)
 	for t := range tgts {
 		tgts[t] = catg.NewTarget(cfg.Port, target(t), catg.TargetSeed(seed, t))
 	}
-	if maxCycles == 0 {
-		maxCycles = uint64(2000 + totalCells*60)
-	}
+	sched := catg.NewSchedule(int(maxCycles), ops, inits)
 
-	// Verification components: the same assemblers, scoreboard and coverage
-	// model as the signal-level bench.
-	initAsm := make([]*catg.TxAssembler, nI)
-	tgtAsm := make([]*catg.TxAssembler, nT)
-	sb := catg.NewScoreboard(cfg, nil, nil)
-	cov := catg.NewCoverageModel(cfg, traffic(0))
-	res := &Result{Coverage: cov.Group}
-	for i := range initAsm {
-		a := catg.NewTxAssembler(cfg.Port, i, true, catg.NodeRouter(cfg, i))
-		a.OnComplete(sb.AddInitiatorTransaction)
-		a.OnComplete(func(tr *stbus.Transaction) {
-			cov.SampleTransaction(tr, a.LastCompletedSeq(), a.OldestPendingSeq())
-			res.Transactions++
-		})
-		initAsm[i] = a
+	// The observers of the signal-level bench, under the wrapped node's port
+	// names, fed one sample per port per cycle.
+	names := make([]string, 0, nI+nT)
+	for i := 0; i < nI; i++ {
+		names = append(names, fmt.Sprintf("%s.init%d", cfg.Name, i))
 	}
-	for t := range tgtAsm {
-		a := catg.NewTxAssembler(cfg.Port, t, false, nil)
-		a.OnComplete(sb.AddTargetTransaction)
-		tgtAsm[t] = a
+	for t := 0; t < nT; t++ {
+		names = append(names, fmt.Sprintf("%s.tgt%d", cfg.Name, t))
 	}
+	env := catg.NewEnv(cfg, traffic(0), names)
+	samples := make([]catg.PortSample, nI+nT)
 
 	// The function-call "wires": this cycle's harness drives (in, cells,
 	// offers) and the last cycle's (prevIn, prevCells, prevOffers). At each
 	// posedge the cores step on the last cycle's handshake — its drives and
 	// the engine's outputs, which hold until this cycle's Commit and Plan —
-	// and the engine then commits the last cycle's drives.
+	// and the engine then commits the last cycle's drives. As in the wrapped
+	// node, the engine plans on the idle inputs before the first edge and
+	// commits on every edge.
 	in, prevIn := bca.NewInputs(cfg), bca.NewInputs(cfg)
 	cells, prevCells := make([]stbus.Cell, nI), make([]stbus.Cell, nI)
 	offers, prevOffers := make([]stbus.RespCell, nT), make([]stbus.RespCell, nT)
 	out := eng.Out()
 	cellOf := func(i int) stbus.Cell { return prevCells[i] }
 	offerOf := func(t int) stbus.RespCell { return prevOffers[t] }
+	eng.Plan(in)
 
-	done := false
-	cyc := uint64(0)
-	for ; !done; cyc++ {
-		if cyc > maxCycles {
-			res.Cycles = cyc
-			res.ScoreErrors = sb.Check()
-			return res, nil // Drained stays false
-		}
+	res := &Result{}
+	for ; sched.Next(); res.Cycles++ {
 		// ---- posedge: the cores step, then the engine commits ----
 		in, prevIn = prevIn, in
 		cells, prevCells = prevCells, cells
 		offers, prevOffers = prevOffers, offers
-		done = true
 		for i, d := range inits {
 			granted := prevIn.Req[i] && out.Gnt[i]
 			respEOP := out.InitRsp[i] && prevIn.RGnt[i] && out.InitRC[i].EOP
-			var fin bool
-			cells[i], in.Req[i], fin = d.Step(granted, respEOP)
-			done = done && fin
+			cells[i], in.Req[i] = d.Step(granted, respEOP)
 			in.Addr[i], in.EOP[i], in.Lck[i], in.Pri[i] = cells[i].Addr, cells[i].EOP, cells[i].Lck, cells[i].Pri
 			in.RGnt[i] = true
 		}
@@ -132,48 +117,37 @@ func Run(cfg nodespec.Config, traffic func(initIdx int) catg.TrafficConfig,
 			offers[t], in.TgtRResp[t], in.TgtGnt[t] = m.Step(reqFired, out.TgtCell[t], respFired)
 			in.TgtRSrc[t] = offers[t].Src
 		}
-		if cyc > 0 {
-			eng.Commit(prevIn, cellOf, offerOf)
-		}
+		eng.Commit(prevIn, cellOf, offerOf)
 		// ---- settle: plan grants ----
 		eng.Plan(in)
-		// ---- cycle-end observation (monitors + coverage) ----
-		reqN := 0
+		// ---- cycle end: each port's sample, as its wires would read ----
 		for i := range inits {
-			if in.Req[i] {
-				reqN++
-			}
-			if in.Req[i] && out.Gnt[i] {
-				initAsm[i].ReqCell(cyc, cells[i])
-			}
-			if out.InitRsp[i] && in.RGnt[i] {
-				initAsm[i].RespCell(cyc, out.InitRC[i])
-			}
+			samples[i] = sample(in.Req[i], out.Gnt[i], cells[i], out.InitRsp[i], in.RGnt[i], out.InitRC[i])
 		}
 		for t := range tgts {
-			if out.TgtReq[t] && in.TgtGnt[t] {
-				tgtAsm[t].ReqCell(cyc, out.TgtCell[t])
-			}
-			if in.TgtRResp[t] && out.RGnt[t] {
-				tgtAsm[t].RespCell(cyc, offers[t])
-			}
+			samples[nI+t] = sample(out.TgtReq[t], in.TgtGnt[t], out.TgtCell[t], in.TgtRResp[t], out.RGnt[t], offers[t])
 		}
-		cov.SampleContention(reqN)
+		env.Observe(samples)
 	}
-	res.Cycles = cyc
-	res.Drained = true
-	res.ScoreErrors = sb.Check()
-	// The transaction-level bench has no signal-level protocol checkers, so
-	// it enforces the end-of-test invariant directly: every issued request
-	// must have been paired with a response (an unpaired request means the
-	// DUT dropped or mis-tagged a response, e.g. the err-resp-tid-zero bug).
-	for i, a := range initAsm {
-		if n := a.PendingCount(); n > 0 {
-			res.ScoreErrors = append(res.ScoreErrors,
-				fmt.Sprintf("initiator %d: %d requests never received a matching response", i, n))
-		}
-	}
+	res.Drained = sched.Drained
+	res.Transactions = env.Transactions()
+	res.Violations = env.Violations()
+	res.ScoreErrors = env.Scoreboard.Check()
+	res.Coverage = env.Coverage.Group
 	return res, nil
+}
+
+// sample is one cycle of a port whose lines carry these values: the cells
+// only while their transfer is requested or fires, as catg.SamplePort reads.
+func sample(req, gnt bool, cell stbus.Cell, rreq, rgnt bool, resp stbus.RespCell) catg.PortSample {
+	s := catg.PortSample{Req: req, Gnt: gnt, RReq: rreq, RGnt: rgnt}
+	if req {
+		s.Cell = cell
+	}
+	if s.RespFire() {
+		s.Resp = resp
+	}
+	return s
 }
 
 // RunTest adapts a core-style test description (traffic and target resolved

@@ -2,6 +2,7 @@ package tlm
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"crve/internal/arb"
@@ -38,7 +39,7 @@ func TestTLMRunDrainsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Passed() {
-		t.Fatalf("TLM run failed: drained=%v scoreErrors=%v", res.Drained, res.ScoreErrors)
+		t.Fatalf("TLM run failed: drained=%v violations=%v scoreErrors=%v", res.Drained, res.Violations, res.ScoreErrors)
 	}
 	if res.Transactions != 3*40 {
 		t.Errorf("transactions = %d, want 120", res.Transactions)
@@ -46,44 +47,81 @@ func TestTLMRunDrainsClean(t *testing.T) {
 }
 
 // TestTLMMatchesWrappedBench is the core future-work claim: the ports
-// approach must report exactly what the wrapped signal-level bench reports —
-// same transaction count, bin-identical functional coverage — for the same
-// configuration, test and seed. Both benches step the same CATG cores
-// against the same engine, so they agree on every generic test, on a Type 2
-// and a Type 3 matrix configuration (both with a programming port), with a
-// clean BCA (where both must pass) and with a seeded bug alike.
+// approach must report exactly what the wrapped signal-level bench reports
+// for the same configuration, test and seed — cycles, drain, transactions,
+// protocol violations, scoreboard errors and bin-identical functional
+// coverage. Both benches step the same CATG cores against the same engine,
+// observe through the same catg.Env and run by the same catg.Schedule, so
+// they agree on every standard-matrix configuration and generic test: with
+// a clean BCA (bugs=false, where both must pass) and under each seeded bug
+// (bugs=true), run to drain, and cut short at 120 cycles, clean and under
+// T2OrderIgnored. The configurations run in parallel.
 func TestTLMMatchesWrappedBench(t *testing.T) {
-	matrix := regress.StandardMatrix()
-	for _, c := range []nodespec.Config{matrix[5], matrix[29]} {
-		for _, bugs := range []bca.Bugs{{}, {T2OrderIgnored: true}} {
+	bugged := []bca.Bugs{{LRUInit: true}, {ChunkLckIgnored: true}, {PipeOffByOne: true},
+		{ErrRespTIDZero: true}, {T2OrderIgnored: true}}
+	for _, c := range regress.StandardMatrix() {
+		t.Run(c.Name, func(t *testing.T) {
+			t.Parallel()
 			for _, test := range testcases.All() {
-				name := fmt.Sprintf("%s/%v/bugs=%v/%s", c.Name, c.Port.Type, bugs.Any(), test.Name)
-				t.Run(name, func(t *testing.T) {
-					const seed = 1
-					wrapped, err := core.RunTest(c, core.BCAView, test, seed, core.RunOptions{Bugs: bugs})
-					if err != nil {
-						t.Fatal(err)
+				t.Run(fmt.Sprintf("%v/bugs=false/%s", c.Port.Type, test.Name), func(t *testing.T) {
+					wrapped, ports := compareBenches(t, c, test, bca.Bugs{})
+					if !wrapped.Passed() || !ports.Passed() {
+						t.Errorf("clean runs failed (wrapped=%v ports=%v %v %v)",
+							wrapped.Passed(), ports.Passed(), ports.Violations, ports.ScoreErrors)
 					}
-					ports, err := Run(c,
-						func(i int) catg.TrafficConfig { return trafficFor(test, c, i) },
-						func(tg int) catg.TargetConfig { return targetFor(test, c, tg) },
-						seed, bugs, 0)
-					if err != nil {
-						t.Fatal(err)
+					compareBenches(t, c, cutShort(test), bca.Bugs{})
+				})
+				t.Run(fmt.Sprintf("%v/bugs=true/%s", c.Port.Type, test.Name), func(t *testing.T) {
+					for _, bugs := range bugged {
+						compareBenches(t, c, test, bugs)
 					}
-					if !bugs.Any() && (!wrapped.Passed() || !ports.Passed()) {
-						t.Fatalf("clean runs failed (wrapped=%v ports=%v %v)", wrapped.Passed(), ports.Passed(), ports.ScoreErrors)
-					}
-					if wrapped.Transactions != ports.Transactions {
-						t.Errorf("transactions %d (wrapped) vs %d (ports)", wrapped.Transactions, ports.Transactions)
-					}
-					if eq, why := wrapped.Coverage.EqualHits(ports.Coverage); !eq {
-						t.Errorf("coverage differs between wrapped and ports approach: %s", why)
-					}
+					compareBenches(t, c, cutShort(test), bca.Bugs{T2OrderIgnored: true})
 				})
 			}
-		}
+		})
 	}
+}
+
+// cutShort bounds test at 120 cycles, which stops most units undrained.
+func cutShort(test core.Test) core.Test {
+	test.MaxCycles = 120
+	return test
+}
+
+// compareBenches runs one unit at seed 1 on the wrapped bench and the ports
+// approach and reports every field in which they differ.
+func compareBenches(t *testing.T, c nodespec.Config, test core.Test, bugs bca.Bugs) (*core.RunResult, *Result) {
+	t.Helper()
+	const seed = 1
+	wrapped, err := core.RunTest(c, core.BCAView, test, seed, core.RunOptions{Bugs: bugs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ports, err := Run(c,
+		func(i int) catg.TrafficConfig { return trafficFor(test, c, i) },
+		func(tg int) catg.TargetConfig { return targetFor(test, c, tg) },
+		seed, bugs, uint64(test.MaxCycles))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := fmt.Sprintf("bugs %v, max cycles %d", bugs.List(), test.MaxCycles)
+	if wrapped.Cycles != ports.Cycles || wrapped.Drained != ports.Drained {
+		t.Errorf("%s: cycles %d drained %v (wrapped) vs %d drained %v (ports)",
+			unit, wrapped.Cycles, wrapped.Drained, ports.Cycles, ports.Drained)
+	}
+	if wrapped.Transactions != ports.Transactions {
+		t.Errorf("%s: transactions %d (wrapped) vs %d (ports)", unit, wrapped.Transactions, ports.Transactions)
+	}
+	if !reflect.DeepEqual(wrapped.Violations, ports.Violations) {
+		t.Errorf("%s: violations differ:\nwrapped %v\nports   %v", unit, wrapped.Violations, ports.Violations)
+	}
+	if !reflect.DeepEqual(wrapped.ScoreErrors, ports.ScoreErrors) {
+		t.Errorf("%s: scoreboard errors differ:\nwrapped %q\nports   %q", unit, wrapped.ScoreErrors, ports.ScoreErrors)
+	}
+	if eq, why := wrapped.Coverage.EqualHits(ports.Coverage); !eq {
+		t.Errorf("%s: coverage differs between wrapped and ports approach: %s", unit, why)
+	}
+	return wrapped, ports
 }
 
 // trafficFor and targetFor resolve a test's per-port constraints as the
@@ -122,7 +160,8 @@ func TestTLMMatchesRTL(t *testing.T) {
 }
 
 // TestTLMCatchesBugThroughScoreboard shows the transaction-level bench still
-// verifies: a bugged engine fails its scoreboard/drain checks.
+// verifies: a bugged engine fails its checks, and its protocol checker
+// flags the error responses whose tid matches no outstanding request.
 func TestTLMCatchesBugThroughScoreboard(t *testing.T) {
 	c := cfg(1, 1)
 	tc := catg.TrafficConfig{Ops: 40, UnmappedPct: 40}
@@ -132,6 +171,13 @@ func TestTLMCatchesBugThroughScoreboard(t *testing.T) {
 	}
 	if res.Passed() {
 		t.Error("err-resp-tid-zero should break the transaction-level checks")
+	}
+	unknownTag := false
+	for _, v := range res.Violations {
+		unknownTag = unknownTag || v.Rule == "resp-unknown-tag"
+	}
+	if !unknownTag {
+		t.Errorf("no resp-unknown-tag violation; violations: %v", res.Violations)
 	}
 }
 
