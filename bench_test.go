@@ -7,6 +7,7 @@ package crve_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"testing"
 
@@ -22,7 +23,6 @@ import (
 	"crve/internal/stba"
 	"crve/internal/stbus"
 	"crve/internal/testcases"
-	"crve/internal/tlm"
 	"crve/internal/vcd"
 )
 
@@ -215,7 +215,7 @@ func BenchmarkE7PortsApproach(b *testing.B) {
 	}
 	total := uint64(0)
 	for i := 0; i < b.N; i++ {
-		res, err := tlm.RunTest(cfg, tc.Traffic, tc.Target, 7, bca.Bugs{})
+		res, err := core.RunPorts(context.Background(), cfg, tc, 7, bca.Bugs{})
 		if err != nil {
 			b.Fatal(err)
 		}

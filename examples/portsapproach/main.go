@@ -9,15 +9,17 @@
 //
 //  2. BCA view wrapped into the same signal-level bench (today's flow),
 //
-//  3. BCA engine in the transaction-level bench (the future flow).
+//  3. BCA engine in the ports bench, core.RunPorts (the future flow).
 //
 //     go run ./examples/portsapproach
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
+	"reflect"
 	"time"
 
 	"crve/internal/arb"
@@ -26,7 +28,6 @@ import (
 	"crve/internal/core"
 	"crve/internal/nodespec"
 	"crve/internal/stbus"
-	"crve/internal/tlm"
 )
 
 func main() {
@@ -38,59 +39,57 @@ func main() {
 		ReqArb: arb.LRU, RespArb: arb.Priority,
 		Map: stbus.UniformMap(2, 0x1000, 0x1000),
 	}
-	traffic := catg.TrafficConfig{Ops: 300, UnmappedPct: 3, IdlePct: 5}
-	target := catg.TargetConfig{MinLatency: 1, MaxLatency: 4, GntGapPct: 10}
-	test := core.Test{Name: "ports_demo", Traffic: traffic, Target: target}
+	test := core.Test{
+		Name:    "ports_demo",
+		Traffic: catg.TrafficConfig{Ops: 300, UnmappedPct: 3, IdlePct: 5},
+		Target:  catg.TargetConfig{MinLatency: 1, MaxLatency: 4, GntGapPct: 10},
+	}
 	const seed = 21
 
 	type row struct {
-		name   string
-		cycles uint64
-		txs    int
-		cov    float64
-		el     time.Duration
-		pass   bool
+		name string
+		res  *core.RunResult
+		el   time.Duration
 	}
 	var rows []row
-
-	timeIt := func(name string, run func() (uint64, int, float64, bool)) {
+	timeIt := func(name string, run func() (*core.RunResult, error)) {
 		start := time.Now()
-		cycles, txs, cov, pass := run()
-		rows = append(rows, row{name, cycles, txs, cov, time.Since(start), pass})
+		res, err := run()
+		if err != nil {
+			log.Fatal(err)
+		}
+		rows = append(rows, row{name, res, time.Since(start)})
 	}
-	timeIt("RTL, signal bench", func() (uint64, int, float64, bool) {
-		r, err := core.RunTest(cfg, core.RTLView, test, seed, core.RunOptions{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return r.Cycles, r.Transactions, r.Coverage.Percent(), r.Passed()
+	timeIt("RTL, signal bench", func() (*core.RunResult, error) {
+		return core.RunTest(cfg, core.RTLView, test, seed, core.RunOptions{})
 	})
-	timeIt("BCA wrapped, signal bench", func() (uint64, int, float64, bool) {
-		r, err := core.RunTest(cfg, core.BCAView, test, seed, core.RunOptions{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return r.Cycles, r.Transactions, r.Coverage.Percent(), r.Passed()
+	timeIt("BCA wrapped, signal bench", func() (*core.RunResult, error) {
+		return core.RunTest(cfg, core.BCAView, test, seed, core.RunOptions{})
 	})
-	var portsCov = 0.0
-	timeIt("BCA ports approach (TLM)", func() (uint64, int, float64, bool) {
-		r, err := tlm.RunTest(cfg, traffic, target, seed, bca.Bugs{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		portsCov = r.Coverage.Percent()
-		return r.Cycles, r.Transactions, portsCov, r.Passed()
+	timeIt("BCA ports approach (TLM)", func() (*core.RunResult, error) {
+		return core.RunPorts(context.Background(), cfg, test, seed, bca.Bugs{})
 	})
 
 	fmt.Printf("%-28s %8s %6s %9s %12s %14s %6s\n",
 		"bench", "cycles", "txs", "coverage", "elapsed", "cycles/sec", "pass")
 	for _, r := range rows {
 		fmt.Printf("%-28s %8d %6d %8.1f%% %12s %14.0f %6v\n",
-			r.name, r.cycles, r.txs, r.cov, r.el.Round(time.Microsecond),
-			float64(r.cycles)/r.el.Seconds(), r.pass)
+			r.name, r.res.Cycles, r.res.Transactions, r.res.Coverage.Percent(), r.el.Round(time.Microsecond),
+			float64(r.res.Cycles)/r.el.Seconds(), r.res.Passed())
 	}
-	same := rows[1].txs == rows[2].txs && rows[0].txs == rows[1].txs &&
-		rows[0].cov == rows[1].cov && rows[1].cov == rows[2].cov
+	// Every bench must observe what the RTL bench observes: the same cycles,
+	// transactions, violations and scoreboard errors, and the same hits in
+	// every coverage bin.
+	same := true
+	for _, r := range rows[1:] {
+		ref, got := rows[0].res, r.res
+		eq, why := ref.Coverage.EqualHits(got.Coverage)
+		if !eq {
+			fmt.Printf("%s: coverage differs from the RTL bench: %s\n", r.name, why)
+		}
+		same = same && eq && got.Cycles == ref.Cycles && got.Transactions == ref.Transactions &&
+			reflect.DeepEqual(got.Violations, ref.Violations) && reflect.DeepEqual(got.ScoreErrors, ref.ScoreErrors)
+	}
 	fmt.Printf("\nidentical observations across all three benches: %v\n", same)
 	fmt.Println("(the ports approach keeps the environment's view of the DUT unchanged while")
 	fmt.Println(" shedding the wrapper cost — the paper: direct interfacing \"should enhance")

@@ -157,8 +157,8 @@ func TestBCAWriteReadRoundTrip(t *testing.T) {
 	if !bytes.Equal(rd, payload) {
 		t.Errorf("read %x want %x", rd, payload)
 	}
-	if n.Outstanding(0) != 0 {
-		t.Errorf("outstanding = %d", n.Outstanding(0))
+	if len(n.eng.inflight[0]) != 0 {
+		t.Errorf("outstanding = %d", len(n.eng.inflight[0]))
 	}
 }
 
@@ -199,8 +199,8 @@ func TestBCAProgrammingPort(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd := stbus.ExtractReadData(stbus.LittleEndian, stbus.LD4, 0x8000, drv.respPackets()[1], 4)
-	if rd[0] != 3 || n.PriorityRegs()[0] != 3 {
-		t.Errorf("prog readback %v regs %v", rd, n.PriorityRegs())
+	if rd[0] != 3 || n.eng.regs[0] != 3 {
+		t.Errorf("prog readback %v regs %v", rd, n.eng.regs)
 	}
 }
 

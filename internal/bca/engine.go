@@ -56,9 +56,9 @@ type Outputs struct {
 // Engine is the transaction-level node model: packets are assembled,
 // routed and answered as whole units; per-cycle signal behaviour falls out
 // of replaying the forwarding-stage slots. The wrapped Node and the
-// standalone runner are built on it, and the transaction-level bench
-// (internal/tlm, the "ports approach" of the paper's future work) drives it
-// directly through Plan, Commit and Out.
+// standalone runner are built on it, and the ports bench (core.RunPorts,
+// the "ports approach" of the paper's future work) drives it directly
+// through Plan, Commit and Out.
 type Engine struct {
 	cfg  nodespec.Config
 	bugs Bugs
@@ -530,9 +530,6 @@ func (e *Engine) service(i, route int) {
 // Out returns the engine's live output record: grants from the last Plan and
 // registered drives from the last Commit.
 func (e *Engine) Out() *Outputs { return &e.out }
-
-// Inflight returns the outstanding-packet count of initiator i.
-func (e *Engine) Inflight(i int) int { return len(e.inflight[i]) }
 
 func (e *Engine) String() string {
 	return fmt.Sprintf("bca engine %s bugs=%v", e.cfg.Name, e.bugs.List())

@@ -28,8 +28,8 @@ func TestEngineFacadeBasicGrant(t *testing.T) {
 	eng.Commit(in,
 		func(int) stbus.Cell { return cell },
 		func(int) stbus.RespCell { return stbus.RespCell{} })
-	if eng.Inflight(0) != 1 || eng.Inflight(1) != 0 {
-		t.Errorf("inflight %d/%d", eng.Inflight(0), eng.Inflight(1))
+	if len(eng.inflight[0]) != 1 || len(eng.inflight[1]) != 0 {
+		t.Errorf("inflight %d/%d", len(eng.inflight[0]), len(eng.inflight[1]))
 	}
 	if !out.TgtReq[0] || out.TgtCell[0] != cell {
 		t.Errorf("forwarding stage not loaded: %v %v", out.TgtReq[0], out.TgtCell[0])

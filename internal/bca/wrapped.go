@@ -110,13 +110,3 @@ func (n *Node) seq() {
 	}
 	n.tick.SetU64(n.tick.U64() + 1)
 }
-
-// Outstanding returns the in-flight packet count of initiator i.
-func (n *Node) Outstanding(i int) int { return n.eng.Inflight(i) }
-
-// PriorityRegs returns a copy of the programming-port register file.
-func (n *Node) PriorityRegs() []uint8 {
-	out := make([]uint8, len(n.eng.regs))
-	copy(out, n.eng.regs)
-	return out
-}

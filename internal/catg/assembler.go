@@ -43,7 +43,7 @@ type pendingTx struct {
 // TxAssembler is the monitor of one port (the "Monitor" blocks of Figure
 // 2): it reconstructs transactions from a stream of request-cell and
 // response-cell transfer events. Env feeds it the transfers of each cycle's
-// port sample, in the signal bench and the transaction-level bench alike;
+// port sample, in the signal bench and the ports bench alike;
 // offline extraction (internal/stba) feeds it the transfers of a recorded
 // dump. Using one assembler everywhere guarantees they report identical
 // transactions.

@@ -22,8 +22,8 @@ func (v Violation) String() string {
 // Checker enforces the STBus interface rules at one port — the "Protocol
 // checkers" of the paper's Figure 2/6. It is the signal-independent core of
 // a checker: it steps once per cycle on the port's sample, read off the
-// wires by the signal bench or filled from function calls by the
-// transaction-level bench, and tracks packets itself, because it judges
+// wires by the signal bench or filled from function calls by the ports
+// bench, and tracks packets itself, because it judges
 // what the port carries rather than what a BFM meant to send.
 //
 // The rule set covers the request handshake (payload stability, no request

@@ -9,7 +9,7 @@ import (
 // PortSample is one cycle of a port as every observer sees it: the four
 // handshake lines, the request cell while req is high and the response cell
 // when a response fires. The signal bench reads it off the wires with
-// SamplePort; the transaction-level bench fills it from the engine's
+// SamplePort; the ports bench (core.RunPorts) fills it from the engine's
 // function-call values.
 type PortSample struct {
 	Req, Gnt, RReq, RGnt bool
@@ -42,8 +42,8 @@ func SamplePort(p *stbus.Port) PortSample {
 // Monitor, Protocol checker, Scoreboard and Coverage blocks of Figure 2):
 // per port a transaction assembler and a protocol checker, initiator ports
 // first, then the scoreboard and the functional-coverage model. The signal
-// bench and the transaction-level bench both build it with NewEnv and feed
-// it with Observe, so they observe, check and cover alike by construction.
+// bench and the ports bench both build it with NewEnv and feed it with
+// Observe, so they observe, check and cover alike by construction.
 type Env struct {
 	// Asm and Checkers hold one assembler and one checker per port,
 	// initiator ports first.

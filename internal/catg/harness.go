@@ -10,9 +10,9 @@ import (
 // Initiator is the signal-independent core of an initiator BFM: it walks a
 // generated operation stream, holding each cell until it is granted and
 // leaving each operation's idle gap before it. InitiatorBFM and
-// FaultyInitiatorBFM step it from a port's wires; the transaction-level
-// bench (internal/tlm) steps it from function calls, so every bench
-// presents the same stimulus by construction.
+// FaultyInitiatorBFM step it from a port's wires; the ports bench
+// (core.RunPorts) steps it from function calls, so every bench presents
+// the same stimulus by construction.
 type Initiator struct {
 	ops     []Op
 	opIdx   int
@@ -95,16 +95,10 @@ func (b *InitiatorBFM) tick() {
 // received.
 func (b *InitiatorBFM) Done() bool { return b.core.Done() }
 
-// Sent returns the number of request packets fully issued.
-func (b *InitiatorBFM) Sent() int { return b.core.sent }
-
-// Received returns the number of response packets received.
-func (b *InitiatorBFM) Received() int { return b.core.received }
-
-// TargetSeed derives the timing seed of target tgt from a test seed, the
-// formula shared by the signal-level bench (internal/core) and the
-// transaction-level bench (internal/tlm) so both consume identical
-// randomness.
+// TargetSeed derives the timing seed of target tgt from a test seed. Every
+// bench in internal/core seeds its targets with it (the signal views'
+// TargetBFMs and the ports bench's Target cores), so a test's target
+// timing is the same whichever bench runs it.
 func TargetSeed(testSeed int64, tgt int) int64 { return testSeed*7919 + int64(tgt) }
 
 // TargetConfig parameterises a target BFM's timing behaviour.
@@ -138,7 +132,7 @@ type tgtPkt struct {
 
 // Target is the signal-independent core of a target BFM: a memory-backed
 // STBus target with seeded random timing. TargetBFM steps it from a port's
-// wires; the transaction-level bench steps it from function calls, so the
+// wires; the ports bench steps it from function calls, so the
 // same seed yields the same grant and latency pattern in every bench.
 type Target struct {
 	cfg     TargetConfig

@@ -26,8 +26,8 @@ func TestInitiatorBFMDrivesAllOpsAndCompletes(t *testing.T) {
 	if err := sm.RunUntil(bfm.Done, 3000); err != nil {
 		t.Fatal(err)
 	}
-	if bfm.Sent() != 12 || bfm.Received() != 12 {
-		t.Errorf("sent %d received %d, want 12/12", bfm.Sent(), bfm.Received())
+	if bfm.core.sent != 12 || bfm.core.received != 12 {
+		t.Errorf("sent %d received %d, want 12/12", bfm.core.sent, bfm.core.received)
 	}
 }
 
@@ -140,9 +140,9 @@ func TestBFMAgainstRealNodeIsLossless(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, m := range mons {
-		if len(m.Completed) != bfms[i].Sent() {
+		if len(m.Completed) != bfms[i].core.sent {
 			t.Errorf("initiator %d: monitor saw %d txs, BFM sent %d",
-				i, len(m.Completed), bfms[i].Sent())
+				i, len(m.Completed), bfms[i].core.sent)
 		}
 		if len(m.pending) != 0 {
 			t.Errorf("initiator %d: %d transactions never completed", i, len(m.pending))

@@ -129,9 +129,3 @@ func (s *Scoreboard) checkProg(tr *stbus.Transaction) []string {
 	}
 	return errs
 }
-
-// InitTransactions returns the initiator-side transaction stream.
-func (s *Scoreboard) InitTransactions() []*stbus.Transaction { return s.initTxs }
-
-// TgtTransactions returns the target-side transaction stream.
-func (s *Scoreboard) TgtTransactions() []*stbus.Transaction { return s.tgtTxs }

@@ -141,7 +141,7 @@ func TestScoreboardAccessors(t *testing.T) {
 	sb, addInit, addTgt := sbFixture()
 	addInit(stbus.Transaction{Initiator: 0, Target: RouteUnmapped, Err: true})
 	addTgt(stbus.Transaction{Target: 0, Opc: stbus.LD4})
-	if len(sb.InitTransactions()) != 1 || len(sb.TgtTransactions()) != 1 {
+	if len(sb.initTxs) != 1 || len(sb.tgtTxs) != 1 {
 		t.Error("accessors wrong")
 	}
 }

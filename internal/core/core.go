@@ -9,7 +9,9 @@
 // executes the same pair against both views in lockstep, streams the STBus
 // Analyzer comparison across them cycle by cycle (waveforms are opt-in
 // artifacts, not the comparison medium) and checks functional-coverage
-// equality — the full flow of the paper's Figures 4 and 5.
+// equality — the full flow of the paper's Figures 4 and 5. RunPorts runs
+// the BCA engine in the same environment through function calls, the
+// "ports approach" of the paper's Section 6.
 package core
 
 import (
@@ -127,32 +129,18 @@ func (t Test) targetFor(cfg nodespec.Config, tg int) catg.TargetConfig {
 	return t.Target
 }
 
-// RunResult is the verification report of one (test, seed, view) run.
+// RunResult is the verification report of one (test, seed, view) run: the
+// RunRecord the result cache stores, plus the configuration and the taps a
+// cached run does not keep.
 type RunResult struct {
-	Test  string
-	Seed  int64
-	View  View
+	RunRecord
 	DUTIn nodespec.Config
-
-	Cycles       uint64
-	Drained      bool
-	Transactions int
-	// Latencies holds one total latency (cycles) per completed initiator-side
-	// transaction, for performance analyses.
-	Latencies   []uint64
-	Violations  []catg.Violation
-	ScoreErrors []string
-	Coverage    *coverage.Group
-	CodeCov     *coverage.CodeMap
 	// Wave is the compact binary waveform recording, captured when
 	// RunOptions.RecordWave is set — the storable artifact that can re-serve
 	// values or the text VCD on demand.
 	Wave *vcd.Recording
 	// Alignment is the streaming STBA report against RunOptions.AlignWith.
 	Alignment *stba.Report
-	// Kernel is the simulation-kernel profile, collected when
-	// RunOptions.KernelStats is set.
-	Kernel *sim.KernelStats
 }
 
 // Passed reports whether every automatic check of the run succeeded.
@@ -199,12 +187,14 @@ func RunTest(cfg nodespec.Config, view View, test Test, seed int64, opt RunOptio
 }
 
 // benchInst is one fully wired bench+DUT instance and its run in progress:
-// elaboration (startView), the run loop applied one cycle per call (step)
-// and report collection (finish). RunTestCtx steps one instance to the end;
+// elaboration (startView for a signal view, RunPorts for the ports bench),
+// the run loop applied one cycle per call (step) and report collection
+// (finish). RunTestCtx and RunPorts step one instance to the end;
 // RunPairCtx steps two in lockstep.
 type benchInst struct {
 	ctx    context.Context
-	sm     *sim.Simulator
+	clk    clock
+	sm     *sim.Simulator // the signal kernel; nil on the ports bench
 	dut    DUT
 	res    *RunResult
 	env    *catg.Env
@@ -218,6 +208,13 @@ type benchInst struct {
 	polls   int
 	stopped bool
 	err     error
+}
+
+// clock runs a bench one cycle per Step: a signal kernel, whose cycle-end
+// hook feeds the observers, or the ports bench, which feeds them itself.
+type clock interface {
+	Step() error
+	Cycle() uint64
 }
 
 // trafficOps generates every initiator's operation stream for (test, seed).
@@ -238,14 +235,15 @@ func startView(ctx context.Context, cfg nodespec.Config, view View, test Test, s
 	sm := sim.New()
 	sm.Timing = opt.KernelStats
 	b := &benchInst{
-		ctx: ctx, sm: sm, kstats: opt.KernelStats,
-		res: &RunResult{Test: test.Name, Seed: seed, View: view, DUTIn: cfg},
+		ctx: ctx, clk: sm, sm: sm, kstats: opt.KernelStats,
+		res: &RunResult{RunRecord: RunRecord{Test: test.Name, Seed: seed, View: view}, DUTIn: cfg},
 	}
 	dut, err := BuildDUT(sim.Root(sm), cfg, view, opt.Bugs)
 	if err != nil {
 		return nil, err
 	}
 	b.dut = dut
+	b.res.CodeCov = dut.CodeCoverage()
 
 	var bfms []*catg.InitiatorBFM
 	for i, p := range dut.InitPorts() {
@@ -313,7 +311,7 @@ func (b *benchInst) step() bool {
 		b.stopped = true
 		return false
 	}
-	if err := b.sm.Step(); err != nil {
+	if err := b.clk.Step(); err != nil {
 		b.stopped = true
 		if b.sched.Drained {
 			b.err = err
@@ -329,14 +327,13 @@ func (b *benchInst) finish() (*RunResult, error) {
 		return nil, b.err
 	}
 	res := b.res
-	res.Cycles = b.sm.Cycle()
+	res.Cycles = b.clk.Cycle()
 	res.Drained = b.sched.Drained
 	res.Transactions = b.env.Transactions()
 	res.Latencies = b.env.Latencies
 	res.Violations = b.env.Violations()
 	res.ScoreErrors = b.env.Scoreboard.Check()
 	res.Coverage = b.env.Coverage.Group
-	res.CodeCov = b.dut.CodeCoverage()
 	if b.rc != nil {
 		res.Wave = b.rc.Recording()
 	}

@@ -246,3 +246,30 @@ func TestRunPairCancelled(t *testing.T) {
 		t.Fatalf("cancelled pair returned %v, want context.Canceled", err)
 	}
 }
+
+// TestRunPortsCancelled checks the ports bench polls its context as the
+// signal benches do: a cancelled run returns an error wrapping the
+// context's.
+func TestRunPortsCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := RunPorts(ctx, cfg(2, 2), smokeTest(), 1, bca.Bugs{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ports run returned %v, want context.Canceled", err)
+	}
+}
+
+// TestRunPortsReportsTheBCAView pins the ports bench's report: the BCA view
+// of the test and seed, with none of the signal bench's taps.
+func TestRunPortsReportsTheBCAView(t *testing.T) {
+	res, err := RunPorts(context.Background(), cfg(2, 2), smokeTest(), 42, bca.Bugs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Passed() || res.View != BCAView || res.Test != "smoke" || res.Seed != 42 || res.DUTIn.NumInit != 2 {
+		t.Errorf("ports run reports %s", res.Summary())
+	}
+	if res.CodeCov != nil || res.Wave != nil || res.Alignment != nil || res.Kernel != nil {
+		t.Error("ports run must carry no code coverage, waveform, alignment or kernel profile")
+	}
+}

@@ -11,11 +11,12 @@ import (
 	"crve/internal/wire"
 )
 
-// RunRecord is the serializable form of a RunResult: everything the
-// regression aggregates and reports need, minus the waveform dump (VCDs are
-// regeneration artifacts, not results — caching them would dwarf the results
-// they support) and minus the configuration (the cache key already pins it,
-// so the loader re-attaches the one it looked up with).
+// RunRecord is the part of a RunResult the result cache stores: everything
+// the regression aggregates and reports need, minus the waveform recording
+// (a regeneration artifact, not a result — caching it would dwarf the
+// results it supports), the streaming alignment (a pair keeps its own) and
+// the configuration (the cache key already pins it, so the loader
+// re-attaches the one it looked up with).
 type RunRecord struct {
 	Test         string
 	Seed         int64
@@ -23,33 +24,28 @@ type RunRecord struct {
 	Cycles       uint64
 	Drained      bool
 	Transactions int
-	Latencies    []uint64
-	Violations   []catg.Violation
-	ScoreErrors  []string
-	Coverage     *coverage.Group
-	CodeCov      *coverage.CodeMap
-	Kernel       *sim.KernelStats
+	// Latencies holds one total latency (cycles) per completed initiator-side
+	// transaction, for performance analyses.
+	Latencies   []uint64
+	Violations  []catg.Violation
+	ScoreErrors []string
+	Coverage    *coverage.Group
+	CodeCov     *coverage.CodeMap
+	// Kernel is the simulation-kernel profile, collected when
+	// RunOptions.KernelStats is set.
+	Kernel *sim.KernelStats
 }
 
 // Record snapshots the run for persistence.
 func (r *RunResult) Record() *RunRecord {
-	return &RunRecord{
-		Test: r.Test, Seed: r.Seed, View: r.View,
-		Cycles: r.Cycles, Drained: r.Drained, Transactions: r.Transactions,
-		Latencies: r.Latencies, Violations: r.Violations, ScoreErrors: r.ScoreErrors,
-		Coverage: r.Coverage, CodeCov: r.CodeCov, Kernel: r.Kernel,
-	}
+	rec := r.RunRecord
+	return &rec
 }
 
 // Result rebuilds the RunResult for configuration cfg. The Wave field stays
 // nil: report writers skip waveform artifacts for cache-served runs.
 func (rec *RunRecord) Result(cfg nodespec.Config) *RunResult {
-	return &RunResult{
-		Test: rec.Test, Seed: rec.Seed, View: rec.View, DUTIn: cfg,
-		Cycles: rec.Cycles, Drained: rec.Drained, Transactions: rec.Transactions,
-		Latencies: rec.Latencies, Violations: rec.Violations, ScoreErrors: rec.ScoreErrors,
-		Coverage: rec.Coverage, CodeCov: rec.CodeCov, Kernel: rec.Kernel,
-	}
+	return &RunResult{RunRecord: *rec, DUTIn: cfg}
 }
 
 // PairRecord is the serializable form of a PairResult — the unit the

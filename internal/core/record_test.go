@@ -107,12 +107,12 @@ func TestPairRecordRoundTrip(t *testing.T) {
 // TestRunRecordKeepsFailures checks failed runs round-trip as failed —
 // a cache that launders failures into passes would be worse than no cache.
 func TestRunRecordKeepsFailures(t *testing.T) {
-	res := &core.RunResult{
+	res := &core.RunResult{RunRecord: core.RunRecord{
 		Test: "t", Seed: 1, View: core.BCAView,
 		Drained:     true,
 		Violations:  []catg.Violation{{Cycle: 9, Port: "init0", Rule: "stability", Detail: "payload changed"}},
 		ScoreErrors: []string{"lost transaction"},
-	}
+	}}
 	rec := roundTrip(t, &core.PairRecord{RTL: res.Record(), BCA: res.Record()})
 	back := rec.BCA.Result(nodespec.Config{}.WithDefaults())
 	if back.Passed() {
@@ -134,7 +134,7 @@ func TestRunRecordKeepsFailures(t *testing.T) {
 // nil or empty — a zero-value or truncated cached record — used to sign off
 // because Report.AllPass() was vacuously true.
 func TestEmptyAlignmentFailsSignoff(t *testing.T) {
-	passing := &core.RunResult{Drained: true}
+	passing := &core.RunResult{RunRecord: core.RunRecord{Drained: true}}
 	for name, rep := range map[string]*stba.Report{"nil": nil, "empty": {}} {
 		pr := &core.PairResult{RTL: passing, BCA: passing, Alignment: rep, CoverageEqual: true}
 		if pr.SignedOff() {

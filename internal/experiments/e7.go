@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"reflect"
@@ -10,17 +11,15 @@ import (
 	"crve/internal/bca"
 	"crve/internal/core"
 	"crve/internal/testcases"
-	"crve/internal/tlm"
 )
 
 // E7PortsApproach regenerates the paper's future-work claim (Section 6): a
 // CATG with "ports approach" support plugs the model directly into the
 // verification environment, which "should enhance simulation performance" —
 // without changing what the environment observes. The experiment verifies
-// both halves: the transaction-level bench reports results identical to the
-// wrapped signal-level bench (same cycles, transactions, violations and
-// scoreboard errors, bin-identical coverage), and it does so several times
-// faster.
+// both halves: the ports bench (core.RunPorts) reports results identical to
+// the wrapped signal-level bench (same cycles, transactions, violations and
+// scoreboard errors, bin-identical coverage), and it does so faster.
 func E7PortsApproach(w io.Writer) error {
 	cfg := RefConfig()
 	cfg.ReqArb = arb.LRU
@@ -42,7 +41,7 @@ func E7PortsApproach(w io.Writer) error {
 	elW := time.Since(startW)
 
 	startP := time.Now()
-	ports, err := tlm.RunTest(cfg, tc.Traffic, tc.Target, seed, bca.Bugs{})
+	ports, err := core.RunPorts(context.Background(), cfg, tc, seed, bca.Bugs{})
 	if err != nil {
 		return err
 	}

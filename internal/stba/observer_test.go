@@ -26,7 +26,7 @@ type observedView struct {
 
 // newObservedView builds the RTL view (bugs nil) or the BCA view under the
 // bench, ready to step.
-func newObservedView(t *testing.T, cfg nodespec.Config, bugs *bca.Bugs, seed int64) *observedView {
+func newObservedView(t testing.TB, cfg nodespec.Config, bugs *bca.Bugs, seed int64) *observedView {
 	t.Helper()
 	v := &observedView{sm: sim.New()}
 	var initPorts, tgtPorts []*stbus.Port

@@ -8,6 +8,7 @@ package stba
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -229,7 +230,7 @@ func Compare(a, b *vcd.File, ports []string) (*Report, error) {
 			Cycles: span, CyclesA: ca, CyclesB: cb,
 			FirstDivergence: -1,
 		}
-		for cyc := uint64(0); cyc < shared; cyc++ {
+		forEachRun(a, b, pairs, shared, func(cyc, run uint64) {
 			time := cyc * vcd.TimePerCycle
 			ok := true
 			for i, pr := range pairs {
@@ -243,17 +244,51 @@ func Compare(a, b *vcd.File, ports []string) (*Report, error) {
 				}
 			}
 			if ok {
-				pa.Aligned++
+				pa.Aligned += run
 			} else if pa.FirstDivergence < 0 {
 				pa.FirstDivergence = int64(cyc)
 			}
-		}
+		})
 		if shared < span && pa.FirstDivergence < 0 {
 			pa.FirstDivergence = int64(shared)
 		}
 		rep.Ports = append(rep.Ports, pa)
 	}
 	return rep, nil
+}
+
+// forEachRun splits the cycles [0, shared) into runs over which none of the
+// signal pairs (a's variable, b's variable) changes in either dump, and
+// calls judge once per run, in cycle order, with its first cycle and its
+// length. Every cycle of a run samples the same values, so the work follows
+// the dumps' changes, not their length.
+func forEachRun(a, b *vcd.File, pairs [][2]int, shared uint64, judge func(cyc, n uint64)) {
+	starts := []uint64{0}
+	add := func(changes []vcd.Change) {
+		for _, ch := range changes {
+			// A change is first sampled at the cycle boundary at or after it.
+			cyc := ch.Time / vcd.TimePerCycle
+			if ch.Time%vcd.TimePerCycle != 0 {
+				cyc++
+			}
+			if cyc < shared {
+				starts = append(starts, cyc)
+			}
+		}
+	}
+	for _, pr := range pairs {
+		add(a.Changes[pr[0]])
+		add(b.Changes[pr[1]])
+	}
+	slices.Sort(starts)
+	starts = slices.Compact(starts)
+	for i, cyc := range starts {
+		end := shared
+		if i+1 < len(starts) {
+			end = starts[i+1]
+		}
+		judge(cyc, end-cyc)
+	}
 }
 
 // SignalRate is the alignment rate of one signal across a comparison.
@@ -285,12 +320,11 @@ func SignalRates(a, b *vcd.File, port string) ([]SignalRate, error) {
 	for _, n := range names {
 		ai, bi := a.VarIndex(n), b.VarIndex(n)
 		sr := SignalRate{Signal: n, Cycles: span}
-		for cyc := uint64(0); cyc < shared; cyc++ {
-			time := cyc * vcd.TimePerCycle
-			if a.ValueAt(ai, time).Equal(b.ValueAt(bi, time)) {
-				sr.Aligned++
+		forEachRun(a, b, [][2]int{{ai, bi}}, shared, func(cyc, run uint64) {
+			if time := cyc * vcd.TimePerCycle; a.ValueAt(ai, time).Equal(b.ValueAt(bi, time)) {
+				sr.Aligned += run
 			}
-		}
+		})
 		out = append(out, sr)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Rate() < out[j].Rate() })

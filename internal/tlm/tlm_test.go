@@ -1,6 +1,7 @@
 package tlm
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -33,11 +34,18 @@ func target() catg.TargetConfig {
 	return catg.TargetConfig{MinLatency: 1, MaxLatency: 6, GntGapPct: 20}
 }
 
-func TestTLMRunDrainsClean(t *testing.T) {
-	res, err := RunTest(cfg(3, 2), traffic(), target(), 42, bca.Bugs{})
+// runPorts runs the ports-approach bench on a test of traffic and target.
+func runPorts(t *testing.T, c nodespec.Config, tc catg.TrafficConfig, seed int64, bugs bca.Bugs) *core.RunResult {
+	t.Helper()
+	res, err := core.RunPorts(context.Background(), c, core.Test{Name: "tlm", Traffic: tc, Target: target()}, seed, bugs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestTLMRunDrainsClean(t *testing.T) {
+	res := runPorts(t, cfg(3, 2), traffic(), 42, bca.Bugs{})
 	if !res.Passed() {
 		t.Fatalf("TLM run failed: drained=%v violations=%v scoreErrors=%v", res.Drained, res.Violations, res.ScoreErrors)
 	}
@@ -50,12 +58,14 @@ func TestTLMRunDrainsClean(t *testing.T) {
 // approach must report exactly what the wrapped signal-level bench reports
 // for the same configuration, test and seed — cycles, drain, transactions,
 // protocol violations, scoreboard errors and bin-identical functional
-// coverage. Both benches step the same CATG cores against the same engine,
-// observe through the same catg.Env and run by the same catg.Schedule, so
-// they agree on every standard-matrix configuration and generic test: with
-// a clean BCA (bugs=false, where both must pass) and under each seeded bug
-// (bugs=true), run to drain, and cut short at 120 cycles, clean and under
-// T2OrderIgnored. The configurations run in parallel.
+// coverage. Both benches resolve the whole core.Test alike, step the same
+// CATG cores against the same engine, observe through the same catg.Env and
+// run by core's one loop, so they agree on every standard-matrix
+// configuration and generic test, the per-port TrafficFor and TargetFor
+// tests included: with a clean BCA (bugs=false, where both must pass) and
+// under each seeded bug (bugs=true), run to drain, and cut short at 120
+// cycles, clean and under T2OrderIgnored. The configurations run in
+// parallel.
 func TestTLMMatchesWrappedBench(t *testing.T) {
 	bugged := []bca.Bugs{{LRUInit: true}, {ChunkLckIgnored: true}, {PipeOffByOne: true},
 		{ErrRespTIDZero: true}, {T2OrderIgnored: true}}
@@ -90,17 +100,14 @@ func cutShort(test core.Test) core.Test {
 
 // compareBenches runs one unit at seed 1 on the wrapped bench and the ports
 // approach and reports every field in which they differ.
-func compareBenches(t *testing.T, c nodespec.Config, test core.Test, bugs bca.Bugs) (*core.RunResult, *Result) {
+func compareBenches(t *testing.T, c nodespec.Config, test core.Test, bugs bca.Bugs) (wrapped, ports *core.RunResult) {
 	t.Helper()
 	const seed = 1
 	wrapped, err := core.RunTest(c, core.BCAView, test, seed, core.RunOptions{Bugs: bugs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ports, err := Run(c,
-		func(i int) catg.TrafficConfig { return trafficFor(test, c, i) },
-		func(tg int) catg.TargetConfig { return targetFor(test, c, tg) },
-		seed, bugs, uint64(test.MaxCycles))
+	ports, err = core.RunPorts(context.Background(), c, test, seed, bugs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,23 +128,10 @@ func compareBenches(t *testing.T, c nodespec.Config, test core.Test, bugs bca.Bu
 	if eq, why := wrapped.Coverage.EqualHits(ports.Coverage); !eq {
 		t.Errorf("%s: coverage differs between wrapped and ports approach: %s", unit, why)
 	}
+	if ports.View != core.BCAView || ports.Test != test.Name || ports.Seed != seed {
+		t.Errorf("%s: ports run reports view %v, test %q, seed %d", unit, ports.View, ports.Test, ports.Seed)
+	}
 	return wrapped, ports
-}
-
-// trafficFor and targetFor resolve a test's per-port constraints as the
-// signal-level bench does.
-func trafficFor(test core.Test, c nodespec.Config, i int) catg.TrafficConfig {
-	if test.TrafficFor != nil {
-		return test.TrafficFor(c, i)
-	}
-	return test.Traffic
-}
-
-func targetFor(test core.Test, c nodespec.Config, tg int) catg.TargetConfig {
-	if test.TargetFor != nil {
-		return test.TargetFor(c, tg)
-	}
-	return test.Target
 }
 
 // TestTLMMatchesRTL closes the triangle: the ports-approach BCA bench also
@@ -150,10 +144,7 @@ func TestTLMMatchesRTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ports, err := RunTest(c, traffic(), target(), 5, bca.Bugs{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ports := runPorts(t, c, traffic(), 5, bca.Bugs{})
 	if eq, why := rtlRes.Coverage.EqualHits(ports.Coverage); !eq {
 		t.Errorf("coverage differs between RTL bench and ports approach: %s", why)
 	}
@@ -165,10 +156,7 @@ func TestTLMMatchesRTL(t *testing.T) {
 func TestTLMCatchesBugThroughScoreboard(t *testing.T) {
 	c := cfg(1, 1)
 	tc := catg.TrafficConfig{Ops: 40, UnmappedPct: 40}
-	res, err := RunTest(c, tc, target(), 3, bca.Bugs{ErrRespTIDZero: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPorts(t, c, tc, 3, bca.Bugs{ErrRespTIDZero: true})
 	if res.Passed() {
 		t.Error("err-resp-tid-zero should break the transaction-level checks")
 	}
@@ -185,10 +173,7 @@ func TestTLMSharedBusConfig(t *testing.T) {
 	c := cfg(3, 2)
 	c.Arch = nodespec.SharedBus
 	c.ReqArb, c.RespArb = arb.RoundRobin, arb.RoundRobin
-	res, err := RunTest(c, traffic(), target(), 11, bca.Bugs{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPorts(t, c, traffic(), 11, bca.Bugs{})
 	if !res.Passed() {
 		t.Fatalf("shared-bus TLM run failed: %v", res.ScoreErrors)
 	}
@@ -197,28 +182,35 @@ func TestTLMSharedBusConfig(t *testing.T) {
 func TestTLMType2Config(t *testing.T) {
 	c := cfg(2, 2)
 	c.Port.Type = stbus.Type2
-	res, err := RunTest(c, traffic(), target(), 13, bca.Bugs{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPorts(t, c, traffic(), 13, bca.Bugs{})
 	if !res.Passed() {
 		t.Fatalf("Type 2 TLM run failed: %v", res.ScoreErrors)
 	}
 }
 
 func TestTLMDeterministic(t *testing.T) {
-	run := func() *Result {
-		res, err := RunTest(cfg(2, 2), traffic(), target(), 9, bca.Bugs{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
+	a, b := runPorts(t, cfg(2, 2), traffic(), 9, bca.Bugs{}), runPorts(t, cfg(2, 2), traffic(), 9, bca.Bugs{})
 	if a.Cycles != b.Cycles || a.Transactions != b.Transactions {
 		t.Errorf("nondeterministic: %+v vs %+v", a, b)
 	}
 	if eq, why := a.Coverage.EqualHits(b.Coverage); !eq {
 		t.Errorf("coverage differs across identical runs: %s", why)
+	}
+}
+
+// TestRunTestIsRunPorts pins the deprecated entry to the bench it now
+// calls: a test of one traffic and one target configuration on
+// core.RunPorts.
+func TestRunTestIsRunPorts(t *testing.T) {
+	got, err := RunTest(cfg(3, 2), traffic(), target(), 42, bca.Bugs{LRUInit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.RunPorts(context.Background(), cfg(3, 2), core.Test{Traffic: traffic(), Target: target()}, 42, bca.Bugs{LRUInit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("RunTest reports %s, core.RunPorts %s", got.Summary(), want.Summary())
 	}
 }

@@ -34,7 +34,7 @@ type File struct {
 	// Changes holds, per variable (indexed as Vars), the time-ordered value
 	// changes including the initial $dumpvars values.
 	Changes [][]Change
-	// EndTime is the largest timestamp seen.
+	// EndTime is the last timestamp, which is also the largest.
 	EndTime uint64
 
 	byName map[string]int
@@ -165,10 +165,12 @@ func Parse(r io.Reader) (*File, error) {
 			if err != nil {
 				return nil, fmt.Errorf("vcd: bad timestamp %q", toks[0])
 			}
-			time = t
-			if t > f.EndTime {
-				f.EndTime = t
+			// Changes are kept in time order for ValueAt's search, so
+			// time may not run backwards.
+			if t < time {
+				return nil, fmt.Errorf("vcd: timestamp %s is before #%d", toks[0], time)
 			}
+			time, f.EndTime = t, t
 		case !inDefs && (toks[0][0] == '0' || toks[0][0] == '1' || toks[0][0] == 'x' || toks[0][0] == 'z' ||
 			toks[0][0] == 'X' || toks[0][0] == 'Z'):
 			// Scalar change: value immediately followed by the id code.

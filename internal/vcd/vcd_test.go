@@ -164,6 +164,38 @@ func TestParseRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestParseRejectsDecreasingTime pins time order. A dump that lists its #50
+// block before its #0 block used to parse with its changes out of order, so
+// ValueAt's search read the wrong value, and stba.Compare put it at 83.33 %
+// alignment (first divergence @5) against the same values listed in order.
+// Parse refuses it and names the timestamp; a repeated timestamp stays
+// legal.
+func TestParseRejectsDecreasingTime(t *testing.T) {
+	const defs = "$scope module tb $end\n$scope module p $end\n$var wire 1 ! req $end\n" +
+		"$var wire 1 \" gnt $end\n$upscope $end\n$upscope $end\n$enddefinitions $end\n"
+	inOrder := defs + "#0\n$dumpvars\n0!\n0\"\n$end\n#50\n1!\n1\"\n"
+	swapped := defs + "#50\n1!\n1\"\n#0\n$dumpvars\n0!\n0\"\n$end\n"
+	f, err := Parse(strings.NewReader(inOrder))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req := f.VarIndex("p.req"); f.ValueAt(req, 40).Bool() || !f.ValueAt(req, 50).Bool() {
+		t.Error("in-order dump: req should rise at #50")
+	}
+	_, err = Parse(strings.NewReader(swapped))
+	if err == nil || !strings.Contains(err.Error(), "#0") {
+		t.Errorf("Parse of a dump whose time runs back to #0 returned %v", err)
+	}
+	repeated := defs + "#0\n0!\n#0\n1!\n#50\n1\"\n#50\n"
+	f, err = Parse(strings.NewReader(repeated))
+	if err != nil {
+		t.Fatalf("a repeated timestamp must parse: %v", err)
+	}
+	if !f.ValueAt(f.VarIndex("p.req"), 0).Bool() || f.EndTime != 50 {
+		t.Errorf("repeated timestamps: req@0 %v, end time %d", f.ValueAt(f.VarIndex("p.req"), 0), f.EndTime)
+	}
+}
+
 func TestParseXZCollapse(t *testing.T) {
 	src := `$timescale 1ns $end
 $scope module tb $end
