@@ -41,7 +41,8 @@ func main() {
 }
 
 // parseVCD loads a waveform file as a parsed dump, accepting either text VCD
-// or a compact binary recording (sniffed by magic, not extension).
+// or a compact binary recording (sniffed by magic, not extension). An error
+// names the file.
 func parseVCD(path string) (*vcd.File, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -50,11 +51,15 @@ func parseVCD(path string) (*vcd.File, error) {
 	if vcd.IsRecording(data) {
 		rec, err := vcd.DecodeRecording(data)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 		return rec.File(), nil
 	}
-	return vcd.Parse(bytes.NewReader(data))
+	f, err := vcd.Parse(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return f, nil
 }
 
 func run(portsArg, extract, signals string, typeArg int, args []string) error {

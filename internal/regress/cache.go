@@ -13,10 +13,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"runtime/debug"
+	"runtime"
+	"strings"
 	"sync"
 	"time"
 
+	"crve"
 	"crve/internal/bca"
 	"crve/internal/core"
 	"crve/internal/nodespec"
@@ -46,31 +48,36 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // cacheKey is a unit key as frames carry it: the raw SHA-256.
 type cacheKey [keySize]byte
 
-// CodeVersion identifies the simulation semantics baked into cached results:
-// the cache schema plus, when the binary carries build metadata, the VCS
-// revision (with a -dirty marker for modified trees). Two binaries built
-// from different commits never share entries — a cached result is only as
-// reusable as the code that produced it.
-func CodeVersion() string {
-	v := cacheSchema
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		var rev, modified string
-		for _, s := range bi.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				rev = s.Value
-			case "vcs.modified":
-				modified = s.Value
-			}
+// CodeVersion identifies the code whose results the cache holds: the cache
+// schema plus a SHA-256 over the sources a simulation depends on (crve.Source
+// without its test files) and the Go release that compiled them. Any edit
+// to those sources, committed or not, built by go build, go run or go test,
+// gives a new version, so a cached result is only as reusable as the code
+// that produced it. It is computed once per process.
+func CodeVersion() string { return codeVersion() }
+
+var codeVersion = sync.OnceValue(func() string {
+	return sourceVersion(crve.Source, runtime.Version())
+})
+
+// sourceVersion digests go.mod and the non-test files matching
+// internal/*/*.go in fsys, path and bytes in path order, with goVersion.
+func sourceVersion(fsys fs.FS, goVersion string) string {
+	paths, _ := fs.Glob(fsys, "internal/*/*.go") // the pattern is well formed
+	h := sha256.New()
+	for _, path := range append([]string{"go.mod"}, paths...) {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
 		}
-		if rev != "" {
-			v += "+" + rev
-			if modified == "true" {
-				v += "-dirty"
-			}
+		data, err := fs.ReadFile(fsys, path)
+		if err != nil {
+			panic(fmt.Sprintf("regress: reading embedded source: %v", err))
 		}
+		fmt.Fprintf(h, "%s\x00%d\x00", path, len(data))
+		h.Write(data)
 	}
-	return v
+	h.Write([]byte(goVersion))
+	return cacheSchema + "+" + hex.EncodeToString(h.Sum(nil))
 }
 
 // Cache is the content-addressed result store of the incremental regression

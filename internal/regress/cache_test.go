@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/fstest"
 
 	"crve/internal/bca"
 	"crve/internal/nodespec"
@@ -254,5 +255,50 @@ func TestRunIncremental(t *testing.T) {
 func TestCodeVersionCarriesSchema(t *testing.T) {
 	if !strings.HasPrefix(CodeVersion(), cacheSchema) {
 		t.Errorf("CodeVersion %q must start with the schema tag", CodeVersion())
+	}
+}
+
+// TestCodeVersionNamesTheSource: the version digests go.mod and the
+// non-test internal/*/*.go files with the Go release, so one changed byte
+// of such a file gives a new version, and a test file or a file outside
+// that set does not. Before, every build of one commit (and every go run
+// and go test binary, of any commit) shared a version.
+func TestCodeVersionNamesTheSource(t *testing.T) {
+	src := func() fstest.MapFS {
+		return fstest.MapFS{
+			"go.mod":                       {Data: []byte("module crve\n")},
+			"internal/bca/engine.go":       {Data: []byte("package bca\n\nconst lruInit = false\n")},
+			"internal/sim/kernel.go":       {Data: []byte("package sim\n")},
+			"internal/bca/engine_test.go":  {Data: []byte("package bca\n")},
+			"internal/bca/testdata/x.go":   {Data: []byte("package x\n")},
+			"cmd/regress/main.go":          {Data: []byte("package main\n")},
+			"internal/regress/testdata/gl": {Data: []byte("golden\n")},
+		}
+	}
+	base := sourceVersion(src(), "go1.24.0")
+	if !strings.HasPrefix(base, cacheSchema+"+") || base != sourceVersion(src(), "go1.24.0") {
+		t.Fatalf("version %q must be the schema tag plus a stable digest", base)
+	}
+	for _, c := range []struct {
+		name, path string
+		data       string
+		changes    bool
+	}{
+		{"model source", "internal/bca/engine.go", "package bca\n\nconst lruInit = true\n", true},
+		{"go.mod", "go.mod", "module crve\n\ngo 1.22\n", true},
+		{"new source", "internal/core/extra.go", "package core\n", true},
+		{"test file", "internal/bca/engine_test.go", "package bca // changed\n", false},
+		{"new test file", "internal/core/extra_test.go", "package core\n", false},
+		{"testdata", "internal/bca/testdata/x.go", "package y\n", false},
+		{"command", "cmd/regress/main.go", "package main // changed\n", false},
+	} {
+		fsys := src()
+		fsys[c.path] = &fstest.MapFile{Data: []byte(c.data)}
+		if got := sourceVersion(fsys, "go1.24.0"); (got != base) != c.changes {
+			t.Errorf("%s: changing %s gives version %q against %q; want a change: %v", c.name, c.path, got, base, c.changes)
+		}
+	}
+	if sourceVersion(src(), "go1.25.0") == base {
+		t.Error("another Go release must give another version")
 	}
 }

@@ -22,9 +22,10 @@ import (
 func ExtractTransactions(f *vcd.File, prefix string, typ stbus.Type) ([]*stbus.Transaction, error) {
 	leaves := [...]string{"req", "gnt", "opc", "add", "data", "be", "eop", "lck", "tid", "src", "pri",
 		"r_req", "r_gnt", "r_opc", "r_data", "r_eop", "r_tid", "r_src"}
+	rec := f.Recording()
 	var idx [len(leaves)]int
 	for k, leaf := range leaves {
-		if idx[k] = f.VarIndex(prefix + "." + leaf); idx[k] < 0 {
+		if idx[k] = rec.SignalIndex(prefix + "." + leaf); idx[k] < 0 {
 			return nil, fmt.Errorf("stba: port %q lacks signal %q", prefix, leaf)
 		}
 	}
@@ -33,20 +34,27 @@ func ExtractTransactions(f *vcd.File, prefix string, typ stbus.Type) ([]*stbus.T
 		return nil, fmt.Errorf("stba: port %q: %w", prefix, err)
 	}
 	asm := catg.NewTxAssembler(cfg, -1, false, nil)
-	var v [len(leaves)]sim.Bits // the leaves' values at cyc, in leaves' order
-	for cyc := uint64(0); cyc < f.Cycles(); cyc++ {
-		for k, i := range idx {
-			v[k] = f.ValueAt(i, cyc*vcd.TimePerCycle)
+	// The dump is read at cycle 0 and wherever it changes: over each run of
+	// cycles between, every value holds, so a handshake that fires on the
+	// run's first cycle fires on each of its cycles, with the same cell.
+	src, end := newRecorded(rec), rec.Cycles()
+	for cyc := uint64(0); cyc < end; {
+		vals, _ := src.advance(cyc)
+		v := func(k int) sim.Bits { return vals[idx[k]] } // leaf k's value over the run
+		req, resp := v(0).Bool() && v(1).Bool(), v(11).Bool() && v(12).Bool()
+		next := src.next(end)
+		for ; cyc < next && (req || resp); cyc++ {
+			if req {
+				asm.ReqCell(cyc, stbus.Cell{Opc: stbus.Opcode(v(2).Uint64()), Addr: v(3).Uint64(), Data: v(4),
+					BE: v(5).Uint64(), EOP: v(6).Bool(), Lck: v(7).Bool(),
+					TID: uint8(v(8).Uint64()), Src: uint8(v(9).Uint64()), Pri: uint8(v(10).Uint64())})
+			}
+			if resp {
+				asm.RespCell(cyc, stbus.RespCell{ROpc: uint8(v(13).Uint64()), Data: v(14), EOP: v(15).Bool(),
+					TID: uint8(v(16).Uint64()), Src: uint8(v(17).Uint64())})
+			}
 		}
-		if v[0].Bool() && v[1].Bool() {
-			asm.ReqCell(cyc, stbus.Cell{Opc: stbus.Opcode(v[2].Uint64()), Addr: v[3].Uint64(), Data: v[4],
-				BE: v[5].Uint64(), EOP: v[6].Bool(), Lck: v[7].Bool(),
-				TID: uint8(v[8].Uint64()), Src: uint8(v[9].Uint64()), Pri: uint8(v[10].Uint64())})
-		}
-		if v[11].Bool() && v[12].Bool() {
-			asm.RespCell(cyc, stbus.RespCell{ROpc: uint8(v[13].Uint64()), Data: v[14], EOP: v[15].Bool(),
-				TID: uint8(v[16].Uint64()), Src: uint8(v[17].Uint64())})
-		}
+		cyc = next
 	}
 	return asm.Completed, nil
 }

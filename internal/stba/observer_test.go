@@ -128,15 +128,19 @@ func runLockstepObserved(t *testing.T, cfg nodespec.Config, bugs bca.Bugs, seed 
 }
 
 // checkObserverMatchesCompare asserts the streaming reports — against a
-// recording, and against a Live reference stepped in lockstep — are
-// JSON-identical to the legacy VCD round-trip report for the given scenario,
-// and returns that report.
+// recording, and against a Live reference stepped in lockstep — and Compare
+// over the two views' text VCD dumps are JSON-identical to the per-cycle
+// walk over those dumps for the given scenario, and returns that report.
 func checkObserverMatchesCompare(t *testing.T, cfg nodespec.Config, bugs bca.Bugs, seed int64, rtlCycles, bcaCycles int) *Report {
 	t.Helper()
 	fr, rec, _ := runViewObserved(t, cfg, nil, seed, rtlCycles, nil)
 	fb, _, obs := runViewObserved(t, cfg, &bugs, seed, bcaCycles, rec)
 
-	want, err := Compare(fr, fb, nil)
+	want, err := compareEachCycle(fr, fb, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compared, err := Compare(fr, fb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +151,14 @@ func checkObserverMatchesCompare(t *testing.T, cfg nodespec.Config, bugs bca.Bug
 	}{
 		{"recorded", obs.Report()},
 		{"live", runLockstepObserved(t, cfg, bugs, seed, rtlCycles, bcaCycles).Report()},
+		{"Compare", compared},
 	} {
 		gj, _ := json.Marshal(c.got)
 		if !bytes.Equal(wj, gj) {
-			t.Errorf("%s observer report differs from legacy Compare:\n legacy: %s\nstream: %s", c.name, wj, gj)
+			t.Errorf("%s report differs from the per-cycle walk:\n  walk: %s\n%6s: %s", c.name, wj, c.name, gj)
 		}
 		if c.got.String() != want.String() {
-			t.Errorf("%s: rendered reports differ:\n--- legacy ---\n%s--- stream ---\n%s", c.name, want.String(), c.got.String())
+			t.Errorf("%s: rendered reports differ:\n--- walk ---\n%s--- %s ---\n%s", c.name, want.String(), c.name, c.got.String())
 		}
 	}
 	return want

@@ -8,7 +8,6 @@ package stba
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -117,81 +116,6 @@ func (r *Report) String() string {
 	return sb.String()
 }
 
-// DiscoverPorts finds STBus port prefixes in a dump: every scope that
-// contains both a "req" and a "gnt" wire.
-func DiscoverPorts(f *vcd.File) []string {
-	seen := map[string]int{}
-	discoverInto(f, seen)
-	return portsFrom(seen)
-}
-
-// DiscoverPortsUnion finds STBus port prefixes over the union of both dumps,
-// so a port present in only one of them is still discovered (and then
-// reported as one-sided by Compare, instead of silently ignored).
-func DiscoverPortsUnion(a, b *vcd.File) []string {
-	seen := map[string]int{}
-	discoverInto(a, seen)
-	discoverInto(b, seen)
-	return portsFrom(seen)
-}
-
-func discoverInto(f *vcd.File, seen map[string]int) {
-	for _, v := range f.Vars {
-		dot := strings.LastIndexByte(v.Name, '.')
-		if dot < 0 {
-			continue
-		}
-		prefix, leaf := v.Name[:dot], v.Name[dot+1:]
-		if leaf == "req" {
-			seen[prefix] |= 1
-		}
-		if leaf == "gnt" {
-			seen[prefix] |= 2
-		}
-	}
-}
-
-func portsFrom(seen map[string]int) []string {
-	var ports []string
-	for p, mask := range seen {
-		if mask == 3 {
-			ports = append(ports, p)
-		}
-	}
-	sort.Strings(ports)
-	return ports
-}
-
-// portSignals returns the sorted union of signal names under port across
-// both dumps, erroring on a signal present in only one of them.
-func portSignals(a, b *vcd.File, port string) ([]string, error) {
-	seen := map[string]bool{}
-	for _, f := range []*vcd.File{a, b} {
-		for _, v := range f.Vars {
-			if strings.HasPrefix(v.Name, port+".") {
-				seen[v.Name] = true
-			}
-		}
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if a.VarIndex(n) < 0 {
-			return nil, fmt.Errorf("stba: signal %q missing from first dump", n)
-		}
-		if b.VarIndex(n) < 0 {
-			return nil, fmt.Errorf("stba: signal %q missing from second dump", n)
-		}
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("stba: port %q has no signals", port)
-	}
-	return names, nil
-}
-
 // compareWindow returns the per-dump cycle counts and the shared window both
 // dumps cover; the span beyond the shared window counts as misaligned.
 func compareWindow(ca, cb uint64) (shared, span uint64) {
@@ -207,88 +131,24 @@ func compareWindow(ca, cb uint64) (shared, span uint64) {
 // denominator is the longer dump's cycle count: cycles only one dump covers
 // are charged as misaligned, so a model that stops early fails sign-off.
 func Compare(a, b *vcd.File, ports []string) (*Report, error) {
-	if ports == nil {
-		ports = DiscoverPortsUnion(a, b)
-	}
-	if len(ports) == 0 {
-		return nil, fmt.Errorf("stba: no STBus ports found")
-	}
-	ca, cb := a.Cycles(), b.Cycles()
-	shared, span := compareWindow(ca, cb)
-	rep := &Report{}
-	for _, port := range ports {
-		names, err := portSignals(a, b, port)
-		if err != nil {
-			return nil, err
-		}
-		pairs := make([][2]int, len(names))
-		for i, n := range names {
-			pairs[i] = [2]int{a.VarIndex(n), b.VarIndex(n)}
-		}
-		pa := PortAlignment{
-			Port: port, Signals: len(pairs),
-			Cycles: span, CyclesA: ca, CyclesB: cb,
-			FirstDivergence: -1,
-		}
-		forEachRun(a, b, pairs, shared, func(cyc, run uint64) {
-			time := cyc * vcd.TimePerCycle
-			ok := true
-			for i, pr := range pairs {
-				if !a.ValueAt(pr[0], time).Equal(b.ValueAt(pr[1], time)) {
-					ok = false
-					if pa.FirstDivergence < 0 {
-						pa.FirstDiverging = append(pa.FirstDiverging, names[i])
-						continue
-					}
-					break
-				}
-			}
-			if ok {
-				pa.Aligned += run
-			} else if pa.FirstDivergence < 0 {
-				pa.FirstDivergence = int64(cyc)
-			}
-		})
-		if shared < span && pa.FirstDivergence < 0 {
-			pa.FirstDivergence = int64(shared)
-		}
-		rep.Ports = append(rep.Ports, pa)
-	}
-	return rep, nil
+	return compareDumps(a, b, ports, false)
 }
 
-// forEachRun splits the cycles [0, shared) into runs over which none of the
-// signal pairs (a's variable, b's variable) changes in either dump, and
-// calls judge once per run, in cycle order, with its first cycle and its
-// length. Every cycle of a run samples the same values, so the work follows
-// the dumps' changes, not their length.
-func forEachRun(a, b *vcd.File, pairs [][2]int, shared uint64, judge func(cyc, n uint64)) {
-	starts := []uint64{0}
-	add := func(changes []vcd.Change) {
-		for _, ch := range changes {
-			// A change is first sampled at the cycle boundary at or after it.
-			cyc := ch.Time / vcd.TimePerCycle
-			if ch.Time%vcd.TimePerCycle != 0 {
-				cyc++
-			}
-			if cyc < shared {
-				starts = append(starts, cyc)
-			}
-		}
+// compareDumps steps the comparator over two parsed dumps, each read as a
+// recording, at cycle 0 and at each cycle below the shared window where
+// either dump changes: between those cycles no value changes, so no
+// verdict does, and the work follows the dumps' changes, not their length.
+func compareDumps(a, b *vcd.File, ports []string, bySignal bool) (*Report, error) {
+	ra, rb := newRecorded(a.Recording()), newRecorded(b.Recording())
+	obs, err := newComparator(ra, rb, ports, bySignal)
+	if err != nil {
+		return nil, err
 	}
-	for _, pr := range pairs {
-		add(a.Changes[pr[0]])
-		add(b.Changes[pr[1]])
+	shared, _ := compareWindow(ra.cycles(), rb.cycles())
+	for cyc := uint64(0); cyc < shared; cyc = rb.next(ra.next(shared)) {
+		obs.step(cyc)
 	}
-	slices.Sort(starts)
-	starts = slices.Compact(starts)
-	for i, cyc := range starts {
-		end := shared
-		if i+1 < len(starts) {
-			end = starts[i+1]
-		}
-		judge(cyc, end-cyc)
-	}
+	return obs.Report(), nil
 }
 
 // SignalRate is the alignment rate of one signal across a comparison.
@@ -311,21 +171,13 @@ func (sr SignalRate) Rate() float64 {
 // Compare, the denominator spans the longer dump; the uncovered tail counts
 // as misaligned for every signal.
 func SignalRates(a, b *vcd.File, port string) ([]SignalRate, error) {
-	shared, span := compareWindow(a.Cycles(), b.Cycles())
-	names, err := portSignals(a, b, port)
+	rep, err := compareDumps(a, b, []string{port}, true)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SignalRate, 0, len(names))
-	for _, n := range names {
-		ai, bi := a.VarIndex(n), b.VarIndex(n)
-		sr := SignalRate{Signal: n, Cycles: span}
-		forEachRun(a, b, [][2]int{{ai, bi}}, shared, func(cyc, run uint64) {
-			if time := cyc * vcd.TimePerCycle; a.ValueAt(ai, time).Equal(b.ValueAt(bi, time)) {
-				sr.Aligned += run
-			}
-		})
-		out = append(out, sr)
+	out := make([]SignalRate, 0, len(rep.Ports))
+	for _, p := range rep.Ports {
+		out = append(out, SignalRate{Signal: p.Port, Cycles: p.Cycles, Aligned: p.Aligned})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Rate() < out[j].Rate() })
 	return out, nil

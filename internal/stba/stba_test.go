@@ -120,9 +120,24 @@ func TestAlignmentDropsWithBug(t *testing.T) {
 	}
 }
 
+// comparedPorts returns the ports Compare discovers when it compares f with
+// itself.
+func comparedPorts(t *testing.T, f *vcd.File) []string {
+	t.Helper()
+	rep, err := Compare(f, f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ports []string
+	for _, p := range rep.Ports {
+		ports = append(ports, p.Port)
+	}
+	return ports
+}
+
 func TestDiscoverPorts(t *testing.T) {
 	f := runView(t, nodeCfg(), nil, 9, 200)
-	ports := DiscoverPorts(f)
+	ports := comparedPorts(t, f)
 	want := []string{"node.init0", "node.init1", "node.tgt0", "node.tgt1"}
 	if len(ports) != len(want) {
 		t.Fatalf("ports = %v", ports)
@@ -343,23 +358,21 @@ $dumpvars
 0$
 $end
 `)
-	if got := DiscoverPorts(onePort); len(got) != 1 || got[0] != "p" {
-		t.Fatalf("DiscoverPorts = %v", got)
+	if got := comparedPorts(t, onePort); len(got) != 1 || got[0] != "p" {
+		t.Fatalf("ports of onePort = %v", got)
 	}
-	for _, pair := range [][2]*vcd.File{{onePort, twoPorts}, {twoPorts, onePort}} {
-		got := DiscoverPortsUnion(pair[0], pair[1])
-		if len(got) != 2 || got[0] != "p" || got[1] != "q" {
-			t.Fatalf("DiscoverPortsUnion = %v, want [p q]", got)
-		}
+	if got := comparedPorts(t, twoPorts); len(got) != 2 || got[0] != "p" || got[1] != "q" {
+		t.Fatalf("ports of twoPorts = %v, want [p q]", got)
 	}
-	// With nil ports, Compare now discovers q from the second dump and must
-	// report it as one-sided instead of silently comparing only p.
+	// With nil ports, Compare discovers over both dumps: it finds q in
+	// either one and must report it as one-sided instead of silently
+	// comparing only p.
 	if _, err := Compare(onePort, twoPorts, nil); err == nil ||
-		!strings.Contains(err.Error(), "missing from first dump") {
+		!strings.Contains(err.Error(), `"q.gnt" missing from first dump`) {
 		t.Errorf("port only in second dump: err = %v", err)
 	}
 	if _, err := Compare(twoPorts, onePort, nil); err == nil ||
-		!strings.Contains(err.Error(), "missing from second dump") {
+		!strings.Contains(err.Error(), `"q.gnt" missing from second dump`) {
 		t.Errorf("port only in first dump: err = %v", err)
 	}
 	// An extra signal on a shared port is one-sided in either direction.

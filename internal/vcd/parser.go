@@ -73,7 +73,12 @@ func Parse(r io.Reader) (*File, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
 	f := &File{byName: map[string]int{}}
+	// codeIdx maps each identifier code to the first variable declared with
+	// it. Several $vars may share a code (a simulator aliases a port and the
+	// net it drives this way) and a change to the code changes each of them,
+	// so the others share the first one's changes (aliasOf).
 	codeIdx := map[string]int{}
+	var aliasOf []int
 	var scopes []string
 	time := uint64(0)
 	inDefs := true
@@ -147,7 +152,12 @@ func Parse(r io.Reader) (*File, error) {
 			}
 			name := joinScope(body[3])
 			v := Var{Name: name, Width: w, Code: body[2]}
-			codeIdx[v.Code] = len(f.Vars)
+			first, ok := codeIdx[v.Code]
+			if !ok {
+				first = len(f.Vars)
+				codeIdx[v.Code] = first
+			}
+			aliasOf = append(aliasOf, first)
 			f.byName[name] = len(f.Vars)
 			f.Vars = append(f.Vars, v)
 			f.Changes = append(f.Changes, nil)
@@ -204,6 +214,12 @@ func Parse(r io.Reader) (*File, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	for i, first := range aliasOf {
+		if first != i {
+			ch := f.Changes[first]
+			f.Changes[i] = ch[:len(ch):len(ch)] // capped: an append never shows in another
+		}
 	}
 	return f, nil
 }

@@ -1,6 +1,7 @@
 package vcd
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -20,11 +21,11 @@ import (
 // values or the byte-identical text VCD on demand.
 
 // streamChange is one recorded value change: signal sig (declare index) took
-// a new value at the end of clock cycle cycle. The value of a signal at most
-// 64 bits wide is lo itself and wide is -1; a wider signal's value is
-// Recording.wide[wide]. Keeping the common case out of a full sim.Bits
-// makes a change 24 bytes instead of 48. The stream is ordered by (cycle,
-// sig), exactly the order Writer would have emitted the change in.
+// a new value at the end of clock cycle cycle. A value that fits in 64 bits
+// is lo itself and wide is -1; a wider value is Recording.wide[wide].
+// Keeping the common case out of a full sim.Bits makes a change 24 bytes
+// instead of 48. The stream is ordered by (cycle, sig), exactly the order
+// Writer would have emitted the change in.
 type streamChange struct {
 	cycle uint64
 	lo    uint64
@@ -65,10 +66,8 @@ func (rec *Recording) SignalIndex(name string) int {
 
 // add appends a change of signal sig to v at the end of the given cycle.
 func (rec *Recording) add(cycle uint64, sig int32, v sim.Bits) {
-	ch := streamChange{cycle: cycle, sig: sig, wide: -1}
-	if rec.widths[sig] <= 64 {
-		ch.lo = v.Uint64()
-	} else {
+	ch := streamChange{cycle: cycle, lo: v.Uint64(), sig: sig, wide: -1}
+	if v != sim.B64(ch.lo) {
 		ch.wide = int32(len(rec.wide))
 		rec.wide = append(rec.wide, v)
 	}
@@ -244,6 +243,16 @@ func (c *Cursor) AdvanceTo(cycle uint64) []int32 {
 	}
 	c.pos, c.changed = pos, changed
 	return changed
+}
+
+// Next returns the cycle of the first change AdvanceTo has not applied yet,
+// and false once every change is applied: until that cycle, no value the
+// cursor reads changes.
+func (c *Cursor) Next() (uint64, bool) {
+	if c.pos == c.rec.stream.n {
+		return 0, false
+	}
+	return c.rec.stream.at(c.pos).cycle, true
 }
 
 // Value returns signal i's value at the cursor's current cycle.
@@ -452,7 +461,8 @@ func vcdIdent(s string) bool {
 
 // File converts the recording into the parsed-dump representation, so every
 // consumer of a text VCD — Compare, SignalRates, transaction extraction,
-// vcdcat — works on a recording without any text round trip.
+// vcdcat — works on a recording without any text round trip. File.Recording
+// is its inverse.
 func (rec *Recording) File() *File {
 	f := &File{
 		Timescale: "1ns",
@@ -470,6 +480,58 @@ func (rec *Recording) File() *File {
 		f.Changes[ch.sig] = append(f.Changes[ch.sig], Change{Time: ch.cycle * TimePerCycle, Value: rec.value(ch)})
 	}
 	return f
+}
+
+// Recording converts the parsed dump into the recording it samples as, the
+// inverse of Recording.File: each change takes effect at the first cycle
+// boundary at or after its time, only the last change of a variable per
+// cycle is kept, changes past the dump's last cycle are dropped, and the
+// rest are ordered by (cycle, variable). The recording covers as many
+// cycles as the dump, so a Cursor reads at each cycle what ValueAt reads at
+// that cycle's time.
+func (f *File) Recording() *Recording {
+	last := f.EndTime / TimePerCycle
+	rec := &Recording{module: f.TopModule, endCycle: last, samples: last + 1, byName: map[string]int{}}
+	n := 0
+	for _, chs := range f.Changes {
+		n += len(chs)
+	}
+	// change k of variable sig takes effect at cycle.
+	type change struct {
+		cycle  uint64
+		sig, k int32
+	}
+	stream := make([]change, 0, n)
+	for i, v := range f.Vars {
+		rec.byName[v.Name] = i
+		rec.names = append(rec.names, v.Name)
+		rec.widths = append(rec.widths, v.Width)
+		from := len(stream)
+		for k, ch := range f.Changes[i] {
+			cyc := ch.Time / TimePerCycle
+			if ch.Time%TimePerCycle != 0 {
+				cyc++
+			}
+			if cyc > last {
+				break
+			}
+			if j := len(stream) - 1; j >= from && stream[j].cycle == cyc {
+				stream[j].k = int32(k)
+				continue
+			}
+			stream = append(stream, change{cyc, int32(i), int32(k)})
+		}
+	}
+	slices.SortFunc(stream, func(a, b change) int {
+		if a.cycle != b.cycle {
+			return cmp.Compare(a.cycle, b.cycle)
+		}
+		return cmp.Compare(a.sig, b.sig)
+	})
+	for _, ch := range stream {
+		rec.add(ch.cycle, ch.sig, f.Changes[ch.sig][ch.k].Value)
+	}
+	return rec
 }
 
 // VCD re-serves the recording as a text VCD stream, byte-identical to what a

@@ -16,7 +16,8 @@ import (
 // waveform the engine writes. Decoding must never panic, must never allocate
 // far beyond the input's own size whatever its length prefixes claim, every
 // input it accepts must re-encode to exactly the same bytes, and the text VCD
-// it re-serves must parse back to the recording's own File.
+// it re-serves must parse back to the recording's own File, which converts
+// back to a recording that re-serves the same text over the same cycles.
 func FuzzDecodeRecording(f *testing.F) {
 	tc, err := testcases.ByName("basic_write_read")
 	if err != nil {
@@ -58,6 +59,10 @@ func FuzzDecodeRecording(f *testing.F) {
 		}
 		if d := fileDiff(parsed, rec.File()); d != "" {
 			t.Fatalf("parsed VCD differs from File(): %s", d)
+		}
+		back := rec.File().Recording()
+		if !bytes.Equal(back.VCD(), rec.VCD()) || back.Cycles() != rec.Cycles() {
+			t.Fatalf("File().Recording() is not the recording back: %d cycles, want %d", back.Cycles(), rec.Cycles())
 		}
 	})
 }

@@ -3,6 +3,7 @@ package vcd
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"crve/internal/sim"
@@ -170,6 +171,47 @@ func TestCursorStreamsValues(t *testing.T) {
 		if got := rec.ValueAt(ci, cyc).Uint64(); got != cyc+1 {
 			t.Errorf("ValueAt(cnt, %d) = %d, want %d", cyc, got, cyc+1)
 		}
+	}
+}
+
+// TestFileRecordingSamplesTheDump converts parsed dumps to recordings: a
+// recorder's own recording comes back whole, and a hand-written dump's
+// changes take effect at the first cycle boundary at or after their time,
+// the last one per cycle wins, and a change past the dump's last cycle is
+// dropped — so a cursor reads at each cycle what ValueAt reads at its time,
+// and Next names the cycles at which the values change.
+func TestFileRecordingSamplesTheDump(t *testing.T) {
+	_, rec := runBoth(t, 10)
+	if back := rec.File().Recording(); !reflect.DeepEqual(back, rec) {
+		t.Errorf("File().Recording() differs from the recording:\n got %+v\nwant %+v", back, rec)
+	}
+
+	const defs = "$scope module tb $end\n$var wire 1 ! a $end\n$var wire 8 \" b $end\n$enddefinitions $end\n"
+	f, err := Parse(strings.NewReader(defs + "#0\n0!\nb1 \"\n#12\n1!\nb10 \"\n#18\nb11 \"\n#20\n0!\n#25\n1!\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := f.Recording()
+	if got.Cycles() != f.Cycles() {
+		t.Fatalf("Cycles() = %d, the dump's %d", got.Cycles(), f.Cycles())
+	}
+	cur := got.NewCursor()
+	var steps []uint64
+	for cyc := uint64(0); cyc < got.Cycles(); cyc++ {
+		cur.AdvanceTo(cyc)
+		for i := range f.Vars {
+			if g, w := cur.Value(i), f.ValueAt(i, cyc*TimePerCycle); !g.Equal(w) {
+				t.Errorf("%s at cycle %d = %v, ValueAt %v", f.Vars[i].Name, cyc, g, w)
+			}
+		}
+		if next, ok := cur.Next(); ok {
+			steps = append(steps, next)
+		}
+	}
+	// #12 and #18 land on cycle 2, #20 on cycle 2 too; #25 (cycle 3) is past
+	// the dump's last cycle, 2.
+	if want := []uint64{2, 2}; !reflect.DeepEqual(steps, want) || got.Changes() != 4 {
+		t.Errorf("Next() over cycles 0..2 = %v, want %v; %d changes, want 4", steps, want, got.Changes())
 	}
 }
 

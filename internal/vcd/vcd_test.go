@@ -196,6 +196,29 @@ func TestParseRejectsDecreasingTime(t *testing.T) {
 	}
 }
 
+// TestParseAliasedCodes pins shared identifier codes: VCD lets several
+// $vars share one code, as a simulator aliases a port and the net it drives.
+// Parse used to map the code to the last of them only, so p.req never
+// changed and stba.Compare aligned the dump with the same values under two
+// codes at 75.00 % (first divergence @1: p.req).
+func TestParseAliasedCodes(t *testing.T) {
+	const defs = "$scope module tb $end\n$scope module p $end\n$var wire 1 ! req $end\n" +
+		"$var wire 1 ! lck $end\n$var wire 4 \" gnt $end\n$var wire 4 \" r_gnt $end\n$upscope $end\n$upscope $end\n$enddefinitions $end\n"
+	f, err := Parse(strings.NewReader(defs + "#0\n0!\nb0 \"\n#10\n1!\nb101 \"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{{"p.req", 1}, {"p.lck", 1}, {"p.gnt", 5}, {"p.r_gnt", 5}} {
+		i := f.VarIndex(c.name)
+		if got := f.ValueAt(i, 10).Uint64(); got != c.want || len(f.Changes[i]) != 2 {
+			t.Errorf("%s at #10 = %d after %d changes, want %d after 2", c.name, got, len(f.Changes[i]), c.want)
+		}
+	}
+}
+
 func TestParseXZCollapse(t *testing.T) {
 	src := `$timescale 1ns $end
 $scope module tb $end
