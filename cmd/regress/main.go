@@ -19,7 +19,7 @@
 //	regress -emit ./configs            # materialise the matrix as .cfg files
 //	regress -config ./configs -close   # close coverage holes with synthesized tests
 //	regress -config node.cfg -close -plan  # report holes and planned units, run none
-//	regress -matrix -quick -kernelstats # also print the kernel profile per config/view
+//	regress -matrix -quick -kernelstats # also print the RTL kernel profile per config
 //	regress -config ./configs -fabric topo.fab  # also gate on a whole-fabric check
 //
 // The request flags and their resolution are closure.Request's, shared with

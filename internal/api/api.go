@@ -17,7 +17,7 @@
 //	GET    /jobs/{id}/report      canonical JSON report (regress -json shape)
 //	GET    /jobs/{id}/coverage    per-config functional/code coverage
 //	GET    /jobs/{id}/alignment   per-run STBA alignment reports
-//	GET    /jobs/{id}/kernelstats merged per-config/view kernel profiles
+//	GET    /jobs/{id}/kernelstats merged per-config RTL kernel profiles
 //	GET    /jobs/{id}/closure     coverage-closure trajectories
 //	GET    /jobs/{id}/waves       stored waveform unit keys
 //	GET    /jobs/{id}/wave/{unit...}  one .crw recording (config/test/seed/view)

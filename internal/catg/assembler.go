@@ -1,6 +1,8 @@
 package catg
 
 import (
+	"slices"
+
 	"crve/internal/nodespec"
 	"crve/internal/stbus"
 )
@@ -72,6 +74,22 @@ type TxAssembler struct {
 // NewTxAssembler builds an assembler for one port.
 func NewTxAssembler(cfg stbus.PortConfig, index int, initiatorSide bool, route RouteFunc) *TxAssembler {
 	return &TxAssembler{Cfg: cfg.WithDefaults(), Index: index, InitiatorSide: initiatorSide, Route: route}
+}
+
+// clone returns a copy of the assembler sharing no mutable state with a.
+// Completed transactions are shared, as nothing changes them; each pending
+// one is copied, as its response completes it in place.
+func (a *TxAssembler) clone() *TxAssembler {
+	c := *a
+	c.Completed = slices.Clone(a.Completed)
+	c.reqCells = slices.Clone(a.reqCells)
+	c.respCells = slices.Clone(a.respCells)
+	c.pending = slices.Clone(a.pending)
+	for k := range c.pending {
+		tr := *c.pending[k].tr
+		c.pending[k].tr = &tr
+	}
+	return &c
 }
 
 // ReqCell records one granted request cell at cycle cyc.

@@ -11,6 +11,25 @@ import (
 	"crve/internal/stbus"
 )
 
+// attachEnv builds the observers of node around signal-level ports,
+// initiator ports first, and registers a cycle-end hook that reads each port
+// once with SamplePort and feeds the samples to Observe.
+func attachEnv(sm *sim.Simulator, node nodespec.Config, tc TrafficConfig, ports []*stbus.Port) *Env {
+	names := make([]string, len(ports))
+	for k, p := range ports {
+		names[k] = p.Name
+	}
+	e := NewEnv(node, tc, names)
+	samples := make([]PortSample, len(ports))
+	sm.AtCycleEnd(func() {
+		for k, p := range ports {
+			samples[k] = SamplePort(p)
+		}
+		e.Observe(samples)
+	})
+	return e
+}
+
 func nodeCfg(nInit, nTgt int) nodespec.Config {
 	return nodespec.Config{
 		Port:    stbus.PortConfig{Type: stbus.Type3, DataBits: 32},
@@ -40,7 +59,7 @@ func buildBench(sm *sim.Simulator, cfg nodespec.Config, tc TrafficConfig, seed i
 	for t, p := range tgtPorts {
 		NewTargetBFM(sm, p, TargetConfig{MinLatency: 1, MaxLatency: 6, GntGapPct: 20}, seed*31+int64(t))
 	}
-	b.env = AttachEnv(sm, cfg, tc, append(append([]*stbus.Port(nil), initPorts...), tgtPorts...))
+	b.env = attachEnv(sm, cfg, tc, append(append([]*stbus.Port(nil), initPorts...), tgtPorts...))
 	b.sb, b.cov = b.env.Scoreboard, b.env.Coverage
 	return b
 }
@@ -301,7 +320,7 @@ func TestOOOCoverageBinHit(t *testing.T) {
 	b.bfms = append(b.bfms, NewInitiatorBFM(sm, n.Init[0], ops))
 	NewTargetBFM(sm, n.Tgt[0], TargetConfig{MinLatency: 25, MaxLatency: 25}, 1)
 	NewTargetBFM(sm, n.Tgt[1], TargetConfig{MinLatency: 0, MaxLatency: 0}, 2)
-	b.cov = AttachEnv(sm, cfg, tc, n.Init).Coverage
+	b.cov = attachEnv(sm, cfg, tc, n.Init).Coverage
 	b.run(t, 30000)
 	if b.cov.Group.MustItem("completion_order").Hits("reordered") == 0 {
 		t.Error("reordered bin never hit despite different-speed targets")
@@ -315,7 +334,7 @@ func TestMonitorReconstructsTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := AttachEnv(sm, cfg, TrafficConfig{}, n.Init).Asm[0]
+	mon := attachEnv(sm, cfg, TrafficConfig{}, n.Init).Asm[0]
 	NewTargetBFM(sm, n.Tgt[0], TargetConfig{MinLatency: 3, MaxLatency: 3}, 1)
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	cells, err := stbus.BuildRequest(stbus.Type3, stbus.LittleEndian, stbus.ST8, 0x1008,
@@ -352,7 +371,7 @@ func TestCheckerCleanOnDirectedTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck := AttachEnv(sm, cfg, TrafficConfig{}, n.Init).Checkers[0]
+	ck := attachEnv(sm, cfg, TrafficConfig{}, n.Init).Checkers[0]
 	NewTargetBFM(sm, n.Tgt[0], TargetConfig{}, 1)
 	ops := GenerateOps(cfg, TrafficConfig{Ops: 20}, 0, 4)
 	bfm := NewInitiatorBFM(sm, n.Init[0], ops)

@@ -2,6 +2,7 @@ package catg
 
 import (
 	"fmt"
+	"slices"
 
 	"crve/internal/nodespec"
 	"crve/internal/stbus"
@@ -75,6 +76,14 @@ type checkerPending struct {
 // target-side ports).
 func NewChecker(port string, node nodespec.Config, initiatorSide bool, route RouteFunc) *Checker {
 	return &Checker{Port: port, Node: node.WithDefaults(), InitiatorSide: initiatorSide, route: route, chunkTarget: -1}
+}
+
+// clone returns a copy of the checker sharing no mutable state with c.
+func (c *Checker) clone() *Checker {
+	d := *c
+	d.Violations = slices.Clone(c.Violations)
+	d.pending = slices.Clone(c.pending)
+	return &d
 }
 
 func (c *Checker) fail(rule, format string, args ...any) {

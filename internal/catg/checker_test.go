@@ -23,7 +23,7 @@ func (s scriptStep) sample() PortSample {
 	if s.req {
 		ps.Cell = s.cell
 	}
-	if s.rreq && s.rgnt {
+	if s.rreq {
 		ps.Resp = s.resp
 	}
 	return ps

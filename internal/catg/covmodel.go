@@ -179,6 +179,15 @@ func NewCoverageModel(node nodespec.Config, tc TrafficConfig) *CoverageModel {
 	return cm
 }
 
+// clone returns a copy of the model over a deep copy of its group, its bin
+// handles resolved again in the copy.
+func (cm *CoverageModel) clone() *CoverageModel {
+	c := *cm
+	c.Group = cm.Group.Clone()
+	c.resolveBins()
+	return &c
+}
+
 // resolveBins fills the preresolved handle tables from the declared group.
 // Counter returns nil for bins this configuration never declared, and the
 // per-opcode tables are total over the opcode byte so the sampler can index

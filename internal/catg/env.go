@@ -1,6 +1,8 @@
 package catg
 
 import (
+	"slices"
+
 	"crve/internal/nodespec"
 	"crve/internal/sim"
 	"crve/internal/stbus"
@@ -8,14 +10,17 @@ import (
 
 // PortSample is one cycle of a port as every observer sees it: the four
 // handshake lines, the request cell while req is high and the response cell
-// when a response fires. The signal bench reads it off the wires with
-// SamplePort; the ports bench (core.RunPorts) fills it from the engine's
-// function-call values.
+// while r_req is high, each field as wide as its wire. An idle channel's
+// wires read zero (stbus.Port.IdleReq and IdleResp), so a sample stands for
+// the port's wires one for one: two samples are equal exactly when the
+// wires carry equal values. The signal bench reads it off the wires with
+// SamplePort; the ports bench (core.RunPorts) builds it from the engine's
+// function-call values with Sample.
 type PortSample struct {
 	Req, Gnt, RReq, RGnt bool
 	// Cell is the request cell, set only while Req is high.
 	Cell stbus.Cell
-	// Resp is the response cell, set only when a response fires.
+	// Resp is the response cell, set only while RReq is high.
 	Resp stbus.RespCell
 }
 
@@ -32,10 +37,76 @@ func SamplePort(p *stbus.Port) PortSample {
 	if s.Req {
 		s.Cell = p.SampleCell()
 	}
-	if s.RespFire() {
+	if s.RReq {
 		s.Resp = p.SampleResp()
 	}
 	return s
+}
+
+// Sample is one cycle of a port on a port configured as cfg whose lines
+// carry these values, as SamplePort would read it off the wires: the request
+// cell only while req is high, the response cell only while rreq is high,
+// and every field masked to its wire's width, as sim.Signal.Set masks it.
+func Sample(cfg stbus.PortConfig, req, gnt bool, cell stbus.Cell, rreq, rgnt bool, resp stbus.RespCell) PortSample {
+	s := PortSample{Req: req, Gnt: gnt, RReq: rreq, RGnt: rgnt}
+	if req {
+		s.Cell = cell
+		s.Cell.Addr &= lowBits(cfg.AddrBits)
+		s.Cell.Data = cell.Data.Mask(cfg.DataBits)
+		s.Cell.BE &= lowBits(cfg.BusBytes())
+		s.Cell.Pri &= 1<<priBits - 1
+	}
+	if rreq {
+		s.Resp = resp
+		s.Resp.Data = resp.Data.Mask(cfg.DataBits)
+	}
+	return s
+}
+
+// lowBits returns a mask of the low w bits.
+func lowBits(w int) uint64 {
+	if w >= 64 {
+		return ^uint64(0)
+	}
+	return 1<<w - 1
+}
+
+// priBits is the width of a port's pri wire.
+const priBits = 4
+
+// wireNames names a port's wires in stbus.Port.Signals order.
+var wireNames = [...]string{
+	"req", "gnt", "opc", "add", "data", "be", "eop", "lck", "tid", "src", "pri",
+	"r_req", "r_gnt", "r_opc", "r_data", "r_eop", "r_tid", "r_src",
+}
+
+// NumWires is the number of wires a PortSample stands for.
+const NumWires = len(wireNames)
+
+// WireName returns the name of a port's wire i under the port's scope, in
+// stbus.Port.Signals order: the order Values writes the wires in.
+func WireName(i int) string { return wireNames[i] }
+
+// WireWidths returns the widths of a port's wires on a port configured as
+// cfg, in WireName order.
+func WireWidths(cfg stbus.PortConfig) [NumWires]int {
+	cfg = cfg.WithDefaults()
+	return [NumWires]int{1, 1, 8, cfg.AddrBits, cfg.DataBits, cfg.BusBytes(), 1, 1, 8, 8, priBits,
+		1, 1, 8, cfg.DataBits, 1, 8, 8}
+}
+
+// Values writes the value of each wire the sample stands for to v, in
+// WireName order; v holds at least NumWires values.
+func (s *PortSample) Values(v []sim.Bits) {
+	c, r := &s.Cell, &s.Resp
+	_ = v[NumWires-1]
+	v[0], v[1] = sim.BBool(s.Req), sim.BBool(s.Gnt)
+	v[2], v[3], v[4], v[5] = sim.B64(uint64(c.Opc)), sim.B64(c.Addr), c.Data, sim.B64(c.BE)
+	v[6], v[7] = sim.BBool(c.EOP), sim.BBool(c.Lck)
+	v[8], v[9], v[10] = sim.B64(uint64(c.TID)), sim.B64(uint64(c.Src)), sim.B64(uint64(c.Pri))
+	v[11], v[12] = sim.BBool(s.RReq), sim.BBool(s.RGnt)
+	v[13], v[14], v[15] = sim.B64(uint64(r.ROpc)), r.Data, sim.BBool(r.EOP)
+	v[16], v[17] = sim.B64(uint64(r.TID)), sim.B64(uint64(r.Src))
 }
 
 // Env is the observing half of the common environment around one node (the
@@ -75,23 +146,29 @@ func NewEnv(node nodespec.Config, tc TrafficConfig, names []string) *Env {
 	return e
 }
 
-// AttachEnv builds the observers of node around signal-level ports,
-// initiator ports first, and registers the one cycle-end hook that reads
-// each port once with SamplePort and feeds the samples to Observe.
-func AttachEnv(sm *sim.Simulator, node nodespec.Config, tc TrafficConfig, ports []*stbus.Port) *Env {
-	names := make([]string, len(ports))
-	for k, p := range ports {
-		names[k] = p.Name
+// Clone returns a deep copy of the env that shares no state with e: the
+// assemblers with their pending packets, the checkers, the scoreboard, the
+// latencies and the coverage model. Stepped on the samples e is stepped on,
+// the copy reports what e reports. core.RunPairCtx lets one env observe
+// both views while their samples agree, and clones it for the BCA view at
+// the first cycle they do not.
+func (e *Env) Clone() *Env {
+	c := &Env{
+		Asm:        make([]*TxAssembler, len(e.Asm)),
+		Checkers:   make([]*Checker, len(e.Checkers)),
+		Scoreboard: e.Scoreboard.clone(),
+		Coverage:   e.Coverage.clone(),
+		Latencies:  slices.Clone(e.Latencies),
+		nInit:      e.nInit,
+		cyc:        e.cyc,
 	}
-	e := NewEnv(node, tc, names)
-	samples := make([]PortSample, len(ports))
-	sm.AtCycleEnd(func() {
-		for k, p := range ports {
-			samples[k] = SamplePort(p)
-		}
-		e.Observe(samples)
-	})
-	return e
+	for k, a := range e.Asm {
+		c.Asm[k] = a.clone()
+	}
+	for k, ck := range e.Checkers {
+		c.Checkers[k] = ck.clone()
+	}
+	return c
 }
 
 // Observe consumes one cycle: one sample per port, in NewEnv's order. Each

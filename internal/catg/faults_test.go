@@ -27,7 +27,7 @@ func TestFaultRigQualifiesEveryCheckerRule(t *testing.T) {
 			tc := TrafficConfig{Ops: 8, Kinds: []stbus.OpKind{stbus.KindStore}, Sizes: []int{16}}
 			ops := GenerateOps(cfg, tc, 0, 11)
 			ops = InjectFault(ops, 2, f)
-			ck := AttachEnv(sm, cfg, tc, n.Init).Checkers[0]
+			ck := attachEnv(sm, cfg, tc, n.Init).Checkers[0]
 			NewTargetBFM(sm, n.Tgt[0], TargetConfig{MinLatency: 4, MaxLatency: 4, GntGapPct: 60}, 3)
 			bfm := NewFaultyInitiatorBFM(sm, n.Init[0], ops, f, 2)
 			// A violated protocol may wedge the DUT; run bounded.
@@ -57,7 +57,7 @@ func TestFaultRigCleanWhenNoFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := GenerateOps(cfg, TrafficConfig{Ops: 10}, 0, 4)
-	ck := AttachEnv(sm, cfg, TrafficConfig{}, n.Init).Checkers[0]
+	ck := attachEnv(sm, cfg, TrafficConfig{}, n.Init).Checkers[0]
 	NewTargetBFM(sm, n.Tgt[0], TargetConfig{MinLatency: 2, MaxLatency: 4}, 3)
 	bfm := NewFaultyInitiatorBFM(sm, n.Init[0], ops, FaultNone, 2)
 	if err := sm.RunUntil(bfm.Done, 4000); err != nil {

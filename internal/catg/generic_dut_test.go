@@ -47,7 +47,7 @@ func TestBenchAroundConverterDUT(t *testing.T) {
 	tc := TrafficConfig{Ops: 30, IdlePct: 10}
 	ops := GenerateOps(upView, tc, 0, 5)
 	bfm := NewInitiatorBFM(sm, conv.Up, ops)
-	env := AttachEnv(sm, upView, tc, []*stbus.Port{conv.Up})
+	env := attachEnv(sm, upView, tc, []*stbus.Port{conv.Up})
 	upMon, upCk, sb, cov := env.Asm[0], env.Checkers[0], env.Scoreboard, env.Coverage
 	// The downstream port speaks the T2 view, so its assembler and checker
 	// are built for that view and fed the same scoreboard.
@@ -130,7 +130,7 @@ func TestBenchAroundType1PeripheralDUT(t *testing.T) {
 		}
 	}
 	bfm := NewInitiatorBFM(sm, conv.Up, ops)
-	env := AttachEnv(sm, upView, tc, []*stbus.Port{conv.Up})
+	env := attachEnv(sm, upView, tc, []*stbus.Port{conv.Up})
 	ck, mon := env.Checkers[0], env.Asm[0]
 	if err := sm.RunUntil(bfm.Done, 10000); err != nil {
 		t.Fatal(err)

@@ -128,7 +128,7 @@ func TestBFMAgainstRealNodeIsLossless(t *testing.T) {
 	for i, p := range n.Init {
 		bfms = append(bfms, NewInitiatorBFM(sm, p, GenerateOps(cfg, TrafficConfig{Ops: 20}, i, 6)))
 	}
-	mons := AttachEnv(sm, cfg, TrafficConfig{}, n.Init).Asm
+	mons := attachEnv(sm, cfg, TrafficConfig{}, n.Init).Asm
 	for tg, p := range n.Tgt {
 		NewTargetBFM(sm, p, TargetConfig{MinLatency: 1, MaxLatency: 4}, int64(tg))
 	}

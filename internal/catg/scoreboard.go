@@ -3,6 +3,7 @@ package catg
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"crve/internal/nodespec"
 	"crve/internal/stbus"
@@ -31,6 +32,15 @@ type Scoreboard struct {
 func NewScoreboard(node nodespec.Config) *Scoreboard {
 	node = node.WithDefaults()
 	return &Scoreboard{Node: node, progRegs: node.DefaultPriorities()}
+}
+
+// clone returns a copy of the scoreboard sharing no mutable state with s.
+func (s *Scoreboard) clone() *Scoreboard {
+	c := *s
+	c.initTxs = slices.Clone(s.initTxs)
+	c.tgtTxs = slices.Clone(s.tgtTxs)
+	c.progRegs = slices.Clone(s.progRegs)
+	return &c
 }
 
 // AddInitiatorTransaction feeds one completed initiator-side transaction.

@@ -5,18 +5,20 @@
 //
 //	DUT (RTL or BCA)  ←→  CATG bench  →  reports (+ waveform recordings)
 //
-// RunTest executes one (test file, seed) pair against one view; RunPair
-// executes the same pair against both views in lockstep, streams the STBus
-// Analyzer comparison across them cycle by cycle (waveforms are opt-in
-// artifacts, not the comparison medium) and checks functional-coverage
-// equality — the full flow of the paper's Figures 4 and 5. RunPorts runs
-// the BCA engine in the same environment through function calls, the
-// "ports approach" of the paper's Section 6.
+// RunTest executes one (test file, seed) pair against one view; RunPorts
+// runs the BCA engine in the same environment through function calls, the
+// "ports approach" of the paper's Section 6. RunPair executes the same pair
+// against both views in lockstep — the RTL view on the signal kernel, the
+// BCA view on the ports bench — streams the STBus Analyzer comparison of
+// their port samples cycle by cycle (waveforms are opt-in artifacts, not
+// the comparison medium) and checks functional-coverage equality — the
+// full flow of the paper's Figures 4 and 5.
 package core
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"crve/internal/bca"
 	"crve/internal/catg"
@@ -35,7 +37,8 @@ type View int
 const (
 	// RTLView is the synthesisable signal-level model.
 	RTLView View = iota
-	// BCAView is the bus-cycle-accurate model wrapped for the common bench.
+	// BCAView is the bus-cycle-accurate model: wrapped for the common bench
+	// in a single-view run, on the ports bench in a pair.
 	BCAView
 )
 
@@ -187,21 +190,24 @@ func RunTest(cfg nodespec.Config, view View, test Test, seed int64, opt RunOptio
 }
 
 // benchInst is one fully wired bench+DUT instance and its run in progress:
-// elaboration (startView for a signal view, RunPorts for the ports bench),
-// the run loop applied one cycle per call (step) and report collection
-// (finish). RunTestCtx and RunPorts step one instance to the end;
-// RunPairCtx steps two in lockstep.
+// elaboration (startView for a signal view, startPorts for the ports
+// bench), the run loop applied one cycle per call (step) and report
+// collection (finish). Each cycle the clock leaves one sample per port in
+// samples. RunTestCtx and RunPorts step one instance to the end, its env
+// observing every sample (run); RunPairCtx steps two in lockstep and
+// decides which env observes what.
 type benchInst struct {
-	ctx    context.Context
-	clk    clock
-	sm     *sim.Simulator // the signal kernel; nil on the ports bench
-	dut    DUT
-	res    *RunResult
-	env    *catg.Env
-	sched  catg.Schedule
-	rc     *vcd.Recorder
-	obs    *stba.Observer
-	kstats bool // collect the kernel profile
+	ctx     context.Context
+	clk     clock
+	sm      *sim.Simulator // the signal kernel; nil on the ports bench
+	res     *RunResult
+	env     *catg.Env
+	samples []catg.PortSample // the last cycle run, initiator ports first
+	names   []string          // the ports' names, in samples' order
+	sched   catg.Schedule
+	rc      *vcd.Recorder
+	obs     *stba.Observer
+	kstats  bool // collect the kernel profile
 
 	// Run state: drain checks made (the context is polled every 64th), and
 	// whether and how the run ended.
@@ -210,11 +216,30 @@ type benchInst struct {
 	err     error
 }
 
-// clock runs a bench one cycle per Step: a signal kernel, whose cycle-end
-// hook feeds the observers, or the ports bench, which feeds them itself.
+// clock runs a bench one cycle per Step, after which the bench's samples
+// hold the cycle's port samples: a signal kernel (kernelClock), or the
+// ports bench.
 type clock interface {
 	Step() error
 	Cycle() uint64
+}
+
+// kernelClock runs a signal view one kernel cycle per Step and then reads
+// each DUT port once with catg.SamplePort.
+type kernelClock struct {
+	*sim.Simulator
+	ports   []*stbus.Port
+	samples []catg.PortSample
+}
+
+func (k kernelClock) Step() error {
+	if err := k.Simulator.Step(); err != nil {
+		return err
+	}
+	for i, p := range k.ports {
+		k.samples[i] = catg.SamplePort(p)
+	}
+	return nil
 }
 
 // trafficOps generates every initiator's operation stream for (test, seed).
@@ -229,20 +254,19 @@ func trafficOps(cfg nodespec.Config, test Test, seed int64) [][]catg.Op {
 
 // startView builds a fresh simulator for the requested view and wires the
 // common environment around the DUT: BFMs driven by ops, the observers of
-// catg.Env behind one sampling hook, and whichever waveform/alignment taps
-// the options request. cfg must already have its defaults applied.
+// catg.Env and whichever waveform/alignment taps the options request. cfg
+// must already have its defaults applied.
 func startView(ctx context.Context, cfg nodespec.Config, view View, test Test, seed int64, opt RunOptions, ops [][]catg.Op) (*benchInst, error) {
 	sm := sim.New()
 	sm.Timing = opt.KernelStats
 	b := &benchInst{
-		ctx: ctx, clk: sm, sm: sm, kstats: opt.KernelStats,
+		ctx: ctx, sm: sm, kstats: opt.KernelStats,
 		res: &RunResult{RunRecord: RunRecord{Test: test.Name, Seed: seed, View: view}, DUTIn: cfg},
 	}
 	dut, err := BuildDUT(sim.Root(sm), cfg, view, opt.Bugs)
 	if err != nil {
 		return nil, err
 	}
-	b.dut = dut
 	b.res.CodeCov = dut.CodeCoverage()
 
 	var bfms []*catg.InitiatorBFM
@@ -253,10 +277,16 @@ func startView(ctx context.Context, cfg nodespec.Config, view View, test Test, s
 		catg.NewTargetBFM(sm, p, test.targetFor(cfg, tg), catg.TargetSeed(seed, tg))
 	}
 	b.sched = catg.NewSchedule(test.MaxCycles, ops, bfms)
-	b.env = catg.AttachEnv(sm, cfg, test.trafficFor(cfg, 0), ports(dut))
+	ps := ports(dut)
+	b.samples = make([]catg.PortSample, len(ps))
+	b.clk = kernelClock{sm, ps, b.samples}
+	for _, p := range ps {
+		b.names = append(b.names, p.Name)
+	}
+	b.env = catg.NewEnv(cfg, test.trafficFor(cfg, 0), b.names)
 	var sigs []*sim.Signal
 	if opt.RecordWave || opt.AlignWith != nil {
-		sigs = portSignals(dut)
+		sigs = portSignals(ps)
 	}
 	if opt.RecordWave {
 		b.rc = vcd.NewRecorder("tb")
@@ -280,11 +310,11 @@ func ports(d DUT) []*stbus.Port {
 	return append(append([]*stbus.Port(nil), d.InitPorts()...), d.TgtPorts()...)
 }
 
-// portSignals returns the DUT's port signals in port order: what the
+// portSignals returns the signals of ports in port order: what the
 // waveform and alignment taps trace.
-func portSignals(d DUT) []*sim.Signal {
+func portSignals(ports []*stbus.Port) []*sim.Signal {
 	var sigs []*sim.Signal
-	for _, p := range ports(d) {
+	for _, p := range ports {
 		sigs = append(sigs, p.Signals()...)
 	}
 	return sigs
@@ -321,7 +351,17 @@ func (b *benchInst) step() bool {
 	return true
 }
 
-// finish finalises the report of a stopped run from the bench observers.
+// run steps the instance to the end, its env observing every cycle, and
+// returns its report.
+func (b *benchInst) run() (*RunResult, error) {
+	for b.step() {
+		b.env.Observe(b.samples)
+	}
+	return b.finish()
+}
+
+// finish finalises the report of a stopped run from the bench observers; a
+// bench with no env of its own leaves the observers' reports to its caller.
 func (b *benchInst) finish() (*RunResult, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -329,11 +369,13 @@ func (b *benchInst) finish() (*RunResult, error) {
 	res := b.res
 	res.Cycles = b.clk.Cycle()
 	res.Drained = b.sched.Drained
-	res.Transactions = b.env.Transactions()
-	res.Latencies = b.env.Latencies
-	res.Violations = b.env.Violations()
-	res.ScoreErrors = b.env.Scoreboard.Check()
-	res.Coverage = b.env.Coverage.Group
+	if b.env != nil {
+		res.Transactions = b.env.Transactions()
+		res.Latencies = b.env.Latencies
+		res.Violations = b.env.Violations()
+		res.ScoreErrors = b.env.Scoreboard.Check()
+		res.Coverage = b.env.Coverage.Group
+	}
 	if b.rc != nil {
 		res.Wave = b.rc.Recording()
 	}
@@ -355,9 +397,7 @@ func RunTestCtx(ctx context.Context, cfg nodespec.Config, view View, test Test, 
 	if err != nil {
 		return nil, err
 	}
-	for b.step() {
-	}
-	return b.finish()
+	return b.run()
 }
 
 // PairResult is the outcome of running the same (test, seed) on both views
@@ -384,11 +424,13 @@ func RunPair(cfg nodespec.Config, test Test, seed int64, bugs bca.Bugs) (*PairRe
 	return RunPairOpt(cfg, test, seed, RunOptions{Bugs: bugs})
 }
 
-// RunPairOpt is RunPair with full run options. The two views run in lockstep
-// and the bus-accurate comparison streams: an online observer on the BCA
-// view compares its ports with the RTL view's at every cycle, so no waveform
-// is recorded — RecordWave is honoured as given, purely as an artifact
-// request.
+// RunPairOpt is RunPair with full run options. The RTL view runs on the
+// signal kernel and the BCA view on the ports bench (RunPorts), in lockstep.
+// Each cycle both views give one sample per port, and one comparison of
+// the two sample vectors feeds the bus-accurate comparison and the
+// observers; no waveform is recorded for it, and RecordWave is honoured as
+// given, purely as an artifact request. KernelStats profiles the RTL view,
+// the only one on a kernel.
 func RunPairOpt(cfg nodespec.Config, test Test, seed int64, opt RunOptions) (*PairResult, error) {
 	return RunPairCtx(context.Background(), cfg, test, seed, opt)
 }
@@ -396,46 +438,64 @@ func RunPairOpt(cfg nodespec.Config, test Test, seed int64, opt RunOptions) (*Pa
 // RunPairCtx is RunPairOpt under a cancellation context, threaded through
 // both view runs. Both views' initiators replay the same generated traffic.
 // Errors come back as if the views ran one after the other: an RTL error
-// first, then a BCA one.
+// first, then a BCA one. (Both views validate the configuration alike, so
+// the BCA view fails to elaborate only where the RTL view already has.)
+//
+// Each round runs one RTL kernel cycle, then one ports-bench cycle, and
+// stba.Judge compares the two views' samples. While every sample agrees,
+// only the RTL view's catg.Env observes: the BCA view's would see the same
+// samples and reach the same state. At the first cycle they differ, or once
+// one view has stopped while the other runs, a clone of the RTL env becomes
+// the BCA view's, and from then on each env observes its own view. A BCA
+// view that never left the RTL view's samples reports copies of the RTL
+// env's reports.
 func RunPairCtx(ctx context.Context, cfg nodespec.Config, test Test, seed int64, opt RunOptions) (*PairResult, error) {
 	cfg = cfg.WithDefaults()
 	ops := trafficOps(cfg, test, seed)
-	viewOpt := RunOptions{RecordWave: opt.RecordWave, KernelStats: opt.KernelStats, Bugs: opt.Bugs}
-	r, err := startView(ctx, cfg, RTLView, test, seed, viewOpt, ops)
+	r, err := startView(ctx, cfg, RTLView, test, seed, RunOptions{RecordWave: opt.RecordWave, KernelStats: opt.KernelStats}, ops)
 	if err != nil {
 		return nil, fmt.Errorf("core: RTL run: %w", err)
 	}
-	ref := stba.NewLive(portSignals(r.dut))
-	ref.Attach(r.sm)
-	b, berr := startView(ctx, cfg, BCAView, test, seed, viewOpt, ops)
-	var obs *stba.Observer
-	if berr == nil {
-		obs, berr = stba.NewLiveObserver(ref, portSignals(b.dut))
-	}
-	if berr == nil {
-		obs.Attach(b.sm)
+	b, err := startPorts(ctx, cfg, test, seed, opt.Bugs, ops, opt.RecordWave)
+	if err != nil {
+		return nil, fmt.Errorf("core: BCA run: %w", err)
 	}
 
-	// Each round runs one RTL cycle, then one BCA cycle, so the observer
-	// compares the views at the same cycle. A BCA that fails still lets the
-	// RTL view finish, because the RTL error is reported first.
-	bcaOn := berr == nil
-	for rtlOn := true; (rtlOn || bcaOn) && r.err == nil; {
-		rtlOn = r.step()
+	judge := stba.NewJudge(r.names)
+	split := false // the BCA view observes through its own env
+	for rtlOn, bcaOn := true, true; r.err == nil; {
+		rtlOn = rtlOn && r.step()
 		bcaOn = bcaOn && b.step()
+		if !rtlOn && !bcaOn {
+			break
+		}
+		agree := judge.Step(r.samples, b.samples, rtlOn, bcaOn)
+		if !split && !(agree && rtlOn && bcaOn) {
+			b.env, split = r.env.Clone(), true
+		}
+		if rtlOn {
+			r.env.Observe(r.samples)
+		}
+		if split && bcaOn {
+			b.env.Observe(b.samples)
+		}
 	}
 	rres, err := r.finish()
 	if err != nil {
 		return nil, fmt.Errorf("core: RTL run: %w", err)
 	}
-	if berr != nil {
-		return nil, fmt.Errorf("core: BCA run: %w", berr)
-	}
 	bres, err := b.finish()
 	if err != nil {
 		return nil, fmt.Errorf("core: BCA run: %w", err)
 	}
-	pr := &PairResult{RTL: rres, BCA: bres, Alignment: obs.Report()}
+	if !split {
+		bres.Transactions = rres.Transactions
+		bres.Latencies = slices.Clone(rres.Latencies)
+		bres.Violations = slices.Clone(rres.Violations)
+		bres.ScoreErrors = slices.Clone(rres.ScoreErrors)
+		bres.Coverage = rres.Coverage.Clone()
+	}
+	pr := &PairResult{RTL: rres, BCA: bres, Alignment: judge.Report()}
 	pr.CoverageEqual, pr.CoverageDiff = rres.Coverage.EqualHits(bres.Coverage)
 	return pr, nil
 }

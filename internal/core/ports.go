@@ -7,7 +7,9 @@ import (
 	"crve/internal/bca"
 	"crve/internal/catg"
 	"crve/internal/nodespec"
+	"crve/internal/sim"
 	"crve/internal/stbus"
+	"crve/internal/vcd"
 )
 
 // RunPorts runs one (test, seed) against the BCA view through the paper's
@@ -19,22 +21,36 @@ import (
 // present the stimulus and target timing, the same catg.Env observes and
 // the same loop runs, so the result reports what the wrapped BCA view
 // reports, with no code coverage, waveform, alignment or kernel profile.
+// Sign-off runs the BCA half of every pair on this bench (RunPairCtx).
 func RunPorts(ctx context.Context, cfg nodespec.Config, test Test, seed int64, bugs bca.Bugs) (*RunResult, error) {
 	cfg = cfg.WithDefaults()
+	b, err := startPorts(ctx, cfg, test, seed, bugs, trafficOps(cfg, test, seed), false)
+	if err != nil {
+		return nil, err
+	}
+	b.env = catg.NewEnv(cfg, test.trafficFor(cfg, 0), b.names)
+	return b.run()
+}
+
+// startPorts builds the ports bench around the BCA engine, its initiators
+// replaying ops, with no env: RunPorts gives it one, RunPairCtx a clone of
+// the RTL view's when it needs one. record captures the port values as the
+// wrapped node's RecordWave would. cfg must already have its defaults
+// applied.
+func startPorts(ctx context.Context, cfg nodespec.Config, test Test, seed int64, bugs bca.Bugs, ops [][]catg.Op, record bool) (*benchInst, error) {
 	eng, err := bca.NewEngine(cfg, bugs)
 	if err != nil {
 		return nil, err
 	}
 	nI, nT := cfg.NumInit, cfg.NumTgt
 	p := &portsBench{
-		eng: eng, in: bca.NewInputs(cfg), prevIn: bca.NewInputs(cfg),
+		eng: eng, port: cfg.Port, in: bca.NewInputs(cfg), prevIn: bca.NewInputs(cfg),
 		cells: make([]stbus.Cell, nI), prevCells: make([]stbus.Cell, nI),
 		offers: make([]stbus.RespCell, nT), prevOffers: make([]stbus.RespCell, nT),
 		samples: make([]catg.PortSample, nI+nT),
 	}
-	// The observers take the wrapped node's port names, so the reports name
+	// The ports take the wrapped node's port names, so the reports name
 	// ports as the signal bench's do.
-	ops := trafficOps(cfg, test, seed)
 	names := make([]string, 0, nI+nT)
 	for i := range ops {
 		p.inits = append(p.inits, catg.NewInitiator(ops[i]))
@@ -44,24 +60,32 @@ func RunPorts(ctx context.Context, cfg nodespec.Config, test Test, seed int64, b
 		p.tgts = append(p.tgts, catg.NewTarget(cfg.Port, test.targetFor(cfg, t), catg.TargetSeed(seed, t)))
 		names = append(names, fmt.Sprintf("%s.tgt%d", cfg.Name, t))
 	}
-	p.env = catg.NewEnv(cfg, test.trafficFor(cfg, 0), names)
-	eng.Plan(p.in)
 	b := &benchInst{
-		ctx: ctx, clk: p, env: p.env, sched: catg.NewSchedule(test.MaxCycles, ops, p.inits),
-		res: &RunResult{RunRecord: RunRecord{Test: test.Name, Seed: seed, View: BCAView}, DUTIn: cfg},
+		ctx: ctx, clk: p, samples: p.samples, names: names,
+		sched: catg.NewSchedule(test.MaxCycles, ops, p.inits),
+		res:   &RunResult{RunRecord: RunRecord{Test: test.Name, Seed: seed, View: BCAView}, DUTIn: cfg},
 	}
-	for b.step() {
+	if record {
+		b.rc = vcd.NewRecorder("tb")
+		widths := catg.WireWidths(cfg.Port)
+		for _, name := range names {
+			for w := range widths {
+				b.rc.DeclareValue(name+"."+catg.WireName(w), widths[w])
+			}
+		}
+		p.rc, p.vals = b.rc, make([]sim.Bits, len(names)*catg.NumWires)
 	}
-	return b.finish()
+	eng.Plan(p.in)
+	return b, nil
 }
 
 // portsBench is the BCA engine wired to the CATG cores through function
 // calls: the clock RunPorts steps in place of a signal kernel.
 type portsBench struct {
 	eng   *bca.Engine
+	port  stbus.PortConfig
 	inits []*catg.Initiator
 	tgts  []*catg.Target
-	env   *catg.Env
 	cycle uint64
 
 	// The function-call "wires": this cycle's harness drives (in, cells,
@@ -75,11 +99,16 @@ type portsBench struct {
 	cells, prevCells   []stbus.Cell
 	offers, prevOffers []stbus.RespCell
 	samples            []catg.PortSample
+
+	// rc records the ports' wire values, vals holding a cycle's, when the
+	// run records its waveform.
+	rc   *vcd.Recorder
+	vals []sim.Bits
 }
 
 // Step runs one cycle: the posedge (the cores step, then the engine
 // commits), the settle (the engine plans grants) and the cycle end (each
-// port's sample, as its wires would read, goes to the observers).
+// port's sample, as its wires would read).
 func (p *portsBench) Step() error {
 	p.in, p.prevIn = p.prevIn, p.in
 	p.cells, p.prevCells = p.prevCells, p.cells
@@ -103,28 +132,20 @@ func (p *portsBench) Step() error {
 	p.eng.Plan(in)
 	nI := len(p.inits)
 	for i := range p.inits {
-		p.samples[i] = sample(in.Req[i], out.Gnt[i], p.cells[i], out.InitRsp[i], in.RGnt[i], out.InitRC[i])
+		p.samples[i] = catg.Sample(p.port, in.Req[i], out.Gnt[i], p.cells[i], out.InitRsp[i], in.RGnt[i], out.InitRC[i])
 	}
 	for t := range p.tgts {
-		p.samples[nI+t] = sample(out.TgtReq[t], in.TgtGnt[t], out.TgtCell[t], in.TgtRResp[t], out.RGnt[t], p.offers[t])
+		p.samples[nI+t] = catg.Sample(p.port, out.TgtReq[t], in.TgtGnt[t], out.TgtCell[t], in.TgtRResp[t], out.RGnt[t], p.offers[t])
 	}
-	p.env.Observe(p.samples)
+	if p.rc != nil {
+		for k := range p.samples {
+			p.samples[k].Values(p.vals[k*catg.NumWires:])
+		}
+		p.rc.Values(p.cycle, p.vals)
+	}
 	p.cycle++
 	return nil
 }
 
 // Cycle returns the number of cycles run.
 func (p *portsBench) Cycle() uint64 { return p.cycle }
-
-// sample is one cycle of a port whose lines carry these values: the cells
-// only while their transfer is requested or fires, as catg.SamplePort reads.
-func sample(req, gnt bool, cell stbus.Cell, rreq, rgnt bool, resp stbus.RespCell) catg.PortSample {
-	s := catg.PortSample{Req: req, Gnt: gnt, RReq: rreq, RGnt: rgnt}
-	if req {
-		s.Cell = cell
-	}
-	if s.RespFire() {
-		s.Resp = resp
-	}
-	return s
-}

@@ -13,6 +13,7 @@ package coverage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -214,6 +215,18 @@ func (g *Group) Item(name string, bins ...string) *Item {
 	it := newItem(name, bins)
 	g.add(it)
 	return it
+}
+
+// Clone returns a deep copy of the group: the same items and bins with the
+// same hits, sharing no counter with g.
+func (g *Group) Clone() *Group {
+	c := &Group{Name: g.Name}
+	for _, it := range g.items {
+		// An item's name index maps names to positions and never changes
+		// after declaration, so the copy shares it.
+		c.add(&Item{Name: it.Name, bins: slices.Clone(it.bins), index: it.index})
+	}
+	return c
 }
 
 // Cross declares an item whose bins are the cartesian product of the bins of

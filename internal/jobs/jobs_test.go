@@ -240,6 +240,65 @@ func TestFinishedJobKeepsWhatItServes(t *testing.T) {
 	}
 }
 
+// TestFinishedJobsAreBounded drives a manager past its bound on finished
+// jobs: once a job finishes, only the newest finished ones stay served and
+// the oldest read as unknown, while queued and running jobs are never
+// dropped.
+func TestFinishedJobsAreBounded(t *testing.T) {
+	m := testManager(t, 1)
+	m.keep = 2
+	spec := Spec{Configs: []string{cfgText(t, "bound0", 2)}, Tests: []string{"basic_write_read"}, Seeds: []int64{1}}
+	var ids []string
+	for i := 0; i < 5; i++ {
+		job, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, job); st.State != Done {
+			t.Fatalf("job %s ended %s (%s), want done", job.ID, st.State, st.Error)
+		}
+		ids = append(ids, job.ID)
+	}
+	// The executor prunes right after the job turns terminal.
+	deadline := time.Now().Add(10 * time.Second)
+	for len(m.List()) > m.keep && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	for _, id := range ids[:3] {
+		if _, ok := m.Get(id); ok {
+			t.Errorf("job %s kept past the bound of %d finished jobs", id, m.keep)
+		}
+	}
+	for _, id := range ids[3:] {
+		job, ok := m.Get(id)
+		if !ok {
+			t.Fatalf("job %s, one of the %d newest, was dropped", id, m.keep)
+		}
+		if job.Report() == nil {
+			t.Errorf("job %s no longer serves its report", id)
+		}
+	}
+	if got := len(m.List()); got != m.keep {
+		t.Errorf("manager lists %d jobs, want %d", got, m.keep)
+	}
+
+	// Queued and running jobs survive a prune over them, however many
+	// finished jobs precede them.
+	states := []State{Done, Running, Failed, Queued, Cancelled, Done}
+	p := &Manager{jobs: map[string]*Job{}, keep: 1}
+	for k, st := range states {
+		id := fmt.Sprintf("p%d", k)
+		p.jobs[id], p.order = &Job{ID: id, state: st}, append(p.order, id)
+	}
+	p.prune()
+	if got, want := strings.Join(p.order, ","), "p1,p3,p5"; got != want {
+		t.Errorf("after a prune to 1 finished job the table holds %s, want %s", got, want)
+	}
+	if len(p.jobs) != len(p.order) {
+		t.Errorf("job map holds %d jobs, order lists %d", len(p.jobs), len(p.order))
+	}
+}
+
 // TestCancelQueuedAndRunning covers both cancel paths: a job cancelled while
 // waiting for a slot goes terminal immediately; a running job unwinds to
 // cancelled via its context.

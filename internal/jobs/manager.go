@@ -37,6 +37,11 @@ type Options struct {
 	Log io.Writer
 }
 
+// keepFinished bounds the finished jobs a manager keeps: when a job
+// finishes, the oldest finished jobs beyond it are dropped, and their IDs
+// read as unknown. Queued and running jobs are never dropped.
+const keepFinished = 256
+
 // Manager owns the job table and the executor pool.
 type Manager struct {
 	opt Options
@@ -46,6 +51,7 @@ type Manager struct {
 	order  []string
 	nextID int
 	closed bool
+	keep   int // keepFinished; lowered by tests
 
 	queue     chan *Job
 	wg        sync.WaitGroup
@@ -65,6 +71,7 @@ func NewManager(opt Options) *Manager {
 	m := &Manager{
 		opt:       opt,
 		jobs:      make(map[string]*Job),
+		keep:      keepFinished,
 		queue:     make(chan *Job, opt.QueueDepth),
 		baseCtx:   ctx,
 		cancelAll: cancel,
@@ -160,7 +167,6 @@ func (m *Manager) Cancel(id string) error {
 		return fmt.Errorf("jobs: unknown job %q", id)
 	}
 	job.mu.Lock()
-	defer job.mu.Unlock()
 	switch {
 	case job.state == Queued:
 		job.state = Cancelled
@@ -171,7 +177,39 @@ func (m *Manager) Cancel(id string) error {
 		job.cancel()
 		m.logf("job %s cancel requested", job.ID)
 	}
+	job.mu.Unlock()
+	m.prune()
 	return nil
+}
+
+// terminal reports whether the job has finished.
+func (j *Job) terminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state.Terminal()
+}
+
+// prune drops the oldest finished jobs beyond m.keep from the table.
+func (m *Manager) prune() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	finished := make([]bool, len(m.order))
+	drop := -m.keep
+	for k, id := range m.order {
+		if finished[k] = m.jobs[id].terminal(); finished[k] {
+			drop++
+		}
+	}
+	kept := m.order[:0]
+	for k, id := range m.order {
+		if drop > 0 && finished[k] {
+			delete(m.jobs, id)
+			drop--
+			continue
+		}
+		kept = append(kept, id)
+	}
+	m.order = kept
 }
 
 // Drain stops accepting submissions, cancels everything still queued and
@@ -203,6 +241,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 			job.mu.Unlock()
 		}
 	}
+	m.prune()
 
 	done := make(chan struct{})
 	go func() {
@@ -238,6 +277,7 @@ func (m *Manager) execute(job *Job) {
 
 	res, err := closure.Run(ctx, job.cfgs, job.opt)
 	m.finish(job, res, err)
+	m.prune()
 }
 
 // finish moves the job to its terminal state, builds the canonical report
@@ -260,7 +300,7 @@ func (m *Manager) finish(job *Job, res *closure.Result, err error) {
 					if r.Wave != nil {
 						job.waves[waveKey(cr.Cfg.Name, run.Test, run.Seed, view)] = r.Wave
 					}
-					// The manager keeps every finished job. It serves each
+					// The manager keeps the latest finished jobs. It serves each
 					// run's verdicts, alignment and kernel profile, and the
 					// coverage merged per configuration; a run's own
 					// coverage maps and latencies, which nothing serves once

@@ -46,8 +46,8 @@ type Options struct {
 	// re-simulated, and fresh results are stored back.
 	Cache *Cache
 	// KernelStats collects the simulation-kernel profile of every simulated
-	// unit (cache-served units keep whatever profile their stored record
-	// has, possibly none). Aggregate with KernelReport.
+	// unit's RTL view (cache-served units keep whatever profile their stored
+	// record has, possibly none). Aggregate with KernelReport.
 	KernelStats bool
 	// RecordWave keeps the compact binary waveform recording of every
 	// simulated unit (WriteReports stores them as .crw files). Off by
@@ -225,46 +225,41 @@ func RunMatrix(cfgs []nodespec.Config, opt Options) ([]*ConfigResult, error) {
 	return results, err
 }
 
-// KernelProfile is the kernel profile of one (configuration, view), merged
-// over that view's runs. The JSON form is the wire format of the service's
-// kernelstats endpoint.
+// KernelProfile is the kernel profile of one configuration, merged over its
+// runs. The JSON form is the wire format of the service's kernelstats
+// endpoint.
 type KernelProfile struct {
-	Config string           `json:"name"`
-	View   string           `json:"view"` // "RTL" or "BCA"
-	Runs   int              `json:"runs"`
-	Stats  *sim.KernelStats `json:"stats"`
+	Config string `json:"name"`
+	// View is "RTL": a pair runs only its RTL view on a signal kernel, its
+	// BCA view on the ports bench.
+	View  string           `json:"view"`
+	Runs  int              `json:"runs"`
+	Stats *sim.KernelStats `json:"stats"`
 }
 
 // KernelProfiles merges the per-run kernel profiles of a matrix run per
-// (configuration, view): configurations in result order, RTL before BCA.
-// Runs without a profile (cache-served records stored without one, or runs
-// without Options.KernelStats) are skipped, and a view with none is left
-// out.
+// configuration, in result order. Runs without a profile (cache-served
+// records stored without one, or runs without Options.KernelStats) are
+// skipped, and a configuration with none is left out.
 func KernelProfiles(results []*ConfigResult) []KernelProfile {
 	var out []KernelProfile
 	for _, cr := range results {
-		for _, view := range []string{"RTL", "BCA"} {
-			kp := KernelProfile{Config: cr.Cfg.Name, View: view, Stats: &sim.KernelStats{}}
-			for _, run := range cr.Runs {
-				r := run.Pair.RTL
-				if view == "BCA" {
-					r = run.Pair.BCA
-				}
-				if r.Kernel != nil {
-					kp.Stats.Merge(r.Kernel)
-					kp.Runs++
-				}
+		kp := KernelProfile{Config: cr.Cfg.Name, View: "RTL", Stats: &sim.KernelStats{}}
+		for _, run := range cr.Runs {
+			if k := run.Pair.RTL.Kernel; k != nil {
+				kp.Stats.Merge(k)
+				kp.Runs++
 			}
-			if kp.Runs > 0 {
-				out = append(out, kp)
-			}
+		}
+		if kp.Runs > 0 {
+			out = append(out, kp)
 		}
 	}
 	return out
 }
 
 // KernelReport renders the merged simulation-kernel profile of a matrix
-// run, one section per (configuration, view) of KernelProfiles:
+// run, one section per configuration of KernelProfiles:
 // deltas/cycle, settle-depth histogram, cyclic-SCC inventory and the
 // hottest processes. An empty report says so.
 func KernelReport(results []*ConfigResult) string {

@@ -14,15 +14,18 @@ import (
 )
 
 // TestStreamingAlignmentEquivalence is the safety net under the streaming
-// STBA: for every configuration of the standard matrix, clean, under each of
-// the five BCA bugs, and cut short so the views stop undrained at different
-// cycles, the lockstep pair's online observer must produce an alignment
-// report byte-identical (as JSON and as the rendered table), and the same
-// verdict, as the offline analyzer stba.Compare run over the pair's two
-// recordings. Its cache record must also equal the sequential composition's
-// — the pair's RTL view, then a BCA run observing the RTL recording through
-// AlignWith — so warm caches stay coherent and the traced replay that times
-// the views one after the other still reproduces the engine.
+// STBA and the ports bench: for every configuration of the standard matrix,
+// clean, under each of the five BCA bugs, and cut short so the views stop
+// undrained at different cycles, the lockstep pair's judgement of its port
+// samples must produce an alignment report byte-identical (as JSON and as
+// the rendered table), and the same verdict, as the offline analyzer
+// stba.Compare run over the pair's two recordings. Its cache record must
+// also equal the sequential composition's — the pair's RTL view, then the
+// wrapped BCA view observing the RTL recording through AlignWith — so warm
+// caches stay coherent and the traced replay that times the views one after
+// the other still reproduces the engine. And the wrapped BCA view's own
+// recording must be byte-equal to the one the pair records from the ports
+// bench, so the wrapped node stays checked against the bench that signs off.
 func TestStreamingAlignmentEquivalence(t *testing.T) {
 	cfgs := StandardMatrix()
 	if testing.Short() {
@@ -79,9 +82,13 @@ func TestStreamingAlignmentEquivalence(t *testing.T) {
 				// The cache unit is the encoded PairRecord; it must be
 				// byte-identical so existing caches and every path agree.
 				bres, err := core.RunTestCtx(context.Background(), cfg, core.BCAView, row.test, equivSeed,
-					core.RunOptions{AlignWith: pair.RTL.Wave, Bugs: row.bugs})
+					core.RunOptions{AlignWith: pair.RTL.Wave, Bugs: row.bugs, RecordWave: true})
 				if err != nil {
 					t.Fatal(err)
+				}
+				if !bytes.Equal(bres.Wave.Encode(), pair.BCA.Wave.Encode()) {
+					t.Errorf("the wrapped BCA view's recording differs from the ports bench's (%d vs %d changes)",
+						bres.Wave.Changes(), pair.BCA.Wave.Changes())
 				}
 				seq := &core.PairResult{RTL: pair.RTL, BCA: bres, Alignment: bres.Alignment}
 				seq.CoverageEqual, seq.CoverageDiff = pair.RTL.Coverage.EqualHits(bres.Coverage)

@@ -38,7 +38,22 @@ func TestExtractTransactionsMatchesMonitor(t *testing.T) {
 			rc.Declare(s)
 		}
 	}
-	mons := catg.AttachEnv(sm, cfg, test.Traffic, dut.InitPorts()).Asm
+	// The bench's monitors: an env over the initiator ports, fed each
+	// port's sample at the end of every cycle.
+	inits := dut.InitPorts()
+	names := make([]string, len(inits))
+	for i, p := range inits {
+		names[i] = p.Name
+	}
+	env := catg.NewEnv(cfg, test.Traffic, names)
+	samples := make([]catg.PortSample, len(inits))
+	sm.AtCycleEnd(func() {
+		for i, p := range inits {
+			samples[i] = catg.SamplePort(p)
+		}
+		env.Observe(samples)
+	})
+	mons := env.Asm
 	for tg, p := range dut.TgtPorts() {
 		catg.NewTargetBFM(sm, p, test.Target, catg.TargetSeed(seed, tg))
 	}

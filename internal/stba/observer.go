@@ -14,11 +14,13 @@ import (
 // of two dumps, the first (typically RTL) and the second (typically BCA),
 // each read through a source: a Live view of a running simulation, or a
 // recorded dump (a vcd.Recording, which a parsed text VCD converts to)
-// streamed through a vcd.Cursor. Attached to the BCA run it is stepped at
-// the end of every cycle: the streaming analyzer of sign-off, with no VCD
-// text, no parsing and no per-cycle value searches. Compare and
+// streamed through a vcd.Cursor. Attached to a run it is stepped at the
+// end of every cycle, comparing the run against a recorded reference with
+// no VCD text, no parsing and no per-cycle value searches. Compare and
 // SignalRates step it over two dumps only at cycle 0 and where either
-// dump changes. Report returns the same *Report either way.
+// dump changes. Report returns the same *Report either way. Sign-off, which
+// runs both views in lockstep, judges alignment from port samples instead
+// (Judge), into the same per-port accounting.
 //
 // The work per step is proportional to the signals that changed, not to
 // the signals compared: each group (a port, or one signal for SignalRates)
@@ -100,10 +102,10 @@ type source interface {
 // cycle it re-reads the signals its kernel change journal noted, keeping
 // each one's last sampled value and the last cycle any of them changed, the
 // first sample (which reads every signal) counting as a change. That is what
-// vcd.Recorder tracks, without the change stream. As a reference, its
-// simulation must step each cycle before the observed one does; once it
-// stops, comparisons read its final values, as a Recording's cursor does
-// past its last change.
+// vcd.Recorder tracks, without the change stream. It is the observed side
+// of an attached Observer; as a reference, its simulation must step each
+// cycle before the observed one does, and once it stops, comparisons read
+// its final values, as a Recording's cursor does past its last change.
 type Live struct {
 	sigs    []*sim.Signal
 	watch   *sim.Journal
@@ -120,16 +122,6 @@ type Live struct {
 func NewLive(sigs []*sim.Signal) *Live {
 	return &Live{sigs: sigs, vals: make([]sim.Bits, len(sigs)), first: make([]sim.Bits, len(sigs)),
 		dirty: sim.NewJournal(len(sigs))}
-}
-
-// Attach opens the reference's change journal on sm, which owns its
-// signals, and registers an end-of-cycle hook that samples them, at the same
-// points as vcd.Recorder.Attach.
-func (l *Live) Attach(sm *sim.Simulator) {
-	l.watch = sm.Watch(l.sigs)
-	sm.AtCycleEnd(func() {
-		l.sample(sm.Cycle() - 1)
-	})
 }
 
 // sample takes the signals' values at the end of the given cycle: every
@@ -198,12 +190,6 @@ func (r recorded) next(limit uint64) uint64 {
 // as in Compare.
 func NewObserver(rec *vcd.Recording, sigs []*sim.Signal) (*Observer, error) {
 	return observe(newRecorded(rec), sigs)
-}
-
-// NewLiveObserver is NewObserver with a Live reference as the first dump:
-// the two views run in lockstep and no recording is made.
-func NewLiveObserver(ref *Live, sigs []*sim.Signal) (*Observer, error) {
-	return observe(ref, sigs)
 }
 
 // observe builds an observer of the live signals sigs against ref.
@@ -440,11 +426,17 @@ func (obs *Observer) Report() *Report {
 		// values, as a dump with no samples parses as one all-zero cycle.
 		obs.judge(0, obs.a.initial(), obs.b.initial(), nil, nil)
 	}
-	ca, cb := obs.a.cycles(), obs.b.cycles()
+	return report(obs.groups, obs.a.cycles(), obs.b.cycles())
+}
+
+// report accounts each group's mismatch intervals over the window shared by
+// two sides of ca and cb cycles: mismatches past it are discarded and the
+// uncovered tail is charged as misaligned.
+func report(groups []group, ca, cb uint64) *Report {
 	shared, span := compareWindow(ca, cb)
 	rep := &Report{}
-	for gi := range obs.groups {
-		g := &obs.groups[gi]
+	for gi := range groups {
+		g := &groups[gi]
 		pa := PortAlignment{
 			Port: g.name, Signals: g.hi - g.lo,
 			Cycles: span, CyclesA: ca, CyclesB: cb,

@@ -17,11 +17,12 @@ import (
 // observedView is one DUT view under the shared CATG bench with a text
 // Writer and a compact Recorder attached to the node's port signals.
 type observedView struct {
-	sm   *sim.Simulator
-	sigs []*sim.Signal
-	buf  bytes.Buffer
-	wr   *vcd.Writer
-	rc   *vcd.Recorder
+	sm    *sim.Simulator
+	ports []*stbus.Port
+	sigs  []*sim.Signal
+	buf   bytes.Buffer
+	wr    *vcd.Writer
+	rc    *vcd.Recorder
 }
 
 // newObservedView builds the RTL view (bugs nil) or the BCA view under the
@@ -43,6 +44,7 @@ func newObservedView(t testing.TB, cfg nodespec.Config, bugs *bca.Bugs, seed int
 		}
 		initPorts, tgtPorts = n.Init, n.Tgt
 	}
+	v.ports = append(append(v.ports, initPorts...), tgtPorts...)
 	v.wr = vcd.NewWriter(&v.buf, "tb")
 	v.rc = vcd.NewRecorder("tb")
 	for i, p := range initPorts {
@@ -98,6 +100,22 @@ func runViewObserved(t *testing.T, cfg nodespec.Config, bugs *bca.Bugs, seed int
 	return v.dump(t), v.rc.Recording(), obs
 }
 
+// attachLive opens a Live reference's change journal on sm, which owns its
+// signals, and registers an end-of-cycle hook that samples them, at the
+// same points as vcd.Recorder.Attach.
+func attachLive(l *Live, sm *sim.Simulator) {
+	l.watch = sm.Watch(l.sigs)
+	sm.AtCycleEnd(func() {
+		l.sample(sm.Cycle() - 1)
+	})
+}
+
+// newLiveObserver is NewObserver with a Live reference as the first dump:
+// two simulations stepped in lockstep, with no recording made.
+func newLiveObserver(ref *Live, sigs []*sim.Signal) (*Observer, error) {
+	return observe(ref, sigs)
+}
+
 // runLockstepObserved steps the RTL and BCA views side by side, one RTL
 // cycle then one BCA cycle, each for its own cycle count, with a Live
 // reference on the RTL view and an Observer over it on the BCA view.
@@ -106,8 +124,8 @@ func runLockstepObserved(t *testing.T, cfg nodespec.Config, bugs bca.Bugs, seed 
 	rv := newObservedView(t, cfg, nil, seed)
 	bv := newObservedView(t, cfg, &bugs, seed)
 	ref := NewLive(rv.sigs)
-	ref.Attach(rv.sm)
-	obs, err := NewLiveObserver(ref, bv.sigs)
+	attachLive(ref, rv.sm)
+	obs, err := newLiveObserver(ref, bv.sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +145,45 @@ func runLockstepObserved(t *testing.T, cfg nodespec.Config, bugs bca.Bugs, seed 
 	return obs
 }
 
+// runLockstepJudged steps the RTL and BCA views side by side as
+// runLockstepObserved does, reads every port's sample off its wires after
+// each cycle, and judges the two views' samples.
+func runLockstepJudged(t *testing.T, cfg nodespec.Config, bugs bca.Bugs, seed int64, rtlCycles, bcaCycles int) *Report {
+	t.Helper()
+	rv := newObservedView(t, cfg, nil, seed)
+	bv := newObservedView(t, cfg, &bugs, seed)
+	var names []string
+	for _, p := range rv.ports {
+		names = append(names, p.Name)
+	}
+	j := NewJudge(names)
+	a, b := make([]catg.PortSample, len(names)), make([]catg.PortSample, len(names))
+	step := func(v *observedView, samples []catg.PortSample) {
+		if err := v.sm.Step(); err != nil {
+			t.Fatal(err)
+		}
+		for k, p := range v.ports {
+			samples[k] = catg.SamplePort(p)
+		}
+	}
+	for c := 0; c < rtlCycles || c < bcaCycles; c++ {
+		aOn, bOn := c < rtlCycles, c < bcaCycles
+		if aOn {
+			step(rv, a)
+		}
+		if bOn {
+			step(bv, b)
+		}
+		j.Step(a, b, aOn, bOn)
+	}
+	return j.Report()
+}
+
 // checkObserverMatchesCompare asserts the streaming reports — against a
-// recording, and against a Live reference stepped in lockstep — and Compare
-// over the two views' text VCD dumps are JSON-identical to the per-cycle
-// walk over those dumps for the given scenario, and returns that report.
+// recording, and against a Live reference stepped in lockstep — the Judge
+// of the two views' port samples, and Compare over the two views' text VCD
+// dumps are JSON-identical to the per-cycle walk over those dumps for the
+// given scenario, and returns that report.
 func checkObserverMatchesCompare(t *testing.T, cfg nodespec.Config, bugs bca.Bugs, seed int64, rtlCycles, bcaCycles int) *Report {
 	t.Helper()
 	fr, rec, _ := runViewObserved(t, cfg, nil, seed, rtlCycles, nil)
@@ -151,6 +204,7 @@ func checkObserverMatchesCompare(t *testing.T, cfg nodespec.Config, bugs bca.Bug
 	}{
 		{"recorded", obs.Report()},
 		{"live", runLockstepObserved(t, cfg, bugs, seed, rtlCycles, bcaCycles).Report()},
+		{"judge", runLockstepJudged(t, cfg, bugs, seed, rtlCycles, bcaCycles)},
 		{"Compare", compared},
 	} {
 		gj, _ := json.Marshal(c.got)
@@ -296,7 +350,7 @@ func TestObserverZeroSamplesReadsCycleZero(t *testing.T) {
 	gnt := sm.Signal("p.gnt", 1)
 	sm.Seq("drive", func() { req.SetBool(sm.Cycle() == 0) })
 	live := NewLive([]*sim.Signal{req, gnt})
-	live.Attach(sm)
+	attachLive(live, sm)
 	rc := vcd.NewRecorder("tb")
 	rc.Declare(req)
 	rc.Declare(gnt)
@@ -311,7 +365,7 @@ func TestObserverZeroSamplesReadsCycleZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveObs, err := NewLiveObserver(live, sigs)
+	liveObs, err := newLiveObserver(live, sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +400,7 @@ func glitchSim() (sm *sim.Simulator, g *sim.Signal) {
 func TestLiveIgnoresSettledGlitch(t *testing.T) {
 	sm, g := glitchSim()
 	live := NewLive([]*sim.Signal{g})
-	live.Attach(sm)
+	attachLive(live, sm)
 	if err := sm.Run(5); err != nil {
 		t.Fatal(err)
 	}
@@ -356,5 +410,26 @@ func TestLiveIgnoresSettledGlitch(t *testing.T) {
 	}
 	if got := live.cycles(); got != 1 {
 		t.Errorf("cycles() = %d, want 1: only the first sample is a change", got)
+	}
+}
+
+// TestJudgeZeroSamplesReadsCycleZero: a view that never runs keeps the
+// all-zero sample, so it reads as one all-zero cycle compared against the
+// other view's cycle 0, as an observed side that never samples does; two
+// views that never run align on that one cycle.
+func TestJudgeZeroSamplesReadsCycleZero(t *testing.T) {
+	j := NewJudge([]string{"p"})
+	a, idle := []catg.PortSample{{Req: true}}, make([]catg.PortSample, 1)
+	j.Step(a, idle, true, false)
+	for i := 0; i < 2; i++ {
+		j.Step(idle, idle, true, false)
+	}
+	p := j.Report().Ports[0]
+	if p.FirstDivergence != 0 || len(p.FirstDiverging) != 1 || p.FirstDiverging[0] != "p.req" || p.Aligned != 0 ||
+		p.CyclesA != 2 || p.CyclesB != 1 || p.Signals != catg.NumWires {
+		t.Errorf("zero-sample judgement did not read cycle 0: %+v", p)
+	}
+	if p := NewJudge([]string{"p"}).Report().Ports[0]; p.Cycles != 1 || p.Aligned != 1 || p.FirstDivergence != -1 {
+		t.Errorf("two views that never ran: %+v, want one aligned cycle", p)
 	}
 }

@@ -417,3 +417,44 @@ func TestEmptyReportFailsSignoff(t *testing.T) {
 		}
 	}
 }
+
+// overwideDumps are two hand-written dumps of one port: in narrow, p.req
+// rises at #0 as a scalar change; in wide, as the vector b11, which the
+// 1-bit wire cannot hold. vector gives the same rise as the vector b1.
+const overwideDefs = "$scope module tb $end\n$scope module p $end\n$var wire 1 ! req $end\n" +
+	"$var wire 1 \" gnt $end\n$upscope $end\n$upscope $end\n$enddefinitions $end\n"
+
+var overwideDumps = map[string]string{
+	"narrow": overwideDefs + "#0\n$dumpvars\n1!\n0\"\n$end\n#50\n0!\n",
+	"wide":   overwideDefs + "#0\n$dumpvars\nb11 !\n0\"\n$end\n#50\n0!\n",
+	"vector": overwideDefs + "#0\n$dumpvars\nb1 !\n0\"\n$end\n#50\n0!\n",
+}
+
+// TestCompareRefusesOverwideValue: a value wider than its variable is not a
+// dump of a wire, so it is refused when the dump is read, naming the
+// variable and the timestamp. Compare used to read b11 on the 1-bit p.req
+// as 3 and align it with 1! at 0.00 %; the same rise written as b1 aligns
+// with it at 100 %.
+func TestCompareRefusesOverwideValue(t *testing.T) {
+	parse := func(name string) (*vcd.File, error) {
+		return vcd.Parse(strings.NewReader(overwideDumps[name]))
+	}
+	if _, err := parse("wide"); err == nil || !strings.Contains(err.Error(), `"p.req"`) || !strings.Contains(err.Error(), "#0") {
+		t.Fatalf("Parse of b11 on the 1-bit p.req returned %v, want an error naming p.req and #0", err)
+	}
+	a, err := parse("narrow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := parse("vector")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Compare(a, b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.MinRate() != 100 {
+		t.Errorf("the same rise as 1! and b1 aligns at %.2f%%, want 100%%:\n%s", rep.MinRate(), rep)
+	}
+}

@@ -76,8 +76,10 @@ func Parse(r io.Reader) (*File, error) {
 	// codeIdx maps each identifier code to the first variable declared with
 	// it. Several $vars may share a code (a simulator aliases a port and the
 	// net it drives this way) and a change to the code changes each of them,
-	// so the others share the first one's changes (aliasOf).
-	codeIdx := map[string]int{}
+	// so the others share the first one's changes (aliasOf). A vector change
+	// must fit the narrowest of them.
+	type codeVars struct{ first, narrowest int }
+	codeIdx := map[string]codeVars{}
 	var aliasOf []int
 	var scopes []string
 	time := uint64(0)
@@ -152,12 +154,14 @@ func Parse(r io.Reader) (*File, error) {
 			}
 			name := joinScope(body[3])
 			v := Var{Name: name, Width: w, Code: body[2]}
-			first, ok := codeIdx[v.Code]
+			cv, ok := codeIdx[v.Code]
 			if !ok {
-				first = len(f.Vars)
-				codeIdx[v.Code] = first
+				cv = codeVars{len(f.Vars), len(f.Vars)}
+			} else if w < f.Vars[cv.narrowest].Width {
+				cv.narrowest = len(f.Vars)
 			}
-			aliasOf = append(aliasOf, first)
+			codeIdx[v.Code] = cv
+			aliasOf = append(aliasOf, cv.first)
 			f.byName[name] = len(f.Vars)
 			f.Vars = append(f.Vars, v)
 			f.Changes = append(f.Changes, nil)
@@ -185,7 +189,7 @@ func Parse(r io.Reader) (*File, error) {
 			toks[0][0] == 'X' || toks[0][0] == 'Z'):
 			// Scalar change: value immediately followed by the id code.
 			code := toks[0][1:]
-			idx, ok := codeIdx[code]
+			cv, ok := codeIdx[code]
 			if !ok {
 				return nil, fmt.Errorf("vcd: unknown id code %q", code)
 			}
@@ -193,12 +197,12 @@ func Parse(r io.Reader) (*File, error) {
 			if toks[0][0] == '1' {
 				val = sim.B64(1)
 			}
-			f.Changes[idx] = append(f.Changes[idx], Change{Time: time, Value: val})
+			f.Changes[cv.first] = append(f.Changes[cv.first], Change{Time: time, Value: val})
 		case !inDefs && (toks[0][0] == 'b' || toks[0][0] == 'B'):
 			if len(toks) != 2 {
 				return nil, fmt.Errorf("vcd: malformed vector change %q", line)
 			}
-			idx, ok := codeIdx[toks[1]]
+			cv, ok := codeIdx[toks[1]]
 			if !ok {
 				return nil, fmt.Errorf("vcd: unknown id code %q", toks[1])
 			}
@@ -206,7 +210,12 @@ func Parse(r io.Reader) (*File, error) {
 			if err != nil {
 				return nil, err
 			}
-			f.Changes[idx] = append(f.Changes[idx], Change{Time: time, Value: val})
+			// A wire holds only its width's bits, so a wider value is not a
+			// dump of one.
+			if v := f.Vars[cv.narrowest]; v.Width < sim.MaxBitsWidth && !val.Equal(val.Mask(v.Width)) {
+				return nil, fmt.Errorf("vcd: value %s of %q at #%d wider than %d bits", toks[0], v.Name, time, v.Width)
+			}
+			f.Changes[cv.first] = append(f.Changes[cv.first], Change{Time: time, Value: val})
 		default:
 			// Real-number changes and other extensions are out of scope.
 			return nil, fmt.Errorf("vcd: unsupported record %q", line)

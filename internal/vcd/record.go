@@ -119,7 +119,9 @@ func (rec *Recording) Cycles() uint64 { return rec.endCycle + 1 }
 // Recorder captures a compact Recording from live simulation signals. It
 // mirrors Writer's protocol: Declare every signal, Attach, then read
 // Recording() once the run completes. It records from the kernel's change
-// journal, so a cycle costs in proportion to the signals that changed.
+// journal, so a cycle costs in proportion to the signals that changed. A
+// bench with no signal kernel declares its signals with DeclareValue and
+// feeds their values with Values instead, into the same layout.
 type Recorder struct {
 	rec     *Recording
 	sigs    []*sim.Signal
@@ -140,10 +142,17 @@ func (r *Recorder) Declare(sig *sim.Signal) {
 	if r.watch != nil {
 		panic("vcd: Recorder.Declare after Attach")
 	}
-	r.rec.byName[sig.Name()] = len(r.sigs)
-	r.rec.names = append(r.rec.names, sig.Name())
-	r.rec.widths = append(r.rec.widths, sig.Width())
+	r.DeclareValue(sig.Name(), sig.Width())
 	r.sigs = append(r.sigs, sig)
+}
+
+// DeclareValue adds a signal by its hierarchical name and width, for a
+// recorder fed by Values. All declarations must happen before the first
+// sample.
+func (r *Recorder) DeclareValue(name string, width int) {
+	r.rec.byName[name] = len(r.rec.names)
+	r.rec.names = append(r.rec.names, name)
+	r.rec.widths = append(r.rec.widths, width)
 }
 
 // DeclareAll adds every signal of a simulator to the capture set.
@@ -163,36 +172,64 @@ func (r *Recorder) Attach(sm *sim.Simulator) {
 	})
 }
 
+// first records every declared signal's value at the end of the given
+// cycle: the first sample, the $dumpvars analog.
+func (r *Recorder) first(cycle uint64, vals []sim.Bits) {
+	r.started = true
+	r.last = vals
+	for i, v := range vals {
+		r.rec.add(cycle, int32(i), v)
+	}
+	r.rec.endCycle = cycle
+}
+
 // sample records the declared signals' values at the end of the given
-// cycle. The first sample records every signal (the $dumpvars analog);
-// later ones re-read the signals the journal noted, in declare order — the
-// order Writer emits and DecodeRecording requires — and record those whose
-// value changed.
+// cycle. The first sample records every signal; later ones re-read the
+// signals the journal noted, in declare order — the order Writer emits and
+// DecodeRecording requires — and record those whose value changed.
 func (r *Recorder) sample(cycle uint64) {
 	rec := r.rec
 	rec.samples++
 	if !r.started {
-		r.started = true
-		r.last = make([]sim.Bits, len(r.sigs))
+		vals := make([]sim.Bits, len(r.sigs))
 		for i, s := range r.sigs {
-			v := s.Get()
-			r.last[i] = v
-			rec.add(cycle, int32(i), v)
+			vals[i] = s.Get()
 		}
-		rec.endCycle = cycle
+		r.first(cycle, vals)
 		r.watch.Drain()
 		return
 	}
 	noted := r.watch.Drain()
 	slices.Sort(noted)
 	for _, i := range noted {
-		v := r.sigs[i].Get()
-		if v.Equal(r.last[i]) {
-			continue
-		}
-		r.last[i] = v
-		rec.add(cycle, i, v)
-		rec.endCycle = cycle
+		r.change(cycle, i, r.sigs[i].Get())
+	}
+}
+
+// change records signal i's value at the end of the given cycle if it
+// differs from the last one recorded.
+func (r *Recorder) change(cycle uint64, i int32, v sim.Bits) {
+	if v.Equal(r.last[i]) {
+		return
+	}
+	r.last[i] = v
+	r.rec.add(cycle, i, v)
+	r.rec.endCycle = cycle
+}
+
+// Values records the values of the signals declared with DeclareValue,
+// indexed in declare order, at the end of the given cycle: what Attach's
+// hook samples from a simulation, for a bench with no signal kernel. The
+// first call records every value, later ones those that changed. Cycles
+// must increase across calls.
+func (r *Recorder) Values(cycle uint64, vals []sim.Bits) {
+	r.rec.samples++
+	if !r.started {
+		r.first(cycle, slices.Clone(vals))
+		return
+	}
+	for i, v := range vals {
+		r.change(cycle, int32(i), v)
 	}
 }
 
@@ -262,23 +299,6 @@ func (c *Cursor) Value(i int) sim.Bits { return c.vals[i] }
 // like the recording. The slice is the cursor's own: the next AdvanceTo
 // updates it in place.
 func (c *Cursor) Values() []sim.Bits { return c.vals }
-
-// ValueAt returns the value of signal i at the end of the given cycle (the
-// last change at or before it; zero if none) — random access for report and
-// window serving; sequential readers should prefer a Cursor.
-func (rec *Recording) ValueAt(i int, cycle uint64) sim.Bits {
-	var v sim.Bits
-	for k := 0; k < rec.stream.n; k++ {
-		ch := rec.stream.at(k)
-		if ch.cycle > cycle {
-			break
-		}
-		if int(ch.sig) == i {
-			v = rec.value(ch)
-		}
-	}
-	return v
-}
 
 // recordingMagic versions the binary encoding; bump on layout changes.
 const recordingMagic = "CRW1"

@@ -152,6 +152,23 @@ func TestDecodeRecordingRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// valueAt returns the value of signal i at the end of the given cycle (the
+// last change at or before it; zero if none), by a scan of the whole change
+// stream: the random-access reference for the cursor.
+func valueAt(rec *Recording, i int, cycle uint64) sim.Bits {
+	var v sim.Bits
+	for k := 0; k < rec.stream.n; k++ {
+		ch := rec.stream.at(k)
+		if ch.cycle > cycle {
+			break
+		}
+		if int(ch.sig) == i {
+			v = rec.value(ch)
+		}
+	}
+	return v
+}
+
 func TestCursorStreamsValues(t *testing.T) {
 	_, rec := runBoth(t, 10)
 	ci := rec.SignalIndex("top.cnt")
@@ -168,7 +185,7 @@ func TestCursorStreamsValues(t *testing.T) {
 		if got, want := cur.Value(ti).Bool(), (cyc+1)%2 == 1; got != want {
 			t.Errorf("tog at cycle %d = %v, want %v", cyc, got, want)
 		}
-		if got := rec.ValueAt(ci, cyc).Uint64(); got != cyc+1 {
+		if got := valueAt(rec, ci, cyc).Uint64(); got != cyc+1 {
 			t.Errorf("ValueAt(cnt, %d) = %d, want %d", cyc, got, cyc+1)
 		}
 	}

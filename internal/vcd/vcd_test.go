@@ -317,3 +317,29 @@ func TestWide256BitSignalRoundTrip(t *testing.T) {
 		t.Errorf("wide value %v", got)
 	}
 }
+
+// TestParseRejectsOverwideValue: a vector change wider than its variable
+// cannot be a wire's value, so Parse refuses it and names the variable and
+// the timestamp, as DecodeRecording refuses the same value in a .crw. Under
+// a shared identifier code the value must fit the narrowest variable.
+func TestParseRejectsOverwideValue(t *testing.T) {
+	const defs = "$scope module tb $end\n$scope module p $end\n$var wire 1 ! req $end\n" +
+		"$var wire 4 \" opc $end\n$var wire 1 \" lck $end\n$upscope $end\n$upscope $end\n$enddefinitions $end\n"
+	for _, c := range []struct {
+		name, body, want string
+	}{
+		{"scalar var", "#0\nb11 !\n", `"p.req" at #0 wider than 1 bits`},
+		{"later change", "#0\nb1 !\n#20\nb10000 \"\n", `"p.lck" at #20 wider than 1 bits`},
+	} {
+		if _, err := Parse(strings.NewReader(defs + c.body)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Parse returned %v, want an error containing %s", c.name, err, c.want)
+		}
+	}
+	f, err := Parse(strings.NewReader(defs + "#0\nb1 !\nb0001 \"\n"))
+	if err != nil {
+		t.Fatalf("values that fit must parse: %v", err)
+	}
+	if !f.ValueAt(f.VarIndex("p.req"), 0).Bool() || f.ValueAt(f.VarIndex("p.opc"), 0).Uint64() != 1 {
+		t.Error("values that fit must read back")
+	}
+}
