@@ -3,13 +3,15 @@
 // pool against a shared content-addressed result cache (so overlapping or
 // repeated submissions dedupe at the work-unit level), and serves reports,
 // coverage, alignment, kernel profiles and waveform artifacts back — plus an
-// embedded no-build dashboard on the same port.
+// embedded no-build dashboard on the same port. Running jobs share one
+// simulation budget of -slots × -workers units at once: a job running alone
+// simulates on all of it.
 //
 // Usage:
 //
 //	regressd -addr :8041 -cache ./rc           # serve with a shared result store
 //	regressd -addr :8041 -cache ./rc -slots 4  # up to 4 jobs running concurrently
-//	regressd -workers 8                        # 8 engine workers per job
+//	regressd -workers 8                        # 8 simulations per job slot
 //
 // Submit and watch a job:
 //
@@ -50,7 +52,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8041", "listen address")
 		cacheDir     = flag.String("cache", "", "shared result cache directory (recommended: dedupes repeated and concurrent jobs)")
-		workers      = flag.Int("workers", 0, "engine workers per job (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "simulations per job slot; running jobs share them (0 = GOMAXPROCS)")
 		slots        = flag.Int("slots", 2, "jobs running concurrently")
 		queueDepth   = flag.Int("queue", 256, "submission queue depth")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for running jobs before cancelling them")

@@ -24,7 +24,8 @@ type Scoreboard struct {
 	initTxs []*stbus.Transaction
 	tgtTxs  []*stbus.Transaction
 
-	// progRegs mirrors the programming register file to check readbacks.
+	// progRegs is the programming register file at reset; Check replays
+	// the stores on a copy of it to check readbacks.
 	progRegs []uint8
 }
 
@@ -39,7 +40,6 @@ func (s *Scoreboard) clone() *Scoreboard {
 	c := *s
 	c.initTxs = slices.Clone(s.initTxs)
 	c.tgtTxs = slices.Clone(s.tgtTxs)
-	c.progRegs = slices.Clone(s.progRegs)
 	return &c
 }
 
@@ -61,9 +61,11 @@ type sbKey struct {
 }
 
 // Check matches the two transaction streams and returns every data-integrity
-// error found. Call it after the test drains.
+// error found. Call it after the test drains; calling it again gives the
+// same errors.
 func (s *Scoreboard) Check() []string {
 	var errs []string
+	regs := slices.Clone(s.progRegs)
 	byKey := make(map[sbKey][]*stbus.Transaction, len(s.tgtTxs))
 	for _, tr := range s.tgtTxs {
 		k := sbKey{src: tr.Src, tid: tr.TID, opc: tr.Opc, addr: tr.Addr}
@@ -96,7 +98,7 @@ func (s *Scoreboard) Check() []string {
 				errs = append(errs, fmt.Sprintf("%v: unmapped access must error", tr))
 			}
 		case tr.Target == RouteProg:
-			errs = append(errs, s.checkProg(tr)...)
+			errs = append(errs, s.checkProg(tr, regs)...)
 		}
 	}
 	// Each key's leftovers are the tail of its queue, so walking the target
@@ -112,10 +114,10 @@ func (s *Scoreboard) Check() []string {
 	return errs
 }
 
-// checkProg models the register decoder to validate programming-port
+// checkProg models the register decoder on regs to validate programming-port
 // responses. Transactions are checked in initiator completion order, which
 // matches the order the node serviced them for a single programming port.
-func (s *Scoreboard) checkProg(tr *stbus.Transaction) []string {
+func (s *Scoreboard) checkProg(tr *stbus.Transaction, regs []uint8) []string {
 	var errs []string
 	reg := int(tr.Addr-s.Node.ProgBase) / 4
 	legal := reg >= 0 && reg < s.Node.NumInit && (tr.Opc == stbus.ST4 || tr.Opc == stbus.LD4)
@@ -130,12 +132,12 @@ func (s *Scoreboard) checkProg(tr *stbus.Transaction) []string {
 		return errs
 	}
 	if tr.Opc == stbus.ST4 {
-		s.progRegs[reg] = tr.WriteData[0] & 0xf
+		regs[reg] = tr.WriteData[0] & 0xf
 		return errs
 	}
-	if len(tr.ReadData) != 4 || tr.ReadData[0] != s.progRegs[reg] {
+	if len(tr.ReadData) != 4 || tr.ReadData[0] != regs[reg] {
 		errs = append(errs, fmt.Sprintf("%v: register readback %x, model %#x",
-			tr, tr.ReadData, s.progRegs[reg]))
+			tr, tr.ReadData, regs[reg]))
 	}
 	return errs
 }

@@ -145,3 +145,21 @@ func TestScoreboardAccessors(t *testing.T) {
 		t.Error("accessors wrong")
 	}
 }
+
+// TestScoreboardCheckIsIdempotent: a second Check starts from the reset
+// registers again, so a readback of a register's default before a store
+// to it checks clean every time.
+func TestScoreboardCheckIsIdempotent(t *testing.T) {
+	sb, addInit, _ := sbFixture()
+	base := uint64(0x10_0000)
+	def := sb.Node.DefaultPriorities()[0]
+	addInit(stbus.Transaction{Initiator: 0, Target: RouteProg, Opc: stbus.LD4,
+		Addr: base, TID: 1, ReadData: []byte{def, 0, 0, 0}})
+	addInit(stbus.Transaction{Initiator: 0, Target: RouteProg, Opc: stbus.ST4,
+		Addr: base, TID: 2, WriteData: []byte{def + 1, 0, 0, 0}})
+	for call := 1; call <= 2; call++ {
+		if errs := sb.Check(); len(errs) != 0 {
+			t.Fatalf("Check call %d flagged a clean sequence: %v", call, errs)
+		}
+	}
+}

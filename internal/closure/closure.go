@@ -22,8 +22,8 @@ import (
 
 // Options tunes a regression run and its closure loop. The embedded
 // regress.Options drive the suite; closure units share its Seeds, Bugs,
-// Log, Progress, Workers and Cache, but never collect a kernel profile or a
-// waveform recording.
+// Log, Progress, Workers, Tokens and Cache, but never collect a kernel
+// profile or a waveform recording.
 type Options struct {
 	regress.Options
 	// Close runs the closure loop on every configuration the suite leaves
@@ -178,7 +178,7 @@ func closeGroup(ctx context.Context, cfg nodespec.Config, cov *coverage.Group, o
 		// passed it (or was explicitly -nolint'ed) before the suite ran.
 		iopt := regress.Options{
 			Tests: tests, Seeds: []int64{seed}, Bugs: opt.Bugs,
-			Log: opt.Log, Workers: opt.Workers, Cache: opt.Cache,
+			Log: opt.Log, Workers: opt.Workers, Tokens: opt.Tokens, Cache: opt.Cache,
 		}
 		if opt.Progress != nil {
 			iopt.Progress = countOn(opt.Progress, *stats)

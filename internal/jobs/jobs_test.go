@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"crve/internal/arb"
+	"crve/internal/closure"
 	"crve/internal/core"
 	"crve/internal/coverage"
 	"crve/internal/nodespec"
@@ -204,10 +205,11 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
-// TestFinishedJobKeepsWhatItServes: the manager keeps every finished job, so
-// a job keeps each run's verdicts and alignment and its configurations'
-// merged coverage, which the API and the dashboard serve, and drops each
-// run's own coverage maps and latencies, which nothing serves.
+// TestFinishedJobKeepsWhatItServes: the manager keeps up to 256 finished
+// jobs, so a job keeps each run's verdicts and alignment and its
+// configurations' merged coverage, which the API and the dashboard serve,
+// and drops each run's own coverage maps and latencies, which nothing
+// serves.
 func TestFinishedJobKeepsWhatItServes(t *testing.T) {
 	m := testManager(t, 1)
 	job, err := m.Submit(Spec{Configs: []string{cfgText(t, "keep0", 2)}, Tests: []string{"basic_write_read"}, Seeds: []int64{1, 2}})
@@ -338,6 +340,45 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 	if err := m.Cancel(running.ID); err != nil {
 		t.Errorf("cancelling a terminal job must be a no-op, got %v", err)
+	}
+}
+
+// TestPanicOutsideUnitsFailsTheJob: a panic outside any work unit, in the
+// regression driver or in building the report, fails that job with the
+// panic and its stack; the slot and the budget come back, and the next job
+// runs.
+func TestPanicOutsideUnitsFailsTheJob(t *testing.T) {
+	m := testManager(t, 1)
+	spec := Spec{Configs: []string{cfgText(t, "pan0", 2)}, Tests: []string{"basic_write_read"}}
+	t.Cleanup(func() { drive = closure.Run })
+	for name, run := range map[string]func(context.Context, []nodespec.Config, closure.Options) (*closure.Result, error){
+		"driver": func(context.Context, []nodespec.Config, closure.Options) (*closure.Result, error) {
+			panic("planner bug")
+		},
+		"report": func(context.Context, []nodespec.Config, closure.Options) (*closure.Result, error) {
+			return &closure.Result{Results: []*regress.ConfigResult{nil}}, nil
+		},
+	} {
+		drive = run
+		job, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := waitTerminal(t, job)
+		if st.State != Failed || !strings.Contains(st.Error, "panic: ") || !strings.Contains(st.Error, "jobs.build") {
+			t.Errorf("%s panic: job ended %s with error %q, want failed with the panic and its stack", name, st.State, st.Error)
+		}
+		if len(m.budget) != 0 {
+			t.Errorf("%s panic: %d simulation tokens still held", name, len(m.budget))
+		}
+	}
+	drive = closure.Run
+	job, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, job); st.State != Done {
+		t.Fatalf("job after the panics ended %s (%s), want done", st.State, st.Error)
 	}
 }
 

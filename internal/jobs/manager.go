@@ -5,13 +5,17 @@ package jobs
 // cancellation context. Every job shares the manager's content-addressed
 // result cache, so overlapping submissions dedupe at the work-unit level —
 // the cache's in-process flight group guarantees a unit is simulated at most
-// once even when identical jobs run concurrently.
+// once even when identical jobs run concurrently. Every job also shares the
+// manager's one simulation budget (regress.Options.Tokens): a running job
+// may simulate on every token its neighbours leave idle.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -26,7 +30,11 @@ type Options struct {
 	// Cache is the shared result store. Optional but strongly recommended:
 	// without it every job simulates everything and nothing dedupes.
 	Cache *regress.Cache
-	// Workers bounds each job's engine worker pool (0 = GOMAXPROCS).
+	// Workers is the number of simulations per job slot (0 = GOMAXPROCS).
+	// Running jobs share them: the manager holds one budget of Slots ×
+	// Workers simulation tokens, and any running job may use every token
+	// the others leave idle, so the daemon never simulates more units at
+	// once than its slots could with Workers each.
 	Workers int
 	// Slots bounds how many jobs run concurrently (default 2).
 	Slots int
@@ -54,6 +62,7 @@ type Manager struct {
 	keep   int // keepFinished; lowered by tests
 
 	queue     chan *Job
+	budget    chan struct{} // Slots × Workers simulation tokens, shared by every job
 	wg        sync.WaitGroup
 	baseCtx   context.Context
 	cancelAll context.CancelFunc
@@ -67,12 +76,16 @@ func NewManager(opt Options) *Manager {
 	if opt.QueueDepth <= 0 {
 		opt.QueueDepth = 256
 	}
+	if opt.Workers <= 0 {
+		opt.Workers = runtime.GOMAXPROCS(0)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		opt:       opt,
 		jobs:      make(map[string]*Job),
 		keep:      keepFinished,
 		queue:     make(chan *Job, opt.QueueDepth),
+		budget:    make(chan struct{}, opt.Slots*opt.Workers),
 		baseCtx:   ctx,
 		cancelAll: cancel,
 	}
@@ -112,7 +125,10 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		subs:    make(map[chan Status]struct{}),
 		waves:   make(map[string]*vcd.Recording),
 	}
-	job.opt.Workers, job.opt.Cache = m.opt.Workers, m.opt.Cache
+	// A job's engine has a worker per token, so a job running alone, or
+	// beside a job that waits on a client or on a flight, simulates on the
+	// whole budget.
+	job.opt.Workers, job.opt.Tokens, job.opt.Cache = cap(m.budget), m.budget, m.opt.Cache
 	job.opt.Log, job.opt.Progress = jobLog{job}, job.onProgress
 	for _, d := range rep.Diags {
 		fmt.Fprintf(job.opt.Log, "lint: %s\n", d)
@@ -275,14 +291,35 @@ func (m *Manager) execute(job *Job) {
 	job.mu.Unlock()
 	m.logf("job %s running", job.ID)
 
-	res, err := closure.Run(ctx, job.cfgs, job.opt)
-	m.finish(job, res, err)
+	res, rep, err := build(ctx, job)
+	m.finish(job, res, rep, err)
 	m.prune()
 }
 
-// finish moves the job to its terminal state, builds the canonical report
-// and the waveform index, and releases subscribers.
-func (m *Manager) finish(job *Job, res *closure.Result, err error) {
+// drive is the regression driver a job runs; tests swap it to fail a job
+// outside any work unit.
+var drive = closure.Run
+
+// build runs the job and builds its canonical report. A panic outside any
+// work unit — in the closure planner or the report — fails the job with the
+// panic and its stack, and the executor slot goes on serving; a panic
+// inside a unit already fails that unit and gives back its token
+// (regress.runUnit).
+func build(ctx context.Context, job *Job) (res *closure.Result, rep *regress.Report, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, rep, err = nil, nil, fmt.Errorf("jobs: panic: %v\n%s", r, debug.Stack())
+		}
+	}()
+	if res, err = drive(ctx, job.cfgs, job.opt); err != nil {
+		return nil, nil, err
+	}
+	return res, regress.BuildReport(res.Results, res.Stats), nil
+}
+
+// finish moves the job to its terminal state, keeps its report and builds
+// the waveform index, and releases subscribers.
+func (m *Manager) finish(job *Job, res *closure.Result, rep *regress.Report, err error) {
 	job.mu.Lock()
 	defer job.mu.Unlock()
 	job.finished = time.Now()
@@ -293,7 +330,7 @@ func (m *Manager) finish(job *Job, res *closure.Result, err error) {
 		job.closures = res.Trajectories
 		job.stats = res.Stats
 		job.stats.Duration = job.finished.Sub(job.started)
-		job.report = regress.BuildReport(res.Results, job.stats)
+		job.report = rep
 		for _, cr := range res.Results {
 			for _, run := range cr.Runs {
 				for view, r := range map[string]*core.RunResult{"rtl": run.Pair.RTL, "bca": run.Pair.BCA} {

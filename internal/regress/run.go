@@ -41,6 +41,14 @@ type Options struct {
 	// 1 executes strictly serially. The merged output is byte-identical
 	// at any width.
 	Workers int
+	// Tokens, when non-nil, is a simulation budget that every run handed
+	// the same channel shares: its capacity bounds how many of their units
+	// simulate at once. A unit sends a token only once it owns a cache miss
+	// and receives one back when its simulation and store finish, so a
+	// cache hit or a wait on another run's flight holds none; blocked
+	// senders queue, so tokens go out in request order. The job manager
+	// sets it; nil leaves Workers as the only bound.
+	Tokens chan struct{}
 	// Cache, when non-nil, makes the run incremental: units whose inputs
 	// hash to an existing entry are served from disk instead of
 	// re-simulated, and fresh results are stored back.

@@ -242,14 +242,20 @@ func runEngine(ctx context.Context, cfgs []nodespec.Config, opt Options, logHead
 	return results, stats, nil
 }
 
+// runPair simulates one unit; tests swap it to watch or stall simulations.
+var runPair = core.RunPairCtx
+
 // runUnit executes one work unit: cache/flight probe, simulation on a miss,
 // cache fill. Runs on a worker goroutine; everything it touches is
 // unit-local. With a cache, the acquire/release flight protocol guarantees
 // at most one goroutine in the process ever simulates a given key, across
-// every engine run sharing the Cache. A panic while elaborating or
-// simulating fails this unit with an error that carries the stack: the
-// process and every other job go on, nothing is stored, and the deferred
-// release (which runs first) frees the unit's flight.
+// every engine run sharing the Cache. With a budget, the unit holds a token
+// from after it owns the miss until its result is stored, never while it
+// waits on a flight, so no owner can wait for a token a waiter holds. A
+// panic while elaborating or simulating fails this unit with an error that
+// carries the stack: the process and every other job go on, nothing is
+// stored, and the deferred releases (which run first) give back the token
+// and free the unit's flight.
 func runUnit(ctx context.Context, u workUnit, opt Options) (out unitOutcome) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -269,10 +275,17 @@ func runUnit(ctx context.Context, u workUnit, opt Options) (out unitOutcome) {
 		}
 		defer release()
 	}
+	if opt.Tokens != nil {
+		select {
+		case opt.Tokens <- struct{}{}:
+			defer func() { <-opt.Tokens }()
+		case <-ctx.Done():
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		return unitOutcome{idx: u.idx, err: fmt.Errorf("regress: %s/%s seed %d: %w", u.cfg.Name, u.test.Name, u.seed, err)}
 	}
-	pair, err := core.RunPairCtx(ctx, u.cfg, u.test, u.seed, core.RunOptions{
+	pair, err := runPair(ctx, u.cfg, u.test, u.seed, core.RunOptions{
 		Bugs: opt.Bugs, KernelStats: opt.KernelStats, RecordWave: opt.RecordWave,
 	})
 	if err != nil {

@@ -159,16 +159,17 @@ func TestParallelErrorIsCanonical(t *testing.T) {
 
 // TestPanickingUnitFailsItsRun: a unit that panics while the bench is built
 // fails the run with an error naming the unit and carrying the stack, not
-// the process. Nothing is stored and the unit's flight is released, so a
-// re-run fails the same way instead of blocking, and a healthy test on the
-// same cache still simulates and stores.
+// the process. Nothing is stored, the unit's token comes back and its
+// flight is released, so a re-run fails the same way instead of blocking,
+// and a healthy test on the same cache still simulates and stores.
 func TestPanickingUnitFailsItsRun(t *testing.T) {
 	cache := testCache(t, "pinned")
 	cfgs := []nodespec.Config{engineCfg(t, "boom", 4)}
 	broken := core.Test{Name: "broken", TrafficFor: func(nodespec.Config, int) catg.TrafficConfig {
 		panic("traffic generator bug")
 	}}
-	opt := Options{Tests: []core.Test{broken}, Seeds: []int64{3}, Cache: cache, Workers: 2}
+	tokens := make(chan struct{}, 1)
+	opt := Options{Tests: []core.Test{broken}, Seeds: []int64{3}, Cache: cache, Workers: 2, Tokens: tokens}
 	for pass := 0; pass < 2; pass++ {
 		_, _, err := RunCtx(context.Background(), cfgs, opt)
 		if err == nil {
@@ -178,6 +179,9 @@ func TestPanickingUnitFailsItsRun(t *testing.T) {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("pass %d: error lacks %q:\n%v", pass, want, err)
 			}
+		}
+		if len(tokens) != 0 {
+			t.Fatalf("pass %d: the panicking unit kept its token", pass)
 		}
 	}
 	opt.Tests = engineSuite(t, "basic_write_read")

@@ -22,6 +22,7 @@ type Judge struct {
 	groups []group // one per port, in port-name order; lo:hi spans the wires
 	port   []int   // groups[g] judges the samples at index port[g]
 	last   [2][]catg.PortSample
+	synced []bool    // both views ran the last cycle and agreed at the port
 	end    [2]uint64 // the last cycle each view's samples changed
 	ran    [2]bool
 	cycle  uint64
@@ -30,7 +31,7 @@ type Judge struct {
 // NewJudge returns a judge of ports with these names, in the order of the
 // samples Step takes.
 func NewJudge(ports []string) *Judge {
-	j := &Judge{port: make([]int, len(ports))}
+	j := &Judge{port: make([]int, len(ports)), synced: make([]bool, len(ports))}
 	for k := range j.port {
 		j.port[k] = k
 	}
@@ -48,13 +49,17 @@ func NewJudge(ports []string) *Judge {
 // port, and aOn and bOn report whether each view ran the cycle. A view that
 // has stopped keeps its final sample. Step reports whether the two views'
 // samples are equal on every port.
+//
+// A view's first sample and every later change are activity. While a port's
+// two views agree and agreed in the last cycle, both views' last samples
+// are equal, so one comparison against view A's tells both views' activity.
 func (j *Judge) Step(a, b []catg.PortSample, aOn, bOn bool) bool {
-	if aOn {
-		j.track(0, a)
+	for v, on := range [2]bool{aOn, bOn} {
+		if on && !j.ran[v] {
+			j.ran[v], j.end[v] = true, j.cycle
+		}
 	}
-	if bOn {
-		j.track(1, b)
-	}
+	both := aOn && bOn
 	agree := true
 	for g := range j.groups {
 		gr, k := &j.groups[g], j.port[g]
@@ -66,24 +71,29 @@ func (j *Judge) Step(a, b []catg.PortSample, aOn, bOn bool) bool {
 			}
 			gr.spans = append(gr.spans, j.cycle)
 		}
+		if both && !bad && j.synced[k] {
+			if a[k] != j.last[0][k] {
+				j.last[0][k], j.last[1][k] = a[k], a[k]
+				j.end = [2]uint64{j.cycle, j.cycle}
+			}
+		} else {
+			if aOn {
+				j.track(0, k, &a[k])
+			}
+			if bOn {
+				j.track(1, k, &b[k])
+			}
+		}
+		j.synced[k] = both && !bad
 	}
 	j.cycle++
 	return agree
 }
 
-// track notes the cycle's samples of view v: its first sample and every
-// later change are activity.
-func (j *Judge) track(v int, s []catg.PortSample) {
-	last := j.last[v]
-	if !j.ran[v] {
-		j.ran[v], j.end[v] = true, j.cycle
-		copy(last, s)
-		return
-	}
-	for k := range s {
-		if s[k] != last[k] {
-			last[k], j.end[v] = s[k], j.cycle
-		}
+// track notes view v's sample s at port k, an activity if it changed.
+func (j *Judge) track(v, k int, s *catg.PortSample) {
+	if *s != j.last[v][k] {
+		j.last[v][k], j.end[v] = *s, j.cycle
 	}
 }
 
