@@ -50,17 +50,47 @@ func SamplePort(p *stbus.Port) PortSample {
 func Sample(cfg stbus.PortConfig, req, gnt bool, cell stbus.Cell, rreq, rgnt bool, resp stbus.RespCell) PortSample {
 	s := PortSample{Req: req, Gnt: gnt, RReq: rreq, RGnt: rgnt}
 	if req {
-		s.Cell = cell
-		s.Cell.Addr &= lowBits(cfg.AddrBits)
-		s.Cell.Data = cell.Data.Mask(cfg.DataBits)
-		s.Cell.BE &= lowBits(cfg.BusBytes())
-		s.Cell.Pri &= 1<<priBits - 1
+		s.Cell = wireCell(cfg, cell)
 	}
 	if rreq {
-		s.Resp = resp
-		s.Resp.Data = resp.Data.Mask(cfg.DataBits)
+		s.Resp = wireResp(cfg, resp)
 	}
 	return s
+}
+
+// wireCell is cell as the request wires of a port configured as cfg carry
+// it.
+func wireCell(cfg stbus.PortConfig, cell stbus.Cell) stbus.Cell {
+	cell.Addr &= lowBits(cfg.AddrBits)
+	cell.Data = cell.Data.Mask(cfg.DataBits)
+	cell.BE &= lowBits(cfg.BusBytes())
+	cell.Pri &= 1<<priBits - 1
+	return cell
+}
+
+// wireResp is resp as the response wires of a port configured as cfg carry
+// it.
+func wireResp(cfg stbus.PortConfig, resp stbus.RespCell) stbus.RespCell {
+	resp.Data = resp.Data.Mask(cfg.DataBits)
+	return resp
+}
+
+// InitiatorSideEqual reports whether s, a sample of an initiator port
+// configured as cfg, carries these values on the wires the node drives
+// there: gnt, r_req and, while r_req is high, the response cell, masked as
+// Sample masks it. Where the harness drives the port's other wires alike,
+// it reports whether s equals the port's Sample.
+func (s *PortSample) InitiatorSideEqual(cfg stbus.PortConfig, gnt, rreq bool, resp stbus.RespCell) bool {
+	return s.Gnt == gnt && s.RReq == rreq && (!rreq || s.Resp == wireResp(cfg, resp))
+}
+
+// TargetSideEqual reports whether s, a sample of a target port configured
+// as cfg, carries these values on the wires the node drives there: req,
+// while req is high the request cell, masked as Sample masks it, and r_gnt.
+// Where the harness drives the port's other wires alike, it reports whether
+// s equals the port's Sample.
+func (s *PortSample) TargetSideEqual(cfg stbus.PortConfig, req bool, cell stbus.Cell, rgnt bool) bool {
+	return s.Req == req && s.RGnt == rgnt && (!req || s.Cell == wireCell(cfg, cell))
 }
 
 // lowBits returns a mask of the low w bits.
@@ -244,7 +274,7 @@ type Schedule struct {
 // NewSchedule starts the run rules of a bench whose initiators replay ops.
 // limit bounds the cycles run before draining; 0 derives it from the
 // traffic volume.
-func NewSchedule[I interface{ Done() bool }](limit int, ops [][]Op, inits []I) Schedule {
+func NewSchedule(limit int, ops [][]Op, inits []*Initiator) Schedule {
 	if limit == 0 {
 		cells := 0
 		for _, stream := range ops {
@@ -254,14 +284,28 @@ func NewSchedule[I interface{ Done() bool }](limit int, ops [][]Op, inits []I) S
 		}
 		limit = 2000 + cells*60
 	}
-	return Schedule{limit: limit, done: func() bool {
+	return Schedule{limit: limit, done: allDone(inits)}
+}
+
+// allDone returns the drain check over inits.
+func allDone(inits []*Initiator) func() bool {
+	return func() bool {
 		for _, in := range inits {
 			if !in.Done() {
 				return false
 			}
 		}
 		return true
-	}}
+	}
+}
+
+// Copy returns the schedule in its state, the cycles run, the drain and
+// the tail, its drain check asking inits: the schedule of a bench that
+// goes on from copies of this bench's initiators.
+func (s *Schedule) Copy(inits []*Initiator) Schedule {
+	c := *s
+	c.done = allDone(inits)
+	return c
 }
 
 // Next reports whether the bench runs another cycle.

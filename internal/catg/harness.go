@@ -2,6 +2,7 @@ package catg
 
 import (
 	"math/rand"
+	"slices"
 
 	"crve/internal/sim"
 	"crve/internal/stbus"
@@ -9,16 +10,15 @@ import (
 
 // Initiator is the signal-independent core of an initiator BFM: it walks a
 // generated operation stream, holding each cell until it is granted and
-// leaving each operation's idle gap before it. InitiatorBFM and
-// FaultyInitiatorBFM step it from a port's wires; the ports bench
-// (core.RunPorts) steps it from function calls, so every bench presents
-// the same stimulus by construction.
+// leaving each operation's idle gap before it. InitiatorBFM steps it from a
+// port's wires; the ports bench (core.RunPorts) steps it from function
+// calls, so every bench presents the same stimulus by construction.
 type Initiator struct {
 	ops     []Op
 	opIdx   int
 	cellIdx int
 	idle    int
-	started bool
+	edges   uint64 // clock edges stepped
 
 	sent     int
 	received int
@@ -26,6 +26,17 @@ type Initiator struct {
 
 // NewInitiator builds the core for an operation stream.
 func NewInitiator(ops []Op) *Initiator { return &Initiator{ops: ops} }
+
+// Copy returns a core in this one's state that shares none of it: stepped
+// on the same inputs, the two present the same cells. The operations are
+// only read, so the copy shares them.
+func (in *Initiator) Copy() *Initiator {
+	c := *in
+	return &c
+}
+
+// Edges returns how many clock edges the core has stepped.
+func (in *Initiator) Edges() uint64 { return in.edges }
 
 // Step advances the core by one clock edge. granted reports that the cell
 // presented last cycle was accepted (req and gnt high); respEOP that last
@@ -42,22 +53,26 @@ func (in *Initiator) Step(granted, respEOP bool) (cell stbus.Cell, req bool) {
 				in.idle = in.ops[in.opIdx].IdleBefore
 			}
 		}
-	} else if in.started && in.idle > 0 {
+	} else if in.edges > 0 && in.idle > 0 {
 		in.idle--
 	}
-	if !in.started {
-		in.started = true
-		if in.opIdx < len(in.ops) {
-			in.idle = in.ops[in.opIdx].IdleBefore
-		}
+	if in.edges == 0 && in.opIdx < len(in.ops) {
+		in.idle = in.ops[in.opIdx].IdleBefore
 	}
+	in.edges++
 	if respEOP {
 		in.received++
 	}
+	return in.Out()
+}
+
+// Out returns what the core presents after its last Step: the cell and
+// whether to present one (req).
+func (in *Initiator) Out() (cell stbus.Cell, req bool) {
 	if in.opIdx < len(in.ops) && in.idle == 0 {
-		cell, req = in.ops[in.opIdx].Cells[in.cellIdx], true
+		return in.ops[in.opIdx].Cells[in.cellIdx], true
 	}
-	return cell, req
+	return cell, false
 }
 
 // Done reports whether every operation was issued and every response packet
@@ -94,6 +109,9 @@ func (b *InitiatorBFM) tick() {
 // Done reports whether every operation was issued and every response packet
 // received.
 func (b *InitiatorBFM) Done() bool { return b.core.Done() }
+
+// Core returns the core the BFM steps.
+func (b *InitiatorBFM) Core() *Initiator { return b.core }
 
 // TargetSeed derives the timing seed of target tgt from a test seed. Every
 // bench in internal/core seeds its targets with it (the signal views'
@@ -138,19 +156,62 @@ type Target struct {
 	cfg     TargetConfig
 	portCfg stbus.PortConfig
 
-	rng   *rand.Rand
+	seed  int64
+	src   *countedSource
+	rng   *rand.Rand // draws from src
 	mem   stbus.SparseMem
 	cur   []stbus.Cell
-	queue []tgtPkt
+	queue []tgtPkt // at most cfg.QueueDepth packets, popped by shifting down
 	gap   int
-	cyc   uint64
+	cyc   uint64 // clock edges stepped
+}
+
+// countedSource is a random source that counts the values it yields.
+// math/rand cannot copy a source, so a copy of a Target replays that many
+// values of a source seeded alike.
+type countedSource struct {
+	rand.Source
+	n int
+}
+
+func (s *countedSource) Int63() int64 {
+	s.n++
+	return s.Source.Int63()
+}
+
+// newCountedSource returns a source seeded with seed that has yielded n
+// values.
+func newCountedSource(seed int64, n int) *countedSource {
+	s := &countedSource{Source: rand.NewSource(seed)}
+	for s.n < n {
+		s.Int63()
+	}
+	return s
 }
 
 // NewTarget builds the core of a target on a port configured as portCfg,
 // its timing drawn from seed.
 func NewTarget(portCfg stbus.PortConfig, cfg TargetConfig, seed int64) *Target {
-	return &Target{cfg: cfg.WithDefaults(), portCfg: portCfg, rng: rand.New(rand.NewSource(seed))}
+	src := newCountedSource(seed, 0)
+	return &Target{cfg: cfg.WithDefaults(), portCfg: portCfg, seed: seed, src: src, rng: rand.New(src)}
 }
+
+// Copy returns a core in this one's state that shares none of it: the
+// packet queue, the cells of the packet in progress, the grant gap, the
+// cycle, the memory and the random stream. Stepped on the same inputs, the
+// two answer alike, and neither sees the other's memory writes.
+func (t *Target) Copy() *Target {
+	c := *t
+	c.src = newCountedSource(t.seed, t.src.n)
+	c.rng = rand.New(c.src)
+	c.mem = t.mem.Clone()
+	c.cur = slices.Clone(t.cur)
+	c.queue = slices.Clone(t.queue)
+	return &c
+}
+
+// Edges returns how many clock edges the core has stepped.
+func (t *Target) Edges() uint64 { return t.cyc }
 
 // Step advances the core by one clock edge. reqFired reports that last
 // cycle accepted the request cell cell; respFired that it accepted the
@@ -182,9 +243,18 @@ func (t *Target) Step(reqFired bool, cell stbus.Cell, respFired bool) (resp stbu
 		h := &t.queue[0]
 		h.idx++
 		if h.idx == len(h.resp) {
-			t.queue = t.queue[1:]
+			n := copy(t.queue, t.queue[1:])
+			t.queue[n] = tgtPkt{}
+			t.queue = t.queue[:n]
 		}
 	}
+	return t.Out()
+}
+
+// Out returns what the core drives after its last Step: the response cell
+// and whether it is offered (r_req), and whether a request cell is accepted
+// (gnt).
+func (t *Target) Out() (resp stbus.RespCell, rreq, gnt bool) {
 	if len(t.queue) > 0 && t.cyc >= t.queue[0].readyAt {
 		resp, rreq = t.queue[0].resp[t.queue[0].idx], true
 	}
@@ -208,6 +278,9 @@ func NewTargetBFM(sm *sim.Simulator, port *stbus.Port, cfg TargetConfig, seed in
 
 // Peek reads a byte of the target's memory, for tests.
 func (b *TargetBFM) Peek(addr uint64) byte { return b.core.mem.Byte(addr) }
+
+// Core returns the core the BFM steps.
+func (b *TargetBFM) Core() *Target { return b.core }
 
 func (b *TargetBFM) tick() {
 	p := b.Port

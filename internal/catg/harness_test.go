@@ -149,3 +149,49 @@ func TestBFMAgainstRealNodeIsLossless(t *testing.T) {
 		}
 	}
 }
+
+// TestTargetCopyContinuesAlike steps a target core back to back with an
+// initiator core through function calls, copies it while it holds a packet
+// in progress and a queued response, and then feeds the original and the
+// copy the same inputs: they must answer alike every cycle. A write to one
+// memory must not reach the other.
+func TestTargetCopyContinuesAlike(t *testing.T) {
+	cfg := nodeCfg(1, 1)
+	ops := GenerateOps(cfg, TrafficConfig{Ops: 40, Sizes: []int{4, 16, 32}}, 0, 5)
+	in := NewInitiator(ops)
+	tgt := NewTarget(cfg.Port, TargetConfig{MinLatency: 1, MaxLatency: 9, GntGapPct: 40, QueueDepth: 2}, 9)
+	var (
+		cp              *Target
+		cell            stbus.Cell
+		resp            stbus.RespCell
+		req, gnt, rreq  bool
+		copied, checked int
+	)
+	for cyc := 0; cyc < 5000 && !in.Done(); cyc++ {
+		reqFired := req && gnt
+		nextCell, nextReq := in.Step(reqFired, rreq && resp.EOP)
+		r, q, g := tgt.Step(reqFired, cell, rreq)
+		if cp != nil {
+			cr, cq, cg := cp.Step(reqFired, cell, rreq)
+			if cr != r || cq != q || cg != g {
+				t.Fatalf("cycle %d: copy answers %v/%v/%v, original %v/%v/%v", cyc, cr, cq, cg, r, q, g)
+			}
+			checked++
+		} else if len(tgt.cur) > 0 && len(tgt.queue) > 0 {
+			cp, copied = tgt.Copy(), cyc
+		}
+		cell, req, resp, rreq, gnt = nextCell, nextReq, r, q, g
+	}
+	if !in.Done() || cp == nil {
+		t.Fatalf("initiator done %v, copied %v", in.Done(), cp != nil)
+	}
+	if tgt.Edges() != cp.Edges() || tgt.src.n != cp.src.n || checked < 100 {
+		t.Errorf("copied at cycle %d, checked %d cycles: edges %d/%d, draws %d/%d",
+			copied, checked, tgt.Edges(), cp.Edges(), tgt.src.n, cp.src.n)
+	}
+	tgt.mem.Write(0x2000, []byte{0xa5})
+	cp.mem.Write(0x2001, []byte{0x5a})
+	if cp.mem.Byte(0x2000) != 0 || tgt.mem.Byte(0x2001) != 0 {
+		t.Error("a write to one target's memory reached the other's")
+	}
+}

@@ -204,10 +204,14 @@ type benchInst struct {
 	env     *catg.Env
 	samples []catg.PortSample // the last cycle run, initiator ports first
 	names   []string          // the ports' names, in samples' order
-	sched   catg.Schedule
+	sched   *catg.Schedule
 	rc      *vcd.Recorder
 	obs     *stba.Observer
 	kstats  bool // collect the kernel profile
+
+	// The stimulus cores a signal view's BFMs step, in port order.
+	inits []*catg.Initiator
+	tgts  []*catg.Target
 
 	// Run state: drain checks made (the context is polled every 64th), and
 	// whether and how the run ended.
@@ -269,14 +273,14 @@ func startView(ctx context.Context, cfg nodespec.Config, view View, test Test, s
 	}
 	b.res.CodeCov = dut.CodeCoverage()
 
-	var bfms []*catg.InitiatorBFM
 	for i, p := range dut.InitPorts() {
-		bfms = append(bfms, catg.NewInitiatorBFM(sm, p, ops[i]))
+		b.inits = append(b.inits, catg.NewInitiatorBFM(sm, p, ops[i]).Core())
 	}
 	for tg, p := range dut.TgtPorts() {
-		catg.NewTargetBFM(sm, p, test.targetFor(cfg, tg), catg.TargetSeed(seed, tg))
+		b.tgts = append(b.tgts, catg.NewTargetBFM(sm, p, test.targetFor(cfg, tg), catg.TargetSeed(seed, tg)).Core())
 	}
-	b.sched = catg.NewSchedule(test.MaxCycles, ops, bfms)
+	sched := catg.NewSchedule(test.MaxCycles, ops, b.inits)
+	b.sched = &sched
 	ps := ports(dut)
 	b.samples = make([]catg.PortSample, len(ps))
 	b.clk = kernelClock{sm, ps, b.samples}
@@ -322,11 +326,13 @@ func portSignals(ports []*stbus.Port) []*sim.Signal {
 
 // step runs the view's next cycle and reports true, or reports false once the
 // view has stopped; a failed cycle samples nothing. The cycles run follow
-// catg.Schedule. A Step error before the view drains ends the run
-// undrained, not in error; in the tail it is the run's error. The context
-// is polled every 64 drain checks; a cancelled run ends with an error
-// wrapping ctx.Err().
-func (b *benchInst) step() bool {
+// catg.Schedule (next); the clock runs them (tick).
+func (b *benchInst) step() bool { return b.next() && b.tick() }
+
+// next reports whether the schedule runs another cycle, or stops the view.
+// The context is polled every 64 drain checks; a cancelled run ends with an
+// error wrapping ctx.Err().
+func (b *benchInst) next() bool {
 	if b.stopped {
 		return false
 	}
@@ -341,6 +347,12 @@ func (b *benchInst) step() bool {
 		b.stopped = true
 		return false
 	}
+	return true
+}
+
+// tick runs the cycle next granted. A Step error before the view drains
+// ends the run undrained, not in error; in the tail it is the run's error.
+func (b *benchInst) tick() bool {
 	if err := b.clk.Step(); err != nil {
 		b.stopped = true
 		if b.sched.Drained {
@@ -426,58 +438,84 @@ func RunPair(cfg nodespec.Config, test Test, seed int64, bugs bca.Bugs) (*PairRe
 
 // RunPairOpt is RunPair with full run options. The RTL view runs on the
 // signal kernel and the BCA view on the ports bench (RunPorts), in lockstep.
-// Each cycle both views give one sample per port, and one comparison of
-// the two sample vectors feeds the bus-accurate comparison and the
-// observers; no waveform is recorded for it, and RecordWave is honoured as
-// given, purely as an artifact request. KernelStats profiles the RTL view,
-// the only one on a kernel.
+// Each cycle one comparison of the two views' port samples feeds the
+// bus-accurate comparison and the observers; no waveform is recorded for
+// it, and RecordWave is honoured as given, purely as an artifact request.
+// KernelStats profiles the RTL view, the only one on a kernel.
 func RunPairOpt(cfg nodespec.Config, test Test, seed int64, opt RunOptions) (*PairResult, error) {
 	return RunPairCtx(context.Background(), cfg, test, seed, opt)
 }
 
 // RunPairCtx is RunPairOpt under a cancellation context, threaded through
-// both view runs. Both views' initiators replay the same generated traffic.
+// both view runs. Both views present the same generated traffic.
 // Errors come back as if the views ran one after the other: an RTL error
 // first, then a BCA one. (Both views validate the configuration alike, so
 // the BCA view fails to elaborate only where the RTL view already has.)
 //
 // Each round runs one RTL kernel cycle, then one ports-bench cycle, and
-// stba.Judge compares the two views' samples. While every sample agrees,
-// only the RTL view's catg.Env observes: the BCA view's would see the same
-// samples and reach the same state. At the first cycle they differ, or once
-// one view has stopped while the other runs, a clone of the RTL env becomes
-// the BCA view's, and from then on each env observes its own view. A BCA
-// view that never left the RTL view's samples reports copies of the RTL
-// env's reports.
+// stba.Judge compares the two views' samples. While every sample agrees the
+// views share what the BCA view's bench would only repeat: the ports bench
+// presents the drives of the RTL view's stimulus cores and runs by the RTL
+// view's schedule, it compares only the wires the engine drives and, when
+// they agree, the RTL view's samples stand for both views, and only the RTL
+// view's catg.Env observes. At the first cycle the views differ, or once
+// the RTL view has stopped while the BCA view runs, they split: after that
+// cycle's edge the ports bench steps copies of the cores and of the
+// schedule, and before either env observes the cycle a clone of the RTL
+// env becomes the BCA view's; from then on each view runs and observes on
+// its own. A BCA view that never split reports copies of the RTL env's
+// reports.
 func RunPairCtx(ctx context.Context, cfg nodespec.Config, test Test, seed int64, opt RunOptions) (*PairResult, error) {
 	cfg = cfg.WithDefaults()
-	ops := trafficOps(cfg, test, seed)
-	r, err := startView(ctx, cfg, RTLView, test, seed, RunOptions{RecordWave: opt.RecordWave, KernelStats: opt.KernelStats}, ops)
+	r, err := startView(ctx, cfg, RTLView, test, seed, RunOptions{RecordWave: opt.RecordWave, KernelStats: opt.KernelStats}, trafficOps(cfg, test, seed))
 	if err != nil {
 		return nil, fmt.Errorf("core: RTL run: %w", err)
 	}
-	b, err := startPorts(ctx, cfg, test, seed, opt.Bugs, ops, opt.RecordWave)
+	b, p, err := startPorts(ctx, cfg, test, seed, opt.Bugs, r.inits, r.tgts, opt.RecordWave)
 	if err != nil {
 		return nil, fmt.Errorf("core: BCA run: %w", err)
 	}
+	b.sched, p.ref = r.sched, r.samples
 
 	judge := stba.NewJudge(r.names)
-	split := false // the BCA view observes through its own env
-	for rtlOn, bcaOn := true, true; r.err == nil; {
-		rtlOn = rtlOn && r.step()
-		bcaOn = bcaOn && b.step()
+	split := false
+	for round, rtlOn, bcaOn := 0, true, true; r.err == nil; round++ {
+		if split {
+			rtlOn = rtlOn && r.step()
+			bcaOn = bcaOn && b.step()
+		} else {
+			// A failed RTL cycle leaves no samples to compare with; the
+			// ports bench steps the cores itself if the RTL kernel failed
+			// before its BFMs stepped them.
+			bcaOn = r.next()
+			rtlOn = bcaOn && r.tick()
+			if !rtlOn {
+				p.ref = nil
+			}
+			bcaOn = bcaOn && b.tick()
+		}
 		if !rtlOn && !bcaOn {
 			break
 		}
-		agree := judge.Step(r.samples, b.samples, rtlOn, bcaOn)
-		if !split && !(agree && rtlOn && bcaOn) {
-			b.env, split = r.env.Clone(), true
+		bs, agree := b.samples, p.agreed
+		if agree {
+			bs = r.samples
+			judge.StepEqual(bs)
+		} else {
+			agree = judge.Step(r.samples, bs, rtlOn, bcaOn)
+		}
+		if !split && (!(agree && rtlOn && bcaOn) || round == forcedSplit) {
+			split = true
+			b.env = r.env.Clone()
+			p.copyCores()
+			sched := r.sched.Copy(p.inits)
+			b.sched = &sched
 		}
 		if rtlOn {
 			r.env.Observe(r.samples)
 		}
 		if split && bcaOn {
-			b.env.Observe(b.samples)
+			b.env.Observe(bs)
 		}
 	}
 	rres, err := r.finish()
@@ -499,6 +537,11 @@ func RunPairCtx(ctx context.Context, cfg nodespec.Config, test Test, seed int64,
 	pr.CoverageEqual, pr.CoverageDiff = rres.Coverage.EqualHits(bres.Coverage)
 	return pr, nil
 }
+
+// forcedSplit is the round at which RunPairCtx splits the views even where
+// they agree, -1 for none. Tests set it to show that a split changes no
+// result.
+var forcedSplit = -1
 
 // RunPairLanes runs RunPairCtx for each seed in turn and returns one
 // PairResult per seed, index-matched to seeds. It keeps the multi-seed entry

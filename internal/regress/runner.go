@@ -134,6 +134,9 @@ func runEngine(ctx context.Context, cfgs []nodespec.Config, opt Options, logHead
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	abort := func() { stopOnce.Do(func() { close(stop) }) }
+	// A panic out of the merge loop (an Options.Progress callback, say)
+	// stops the producer and the workers too.
+	defer abort()
 
 	// Producer: feeds units in canonical order, quits early on abort or
 	// cancellation.
@@ -150,14 +153,19 @@ func runEngine(ctx context.Context, cfgs []nodespec.Config, opt Options, logHead
 		}
 	}()
 
-	// Workers: simulate (or fetch) units, touching nothing shared.
+	// Workers: simulate (or fetch) units, touching nothing shared. After an
+	// abort nothing merges their outcomes any more.
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for u := range work {
-				outcomes <- runUnit(ctx, u, opt)
+				select {
+				case outcomes <- runUnit(ctx, u, opt):
+				case <-stop:
+					return
+				}
 			}
 		}()
 	}

@@ -3,8 +3,10 @@ package regress
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"crve/internal/arb"
 	"crve/internal/catg"
@@ -190,5 +192,29 @@ func TestPanickingUnitFailsItsRun(t *testing.T) {
 	}
 	if _, stats, err := RunCtx(context.Background(), cfgs, opt); err != nil || stats.Cached != 1 {
 		t.Fatalf("healthy unit was not stored: stats %v, err %v", stats, err)
+	}
+}
+
+// TestMergePanicStopsTheEngine recovers a panic out of the first Progress
+// event of a four-worker run and requires the run's goroutines to end: the
+// workers must not stay blocked handing outcomes to a merge loop that is
+// gone, nor the producer feeding them.
+func TestMergePanicStopsTheEngine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the run returned; want the Progress panic")
+			}
+		}()
+		_, _, _ = RunCtx(context.Background(), []nodespec.Config{engineCfg(t, "p", 4)}, Options{
+			Tests: testcases.All(), Seeds: []int64{1, 2}, Workers: 4,
+			Progress: func(Progress) { panic("progress") },
+		})
+	}()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running 10 s after the panic, %d before the run", runtime.NumGoroutine(), before)
+		}
 	}
 }

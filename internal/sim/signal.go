@@ -95,10 +95,37 @@ func (s *Signal) Set(v Bits) {
 }
 
 // SetU64 schedules the low 64 bits.
-func (s *Signal) SetU64(v uint64) { s.Set(B64(v)) }
+func (s *Signal) SetU64(v uint64) {
+	if s.width > 64 {
+		s.Set(B64(v))
+		return
+	}
+	s.setWord(v)
+}
 
 // SetBool schedules a single-bit value.
-func (s *Signal) SetBool(v bool) { s.Set(BBool(v)) }
+func (s *Signal) SetBool(v bool) {
+	var u uint64
+	if v {
+		u = 1
+	}
+	s.SetU64(u)
+}
+
+// setWord is Set for a signal of at most 64 bits: Set and force mask to the
+// width, so such a signal holds zero above word 0, and only word 0 is
+// masked, compared and stored.
+func (s *Signal) setWord(v uint64) {
+	v &= s.mask.v[0]
+	if !s.pending {
+		if v == s.cur.v[0] {
+			return
+		}
+		s.pending = true
+		s.sim.pending = append(s.sim.pending, s)
+	}
+	s.next.v[0] = v
+}
 
 // force installs a value immediately, bypassing delta semantics. It is only
 // used by the kernel for initialisation before time starts.

@@ -313,3 +313,28 @@ func TestDeltaCountAccumulates(t *testing.T) {
 		t.Error("DeltaCount not accumulating")
 	}
 }
+
+// TestSetU64MasksToWidth writes all ones to signals of 1, 8, 64 and 65 bits:
+// each commits the value masked to its width, and writing it again
+// schedules nothing.
+func TestSetU64MasksToWidth(t *testing.T) {
+	for _, w := range []int{1, 8, 64, 65} {
+		sm := New()
+		s := sm.Signal("s", w)
+		v, want := ^uint64(0), ^uint64(0)
+		if w < 64 {
+			want = 1<<w - 1
+		}
+		sm.Seq("drive", func() { s.SetU64(v) })
+		if err := sm.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Get(); got != B64(want) {
+			t.Errorf("width %d: committed %v, want %#x", w, got, want)
+		}
+		s.SetU64(v)
+		if len(sm.pending) != 0 || s.pending {
+			t.Errorf("width %d: writing the committed value scheduled a change", w)
+		}
+	}
+}

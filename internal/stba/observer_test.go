@@ -3,6 +3,7 @@ package stba
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"crve/internal/bca"
@@ -147,8 +148,10 @@ func runLockstepObserved(t *testing.T, cfg nodespec.Config, bugs bca.Bugs, seed 
 
 // runLockstepJudged steps the RTL and BCA views side by side as
 // runLockstepObserved does, reads every port's sample off its wires after
-// each cycle, and judges the two views' samples.
-func runLockstepJudged(t *testing.T, cfg nodespec.Config, bugs bca.Bugs, seed int64, rtlCycles, bcaCycles int) *Report {
+// each cycle, and judges the two views' samples. With equal, cycles that
+// both views ran with equal samples, every earlier one alike, go to
+// StepEqual, as core.RunPairCtx hands them.
+func runLockstepJudged(t *testing.T, cfg nodespec.Config, bugs bca.Bugs, seed int64, rtlCycles, bcaCycles int, equal bool) *Report {
 	t.Helper()
 	rv := newObservedView(t, cfg, nil, seed)
 	bv := newObservedView(t, cfg, &bugs, seed)
@@ -166,6 +169,7 @@ func runLockstepJudged(t *testing.T, cfg nodespec.Config, bugs bca.Bugs, seed in
 			samples[k] = catg.SamplePort(p)
 		}
 	}
+	synced := equal
 	for c := 0; c < rtlCycles || c < bcaCycles; c++ {
 		aOn, bOn := c < rtlCycles, c < bcaCycles
 		if aOn {
@@ -174,7 +178,11 @@ func runLockstepJudged(t *testing.T, cfg nodespec.Config, bugs bca.Bugs, seed in
 		if bOn {
 			step(bv, b)
 		}
-		j.Step(a, b, aOn, bOn)
+		if synced = synced && aOn && bOn && slices.Equal(a, b); synced {
+			j.StepEqual(a)
+		} else {
+			j.Step(a, b, aOn, bOn)
+		}
 	}
 	return j.Report()
 }
@@ -204,7 +212,8 @@ func checkObserverMatchesCompare(t *testing.T, cfg nodespec.Config, bugs bca.Bug
 	}{
 		{"recorded", obs.Report()},
 		{"live", runLockstepObserved(t, cfg, bugs, seed, rtlCycles, bcaCycles).Report()},
-		{"judge", runLockstepJudged(t, cfg, bugs, seed, rtlCycles, bcaCycles)},
+		{"judge", runLockstepJudged(t, cfg, bugs, seed, rtlCycles, bcaCycles, false)},
+		{"judge, StepEqual while equal", runLockstepJudged(t, cfg, bugs, seed, rtlCycles, bcaCycles, true)},
 		{"Compare", compared},
 	} {
 		gj, _ := json.Marshal(c.got)

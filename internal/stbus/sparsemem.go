@@ -1,5 +1,7 @@
 package stbus
 
+import "maps"
+
 // SparseMem is a sparse byte-addressed memory, the store behind every
 // memory target model. It keeps aligned 8-byte words, so serving a packet
 // costs a map operation per word touched rather than one per byte. A byte
@@ -14,6 +16,10 @@ type SparseMem struct {
 func (m *SparseMem) Byte(addr uint64) byte {
 	return byte(m.words[addr>>3] >> (8 * (addr & 7)))
 }
+
+// Clone returns a memory holding the same bytes that shares no storage with
+// m.
+func (m *SparseMem) Clone() SparseMem { return SparseMem{words: maps.Clone(m.words)} }
 
 // Read fills dst with the bytes from addr upwards.
 func (m *SparseMem) Read(addr uint64, dst []byte) {
