@@ -109,7 +109,7 @@ func BenchmarkE4Alignment(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pair, err := core.RunPairOpt(cfg, tc, 1, core.RunOptions{RecordWave: true})
+	pair, err := core.RunPairCtx(context.Background(), cfg, tc, 1, core.RunOptions{RecordWave: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func BenchmarkStreamingPair(b *testing.B) {
 	}
 	total := uint64(0)
 	for i := 0; i < b.N; i++ {
-		pair, err := core.RunPairOpt(cfg, tc, 1, core.RunOptions{})
+		pair, err := core.RunPairCtx(context.Background(), cfg, tc, 1, core.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func BenchmarkAblationDeltaKernel(b *testing.B) {
 		}
 		done := func() bool {
 			for _, bfm := range bfms {
-				if !bfm.Done() {
+				if !bfm.Core().Done() {
 					return false
 				}
 			}

@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"crve/internal/experiments"
@@ -32,14 +33,13 @@ func main() {
 		quick = flag.Bool("quick", false, "e1: run a 6-configuration slice instead of the full matrix")
 	)
 	flag.Parse()
-	if err := run(*exp, *quick); err != nil {
+	if err := run(os.Stdout, *exp, *quick); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, quick bool) error {
-	w := os.Stdout
+func run(w io.Writer, exp string, quick bool) error {
 	runOne := func(name string) error {
 		switch name {
 		case "e1":

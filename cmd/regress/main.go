@@ -248,7 +248,7 @@ func printPlan(w io.Writer, results []*regress.ConfigResult) {
 		for _, h := range holes {
 			fmt.Fprintf(w, "  hole %s\n", h)
 		}
-		for _, u := range closure.Plan(cr.Cfg, holes, 1) {
+		for _, u := range closure.PlanWith(cr.Cfg, holes, nil) {
 			var hs []string
 			for _, h := range u.Holes {
 				hs = append(hs, h.String())

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -50,7 +51,7 @@ func main() {
 	}
 
 	run := func(label string, bugs bca.Bugs) {
-		pair, err := core.RunPairOpt(cfg, test, 9, core.RunOptions{RecordWave: true, Bugs: bugs})
+		pair, err := core.RunPairCtx(context.Background(), cfg, test, 9, core.RunOptions{RecordWave: true, Bugs: bugs})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -189,8 +189,9 @@ func (s *Server) log(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// events streams status snapshots as Server-Sent Events: one event per
-// merged work unit and state change, ending after the terminal snapshot.
+// events relays Job.Subscribe as Server-Sent Events: the current snapshot,
+// then one event per merged work unit and state change, ending after the
+// terminal snapshot.
 func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.job(w, r)
 	if !ok {
@@ -215,9 +216,6 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 		}
 		return true
-	}
-	if !send(job.Status()) {
-		return
 	}
 	for {
 		select {

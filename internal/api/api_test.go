@@ -174,7 +174,7 @@ func TestServiceE2E(t *testing.T) {
 	// The HTTP report must be byte-identical to encoding the engine's own
 	// results locally — the same canonical path cmd/regress -json uses.
 	httpReport := getBytes(t, srv, "/api/v1/jobs/"+st.ID+"/report")
-	results, stats, err := regress.Run([]nodespec.Config{cfg}, regress.Options{
+	results, stats, err := regress.RunCtx(context.Background(), []nodespec.Config{cfg}, regress.Options{
 		Tests:       suite(t, spec.Tests...),
 		Seeds:       spec.Seeds,
 		KernelStats: true,
@@ -259,6 +259,15 @@ func TestServiceE2E(t *testing.T) {
 // reports whether a terminal state was seen.
 func sseStates(t *testing.T, srv *httptest.Server, id string) bool {
 	t.Helper()
+	frames := sseFrames(t, srv, id, nil)
+	return len(frames) > 0 && frames[len(frames)-1].State.Terminal()
+}
+
+// sseFrames reads the SSE stream of job id to its end and returns every
+// frame, failing on a frame of another job or one that does not parse.
+// opened, when non-nil, runs once the stream has subscribed to the job.
+func sseFrames(t *testing.T, srv *httptest.Server, id string, opened func()) []jobs.Status {
+	t.Helper()
 	resp, err := http.Get(srv.URL + "/api/v1/jobs/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
@@ -267,6 +276,10 @@ func sseStates(t *testing.T, srv *httptest.Server, id string) bool {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("events content type %q", ct)
 	}
+	if opened != nil {
+		opened()
+	}
+	var frames []jobs.Status
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -281,11 +294,56 @@ func sseStates(t *testing.T, srv *httptest.Server, id string) bool {
 		if st.ID != id {
 			t.Fatalf("SSE frame for job %s on stream %s", st.ID, id)
 		}
-		if st.State.Terminal() {
-			return true
-		}
+		frames = append(frames, st)
 	}
-	return false
+	return frames
+}
+
+// TestEventStreamHasOneSource: the event stream relays Job.Subscribe alone,
+// so a live job's stream ends with exactly one terminal frame and a
+// finished job's stream is that one frame.
+func TestEventStreamHasOneSource(t *testing.T) {
+	srv, mgr := newTestServer(t)
+	// Two long jobs hold both executor slots, so the job under test is still
+	// queued when its stream opens; they are cancelled once it has.
+	var blockers []string
+	for _, name := range []string{"evblock0", "evblock1"} {
+		blockers = append(blockers, postJob(t, srv, jobs.Spec{
+			Configs: []string{regress.FormatConfig(testCfg(t, name))},
+			Seeds:   []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+		}).ID)
+	}
+	st := postJob(t, srv, jobs.Spec{
+		Configs: []string{regress.FormatConfig(testCfg(t, "ev0"))},
+		Tests:   []string{"basic_write_read"},
+		Seeds:   []int64{1, 2, 3},
+	})
+	terminal := func(frames []jobs.Status) (n int) {
+		for _, f := range frames {
+			if f.State.Terminal() {
+				n++
+			}
+		}
+		return n
+	}
+	live := sseFrames(t, srv, st.ID, func() {
+		for _, id := range blockers {
+			if err := mgr.Cancel(id); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if len(live) < 2 || live[0].State != jobs.Queued {
+		t.Fatalf("stream of a job queued behind two others: %+v, want it to start queued", live)
+	}
+	if n := terminal(live); n != 1 || !live[len(live)-1].State.Terminal() {
+		t.Errorf("live stream of %d frame(s) has %d terminal frame(s), want exactly the last", len(live), n)
+	}
+	pollDone(t, srv, st.ID)
+	done := sseFrames(t, srv, st.ID, nil)
+	if len(done) != 1 || done[0].State != jobs.Done {
+		t.Errorf("finished job's stream has %d frame(s), want one done frame: %+v", len(done), done)
+	}
 }
 
 func suite(t *testing.T, names ...string) []core.Test {

@@ -199,7 +199,7 @@ func TestProgrammableReprogramming(t *testing.T) {
 	if w := p.Pick(in); w != 1 {
 		t.Fatalf("after reprogram winner %d, want 1", w)
 	}
-	if p.PriorityOf(1) != 15 || p.Ports() != 2 {
+	if p.prios[1] != 15 || p.Ports() != 2 {
 		t.Error("register readback wrong")
 	}
 	p.Reset()

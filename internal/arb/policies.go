@@ -270,8 +270,5 @@ func (a *ProgrammablePolicy) SetPriority(port int, pri uint8) error {
 	return nil
 }
 
-// PriorityOf reads port's priority register.
-func (a *ProgrammablePolicy) PriorityOf(port int) uint8 { return a.prios[port] }
-
 // Ports returns the number of priority registers.
 func (a *ProgrammablePolicy) Ports() int { return len(a.prios) }

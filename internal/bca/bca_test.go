@@ -457,8 +457,8 @@ func TestStandaloneSharedSlowerThanCrossbar(t *testing.T) {
 }
 
 func TestBugsHelpers(t *testing.T) {
-	if (Bugs{}).Any() {
-		t.Error("zero Bugs should be Any()==false")
+	if len(Bugs{}.List()) != 0 {
+		t.Error("zero Bugs should enable no bug")
 	}
 	all := AllBugs()
 	names := BugNames()
@@ -466,7 +466,7 @@ func TestBugsHelpers(t *testing.T) {
 		t.Fatal("five bugs expected")
 	}
 	for i, b := range all {
-		if !b.Any() {
+		if b == (Bugs{}) {
 			t.Errorf("bug %d not set", i)
 		}
 		l := b.List()

@@ -54,11 +54,6 @@ type Bugs struct {
 	T2OrderIgnored bool
 }
 
-// Any reports whether at least one bug is enabled.
-func (b Bugs) Any() bool {
-	return b.LRUInit || b.ChunkLckIgnored || b.PipeOffByOne || b.ErrRespTIDZero || b.T2OrderIgnored
-}
-
 // List returns the names of the enabled bugs.
 func (b Bugs) List() []string {
 	var out []string

@@ -68,7 +68,7 @@ func (b *bench) run(t *testing.T, limit int) {
 	t.Helper()
 	done := func() bool {
 		for _, bfm := range b.bfms {
-			if !bfm.Done() {
+			if !bfm.core.Done() {
 				return false
 			}
 		}
@@ -285,7 +285,7 @@ func TestCheckersCatchSeededBugs(t *testing.T) {
 			// require drain.
 			done := func() bool {
 				for _, bfm := range b.bfms {
-					if !bfm.Done() {
+					if !bfm.core.Done() {
 						return false
 					}
 				}
@@ -343,7 +343,7 @@ func TestMonitorReconstructsTransaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	bfm := NewInitiatorBFM(sm, n.Init[0], []Op{{Cells: cells}})
-	if err := sm.RunUntil(bfm.Done, 300); err != nil {
+	if err := sm.RunUntil(bfm.core.Done, 300); err != nil {
 		t.Fatal(err)
 	}
 	if len(mon.Completed) != 1 {
@@ -375,7 +375,7 @@ func TestCheckerCleanOnDirectedTraffic(t *testing.T) {
 	NewTargetBFM(sm, n.Tgt[0], TargetConfig{}, 1)
 	ops := GenerateOps(cfg, TrafficConfig{Ops: 20}, 0, 4)
 	bfm := NewInitiatorBFM(sm, n.Init[0], ops)
-	if err := sm.RunUntil(bfm.Done, 5000); err != nil {
+	if err := sm.RunUntil(bfm.core.Done, 5000); err != nil {
 		t.Fatal(err)
 	}
 	if len(ck.Violations) != 0 {

@@ -36,8 +36,7 @@ type CoverageModel struct {
 	// dominated the RTL-view throughput profile when it formatted bin names
 	// and looked them up per event; with handles a sample is counter
 	// increments only. Resolved once by resolveBins after the group is
-	// declared; nil handles no-op on Inc, matching HitOK's tolerance of
-	// undeclared bins.
+	// declared; nil handles (undeclared bins) no-op on Inc.
 	opBin                          [256]*coverage.Bin // opcode → "opcode" bin
 	lenBin                         [256]*coverage.Bin // opcode → "req_pkt_len" bin
 	initBin                        []*coverage.Bin

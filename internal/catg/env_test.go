@@ -1,6 +1,7 @@
 package catg
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -20,8 +21,12 @@ type envReport struct {
 }
 
 func reportOf(e *Env) envReport {
+	bins, err := json.Marshal(e.Coverage.Group)
+	if err != nil {
+		panic(err)
+	}
 	r := envReport{Transactions: e.Transactions(), Latencies: e.Latencies, Violations: e.Violations(),
-		ScoreErrors: e.Scoreboard.Check(), Bins: e.Coverage.Group.SortedBinDump()}
+		ScoreErrors: e.Scoreboard.Check(), Bins: string(bins)}
 	for _, a := range e.Asm {
 		var trs []stbus.Transaction
 		for _, tr := range a.Completed {

@@ -172,7 +172,7 @@ func (b *FaultyInitiatorBFM) tick() {
 			return
 		case FaultMutatePayload:
 			b.injected = true
-			cell.Data = cell.Data.Xor(sim.B64(0xff))
+			cell.Data = cell.Data.WithByte(0, ^cell.Data.Byte(0))
 			cell.Addr ^= 0x4
 		}
 	}

@@ -68,7 +68,7 @@ func TestBenchAroundConverterDUT(t *testing.T) {
 		cyc++
 	})
 
-	if err := sm.RunUntil(bfm.Done, 20000); err != nil {
+	if err := sm.RunUntil(bfm.core.Done, 20000); err != nil {
 		t.Fatal(err)
 	}
 	if err := sm.Run(5); err != nil {
@@ -132,7 +132,7 @@ func TestBenchAroundType1PeripheralDUT(t *testing.T) {
 	bfm := NewInitiatorBFM(sm, conv.Up, ops)
 	env := attachEnv(sm, upView, tc, []*stbus.Port{conv.Up})
 	ck, mon := env.Checkers[0], env.Asm[0]
-	if err := sm.RunUntil(bfm.Done, 10000); err != nil {
+	if err := sm.RunUntil(bfm.core.Done, 10000); err != nil {
 		t.Fatal(err)
 	}
 	if len(ck.Violations) != 0 {

@@ -106,10 +106,6 @@ func (b *InitiatorBFM) tick() {
 	p.RGnt.SetBool(true)
 }
 
-// Done reports whether every operation was issued and every response packet
-// received.
-func (b *InitiatorBFM) Done() bool { return b.core.Done() }
-
 // Core returns the core the BFM steps.
 func (b *InitiatorBFM) Core() *Initiator { return b.core }
 
@@ -275,9 +271,6 @@ func NewTargetBFM(sm *sim.Simulator, port *stbus.Port, cfg TargetConfig, seed in
 	sm.Seq(port.Name+".bfm", b.tick)
 	return b
 }
-
-// Peek reads a byte of the target's memory, for tests.
-func (b *TargetBFM) Peek(addr uint64) byte { return b.core.mem.Byte(addr) }
 
 // Core returns the core the BFM steps.
 func (b *TargetBFM) Core() *Target { return b.core }

@@ -23,7 +23,7 @@ func TestInitiatorBFMDrivesAllOpsAndCompletes(t *testing.T) {
 	cfg := nodeCfg(1, 1)
 	ops := GenerateOps(cfg, TrafficConfig{Ops: 12, IdlePct: 30}, 0, 7)
 	sm, bfm, _ := buildLoop(t, TargetConfig{MinLatency: 1, MaxLatency: 3}, ops, 3)
-	if err := sm.RunUntil(bfm.Done, 3000); err != nil {
+	if err := sm.RunUntil(bfm.core.Done, 3000); err != nil {
 		t.Fatal(err)
 	}
 	if bfm.core.sent != 12 || bfm.core.received != 12 {
@@ -47,11 +47,11 @@ func TestInitiatorBFMInsertsIdleGaps(t *testing.T) {
 	sm, bfm, _ := buildLoop(t, TargetConfig{}, ops, 3)
 	idleCycles := 0
 	sm.AtCycleEnd(func() {
-		if !bfm.Port.Req.Bool() && !bfm.Done() {
+		if !bfm.Port.Req.Bool() && !bfm.core.Done() {
 			idleCycles++
 		}
 	})
-	if err := sm.RunUntil(bfm.Done, 3000); err != nil {
+	if err := sm.RunUntil(bfm.core.Done, 3000); err != nil {
 		t.Fatal(err)
 	}
 	if idleCycles == 0 {
@@ -70,7 +70,7 @@ func TestTargetBFMQueueDepthBackpressure(t *testing.T) {
 			maxQ = n
 		}
 	})
-	if err := sm.RunUntil(bfm.Done, 5000); err != nil {
+	if err := sm.RunUntil(bfm.core.Done, 5000); err != nil {
 		t.Fatal(err)
 	}
 	if maxQ > 1 {
@@ -92,11 +92,11 @@ func TestTargetBFMMemorySemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	bfm := NewInitiatorBFM(sm, p, []Op{{Cells: st}, {Cells: ld}})
-	if err := sm.RunUntil(bfm.Done, 500); err != nil {
+	if err := sm.RunUntil(bfm.core.Done, 500); err != nil {
 		t.Fatal(err)
 	}
-	if tgt.Peek(0x40) != 4 || tgt.Peek(0x43) != 1 {
-		t.Errorf("memory state %x %x", tgt.Peek(0x40), tgt.Peek(0x43))
+	if mem := &tgt.core.mem; mem.Byte(0x40) != 4 || mem.Byte(0x43) != 1 {
+		t.Errorf("memory state %x %x", mem.Byte(0x40), mem.Byte(0x43))
 	}
 }
 
@@ -105,7 +105,7 @@ func TestTargetBFMDeterministicTiming(t *testing.T) {
 	run := func() uint64 {
 		ops := GenerateOps(cfg, TrafficConfig{Ops: 15}, 0, 4)
 		sm, bfm, _ := buildLoop(t, TargetConfig{MinLatency: 0, MaxLatency: 8, GntGapPct: 40}, ops, 77)
-		if err := sm.RunUntil(bfm.Done, 5000); err != nil {
+		if err := sm.RunUntil(bfm.core.Done, 5000); err != nil {
 			t.Fatal(err)
 		}
 		return sm.Cycle()
@@ -132,7 +132,7 @@ func TestBFMAgainstRealNodeIsLossless(t *testing.T) {
 	for tg, p := range n.Tgt {
 		NewTargetBFM(sm, p, TargetConfig{MinLatency: 1, MaxLatency: 4}, int64(tg))
 	}
-	done := func() bool { return bfms[0].Done() && bfms[1].Done() }
+	done := func() bool { return bfms[0].core.Done() && bfms[1].core.Done() }
 	if err := sm.RunUntil(done, 20000); err != nil {
 		t.Fatal(err)
 	}

@@ -174,8 +174,9 @@ func closeGroup(ctx context.Context, cfg nodespec.Config, cov *coverage.Group, o
 		for i, u := range units {
 			tests[i] = u.Test
 		}
-		// Synthesized units bypass the lint gate: the configuration already
-		// passed it (or was explicitly -nolint'ed) before the suite ran.
+		// Synthesized units are not linted again: the configuration passed
+		// the request's gate (or was explicitly -nolint'ed) before the suite
+		// ran.
 		iopt := regress.Options{
 			Tests: tests, Seeds: []int64{seed}, Bugs: opt.Bugs,
 			Log: opt.Log, Workers: opt.Workers, Tokens: opt.Tokens, Cache: opt.Cache,

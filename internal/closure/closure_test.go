@@ -17,6 +17,13 @@ import (
 	"crve/internal/testcases"
 )
 
+// textString renders Text into a string.
+func textString(t *core.ClosureTrajectory) string {
+	var sb strings.Builder
+	Text(&sb, t)
+	return sb.String()
+}
+
 // holesConfig is the in-repo twin of configs/closure/regbank.cfg: a node
 // whose 16-byte register-bank regions starve the generator of
 // large-operation addresses, so the default suite at seed 1 leaves a known
@@ -91,7 +98,7 @@ func TestCloseConvergesOnHolesConfig(t *testing.T) {
 		t.Fatalf("base suite already full (%.1f%%): regbank no longer demonstrates closure", traj.StartPercent)
 	}
 	if !traj.Converged || traj.Reason != core.ClosureFull {
-		t.Fatalf("closure did not converge: reason=%s trajectory:\n%s", traj.Reason, TextString(traj))
+		t.Fatalf("closure did not converge: reason=%s trajectory:\n%s", traj.Reason, textString(traj))
 	}
 	if traj.FinalPercent != 100 {
 		t.Fatalf("final coverage %.1f%%, want 100", traj.FinalPercent)
@@ -100,7 +107,7 @@ func TestCloseConvergesOnHolesConfig(t *testing.T) {
 		t.Fatalf("converged without synthesizing anything: %+v", traj)
 	}
 	if traj.Failures != 0 {
-		t.Fatalf("%d synthesized unit(s) failed checks:\n%s", traj.Failures, TextString(traj))
+		t.Fatalf("%d synthesized unit(s) failed checks:\n%s", traj.Failures, textString(traj))
 	}
 }
 
@@ -182,7 +189,7 @@ func TestCloseWarmCacheZeroResim(t *testing.T) {
 	}
 	if ct.Reason != wt.Reason || ct.FinalPercent != wt.FinalPercent ||
 		ct.TotalCycles != wt.TotalCycles || len(ct.Iterations) != len(wt.Iterations) {
-		t.Errorf("warm trajectory diverged from cold:\n--- cold ---\n%s--- warm ---\n%s", TextString(ct), TextString(wt))
+		t.Errorf("warm trajectory diverged from cold:\n--- cold ---\n%s--- warm ---\n%s", textString(ct), textString(wt))
 	}
 	for i := range ct.Iterations {
 		cu, wu := ct.Iterations[i].Units, wt.Iterations[i].Units
@@ -322,8 +329,8 @@ func TestCloseMaxIters(t *testing.T) {
 func TestPlanDeterministicAndHashed(t *testing.T) {
 	cfg := holesConfig()
 	holes := []coverage.Hole{{Item: "opcode", Bin: "SWAP1"}, {Item: "latency", Bin: "ge20"}}
-	a := Plan(cfg, holes, 1)
-	b := Plan(cfg, holes, 1)
+	a := PlanWith(cfg, holes, nil)
+	b := PlanWith(cfg, holes, nil)
 	if len(a) != len(b) || len(a) != 2 {
 		t.Fatalf("plan sizes: %d vs %d (want 2)", len(a), len(b))
 	}
@@ -335,10 +342,16 @@ func TestPlanDeterministicAndHashed(t *testing.T) {
 			t.Errorf("unit name %q lacks the closure/slug@hash shape", a[i].Test.Name)
 		}
 	}
-	c := Plan(cfg, holes, 2)
+	// A barren history doubles every recipe's dose, and a larger dose
+	// re-fingerprints every unit.
+	barren := History{}
+	for _, u := range a {
+		barren[unitSlug(u.Test.Name)] = SlugStats{Attempts: 1, Barren: 1}
+	}
+	c := PlanWith(cfg, holes, barren)
 	for i := range a {
 		if a[i].Test.Name == c[i].Test.Name {
-			t.Errorf("iteration 1 and 2 plans share name %q despite different operation counts", a[i].Test.Name)
+			t.Errorf("fresh and barren-history plans share name %q despite different operation counts", a[i].Test.Name)
 		}
 	}
 }
@@ -359,7 +372,7 @@ func TestPlanCoversEveryHole(t *testing.T) {
 				live = append(live, h)
 			}
 		}
-		units := Plan(cfg, live, 1)
+		units := PlanWith(cfg, live, nil)
 		planned := map[string]bool{}
 		for _, u := range units {
 			for _, h := range u.Holes {
@@ -405,12 +418,12 @@ func TestPlanFeedbackEscalatesOnlyBarrenRecipes(t *testing.T) {
 	}
 
 	// The dose is capped: three consecutive barren rounds saturate at
-	// maxOps, exactly like the legacy iteration ramp at iter 4 and beyond.
-	capped := PlanWith(cfg, holes, History{slug0: {Barren: 3}, slug1: {Barren: 9}})
-	legacy := Plan(cfg, holes, 4)
+	// maxOps, and more change nothing.
+	capped := PlanWith(cfg, holes, History{slug0: {Barren: 3}, slug1: {Barren: 3}})
+	longer := PlanWith(cfg, holes, History{slug0: {Barren: 4}, slug1: {Barren: 9}})
 	for i := range capped {
-		if capped[i].Test.Name != legacy[i].Test.Name {
-			t.Errorf("unit %d: capped history %q != legacy saturated ramp %q", i, capped[i].Test.Name, legacy[i].Test.Name)
+		if capped[i].Test.Name != longer[i].Test.Name {
+			t.Errorf("unit %d: dose past the cap changed the unit: %q -> %q", i, capped[i].Test.Name, longer[i].Test.Name)
 		}
 	}
 }

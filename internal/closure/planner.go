@@ -8,9 +8,9 @@
 // is full or a budget runs out.
 //
 // Everything is deterministic: the plan is a pure function of
-// (configuration, hole set, iteration), unit seeds derive from the base seed
-// and the iteration number, and merges happen in canonical order — so a
-// closure trajectory is reproducible at any worker count, and the warm
+// (configuration, hole set, recipe history), unit seeds derive from the base
+// seed and the iteration number, and merges happen in canonical order — so
+// a closure trajectory is reproducible at any worker count, and the warm
 // re-run of a converged closure simulates nothing.
 package closure
 
@@ -37,20 +37,16 @@ type Unit struct {
 	Holes []coverage.Hole
 }
 
-// planner carries the per-Plan state: the defaulted configuration and the
-// dosing feedback that sizes each recipe's operation count.
+// planner carries the per-PlanWith state: the defaulted configuration and
+// the dosing feedback that sizes each recipe's operation count.
 type planner struct {
 	cfg  nodespec.Config
 	hist History
-	// assumeBarren is Plan's legacy global ramp: with no measured history,
-	// every recipe is dosed as if this many prior attempts had closed
-	// nothing.
-	assumeBarren int
 }
 
 // Operation-count dosing: every recipe starts at baseOps; each measured
 // consecutive zero-yield attempt of that recipe doubles the dose up to
-// maxOps (the same ceiling the old blind 40*iter ramp had).
+// maxOps.
 const (
 	baseOps = 40
 	maxOps  = 320
@@ -111,10 +107,7 @@ func unitSlug(name string) string {
 // iteration's fresh seed explores new stimulus at the same cost — while one
 // that keeps coming back empty escalates geometrically.
 func (p *planner) opsFor(slug string) int {
-	barren := p.assumeBarren
-	if st, ok := p.hist[slug]; ok {
-		barren = st.Barren
-	}
+	barren := p.hist[slug].Barren
 	ops := baseOps
 	for ; barren > 0 && ops < maxOps; barren-- {
 		ops *= 2
@@ -125,24 +118,14 @@ func (p *planner) opsFor(slug string) int {
 	return ops
 }
 
-// Plan maps a hole set to biased follow-up units with no measured history:
-// iteration number stands in for feedback, dosing every recipe as if the
-// iter-1 prior rounds had all come back empty. It is pure and
-// deterministic: the same (cfg, holes, iter) always yields the same units in
-// the same order, with the same content-hashed names.
-func Plan(cfg nodespec.Config, holes []coverage.Hole, iter int) []Unit {
-	if iter < 1 {
-		iter = 1
-	}
-	return plan(cfg, holes, nil, iter-1)
-}
-
 // PlanWith maps a hole set to biased follow-up units using measured
-// per-recipe coverage deltas (HistoryOf a trajectory in progress): stimulus
-// escalates only where prior rounds measurably failed to close bins, instead
-// of ramping every recipe in lockstep. Like Plan it is pure and
-// deterministic in its inputs. Holes the planner has no recipe for fall into
-// one catch-all union-traffic unit, so no hole is ever silently dropped.
+// per-recipe coverage deltas (HistoryOf a trajectory in progress; nil before
+// the first iteration): stimulus escalates only where prior rounds
+// measurably failed to close bins. It is pure and deterministic: the same
+// (cfg, holes, hist) always yields the same units in the same order, with
+// the same content-hashed names. Holes the planner has no recipe for fall
+// into one catch-all union-traffic unit, so no hole is ever silently
+// dropped.
 //
 // The model-shaping traffic fields (Kinds, Sizes, UnmappedPct, ProgPct,
 // ChunkPct) are kept uniform across initiators within a unit: the per-run
@@ -151,12 +134,8 @@ func Plan(cfg nodespec.Config, holes []coverage.Hole, iter int) []Unit {
 // before the merge. Per-initiator bias uses only Ops, Targets, IdlePct and
 // PriMax, which do not shape the model.
 func PlanWith(cfg nodespec.Config, holes []coverage.Hole, hist History) []Unit {
-	return plan(cfg, holes, hist, 0)
-}
-
-func plan(cfg nodespec.Config, holes []coverage.Hole, hist History, assumeBarren int) []Unit {
 	cfg = cfg.WithDefaults()
-	p := &planner{cfg: cfg, hist: hist, assumeBarren: assumeBarren}
+	p := &planner{cfg: cfg, hist: hist}
 
 	// Bucket the holes by item; bin order within an item follows the holes
 	// slice (declaration order).

@@ -55,13 +55,6 @@ func Text(w io.Writer, t *core.ClosureTrajectory) {
 	fmt.Fprintf(w, "closure %s: %s\n", t.Config, Summary(t))
 }
 
-// TextString renders Text into a string.
-func TextString(t *core.ClosureTrajectory) string {
-	var sb strings.Builder
-	Text(&sb, t)
-	return sb.String()
-}
-
 // JSON renders the trajectory as indented JSON.
 func JSON(w io.Writer, t *core.ClosureTrajectory) error {
 	enc := json.NewEncoder(w)

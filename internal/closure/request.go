@@ -65,9 +65,9 @@ func (r *Request) Flags(fs *flag.FlagSet) {
 // every test unless Tests names some; seeds [1] unless Seeds lists some.
 // regress.LintSet gates all of it with the fabrics topology files: an error
 // refuses the request unless NoLint is set, and a configuration that does
-// not parse or validate is refused even then. The Options carry the request
-// with NoLint set, since the gate ran; a front end adds Workers, Cache, Log
-// and Progress and calls Run.
+// not parse or validate is refused even then. This is the one lint gate: the
+// engine behind Run does not lint again. A front end adds Workers, Cache,
+// Log and Progress to the returned Options and calls Run.
 func (r *Request) Resolve(srcs []lint.Source, fabrics []string) ([]nodespec.Config, *lint.Report, Options, error) {
 	var cfgs []nodespec.Config
 	if r.Matrix {
@@ -125,7 +125,7 @@ func (r *Request) Resolve(srcs []lint.Source, fabrics []string) ([]nodespec.Conf
 	}
 	return cfgs, rep, Options{
 		Options: regress.Options{
-			Tests: tests, Seeds: seeds, NoLint: true,
+			Tests: tests, Seeds: seeds,
 			KernelStats: r.KernelStats, RecordWave: r.RecordWave,
 		},
 		Close: r.Close, MaxIters: r.MaxIters, Budget: r.Budget,

@@ -162,7 +162,7 @@ func (r *RunResult) Summary() string {
 		len(r.ScoreErrors), r.Coverage.Percent())
 }
 
-// RunOptions tunes a RunTest invocation.
+// RunOptions tunes a RunTest run of one view or a RunPairCtx run of both.
 type RunOptions struct {
 	// RecordWave captures the DUT port waveforms as a compact binary
 	// Recording (RunResult.Wave), which re-serves them as text VCD.
@@ -433,21 +433,18 @@ func (p *PairResult) SignedOff() bool {
 // RunPair runs one (test, seed) against the RTL and the BCA views, then
 // performs the bus-accurate comparison and the coverage-equality check.
 func RunPair(cfg nodespec.Config, test Test, seed int64, bugs bca.Bugs) (*PairResult, error) {
-	return RunPairOpt(cfg, test, seed, RunOptions{Bugs: bugs})
+	return RunPairCtx(context.Background(), cfg, test, seed, RunOptions{Bugs: bugs})
 }
 
-// RunPairOpt is RunPair with full run options. The RTL view runs on the
-// signal kernel and the BCA view on the ports bench (RunPorts), in lockstep.
-// Each cycle one comparison of the two views' port samples feeds the
-// bus-accurate comparison and the observers; no waveform is recorded for
-// it, and RecordWave is honoured as given, purely as an artifact request.
-// KernelStats profiles the RTL view, the only one on a kernel.
-func RunPairOpt(cfg nodespec.Config, test Test, seed int64, opt RunOptions) (*PairResult, error) {
-	return RunPairCtx(context.Background(), cfg, test, seed, opt)
-}
-
-// RunPairCtx is RunPairOpt under a cancellation context, threaded through
-// both view runs. Both views present the same generated traffic.
+// RunPairCtx is RunPair with full run options, under a cancellation context
+// threaded through both view runs. The RTL view runs on the signal kernel
+// and the BCA view on the ports bench (RunPorts), in lockstep, and both
+// present the same generated traffic. Each cycle one comparison of the two
+// views' port samples feeds the bus-accurate comparison and the observers;
+// no waveform is recorded for it, and RecordWave is honoured as given,
+// purely as an artifact request. KernelStats profiles the RTL view, the
+// only one on a kernel.
+//
 // Errors come back as if the views ran one after the other: an RTL error
 // first, then a BCA one. (Both views validate the configuration alike, so
 // the BCA view fails to elaborate only where the RTL view already has.)

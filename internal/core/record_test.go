@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestPairRecordRoundTrip(t *testing.T) {
 		Name:    "record_round_trip",
 		Traffic: catg.TrafficConfig{Ops: 6, Kinds: []stbus.OpKind{stbus.KindLoad, stbus.KindStore}, Sizes: []int{4}},
 	}
-	pair, err := core.RunPairOpt(cfg, test, 7, core.RunOptions{KernelStats: true, RecordWave: true})
+	pair, err := core.RunPairCtx(context.Background(), cfg, test, 7, core.RunOptions{KernelStats: true, RecordWave: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,12 +73,6 @@ func (m *CodeMap) Line(name string) {
 	m.points[name].hits++
 }
 
-// Stmt declares-and-hits a statement point.
-func (m *CodeMap) Stmt(name string) {
-	m.Declare(StmtPoint, name)
-	m.points[name].hits++
-}
-
 // Branch declares-and-hits one direction of a branch point.
 func (m *CodeMap) Branch(name string, taken bool) {
 	m.Declare(BranchPoint, name)
@@ -94,7 +88,7 @@ func (m *CodeMap) Branch(name string, taken bool) {
 // Instrumentation hot enough that the per-hit map lookup matters resolves its
 // handles once at elaboration and hits through them during simulation — a
 // counter increment instead of a string hash. Handles stay valid for the
-// map's lifetime: Merge and ResetHits mutate the points in place.
+// map's lifetime: Merge mutates the points in place.
 type Point struct{ p *codePoint }
 
 // Point declares the coverage point (a no-op when already declared) and
@@ -183,14 +177,6 @@ func (m *CodeMap) Merge(o *CodeMap) {
 		if op.justified {
 			p.justified = true
 		}
-	}
-}
-
-// ResetHits clears hit counts but keeps declarations and justifications, so
-// one elaborated model can run several tests with separate reports.
-func (m *CodeMap) ResetHits() {
-	for _, p := range m.points {
-		p.hits, p.missHits = 0, 0
 	}
 }
 

@@ -2,10 +2,52 @@ package coverage
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// hitOK samples bin name through its counter if declared and reports
+// whether it was.
+func hitOK(it *Item, name string) bool {
+	b := it.Counter(name)
+	b.Inc()
+	return b != nil
+}
+
+// cross declares an item whose bins are the cartesian product of the bins
+// of a and b, named "abin×bbin".
+func cross(g *Group, name string, a, b *Item) *Item {
+	var bins []string
+	for _, ab := range a.bins {
+		for _, bb := range b.bins {
+			bins = append(bins, ab.Name+"×"+bb.Name)
+		}
+	}
+	return g.Item(name, bins...)
+}
+
+// sortedBinDump renders every bin and hit count as sorted "item/bin=hits"
+// lines.
+func sortedBinDump(g *Group) string {
+	var lines []string
+	for _, it := range g.items {
+		for _, b := range it.bins {
+			lines = append(lines, fmt.Sprintf("%s/%s=%d", it.Name, b.Name, b.Hits))
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// resetHits clears a code map's hit counts but keeps its declarations and
+// justifications.
+func resetHits(m *CodeMap) {
+	for _, p := range m.points {
+		p.hits, p.missHits = 0, 0
+	}
+}
 
 func TestItemHitAndCovered(t *testing.T) {
 	g := NewGroup("g")
@@ -39,7 +81,7 @@ func TestItemHitUnknownPanics(t *testing.T) {
 func TestItemHitOK(t *testing.T) {
 	g := NewGroup("g")
 	it := g.Item("x", "a")
-	if !it.HitOK("a") || it.HitOK("b") {
+	if !hitOK(it, "a") || hitOK(it, "b") {
 		t.Error("HitOK wrong")
 	}
 }
@@ -64,7 +106,7 @@ func TestItemLookupScanAndIndex(t *testing.T) {
 				t.Errorf("%d bins: %s hit %d times, want %d", n, b, got, i+1)
 			}
 		}
-		if it.Counter(bins[n-1]) != it.Counter(bins[n-1]) || it.Counter("nope") != nil || it.HitOK("nope") {
+		if it.Counter(bins[n-1]) != it.Counter(bins[n-1]) || it.Counter("nope") != nil || hitOK(it, "nope") {
 			t.Errorf("%d bins: counter lookup wrong", n)
 		}
 		func() {
@@ -175,11 +217,11 @@ func TestCross(t *testing.T) {
 	g := NewGroup("g")
 	op := g.Item("op", "LD", "ST")
 	tgt := g.Item("tgt", "0", "1", "2")
-	cr := g.Cross("op_x_tgt", op, tgt)
+	cr := cross(g, "op_x_tgt", op, tgt)
 	if _, tot := cr.Covered(); tot != 6 {
 		t.Fatalf("cross bins = %d, want 6", tot)
 	}
-	g.HitCross("op_x_tgt", "LD", "2")
+	g.MustItem("op_x_tgt").Hit("LD×2")
 	if cr.Hits("LD×2") != 1 {
 		t.Error("cross hit not recorded")
 	}
@@ -222,7 +264,7 @@ func TestGroupReportAndDump(t *testing.T) {
 	if !strings.Contains(r, "stbus") || !strings.Contains(r, "holes: ST") {
 		t.Errorf("report missing content:\n%s", r)
 	}
-	d := g.SortedBinDump()
+	d := sortedBinDump(g)
 	if !strings.Contains(d, "op/LD=1") || !strings.Contains(d, "op/ST=0") {
 		t.Errorf("dump = %q", d)
 	}
@@ -260,7 +302,7 @@ func TestCodeMapMetrics(t *testing.T) {
 	m := NewCodeMap()
 	m.Line("l1")
 	m.Declare(LinePoint, "l2") // declared, never hit
-	m.Stmt("s1")
+	m.Point(StmtPoint, "s1").Hit()
 	m.Branch("b1", true)
 	if got := m.Percent(LinePoint); got != 50 {
 		t.Errorf("line %% = %f", got)
@@ -302,7 +344,7 @@ func TestCodeMapResetKeepsDeclarations(t *testing.T) {
 	m := NewCodeMap()
 	m.Line("l1")
 	m.Branch("b1", true)
-	m.ResetHits()
+	resetHits(m)
 	if m.Percent(LinePoint) != 0 {
 		t.Error("reset should clear hits")
 	}

@@ -1,10 +1,10 @@
 // Package coverage implements the two quality metrics the paper's flow is
 // gated on:
 //
-//   - functional coverage — declared items with bins (and crosses of items),
-//     sampled by the verification environment, obtainable on BOTH the RTL
-//     and the BCA model and required to be identical when the same tests and
-//     seeds run on the two views;
+//   - functional coverage — declared items with bins, sampled by the
+//     verification environment, obtainable on BOTH the RTL and the BCA
+//     model and required to be identical when the same tests and seeds run
+//     on the two views;
 //   - code coverage — line, branch and statement coverage, obtained by
 //     instrumenting the RTL model only (the paper: "no tool is able to
 //     generate this metrics for SystemC"), with support for justifying
@@ -14,7 +14,6 @@ package coverage
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -102,23 +101,15 @@ func (it *Item) Hit(name string) {
 	b.Hits++
 }
 
-// HitOK samples bin name if declared and reports whether it was.
-func (it *Item) HitOK(name string) bool {
-	b := it.bin(name)
-	b.Inc()
-	return b != nil
-}
-
 // Counter returns the declared bin's counter, or nil when the bin is
-// undeclared — the preresolved form of HitOK for samplers hot enough that
+// undeclared — the preresolved form of Hit for samplers hot enough that
 // per-event name formatting and lookups matter. The pointer stays valid
-// for the item's lifetime: Merge, ResetHits-style loops and reports all
-// mutate counts in place, never replace the Bin.
+// for the item's lifetime: Merge and reports mutate counts in place, never
+// replace the Bin.
 func (it *Item) Counter(name string) *Bin { return it.bin(name) }
 
-// Inc samples the bin. Inc on a nil receiver is a no-op, mirroring HitOK's
-// tolerance of undeclared bins so callers can hold nil handles for bins a
-// configuration never declares.
+// Inc samples the bin. Inc on a nil receiver is a no-op, so callers can
+// hold nil handles for bins a configuration never declares.
 func (b *Bin) Inc() {
 	if b != nil {
 		b.Hits++
@@ -227,23 +218,6 @@ func (g *Group) Clone() *Group {
 		c.add(&Item{Name: it.Name, bins: slices.Clone(it.bins), index: it.index})
 	}
 	return c
-}
-
-// Cross declares an item whose bins are the cartesian product of the bins of
-// a and b, named "abin×bbin". Sample it with HitCross.
-func (g *Group) Cross(name string, a, b *Item) *Item {
-	var bins []string
-	for _, ab := range a.bins {
-		for _, bb := range b.bins {
-			bins = append(bins, ab.Name+"×"+bb.Name)
-		}
-	}
-	return g.Item(name, bins...)
-}
-
-// HitCross samples the cross bin for the pair (abin, bbin) on item name.
-func (g *Group) HitCross(name, abin, bbin string) {
-	g.MustItem(name).Hit(abin + "×" + bbin)
 }
 
 // MustItem returns a declared item, panicking if absent.
@@ -376,17 +350,4 @@ func (g *Group) Report() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// SortedBinDump renders every bin and hit count deterministically, used by
-// the coverage-equality experiment to diff the two views textually.
-func (g *Group) SortedBinDump() string {
-	var lines []string
-	for _, it := range g.Items() {
-		for _, b := range it.bins {
-			lines = append(lines, fmt.Sprintf("%s/%s=%d", it.Name, b.Name, b.Hits))
-		}
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

@@ -24,20 +24,20 @@ func TestGroupBinaryRoundTrip(t *testing.T) {
 	g := NewGroup("node")
 	kind := g.Item("kind", "load", "store", "rmw")
 	size := g.Item("size", "1", "4")
-	g.Cross("kind×size", kind, size)
+	cross(g, "kind×size", kind, size)
 	g.Item("empty")
 	kind.Hit("load")
 	kind.Hit("load")
 	kind.Hit("store")
 	size.Hit("4")
-	g.HitCross("kind×size", "load", "4")
+	g.MustItem("kind×size").Hit("load×4")
 
 	back := roundTrip(t, g.Encode, DecodeGroup)
 	if eq, diff := g.EqualHits(back); !eq {
 		t.Fatalf("round trip changed hits: %s", diff)
 	}
-	if back.SortedBinDump() != g.SortedBinDump() {
-		t.Errorf("bin dump changed:\n%s\nvs\n%s", g.SortedBinDump(), back.SortedBinDump())
+	if sortedBinDump(back) != sortedBinDump(g) {
+		t.Errorf("bin dump changed:\n%s\nvs\n%s", sortedBinDump(g), sortedBinDump(back))
 	}
 	// Declaration order (reports) must survive, not just the set of bins.
 	if back.Report() != g.Report() {
@@ -58,7 +58,7 @@ func TestCodeMapBinaryRoundTrip(t *testing.T) {
 	m := NewCodeMap()
 	m.Line("arb.go:10")
 	m.Line("arb.go:11")
-	m.Stmt("arb.go:11#s0")
+	m.Point(StmtPoint, "arb.go:11#s0").Hit()
 	m.Branch("arb.go:12?", true)
 	m.Branch("arb.go:13?", true)
 	m.Branch("arb.go:13?", false)

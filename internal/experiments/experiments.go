@@ -14,6 +14,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"slices"
@@ -59,7 +60,7 @@ func E1RegressionMatrix(w io.Writer, quick bool) error {
 	}
 	fmt.Fprintf(w, "E1: regression matrix — %d configurations × 12 tests × %d seeds, both views\n",
 		len(cfgs), len(seeds))
-	results, err := regress.RunMatrix(cfgs, regress.Options{Tests: testcases.All(), Seeds: seeds})
+	results, _, err := regress.RunCtx(context.Background(), cfgs, regress.Options{Tests: testcases.All(), Seeds: seeds})
 	if err != nil {
 		return err
 	}

@@ -58,9 +58,20 @@ func codeStrings(r *lint.Report) []string {
 	return out
 }
 
+// byCode returns the diagnostics carrying the given code.
+func byCode(r *lint.Report, code lint.Code) []lint.Diagnostic {
+	var out []lint.Diagnostic
+	for _, d := range r.Diags {
+		if d.Code == code {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 func wantCode(t *testing.T, r *lint.Report, code lint.Code) lint.Diagnostic {
 	t.Helper()
-	ds := r.ByCode(code)
+	ds := byCode(r, code)
 	if len(ds) == 0 {
 		t.Fatalf("no %s diagnostic; got %v", code, codeStrings(r))
 	}
@@ -69,7 +80,7 @@ func wantCode(t *testing.T, r *lint.Report, code lint.Code) lint.Diagnostic {
 
 func wantNoCode(t *testing.T, r *lint.Report, code lint.Code) {
 	t.Helper()
-	if ds := r.ByCode(code); len(ds) > 0 {
+	if ds := byCode(r, code); len(ds) > 0 {
 		t.Fatalf("unexpected %s: %v", code, ds)
 	}
 }
@@ -230,7 +241,7 @@ func TestDoublyBoundPort(t *testing.T) {
 	fab := goodFab + "bind cpu0 n.init1\n"
 	r := check(t, fab)
 	found := false
-	for _, d := range r.ByCode(lint.CodeFabricDangling) {
+	for _, d := range byCode(r, lint.CodeFabricDangling) {
 		if strings.Contains(d.Msg, "already bound") {
 			found = true
 		}
@@ -244,7 +255,7 @@ func TestRoleMismatchedBind(t *testing.T) {
 	fab := strings.Replace(goodFab, "bind n.tgt0 m0", "bind m0 n.tgt0", 1)
 	r := check(t, fab)
 	found := false
-	for _, d := range r.ByCode(lint.CodeFabricDangling) {
+	for _, d := range byCode(r, lint.CodeFabricDangling) {
 		if strings.Contains(d.Msg, "request-") {
 			found = true
 		}
@@ -358,7 +369,7 @@ bind cpu ghost.init0
 `
 	top := fabric.Parse("test.fab", strings.NewReader(fab), mapLoader(nil))
 	r := top.Check()
-	parse := r.ByCode(lint.CodeParse)
+	parse := byCode(r, lint.CodeParse)
 	if len(parse) < 4 {
 		t.Fatalf("want >=4 CRVE000 (unknown directive, unloadable config, bad spec, unknown ref), got %v", parse)
 	}

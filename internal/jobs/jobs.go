@@ -210,16 +210,17 @@ func waveKey(cfg, test string, seed int64, view string) string {
 	return fmt.Sprintf("%s/%s/%d/%s", cfg, test, seed, view)
 }
 
-// Subscribe registers for status events: one snapshot per merged work unit
-// and per state change, closing after the terminal snapshot. Subscribing to
-// a finished job yields exactly the terminal snapshot. The returned cancel
-// function is idempotent and must be called when the consumer stops early.
+// Subscribe registers for status events: the current snapshot first, then
+// one snapshot per merged work unit and per state change, closing after the
+// terminal snapshot. Subscribing to a finished job yields exactly the
+// terminal snapshot. The returned cancel function is idempotent and must be
+// called when the consumer stops early.
 func (j *Job) Subscribe() (<-chan Status, func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	ch := make(chan Status, 16)
+	ch <- j.statusLocked()
 	if j.subClosed || j.state.Terminal() {
-		ch <- j.statusLocked()
 		close(ch)
 		return ch, func() {}
 	}
@@ -248,13 +249,20 @@ func (j *Job) broadcastLocked() {
 }
 
 // closeSubsLocked delivers the terminal snapshot and closes every
-// subscriber. Callers hold mu.
+// subscriber. A full buffer gives up its oldest unread snapshot, so every
+// subscriber still ends on the terminal one; the second send cannot block,
+// since only holders of mu send. Callers hold mu.
 func (j *Job) closeSubsLocked() {
 	st := j.statusLocked()
 	for ch := range j.subs {
 		select {
 		case ch <- st:
 		default:
+			select {
+			case <-ch:
+			default:
+			}
+			ch <- st
 		}
 		close(ch)
 		delete(j.subs, ch)

@@ -459,6 +459,27 @@ func TestSubscribe(t *testing.T) {
 	}
 }
 
+// TestSlowSubscriberGetsTerminal: a subscriber that reads nothing until its
+// job has finished loses intermediate snapshots to the full buffer, never
+// the terminal one.
+func TestSlowSubscriberGetsTerminal(t *testing.T) {
+	m := testManager(t, 1)
+	job, err := m.Submit(Spec{Configs: []string{cfgText(t, "slow0", 2)}, Seeds: []int64{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, cancel := job.Subscribe()
+	defer cancel()
+	waitTerminal(t, job)
+	var last Status
+	for st := range ch {
+		last = st
+	}
+	if last.State != Done {
+		t.Errorf("slow subscriber's last snapshot is %s, want done", last.State)
+	}
+}
+
 // TestCloseJobProgress: a close job's progress never runs backwards, and its
 // terminal ran/cached/cycles equal its report's units, closure unit
 // included: both count simulated cycles only, as the engine does.

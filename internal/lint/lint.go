@@ -155,23 +155,6 @@ func (s Severity) MarshalJSON() ([]byte, error) {
 	return json.Marshal(s.String())
 }
 
-// UnmarshalJSON accepts the severity names MarshalJSON emits.
-func (s *Severity) UnmarshalJSON(data []byte) error {
-	var name string
-	if err := json.Unmarshal(data, &name); err != nil {
-		return err
-	}
-	switch name {
-	case "warning":
-		*s = Warning
-	case "error":
-		*s = Error
-	default:
-		return fmt.Errorf("lint: unknown severity %q", name)
-	}
-	return nil
-}
-
 // Position locates a diagnostic in a parameter file. Line 0 means "the file
 // as a whole" (or a config synthesised in memory, where File is the
 // configuration name).
@@ -234,17 +217,6 @@ func (r *Report) Warnings() int { return len(r.Diags) - r.Errors() }
 
 // HasErrors reports whether any Error-severity diagnostic was found.
 func (r *Report) HasErrors() bool { return r.Errors() > 0 }
-
-// ByCode returns the diagnostics carrying the given code.
-func (r *Report) ByCode(code Code) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range r.Diags {
-		if d.Code == code {
-			out = append(out, d)
-		}
-	}
-	return out
-}
 
 // Sort orders diagnostics by file, line, code, then message, so reports are
 // deterministic regardless of analyzer execution order.

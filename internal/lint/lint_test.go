@@ -302,15 +302,30 @@ func TestReportSortTextAndJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var decoded struct {
-		Diagnostics []Diagnostic `json:"diagnostics"`
-		Errors      int          `json:"errors"`
-		Warnings    int          `json:"warnings"`
+		Diagnostics []struct {
+			Pos      Position `json:"pos"`
+			Code     Code     `json:"code"`
+			Severity string   `json:"severity"`
+			Msg      string   `json:"msg"`
+		} `json:"diagnostics"`
+		Errors   int `json:"errors"`
+		Warnings int `json:"warnings"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatal(err)
 	}
 	if len(decoded.Diagnostics) != 2 || decoded.Errors != 1 || decoded.Warnings != 1 {
-		t.Errorf("JSON round-trip: %+v", decoded)
+		t.Fatalf("JSON round-trip: %+v", decoded)
+	}
+	// Severities travel by name; each decoded diagnostic must read back as
+	// the sorted original.
+	severity := map[string]Severity{"warning": Warning, "error": Error}
+	for i, d := range decoded.Diagnostics {
+		sev, ok := severity[d.Severity]
+		got := Diagnostic{Pos: d.Pos, Code: d.Code, Severity: sev, Msg: d.Msg}
+		if !ok || got != r.Diags[i] {
+			t.Errorf("JSON diagnostic %d: %+v with severity %q, want %v", i, got, d.Severity, r.Diags[i])
+		}
 	}
 }
 

@@ -81,7 +81,7 @@ func TestCacheFlightGroupDedupes(t *testing.T) {
 	cfgs := []nodespec.Config{engineCfg(t, "fl0", 4), engineCfg(t, "fl1", 2)}
 	suite := engineSuite(t, "basic_write_read", "error_paths")
 	units := len(cfgs) * len(suite)
-	opt := Options{Tests: suite, Seeds: []int64{1}, Cache: cache, Workers: 4, NoLint: true}
+	opt := Options{Tests: suite, Seeds: []int64{1}, Cache: cache, Workers: 4}
 
 	const jobsN = 3
 	stats := make([]Stats, jobsN)

@@ -2,6 +2,7 @@ package regress
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -198,7 +199,7 @@ func TestRunIncremental(t *testing.T) {
 	suite := engineSuite(t, "basic_write_read", "error_paths")
 	opt := Options{Tests: suite, Seeds: []int64{1}, Cache: cache, Workers: 4}
 
-	results1, stats1, err := Run(cfgs, opt)
+	results1, stats1, err := RunCtx(context.Background(), cfgs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestRunIncremental(t *testing.T) {
 
 	var log bytes.Buffer
 	opt.Log = &log
-	results2, stats2, err := Run(cfgs, opt)
+	results2, stats2, err := RunCtx(context.Background(), cfgs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestRunIncremental(t *testing.T) {
 	// Edit one configuration: only its units re-simulate.
 	opt.Log = nil
 	edited := []nodespec.Config{cfgs[0], engineCfg(t, "inc1", 8)}
-	_, stats3, err := Run(edited, opt)
+	_, stats3, err := RunCtx(context.Background(), edited, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestRunIncremental(t *testing.T) {
 	// A fresh cache sees changed code (version bump): everything re-runs.
 	bumped := openTestCache(t, cache.Dir(), "pinned-2")
 	opt.Cache = bumped
-	_, stats4, err := Run(cfgs, opt)
+	_, stats4, err := RunCtx(context.Background(), cfgs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestRunCtxCancelMidMatrix(t *testing.T) {
 	defer cancel()
 	var events atomic.Int64
 	opt := Options{
-		Tests: suite, Seeds: []int64{1, 2}, Cache: cache, Workers: 2, NoLint: true,
+		Tests: suite, Seeds: []int64{1, 2}, Cache: cache, Workers: 2,
 		Progress: func(p Progress) {
 			// Cancel as soon as the first unit merges.
 			if events.Add(1) == 1 {
@@ -69,7 +69,7 @@ func TestRunCtxCancelBeforeStart(t *testing.T) {
 	cancel()
 	ran := 0
 	opt := Options{
-		Tests: engineSuite(t, "basic_write_read"), Seeds: []int64{1}, NoLint: true,
+		Tests: engineSuite(t, "basic_write_read"), Seeds: []int64{1},
 		Progress: func(p Progress) { ran++ },
 	}
 	_, _, err := RunCtx(ctx, []nodespec.Config{engineCfg(t, "pre", 2)}, opt)

@@ -2,6 +2,7 @@ package regress
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -82,7 +83,7 @@ func goldenGroups(t testing.TB, cfgs []nodespec.Config) []goldenGroup {
 	}
 	b2b := []core.Test{equivTest(t)}
 	for _, bugs := range all {
-		gs = append(gs, goldenGroup{cfgs: cfgs, tests: b2b, seed: equivSeed, bugs: bugs, wave: !bugs.Any()})
+		gs = append(gs, goldenGroup{cfgs: cfgs, tests: b2b, seed: equivSeed, bugs: bugs, wave: bugs == (bca.Bugs{})})
 	}
 	gs = append(gs,
 		goldenGroup{cfgs: cfgs, tests: []core.Test{cutShortTest(t)}, seed: equivSeed, bugs: bca.Bugs{T2OrderIgnored: true}},
@@ -98,7 +99,7 @@ func goldenKey(cfg string, test core.Test, seed int64, bugs bca.Bugs) string {
 		name += "@" + strconv.Itoa(test.MaxCycles)
 	}
 	b := "clean"
-	if bugs.Any() {
+	if bugs != (bca.Bugs{}) {
 		b = strings.Join(bugs.List(), "+")
 	}
 	return fmt.Sprintf("%s %s %d %s", cfg, name, seed, b)
@@ -120,8 +121,8 @@ func runGolden(t *testing.T, groups []goldenGroup) []string {
 	t.Helper()
 	var lines []string
 	for _, g := range groups {
-		results, _, err := Run(g.cfgs, Options{
-			Tests: g.tests, Seeds: []int64{g.seed}, Bugs: g.bugs, RecordWave: g.wave, NoLint: true,
+		results, _, err := RunCtx(context.Background(), g.cfgs, Options{
+			Tests: g.tests, Seeds: []int64{g.seed}, Bugs: g.bugs, RecordWave: g.wave,
 		})
 		if err != nil {
 			t.Fatal(err)

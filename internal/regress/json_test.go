@@ -2,6 +2,7 @@ package regress
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 	"time"
@@ -26,11 +27,11 @@ func encodeReport(t *testing.T, results []*ConfigResult, stats Stats) []byte {
 func TestReportBytesDeterministic(t *testing.T) {
 	cfgs := []nodespec.Config{engineCfg(t, "js0", 4), engineCfg(t, "js1", 2)}
 	suite := engineSuite(t, "basic_write_read", "error_paths")
-	base := Options{Tests: suite, Seeds: []int64{1, 2}, NoLint: true}
+	base := Options{Tests: suite, Seeds: []int64{1, 2}}
 
 	serialOpt := base
 	serialOpt.Workers = 1
-	serialRes, serialStats, err := Run(cfgs, serialOpt)
+	serialRes, serialStats, err := RunCtx(context.Background(), cfgs, serialOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestReportBytesDeterministic(t *testing.T) {
 
 	parOpt := base
 	parOpt.Workers = 8
-	parRes, parStats, err := Run(cfgs, parOpt)
+	parRes, parStats, err := RunCtx(context.Background(), cfgs, parOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +58,10 @@ func TestReportBytesDeterministic(t *testing.T) {
 	cache := testCache(t, "jsoncache")
 	warmOpt := base
 	warmOpt.Cache = cache
-	if _, _, err := Run(cfgs, warmOpt); err != nil {
+	if _, _, err := RunCtx(context.Background(), cfgs, warmOpt); err != nil {
 		t.Fatal(err)
 	}
-	warmRes, warmStats, err := Run(cfgs, warmOpt)
+	warmRes, warmStats, err := RunCtx(context.Background(), cfgs, warmOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +115,8 @@ func TestStatsThroughput(t *testing.T) {
 // TestEngineFillsDurationAndCycles: the engine stamps wall clock and
 // simulated cycles so no caller recomputes them.
 func TestEngineFillsDurationAndCycles(t *testing.T) {
-	_, stats, err := Run([]nodespec.Config{engineCfg(t, "dur", 2)},
-		Options{Tests: engineSuite(t, "basic_write_read"), Seeds: []int64{1}, NoLint: true})
+	_, stats, err := RunCtx(context.Background(), []nodespec.Config{engineCfg(t, "dur", 2)},
+		Options{Tests: engineSuite(t, "basic_write_read"), Seeds: []int64{1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package regress
 
 import (
+	"context"
 	"testing"
 
 	"crve/internal/bca"
@@ -40,7 +41,7 @@ func TestLevelizedKernelEquivalence(t *testing.T) {
 		in := in
 		t.Run(in.name, func(t *testing.T) {
 			t.Parallel()
-			pr, err := core.RunPairOpt(in.cfg, tc, equivSeed, core.RunOptions{RecordWave: true, Bugs: in.bugs})
+			pr, err := core.RunPairCtx(context.Background(), in.cfg, tc, equivSeed, core.RunOptions{RecordWave: true, Bugs: in.bugs})
 			if err != nil {
 				t.Fatal(err)
 			}

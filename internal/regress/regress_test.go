@@ -1,6 +1,7 @@
 package regress
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -416,8 +417,10 @@ func TestLoadSourceDirCollectsBrokenFiles(t *testing.T) {
 	}
 }
 
-// TestRunMatrixLintGate is the contract of the static layer: a matrix with
-// lint errors refuses to run before the first cycle, unless NoLint is set.
+// TestRunMatrixLintGate is the contract of the static layer: the request
+// gate, LintSet, finds a bad matrix's errors before the first cycle
+// (closure.Request.Resolve refuses on them unless nolint is set), and the
+// engine runs what the gate let through without linting again.
 func TestRunMatrixLintGate(t *testing.T) {
 	cfg := nodespec.Config{
 		Name:    "gated",
@@ -435,15 +438,20 @@ func TestRunMatrixLintGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Tests: []core.Test{tc}, Seeds: []int64{1}}
-	if _, err := RunMatrix([]nodespec.Config{cfg}, opt); err == nil {
-		t.Fatal("matrix with lint errors must refuse to run")
-	} else if !strings.Contains(err.Error(), string(lint.CodeTargetUnmapped)) {
-		t.Errorf("refusal should cite the diagnostic code:\n%v", err)
+	rep, err := LintSet([]lint.Source{lint.MemSource(cfg)}, []int64{1}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	opt.NoLint = true
-	if _, err := RunMatrix([]nodespec.Config{cfg}, opt); err != nil {
-		t.Errorf("NoLint override failed: %v", err)
+	var text strings.Builder
+	rep.Text(&text)
+	if !rep.HasErrors() {
+		t.Fatal("matrix with lint errors must fail the gate")
+	} else if !strings.Contains(text.String(), string(lint.CodeTargetUnmapped)) {
+		t.Errorf("refusal should cite the diagnostic code:\n%s", text.String())
+	}
+	opt := Options{Tests: []core.Test{tc}, Seeds: []int64{1}}
+	if _, _, err := RunCtx(context.Background(), []nodespec.Config{cfg}, opt); err != nil {
+		t.Errorf("RunCtx must run a configuration that fails lint without linting it: %v", err)
 	}
 }
 

@@ -32,10 +32,6 @@ type Options struct {
 	// counterpart of Log for callers (the job service) that track counters
 	// instead of text.
 	Progress func(Progress)
-	// NoLint skips the static-analysis gate in RunMatrix. By default a
-	// matrix with lint errors refuses to run: a mis-specified node config
-	// should fail in milliseconds, not mid-run after expensive cycles.
-	NoLint bool
 	// Workers bounds the engine's worker pool — how many (config, test,
 	// seed) units simulate concurrently. 0 means runtime.GOMAXPROCS(0);
 	// 1 executes strictly serially. The merged output is byte-identical
@@ -191,46 +187,16 @@ func LintConfigs(cfgs []nodespec.Config, seeds []int64) *lint.Report {
 	return lint.CheckSet(srcs, seeds)
 }
 
-// Run executes the suite over every configuration on the parallel,
+// RunCtx executes the suite over every configuration on the parallel,
 // incremental engine and returns the per-configuration aggregates plus the
-// ran/cached statistics. Seeds default once, up front, so the lint gate and
-// the engine always see the same seed list — they can never disagree about
-// which runs execute. Unless opt.NoLint is set, the matrix is linted first
-// and refuses to run on any Error-grade diagnostic — the whole point of the
-// static layer is to catch a bad config before the first simulation cycle.
-func Run(cfgs []nodespec.Config, opt Options) ([]*ConfigResult, Stats, error) {
-	return RunCtx(context.Background(), cfgs, opt)
-}
-
-// RunCtx is Run under a cancellation context: cancelling ctx stops the
-// engine promptly mid-matrix (units already completed stay merged and, with
-// a cache, stored; unstarted units never run) and returns ctx's error. This
-// is the entry point of the served tier — one job, one context.
+// ran/cached statistics; seeds default to [1]. It does not lint: a front end
+// resolves its request through closure.Request.Resolve, whose
+// regress.LintSet gate refuses a bad configuration before the first cycle.
+// Cancelling ctx stops the engine promptly mid-matrix (units already
+// completed stay merged and, with a cache, stored; unstarted units never
+// run) and returns ctx's error.
 func RunCtx(ctx context.Context, cfgs []nodespec.Config, opt Options) ([]*ConfigResult, Stats, error) {
-	if len(opt.Seeds) == 0 {
-		opt.Seeds = []int64{1}
-	}
-	if !opt.NoLint {
-		rep := LintConfigs(cfgs, opt.Seeds)
-		if rep.HasErrors() {
-			var sb strings.Builder
-			rep.Text(&sb)
-			return nil, Stats{}, fmt.Errorf("regress: matrix failed lint (set NoLint to override):\n%s", sb.String())
-		}
-		if opt.Log != nil {
-			for _, d := range rep.Diags {
-				fmt.Fprintf(opt.Log, "lint: %s\n", d)
-			}
-		}
-	}
 	return runEngine(ctx, cfgs, opt, true)
-}
-
-// RunMatrix is Run without the statistics, kept for callers that only need
-// the results.
-func RunMatrix(cfgs []nodespec.Config, opt Options) ([]*ConfigResult, error) {
-	results, _, err := Run(cfgs, opt)
-	return results, err
 }
 
 // KernelProfile is the kernel profile of one configuration, merged over its

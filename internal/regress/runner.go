@@ -2,13 +2,14 @@ package regress
 
 // This file is the incremental, parallel regression engine. Every
 // (configuration, test, seed) triple of a matrix run is an independent work
-// unit — core.RunPair builds a fresh simulator per view and shares nothing —
-// so the engine fans units out across a bounded worker pool and funnels
-// every outcome through one merge goroutine that applies them in canonical
-// (config, test, seed) order. All shared state — coverage merges, aggregate
-// counters, the progress log, cached/ran statistics — is touched only on
-// that goroutine, which makes the run race-free by construction and its
-// output byte-identical to a serial run regardless of scheduling.
+// unit: core.RunPairCtx builds fresh benches per unit, so units share
+// nothing (within a unit, the two views share their stimulus cores until
+// they split). The engine fans units out across a bounded worker pool and
+// funnels every outcome through one merge goroutine that applies them in
+// canonical (config, test, seed) order. All shared state — coverage merges,
+// aggregate counters, the progress log, cached/ran statistics — is touched
+// only on that goroutine, which makes the run race-free by construction and
+// its output byte-identical to a serial run regardless of scheduling.
 
 import (
 	"context"
@@ -89,10 +90,9 @@ type unitOutcome struct {
 	err    error
 }
 
-// runEngine plans, executes and merges a matrix run. Callers have already
-// defaulted opt.Seeds; the lint gate (if any) runs before this point.
-// logHeaders controls the per-configuration banner line (RunMatrix prints
-// it, RunConfig historically does not).
+// runEngine plans, executes and merges a matrix run; seeds default to [1].
+// logHeaders controls the per-configuration banner line (RunCtx prints it,
+// RunConfig does not).
 //
 // Cancelling ctx stops the run promptly: the producer stops feeding units,
 // in-flight units abort at their next cancellation check, and the engine

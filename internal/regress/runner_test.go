@@ -67,16 +67,16 @@ func TestEmptySuiteErrors(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "empty test suite") {
 		t.Errorf("error should name the empty suite: %v", err)
 	}
-	if _, _, err := Run([]nodespec.Config{cfg}, Options{}); err == nil {
+	if _, _, err := RunCtx(context.Background(), []nodespec.Config{cfg}, Options{}); err == nil {
 		t.Error("Run with an empty test suite must error")
 	}
 }
 
-// TestRunDefaultsSeedsOnce: with no seed list, the default {1} is applied
-// before the lint gate and the engine alike, so both see the same runs.
+// TestRunDefaultsSeedsOnce: with no seed list, the engine applies the
+// default {1} once, so every unit runs seed 1.
 func TestRunDefaultsSeedsOnce(t *testing.T) {
 	cfg := engineCfg(t, "seeded", 4)
-	results, stats, err := Run([]nodespec.Config{cfg}, Options{
+	results, stats, err := RunCtx(context.Background(), []nodespec.Config{cfg}, Options{
 		Tests: engineSuite(t, "basic_write_read"),
 	})
 	if err != nil {
@@ -103,7 +103,7 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 	suite := engineSuite(t, "basic_write_read", "error_paths")
 	runAt := func(workers int) (string, string) {
 		var log bytes.Buffer
-		results, stats, err := Run(cfgs, Options{
+		results, stats, err := RunCtx(context.Background(), cfgs, Options{
 			Tests: suite, Seeds: []int64{1, 2}, Workers: workers, Log: &log,
 		})
 		if err != nil {
@@ -147,9 +147,9 @@ func TestParallelErrorIsCanonical(t *testing.T) {
 		return cfg
 	}
 	cfgs := []nodespec.Config{good, bad("bad1"), bad("bad2")}
-	opt := Options{Tests: engineSuite(t, "basic_write_read"), Seeds: []int64{1, 2}, NoLint: true, Workers: 8}
+	opt := Options{Tests: engineSuite(t, "basic_write_read"), Seeds: []int64{1, 2}, Workers: 8}
 	for i := 0; i < 3; i++ {
-		_, _, err := Run(cfgs, opt)
+		_, _, err := RunCtx(context.Background(), cfgs, opt)
 		if err == nil {
 			t.Fatal("matrix with broken configs must error")
 		}

@@ -51,7 +51,7 @@ func TestStreamingAlignmentEquivalence(t *testing.T) {
 			cfg := cfg
 			t.Run(cfg.Name+"/"+row.label, func(t *testing.T) {
 				t.Parallel()
-				pair, err := core.RunPairOpt(cfg, row.test, equivSeed, core.RunOptions{RecordWave: true, Bugs: row.bugs})
+				pair, err := core.RunPairCtx(context.Background(), cfg, row.test, equivSeed, core.RunOptions{RecordWave: true, Bugs: row.bugs})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -149,9 +149,9 @@ func TestStreamingEngineDeterminism(t *testing.T) {
 		var log bytes.Buffer
 		opt := Options{
 			Tests: []core.Test{tc}, Seeds: []int64{1, 2},
-			Workers: workers, Log: &log, NoLint: true,
+			Workers: workers, Log: &log,
 		}
-		results, _, err := Run(cfgs, opt)
+		results, _, err := RunCtx(context.Background(), cfgs, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

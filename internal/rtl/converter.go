@@ -122,10 +122,6 @@ func NewTypeConverter(sc sim.Scope, name string, up stbus.PortConfig, downType s
 	return NewConverter(sc, ConverterConfig{Name: name, Up: up, Down: down})
 }
 
-func (c *Converter) String() string {
-	return fmt.Sprintf("conv %s %v -> %v", c.Cfg.Name, c.Cfg.Up, c.Cfg.Down)
-}
-
 // gntUp reports whether the converter can accept an upstream request cell
 // this cycle. Port-level occupancy counts packets from request acceptance
 // until their response fully drains upstream: entries awaiting a downstream
@@ -263,6 +259,3 @@ func (c *Converter) convertResponse() {
 	}
 	c.upQ = append(c.upQ, resp)
 }
-
-// Outstanding returns the number of packets inside the converter.
-func (c *Converter) Outstanding() int { return len(c.pending) }

@@ -49,8 +49,8 @@ func TestSizeConverterDownsize(t *testing.T) {
 	if !bytes.Equal(rd, payload) {
 		t.Errorf("read back %x want %x", rd, payload)
 	}
-	if conv.Outstanding() != 0 {
-		t.Errorf("converter still holds %d packets", conv.Outstanding())
+	if len(conv.pending) != 0 {
+		t.Errorf("converter still holds %d packets", len(conv.pending))
 	}
 }
 
@@ -223,7 +223,7 @@ func TestRegDecoderReadWrite(t *testing.T) {
 	if !drv.respPackets()[2][0].Err() {
 		t.Error("ST8 into register file must error")
 	}
-	rd.SetReg(2, 7)
+	rd.regs[2] = 7
 	if rd.Reg(2) != 7 {
 		t.Error("direct register access")
 	}

@@ -107,7 +107,7 @@ func TestNodeInvariantsUnderRandomTraffic(t *testing.T) {
 		})
 		done := func() bool {
 			for _, b := range bfms {
-				if !b.Done() {
+				if !b.Core().Done() {
 					return false
 				}
 			}
@@ -122,9 +122,9 @@ func TestNodeInvariantsUnderRandomTraffic(t *testing.T) {
 			t.Errorf("trial %d: %d cells out of the node but only %d in", trial, cellsOut, cellsIn)
 		}
 		for i := range n.Init {
-			if n.Outstanding(i) != 0 {
+			if len(n.ist[i].outstanding) != 0 {
 				t.Errorf("trial %d: initiator %d left %d outstanding after drain",
-					trial, i, n.Outstanding(i))
+					trial, i, len(n.ist[i].outstanding))
 			}
 		}
 	}

@@ -1,8 +1,6 @@
 package rtl
 
 import (
-	"fmt"
-
 	"crve/internal/sim"
 	"crve/internal/stbus"
 )
@@ -41,7 +39,6 @@ func (c MemoryConfig) WithDefaults() MemoryConfig {
 }
 
 type memPacket struct {
-	cells   []stbus.Cell
 	resp    []stbus.RespCell
 	readyAt uint64
 	idx     int
@@ -82,9 +79,6 @@ func NewMemory(sc sim.Scope, cfg MemoryConfig) (*Memory, error) {
 // Peek reads a byte directly, for tests and scoreboards.
 func (m *Memory) Peek(addr uint64) byte { return m.mem.Byte(addr) }
 
-// Poke writes a byte directly, for test preconditioning.
-func (m *Memory) Poke(addr uint64, v byte) { m.mem.Write(addr, []byte{v}) }
-
 // inFlight counts packets being received or awaiting/streaming responses.
 func (m *Memory) inFlight() int {
 	n := len(m.queue)
@@ -102,8 +96,10 @@ func (m *Memory) seq() {
 		m.cur = append(m.cur, p.SampleCell())
 		m.gap = m.Cfg.GntGap
 		if m.cur[len(m.cur)-1].EOP {
+			// No packet keeps its cells, so the packet buffer is reused
+			// across packets instead of reallocated.
 			m.queue = append(m.queue, m.servePacket(m.cur))
-			m.cur = nil
+			m.cur = m.cur[:0]
 		}
 	} else if m.gap > 0 {
 		m.gap--
@@ -127,33 +123,20 @@ func (m *Memory) seq() {
 	p.Gnt.SetBool(m.gntNext)
 }
 
-// servePacket executes a completed request packet against the byte store and
-// builds its response packet.
+// servePacket answers a completed request packet: SparseMem.Serve executes
+// an in-window packet with a valid opcode against the byte store, and any
+// other packet gets an error response.
 func (m *Memory) servePacket(cells []stbus.Cell) *memPacket {
 	cfg := &m.Cfg
 	first := cells[0]
 	op, addr := first.Opc, first.Addr
-	size := op.SizeBytes()
-	pk := &memPacket{cells: cells, readyAt: m.cycle + uint64(cfg.Latency)}
-	inWindow := addr >= cfg.Base && addr+uint64(size) <= cfg.Base+cfg.Size
-	if !inWindow || !op.Valid() {
+	pk := &memPacket{readyAt: m.cycle + uint64(cfg.Latency)}
+	inWindow := addr >= cfg.Base && addr+uint64(op.SizeBytes()) <= cfg.Base+cfg.Size
+	if inWindow && op.Valid() {
+		pk.resp = m.mem.Serve(cfg.Port, cells)
+	} else {
 		pk.resp = m.errResp(op, addr, first)
-		return pk
 	}
-	var readData []byte
-	if op.IsLoad() {
-		readData = make([]byte, size)
-		m.mem.Read(addr, readData)
-	}
-	if op.HasWriteData() {
-		m.mem.Write(addr, stbus.ExtractWriteData(cfg.Port.Endian, cells, cfg.Port.BusBytes()))
-	}
-	resp, err := stbus.BuildResponse(cfg.Port.Type, cfg.Port.Endian, op, addr, readData,
-		cfg.Port.BusBytes(), first.TID, first.Src, false)
-	if err != nil {
-		resp = m.errResp(op, addr, first)
-	}
-	pk.resp = resp
 	return pk
 }
 
@@ -164,9 +147,4 @@ func (m *Memory) errResp(op stbus.Opcode, addr uint64, first stbus.Cell) []stbus
 		return []stbus.RespCell{{ROpc: stbus.RespError, EOP: true, TID: first.TID, Src: first.Src}}
 	}
 	return resp
-}
-
-func (m *Memory) String() string {
-	return fmt.Sprintf("mem %s [%#x+%#x] lat=%d gap=%d", m.Cfg.Name, m.Cfg.Base, m.Cfg.Size,
-		m.Cfg.Latency, m.Cfg.GntGap)
 }

@@ -46,7 +46,7 @@ func TestMemoryRMWReturnsOldValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Poke(0x40, 0xaa)
+	m.mem.Write(0x40, []byte{0xaa})
 	drv := attachInit(sm, m.Port)
 	drv.send(mustCells(t, stbus.Type3, stbus.LittleEndian, stbus.RMW4, 0x40, []byte{1, 2, 3, 4}, 4, 1, 0))
 	if err := sm.RunUntil(func() bool { return len(drv.respPackets()) == 1 }, 100); err != nil {
@@ -132,7 +132,7 @@ func TestMemoryFlushIsNoOpAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Poke(0x10, 0x55)
+	m.mem.Write(0x10, []byte{0x55})
 	drv := attachInit(sm, m.Port)
 	drv.send(mustCells(t, stbus.Type3, stbus.LittleEndian, stbus.Op(stbus.KindFlush, 4), 0x10, nil, 4, 0, 0))
 	if err := sm.RunUntil(func() bool { return len(drv.respPackets()) == 1 }, 100); err != nil {

@@ -640,17 +640,6 @@ func (n *Node) serveInternal(i, route int) {
 	}
 }
 
-// PriorityRegs returns a copy of the programming-port register file.
-func (n *Node) PriorityRegs() []uint8 {
-	out := make([]uint8, len(n.progRegs))
-	copy(out, n.progRegs)
-	return out
-}
-
-// Outstanding returns the number of in-flight packets of initiator i,
-// exposed for tests and checkers.
-func (n *Node) Outstanding(i int) int { return len(n.ist[i].outstanding) }
-
 // declareCoverage pre-declares every code-coverage point of the node and
 // justifies the ones unreachable under this configuration, mirroring the
 // paper's "100 % of justified code" line-coverage goal.

@@ -169,8 +169,8 @@ func TestNodeWriteReadRoundTrip(t *testing.T) {
 	if pks[1][0].TID != 2 {
 		t.Errorf("read tid = %d", pks[1][0].TID)
 	}
-	if n.Outstanding(0) != 0 {
-		t.Errorf("outstanding = %d after completion", n.Outstanding(0))
+	if len(n.ist[0].outstanding) != 0 {
+		t.Errorf("outstanding = %d after completion", len(n.ist[0].outstanding))
 	}
 }
 
@@ -223,8 +223,8 @@ func TestNodeProgrammingPort(t *testing.T) {
 	if rd[0] != 0x0a {
 		t.Errorf("prog read = %#x, want 0x0a", rd[0])
 	}
-	if n.PriorityRegs()[1] != 0x0a {
-		t.Errorf("register file = %v", n.PriorityRegs())
+	if n.progRegs[1] != 0x0a {
+		t.Errorf("register file = %v", n.progRegs)
 	}
 }
 
@@ -368,8 +368,8 @@ func TestNodePipeSizeBackpressure(t *testing.T) {
 	}
 	maxOut := 0
 	sm.AtCycleEnd(func() {
-		if n.Outstanding(0) > maxOut {
-			maxOut = n.Outstanding(0)
+		if len(n.ist[0].outstanding) > maxOut {
+			maxOut = len(n.ist[0].outstanding)
 		}
 	})
 	if err := sm.RunUntil(func() bool { return len(init.respPackets()) == 4 }, 1000); err != nil {

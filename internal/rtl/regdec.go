@@ -69,9 +69,6 @@ func NewRegDecoder(sc sim.Scope, cfg RegDecoderConfig) (*RegDecoder, error) {
 // Reg reads register k directly (tests, firmware models).
 func (r *RegDecoder) Reg(k int) uint32 { return r.regs[k] }
 
-// SetReg writes register k directly.
-func (r *RegDecoder) SetReg(k int, v uint32) { r.regs[k] = v }
-
 func (r *RegDecoder) seq() {
 	p := r.Port
 	if p.ReqFire() {

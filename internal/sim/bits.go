@@ -132,48 +132,8 @@ func (b Bits) SetBit(i int, v bool) Bits {
 	return b
 }
 
-// ones returns a Bits with the low w bits set.
-func ones(w int) Bits {
-	var r Bits
-	full := w / 64
-	for i := 0; i < full; i++ {
-		r.v[i] = ^uint64(0)
-	}
-	if rem := w % 64; rem != 0 {
-		r.v[full] = ^uint64(0) >> (64 - rem)
-	}
-	return r
-}
-
-// shl returns b shifted left by n bits (n in 0..MaxBitsWidth).
-func (b Bits) shl(n int) Bits {
-	word, off := n/64, uint(n)%64
-	var r Bits
-	for i := BitsWords - 1; i >= word; i-- {
-		r.v[i] = b.v[i-word] << off
-		if off != 0 && i-word-1 >= 0 {
-			r.v[i] |= b.v[i-word-1] >> (64 - off)
-		}
-	}
-	return r
-}
-
-// shr returns b shifted right by n bits (n in 0..MaxBitsWidth).
-func (b Bits) shr(n int) Bits {
-	word, off := n/64, uint(n)%64
-	var r Bits
-	for i := 0; i+word < BitsWords; i++ {
-		r.v[i] = b.v[i+word] >> off
-		if off != 0 && i+word+1 < BitsWords {
-			r.v[i] |= b.v[i+word+1] << (64 - off)
-		}
-	}
-	return r
-}
-
-// Byte returns byte i of the vector (byte 0 is bits 7..0). It is the
-// byte-aligned special case of Field(i*8, 8), cheap enough for the per-byte
-// lane packing the STBus data path performs on every cell.
+// Byte returns byte i of the vector (byte 0 is bits 7..0), cheap enough for
+// the per-byte lane packing the STBus data path performs on every cell.
 func (b Bits) Byte(i int) byte {
 	if i < 0 || i >= BitsWords*8 {
 		panic(fmt.Sprintf("sim: byte %d out of range", i))
@@ -181,8 +141,7 @@ func (b Bits) Byte(i int) byte {
 	return byte(b.v[i>>3] >> (uint(i&7) * 8))
 }
 
-// WithByte returns a copy of b with byte i replaced — the byte-aligned
-// special case of WithField(i*8, 8, val).
+// WithByte returns a copy of b with byte i replaced.
 func (b Bits) WithByte(i int, val byte) Bits {
 	if i < 0 || i >= BitsWords*8 {
 		panic(fmt.Sprintf("sim: byte %d out of range", i))
@@ -190,65 +149,6 @@ func (b Bits) WithByte(i int, val byte) Bits {
 	sh := uint(i&7) * 8
 	b.v[i>>3] = b.v[i>>3]&^(uint64(0xff)<<sh) | uint64(val)<<sh
 	return b
-}
-
-// Field extracts w bits starting at bit lo as the low bits of the result.
-// It panics if the field crosses the 256-bit capacity.
-func (b Bits) Field(lo, w int) Bits {
-	if lo < 0 || w < 0 || lo+w > MaxBitsWidth {
-		panic(fmt.Sprintf("sim: field [%d +%d] out of range", lo, w))
-	}
-	return b.shr(lo).Mask(w)
-}
-
-// WithField returns a copy of b with w bits starting at lo replaced by the
-// low w bits of val.
-func (b Bits) WithField(lo, w int, val Bits) Bits {
-	if lo < 0 || w < 0 || lo+w > MaxBitsWidth {
-		panic(fmt.Sprintf("sim: field [%d +%d] out of range", lo, w))
-	}
-	m := ones(w).shl(lo)
-	v := val.Mask(w).shl(lo)
-	for i := range b.v {
-		b.v[i] = b.v[i]&^m.v[i] | v.v[i]
-	}
-	return b
-}
-
-// Xor returns the bitwise exclusive-or of two vectors.
-func (b Bits) Xor(o Bits) Bits {
-	var r Bits
-	for i := range r.v {
-		r.v[i] = b.v[i] ^ o.v[i]
-	}
-	return r
-}
-
-// Or returns the bitwise or of two vectors.
-func (b Bits) Or(o Bits) Bits {
-	var r Bits
-	for i := range r.v {
-		r.v[i] = b.v[i] | o.v[i]
-	}
-	return r
-}
-
-// And returns the bitwise and of two vectors.
-func (b Bits) And(o Bits) Bits {
-	var r Bits
-	for i := range r.v {
-		r.v[i] = b.v[i] & o.v[i]
-	}
-	return r
-}
-
-// Not returns the bitwise complement of b truncated to width w.
-func (b Bits) Not(w int) Bits {
-	var r Bits
-	for i := range r.v {
-		r.v[i] = ^b.v[i]
-	}
-	return r.Mask(w)
 }
 
 // BinaryString renders the low w bits most-significant-first, the form VCD

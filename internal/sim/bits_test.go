@@ -5,6 +5,77 @@ import (
 	"testing/quick"
 )
 
+// The field and bitwise operations below have no caller outside tests; the
+// tests keep them here to check Mask, SetBit and the word layout against.
+
+// ones returns a Bits with the low w bits set.
+func ones(w int) Bits {
+	var r Bits
+	full := w / 64
+	for i := 0; i < full; i++ {
+		r.v[i] = ^uint64(0)
+	}
+	if rem := w % 64; rem != 0 {
+		r.v[full] = ^uint64(0) >> (64 - rem)
+	}
+	return r
+}
+
+// shl returns b shifted left by n bits (n in 0..MaxBitsWidth).
+func (b Bits) shl(n int) Bits {
+	word, off := n/64, uint(n)%64
+	var r Bits
+	for i := BitsWords - 1; i >= word; i-- {
+		r.v[i] = b.v[i-word] << off
+		if off != 0 && i-word-1 >= 0 {
+			r.v[i] |= b.v[i-word-1] >> (64 - off)
+		}
+	}
+	return r
+}
+
+// shr returns b shifted right by n bits (n in 0..MaxBitsWidth).
+func (b Bits) shr(n int) Bits {
+	word, off := n/64, uint(n)%64
+	var r Bits
+	for i := 0; i+word < BitsWords; i++ {
+		r.v[i] = b.v[i+word] >> off
+		if off != 0 && i+word+1 < BitsWords {
+			r.v[i] |= b.v[i+word+1] << (64 - off)
+		}
+	}
+	return r
+}
+
+// field extracts w bits starting at bit lo as the low bits of the result.
+func (b Bits) field(lo, w int) Bits { return b.shr(lo).Mask(w) }
+
+// withField returns a copy of b with w bits starting at lo replaced by the
+// low w bits of val.
+func (b Bits) withField(lo, w int, val Bits) Bits {
+	m := ones(w).shl(lo)
+	v := val.Mask(w).shl(lo)
+	for i := range b.v {
+		b.v[i] = b.v[i]&^m.v[i] | v.v[i]
+	}
+	return b
+}
+
+// wordwise applies op to each pair of words of b and o.
+func (b Bits) wordwise(o Bits, op func(x, y uint64) uint64) Bits {
+	for i := range b.v {
+		b.v[i] = op(b.v[i], o.v[i])
+	}
+	return b
+}
+
+func (b Bits) xor(o Bits) Bits { return b.wordwise(o, func(x, y uint64) uint64 { return x ^ y }) }
+func (b Bits) or(o Bits) Bits  { return b.wordwise(o, func(x, y uint64) uint64 { return x | y }) }
+func (b Bits) and(o Bits) Bits { return b.wordwise(o, func(x, y uint64) uint64 { return x & y }) }
+
+// not returns the bitwise complement of b truncated to width w.
+func (b Bits) not(w int) Bits { return b.xor(ones(MaxBitsWidth)).Mask(w) }
+
 func TestB64RoundTrip(t *testing.T) {
 	for _, v := range []uint64{0, 1, 0xdeadbeef, ^uint64(0)} {
 		if got := B64(v).Uint64(); got != v {
@@ -64,14 +135,14 @@ func TestBitAndSetBit(t *testing.T) {
 }
 
 func TestFieldRoundTrip(t *testing.T) {
-	b := B64(0).WithField(8, 8, B64(0xab)).WithField(100, 12, B64(0x5a5))
-	if got := b.Field(8, 8).Uint64(); got != 0xab {
+	b := B64(0).withField(8, 8, B64(0xab)).withField(100, 12, B64(0x5a5))
+	if got := b.field(8, 8).Uint64(); got != 0xab {
 		t.Errorf("Field(8,8) = %#x", got)
 	}
-	if got := b.Field(100, 12).Uint64(); got != 0x5a5 {
+	if got := b.field(100, 12).Uint64(); got != 0x5a5 {
 		t.Errorf("Field(100,12) = %#x", got)
 	}
-	if got := b.Field(0, 8).Uint64(); got != 0 {
+	if got := b.field(0, 8).Uint64(); got != 0 {
 		t.Errorf("Field(0,8) = %#x, want 0", got)
 	}
 }
@@ -122,15 +193,15 @@ func TestBinaryStringParseRoundTripProperty(t *testing.T) {
 func TestXorOrAndNotProperties(t *testing.T) {
 	selfInverse := func(a0, a1, b0, b1 uint64) bool {
 		a, b := BWords(a0, a1), BWords(b0, b1)
-		return a.Xor(b).Xor(b).Equal(a)
+		return a.xor(b).xor(b).Equal(a)
 	}
 	if err := quick.Check(selfInverse, nil); err != nil {
 		t.Errorf("xor self-inverse: %v", err)
 	}
 	deMorgan := func(a0, b0 uint64) bool {
 		a, b := B64(a0), B64(b0)
-		lhs := a.And(b).Not(64)
-		rhs := a.Not(64).Or(b.Not(64))
+		lhs := a.and(b).not(64)
+		rhs := a.not(64).or(b.not(64))
 		return lhs.Equal(rhs)
 	}
 	if err := quick.Check(deMorgan, nil); err != nil {
@@ -142,8 +213,8 @@ func TestFieldWithFieldProperty(t *testing.T) {
 	f := func(base0, base1, val uint64, loRaw, wRaw uint8) bool {
 		lo := int(loRaw) % 200
 		w := int(wRaw)%56 + 1
-		b := BWords(base0, base1).WithField(lo, w, B64(val))
-		return b.Field(lo, w).Equal(B64(val).Mask(w))
+		b := BWords(base0, base1).withField(lo, w, B64(val))
+		return b.field(lo, w).Equal(B64(val).Mask(w))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -185,7 +256,7 @@ func TestFieldWordBoundaries(t *testing.T) {
 		{255, 1, B64(0)},
 	}
 	for _, tc := range cases {
-		if got := b.Field(tc.lo, tc.w); !got.Equal(tc.want) {
+		if got := b.field(tc.lo, tc.w); !got.Equal(tc.want) {
 			t.Errorf("Field(%d,%d) = %v, want %v", tc.lo, tc.w, got, tc.want)
 		}
 	}
@@ -194,31 +265,31 @@ func TestFieldWordBoundaries(t *testing.T) {
 func TestWithFieldWordBoundaries(t *testing.T) {
 	base := BWords(^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0))
 	// Clear 16 bits straddling the first word boundary.
-	b := base.WithField(56, 16, B64(0))
-	if got := b.Field(56, 16).Uint64(); got != 0 {
+	b := base.withField(56, 16, B64(0))
+	if got := b.field(56, 16).Uint64(); got != 0 {
 		t.Errorf("straddling clear: Field(56,16) = %#x, want 0", got)
 	}
-	if got := b.Field(0, 56); !got.Equal(B64(0).Not(56)) {
+	if got := b.field(0, 56); !got.Equal(B64(0).not(56)) {
 		t.Errorf("straddling clear disturbed low bits: %v", got)
 	}
-	if got := b.Field(72, 56); !got.Equal(B64(0).Not(56)) {
+	if got := b.field(72, 56); !got.Equal(B64(0).not(56)) {
 		t.Errorf("straddling clear disturbed high bits: %v", got)
 	}
 	// Round trip straddling the 192 boundary.
-	b = Bits{}.WithField(190, 10, B64(0x3ff))
-	if got := b.Field(190, 10).Uint64(); got != 0x3ff {
+	b = Bits{}.withField(190, 10, B64(0x3ff))
+	if got := b.field(190, 10).Uint64(); got != 0x3ff {
 		t.Errorf("Field(190,10) = %#x, want 0x3ff", got)
 	}
-	if b.Field(0, 190).IsZero() != true || !b.Field(200, 56).IsZero() {
+	if b.field(0, 190).IsZero() != true || !b.field(200, 56).IsZero() {
 		t.Error("WithField(190,10) disturbed bits outside the field")
 	}
 	// Zero-width insert is the identity.
-	if got := base.WithField(100, 0, B64(0xffff)); !got.Equal(base) {
+	if got := base.withField(100, 0, B64(0xffff)); !got.Equal(base) {
 		t.Errorf("zero-width WithField changed the value: %v", got)
 	}
 	// Full-width replace.
 	repl := BWords(1, 2, 3, 4)
-	if got := base.WithField(0, 256, repl); !got.Equal(repl) {
+	if got := base.withField(0, 256, repl); !got.Equal(repl) {
 		t.Errorf("full-width WithField = %v, want %v", got, repl)
 	}
 }

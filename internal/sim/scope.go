@@ -19,9 +19,6 @@ func (sc Scope) Sub(name string) Scope {
 // Path returns the scope's full hierarchical prefix ("" at the root).
 func (sc Scope) Path() string { return sc.prefix }
 
-// Sim returns the underlying simulator.
-func (sc Scope) Sim() *Simulator { return sc.sim }
-
 func (sc Scope) join(name string) string {
 	if sc.prefix == "" {
 		return name

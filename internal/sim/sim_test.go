@@ -73,7 +73,7 @@ func TestCombInitialSettle(t *testing.T) {
 	sm := New()
 	a := sm.Signal("a", 4)
 	inv := sm.Signal("inv", 4)
-	sm.CombOut("inv", func() { inv.Set(a.Get().Not(4)) }, []*Signal{inv}, a)
+	sm.CombOut("inv", func() { inv.Set(a.Get().not(4)) }, []*Signal{inv}, a)
 	if err := sm.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestScopeNaming(t *testing.T) {
 	if p0.Path() != "node.init0" {
 		t.Fatalf("path = %q", p0.Path())
 	}
-	if node.Sim() != sm {
+	if node.sim != sm {
 		t.Fatal("scope lost simulator")
 	}
 }

@@ -60,7 +60,7 @@ func TestExtractTransactionsMatchesMonitor(t *testing.T) {
 	rc.Attach(sm)
 	done := func() bool {
 		for _, b := range bfms {
-			if !b.Done() {
+			if !b.Core().Done() {
 				return false
 			}
 		}

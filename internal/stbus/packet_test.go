@@ -83,7 +83,7 @@ func TestBuildRequestSubBusStore(t *testing.T) {
 	if cells[0].BE != 0x8 {
 		t.Errorf("BE = %#x, want 0x8 (lane 3)", cells[0].BE)
 	}
-	if got := cells[0].Data.Field(24, 8).Uint64(); got != 0xab {
+	if got := uint64(cells[0].Data.Byte(3)); got != 0xab {
 		t.Errorf("lane 3 data = %#x", got)
 	}
 }
@@ -97,7 +97,7 @@ func TestBuildRequestBigEndianLanes(t *testing.T) {
 	if cells[0].BE != 0x1 {
 		t.Errorf("BE = %#x, want 0x1", cells[0].BE)
 	}
-	if got := cells[0].Data.Field(0, 8).Uint64(); got != 0xab {
+	if got := uint64(cells[0].Data.Byte(0)); got != 0xab {
 		t.Errorf("lane 0 data = %#x", got)
 	}
 }

@@ -107,9 +107,6 @@ func (st *changeStream) push(ch streamChange) {
 
 func (st *changeStream) at(k int) streamChange { return st.chunks[k/chunkLen][k%chunkLen] }
 
-// Samples returns the number of cycle samples taken.
-func (rec *Recording) Samples() uint64 { return rec.samples }
-
 // Cycles returns the number of clock cycles the recording covers, defined —
 // exactly like File.Cycles on a parsed dump — by the last recorded activity,
 // so alignment windows computed from a recording and from its text VCD
@@ -153,13 +150,6 @@ func (r *Recorder) DeclareValue(name string, width int) {
 	r.rec.byName[name] = len(r.rec.names)
 	r.rec.names = append(r.rec.names, name)
 	r.rec.widths = append(r.rec.widths, width)
-}
-
-// DeclareAll adds every signal of a simulator to the capture set.
-func (r *Recorder) DeclareAll(sm *sim.Simulator) {
-	for _, s := range sm.Signals() {
-		r.Declare(s)
-	}
 }
 
 // Attach opens a change journal over the declared signals on sm, which owns

@@ -41,8 +41,8 @@ func TestRecordingVCDMatchesWriter(t *testing.T) {
 	if rec.Cycles() != 10 {
 		t.Errorf("Cycles() = %d, want 10", rec.Cycles())
 	}
-	if rec.Samples() != 10 {
-		t.Errorf("Samples() = %d, want 10", rec.Samples())
+	if rec.samples != 10 {
+		t.Errorf("samples = %d, want 10", rec.samples)
 	}
 }
 

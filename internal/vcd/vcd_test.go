@@ -75,7 +75,9 @@ func TestScopeHierarchyRoundTrip(t *testing.T) {
 	_ = top
 	var buf bytes.Buffer
 	wr := NewWriter(&buf, "tb")
-	wr.DeclareAll(sm)
+	for _, s := range sm.Signals() {
+		wr.Declare(s)
+	}
 	wr.Attach(sm)
 	sm.Seq("drive", func() {
 		a.SetBool(true)

@@ -50,13 +50,6 @@ func (wr *Writer) Declare(sig *sim.Signal) {
 	wr.sigs = append(wr.sigs, sig)
 }
 
-// DeclareAll adds every signal of a simulator to the trace set.
-func (wr *Writer) DeclareAll(sm *sim.Simulator) {
-	for _, s := range sm.Signals() {
-		wr.Declare(s)
-	}
-}
-
 // Attach registers an end-of-cycle hook on sm that samples all declared
 // signals each cycle. Call after declaring signals.
 func (wr *Writer) Attach(sm *sim.Simulator) {
